@@ -2,17 +2,18 @@
 group normalization, each a single tape node with an explicit backward rule.
 
 Convolution uses cross-correlation semantics (no kernel flip) and zero
-padding. The transposed convolution is the exact adjoint of the forward
-correlation, implemented with the same scatter kernel that computes the
-input gradient of the forward pass.
+padding, which is never materialized: each kernel tap works on the box of
+outputs whose reads fall inside the input. The transposed convolution is the
+exact adjoint of the forward correlation, implemented with the same scatter
+kernel that computes the input gradient of the forward pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import precision
 from .tensor import Tensor, TensorError, _op
@@ -91,100 +92,65 @@ class ConvSpec:
 # input. The three are mutual adjoints; the transposed convolution reuses
 # the input-gradient scatter as its forward pass.
 #
-# Stride-1 convolutions (every same-size conv in a TS block, including the
-# 49-tap dilated one) accumulate per kernel tap over shifted views, which
-# avoids materializing the giant im2col window matrix. Strided convolutions
-# only occur in the tiny 2x2x2 upsampling layers and use window views.
+# All three loop over the kernel taps that _tap_boxes yields. Per axis,
+# output i reads input i*s + a*d - p for tap a; a tap's output box holds the
+# outputs whose reads land inside the input, and its input box the strided
+# values they read. Padding is never built: a tap that reads only padding
+# is skipped, and one that reads some padding touches only in-bounds data.
+# Each tap is one GEMM with K = C_in (forward), K = N*T*H*W over its box
+# (weight gradient) or K = C_out (input gradient).
 
 
-def _pad5(x, padding):
-    if not any(padding):
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding[0],) * 2, (padding[1],) * 2, (padding[2],) * 2))
+def _tap_boxes(in_ext, out_ext, kshape, stride, dilation, padding):
+    """Yield ``(tap, out_box, in_box)`` for every kernel tap that reads at
+    least one input value; the boxes are (t, h, w) slice triples."""
+    per_axis = []
+    for n, o, k, s, d, p in zip(in_ext, out_ext, kshape, stride, dilation, padding):
+        live = []
+        for a in range(k):
+            off = a * d - p
+            lo = max(0, -(off // s))
+            hi = min(o, (n - 1 - off) // s + 1)
+            if lo < hi:
+                live.append((a, slice(lo, hi), slice(lo * s + off, (hi - 1) * s + off + 1, s)))
+        per_axis.append(live)
+    for axes in itertools.product(*per_axis):
+        tap, obox, ibox = zip(*axes)
+        yield tap, obox, ibox
 
 
-def _tap_slices(out_extents, tap, stride, dilation):
-    return tuple(
-        slice(a * d, a * d + o * s, s)
-        for a, o, s, d in zip(tap, out_extents, stride, dilation)
-    )
-
-
-def _windows(x, eff, stride, dilation, padding):
-    win = sliding_window_view(_pad5(x, padding), eff, axis=(2, 3, 4))
-    return win[:, :, :: stride[0], :: stride[1], :: stride[2],
-               :: dilation[0], :: dilation[1], :: dilation[2]]
-
-
-def _fwd_extents(in_extents, kshape, stride, dilation, padding):
-    return tuple(
-        (n + 2 * p - (d * (k - 1) + 1)) // s + 1
-        for n, k, s, d, p in zip(in_extents, kshape, stride, dilation, padding)
-    )
-
-
-def _corr3d(x, w, stride, dilation, padding):
+def _corr3d(x, w, stride, dilation, padding, out_extents):
     """Cross-correlate x (N,Ci,T,H,W) with w (Co,Ci,kt,kh,kw)."""
-    kshape = w.shape[2:]
-    out_ext = _fwd_extents(x.shape[2:], kshape, stride, dilation, padding)
-    if stride == (1, 1, 1):
-        xp = _pad5(x, padding)
-        acc = np.zeros((x.shape[0], *out_ext, w.shape[0]), dtype=x.dtype)
-        for tap in np.ndindex(*kshape):
-            xs = xp[(slice(None), slice(None)) + _tap_slices(out_ext, tap, stride, dilation)]
-            acc += np.tensordot(xs, w[:, :, tap[0], tap[1], tap[2]], axes=([1], [1]))
-        return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
-    eff = tuple(d * (k - 1) + 1 for k, d in zip(kshape, dilation))
-    win = _windows(x, eff, stride, dilation, padding)
-    y = np.tensordot(win, w, axes=([1, 5, 6, 7], [1, 2, 3, 4]))
-    return np.ascontiguousarray(np.moveaxis(y, 4, 1))
+    acc = np.zeros((x.shape[0], *out_extents, w.shape[0]), dtype=x.dtype)
+    for tap, obox, ibox in _tap_boxes(x.shape[2:], out_extents, w.shape[2:],
+                                      stride, dilation, padding):
+        acc[(slice(None), *obox)] += np.tensordot(x[(..., *ibox)], w[(..., *tap)], axes=([1], [1]))
+    return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
 
 
 def _corr3d_dw(x, gy, kshape, stride, dilation, padding):
-    """Weight gradient of _corr3d: correlate input windows with gy."""
-    if stride == (1, 1, 1):
-        xp = _pad5(x, padding)
-        out_ext = gy.shape[2:]
-        dw = np.empty((gy.shape[1], x.shape[1], *kshape), dtype=gy.dtype)
-        for tap in np.ndindex(*kshape):
-            xs = xp[(slice(None), slice(None)) + _tap_slices(out_ext, tap, stride, dilation)]
-            dw[:, :, tap[0], tap[1], tap[2]] = np.tensordot(
-                gy, xs, axes=([0, 2, 3, 4], [0, 2, 3, 4])
-            )
-        return dw
-    eff = tuple(d * (k - 1) + 1 for k, d in zip(kshape, dilation))
-    win = _windows(x, eff, stride, dilation, padding)
-    return np.tensordot(gy, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+    """Weight gradient of _corr3d: correlate each tap's input box with gy."""
+    dw = np.zeros((gy.shape[1], x.shape[1], *kshape), dtype=gy.dtype)
+    for tap, obox, ibox in _tap_boxes(x.shape[2:], gy.shape[2:], kshape,
+                                      stride, dilation, padding):
+        dw[(..., *tap)] = np.tensordot(gy[(..., *obox)], x[(..., *ibox)],
+                                       axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+    return dw
 
 
 def _corr3d_dx(gy, w, stride, dilation, padding, in_extents):
-    """Input gradient of _corr3d: route gy back through w.
+    """Input gradient of _corr3d: scatter gy back through w, tap by tap.
 
     w carries (C_gy, C_out, kt, kh, kw); gy channels contract with axis 0.
-    At stride 1 this is itself a correlation with the tap-reversed kernel at
-    complementary padding; otherwise gy is scattered tap by tap (for a fixed
-    tap the strided destination slices never overlap, so in-place adds are
-    safe).
+    For a fixed tap the strided input box holds no repeated element, so the
+    in-place add is safe.
     """
-    kshape = w.shape[2:]
-    eff = tuple(d * (k - 1) + 1 for k, d in zip(kshape, dilation))
-    flip_pad = tuple(e - 1 - p for e, p in zip(eff, padding))
-    if stride == (1, 1, 1) and min(flip_pad) >= 0:
-        wk = np.ascontiguousarray(w.swapaxes(0, 1)[:, :, ::-1, ::-1, ::-1])
-        return _corr3d(gy, wk, stride, dilation, flip_pad)
-    n = gy.shape[0]
-    padded = tuple(e + 2 * p for e, p in zip(in_extents, padding))
-    out_ext = gy.shape[2:]
-    acc = np.zeros((n, w.shape[1], *padded), dtype=gy.dtype)
-    for tap in np.ndindex(*kshape):
-        contrib = np.tensordot(gy, w[:, :, tap[0], tap[1], tap[2]], axes=([1], [0]))
-        acc[(slice(None), slice(None)) + _tap_slices(out_ext, tap, stride, dilation)] += \
-            np.moveaxis(contrib, 4, 1)
-    if any(padding):
-        pt, ph, pw = padding
-        t_in, h_in, w_in = in_extents
-        return np.ascontiguousarray(acc[:, :, pt : pt + t_in, ph : ph + h_in, pw : pw + w_in])
-    return acc
+    acc = np.zeros((gy.shape[0], *in_extents, w.shape[1]), dtype=gy.dtype)
+    for tap, obox, ibox in _tap_boxes(in_extents, gy.shape[2:], w.shape[2:],
+                                      stride, dilation, padding):
+        acc[(slice(None), *ibox)] += np.tensordot(gy[(..., *obox)], w[(..., *tap)],
+                                                  axes=([1], [0]))
+    return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +210,9 @@ def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
         raise TensorError("conv3d called with a transposed spec")
     _check_conv_input(x, layer)
     in_ext = x.shape[2:]
-    spec.out_extents(in_ext)
+    out_ext = spec.out_extents(in_ext)
     w, b = layer.weight, layer.bias
-    y = _corr3d(x.data, w.data, spec.stride, spec.dilation, spec.padding)
+    y = _corr3d(x.data, w.data, spec.stride, spec.dilation, spec.padding, out_ext)
     y += b.data.reshape(1, -1, 1, 1, 1)
 
     def make_apply(out):
@@ -288,7 +254,8 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
                 w.accumulate_grad(dw.swapaxes(0, 1))
             if x.requires_grad:
                 x.accumulate_grad(
-                    _corr3d(gy, layer.weight.data.swapaxes(0, 1), spec.stride, spec.dilation, spec.padding)
+                    _corr3d(gy, layer.weight.data.swapaxes(0, 1), spec.stride, spec.dilation,
+                            spec.padding, in_ext)
                 )
         return apply
     return _op(y, (x, w, b), make_apply)

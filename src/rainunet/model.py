@@ -15,6 +15,7 @@ spatial receptive field (21 pixels per block) at stride 1.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -330,20 +331,30 @@ def config_from_text(text: str) -> RainUNetConfig:
 
 
 def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> None:
+    """Write the checkpoint to ``<path>.tmp`` and move it onto ``path``, so a
+    failure part-way (such as a parameter that cannot be encoded) leaves the
+    previous checkpoint at ``path`` whole."""
     cfg_bytes = config_to_text(cfg).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<B", _CKPT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, arr in params.items():
-            blob = dataio.runt_encode(arr)
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<B", _CKPT_VERSION))
+            fh.write(struct.pack("<I", len(cfg_bytes)))
+            fh.write(cfg_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name, arr in params.items():
+                blob = dataio.runt_encode(arr)
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(path, model: RainUNet) -> None:

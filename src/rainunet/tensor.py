@@ -461,7 +461,10 @@ def backward(loss: Tensor) -> None:
 
     Walks the recording tape once, in reverse creation order (a valid reverse
     topological order). The tape is consumed: call forward again before the
-    next backward.
+    next backward. Each node drops its inputs, output and backward closure
+    once replayed, so the tape's arrays are freed by reference counting as
+    soon as the caller lets go of its tensors, not by a later cyclic
+    collection.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -470,12 +473,12 @@ def backward(loss: Tensor) -> None:
     graph = loss.node.graph
     if graph.consumed:
         raise AutodiffError("backward already ran on this graph; run forward again")
+    graph.consumed = True
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(graph.nodes):
-        if node.out.grad is None:
-            continue  # not on any path from the loss
-        node.apply()
-    graph.consumed = True
+        if node.out.grad is not None:  # else not on any path from the loss
+            node.apply()
+        node.inputs = node.out = node.apply = None
     st = _state()
     if st.graph is graph:
         st.graph = None

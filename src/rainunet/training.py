@@ -103,18 +103,27 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
+        # The docstring formula evaluated in place, operation for operation,
+        # in two scratch arrays per parameter.
         for name, t in self.named_params:
-            g = t.grad
-            m = self.m[name]
-            v = self.v[name]
+            g, m, v = t.grad, self.m[name], self.v[name]
+            tmp = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += tmp
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, bc1)
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * t.data
-            t.data -= (self.lr * update).astype(t.data.dtype, copy=False)
+                np.multiply(t.data, self.weight_decay, out=tmp)
+                update += tmp
+            update *= self.lr
+            t.data -= update
 
     def zero_grad(self) -> None:
         for _, t in self.named_params:

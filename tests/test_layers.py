@@ -84,6 +84,65 @@ class TestConv3D:
         assert grad_check(lambda t: quad(conv3d(t, layer)), x).passed
 
 
+# The model's dilated and temporal specs on maps smaller than their span, and
+# strided padded specs: the geometries where a kernel tap reads only part of
+# the input, or none of it.
+SMALL_MAP_CASES = [
+    (ConvSpec.same_size((1, 7, 7), (1, 3, 3)), (2, 2, 2)),
+    (ConvSpec.same_size((1, 7, 7), (1, 3, 3)), (1, 4, 4)),
+    (ConvSpec.same_size((1, 7, 7), (1, 3, 3)), (2, 8, 8)),
+    (ConvSpec.same_size((3, 1, 1)), (1, 3, 3)),
+]
+STRIDED_CASES = [
+    (ConvSpec((3, 3, 3), stride=(2, 2, 2), padding=(1, 1, 1)), (3, 5, 6)),
+    (ConvSpec((2, 3, 3), (1, 2, 2), (2, 2, 2), (1, 2, 2)), (4, 4, 5)),
+    (ConvSpec((1, 5, 5), stride=(1, 2, 2), padding=(0, 2, 1)), (2, 3, 7)),
+    (ConvSpec((2, 3, 3), (1, 1, 2), (2, 2, 2), (1, 1, 2), transposed=True), (2, 3, 3)),
+]
+
+
+class TestConvTapGeometry:
+    @pytest.mark.parametrize("spec,extents", SMALL_MAP_CASES)
+    def test_small_maps_match_loop_oracle(self, wide, spec, extents):
+        rng = np.random.default_rng(19)
+        layer = Conv3DLayer(2, 3, spec, rng, bias=rng.normal(size=3))
+        x = rng.normal(size=(2, 2, *extents))
+        got = conv3d(Tensor(x), layer).data
+        want = naive_conv3d(x, layer.weight.data, layer.bias.data,
+                            spec.stride, spec.dilation, spec.padding)
+        assert got.shape == want.shape == (2, 3, *extents)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("spec,extents", SMALL_MAP_CASES + STRIDED_CASES)
+    def test_adjoint_identities(self, wide, spec, extents):
+        # with bias 0 the conv is linear in x and in w, so
+        # <conv(x), gy> = <x, dx> = <w, dw> for the gradients of that product
+        rng = np.random.default_rng(29)
+        layer = Conv3DLayer(3, 2, spec, rng)
+        x = Tensor(rng.normal(size=(2, 3, *extents)), requires_grad=True)
+        y = layer(x)
+        gy = Tensor(rng.normal(size=y.shape))
+        loss = tensor_sum(y * gy)
+        backward(loss)
+        value = loss.item()
+        for a, g in ((x.data, x.grad), (layer.weight.data, layer.weight.grad)):
+            assert abs(np.sum(a * g) - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_tap_reading_only_padding_has_zero_weight_gradient(self, wide):
+        # on a 2x2 map the dilated 7x7 kernel reaches data with its centre
+        # tap only; every other tap reads padding alone
+        rng = np.random.default_rng(31)
+        layer = Conv3DLayer(2, 2, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        x = Tensor(rng.normal(size=(1, 2, 1, 2, 2)))
+        backward(quad(conv3d(x, layer)))
+        dw = layer.weight.grad
+        assert np.all(dw[:, :, 0, 0, 0] == 0.0)
+        live = np.zeros(dw.shape, dtype=bool)
+        live[:, :, 0, 3, 3] = True
+        assert np.all(dw[~live] == 0.0)
+        assert np.all(dw[live] != 0.0)
+
+
 class TestConv3DTransposed:
     def test_doubling_extents(self):
         rng = np.random.default_rng(0)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from oracles import support_box
+from rainunet.data import FormatError
 from rainunet.layers import ConvSpec, conv3d, group_norm
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, build_rainunet,
                             config_from_text, config_to_text,
                             conv_stack_receptive_field, encoder_receptive_field,
-                            load_checkpoint, receptive_field, save_checkpoint)
+                            load_checkpoint, receptive_field, save_checkpoint,
+                            save_checkpoint_params)
 from rainunet.tensor import Tensor, TensorError, grad_check, no_grad, relu, tensor_sum
 
 
@@ -192,6 +194,18 @@ class TestCheckpoint:
         for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters()):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = RainUNet(micro_cfg(), seed=4)
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        state = model.state()
+        state["head.bias"] = np.full_like(state["head.bias"], np.nan)
+        with pytest.raises(FormatError):
+            save_checkpoint_params(path, model.config, state)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.runc"]
 
     def test_shape_mismatch_reports_both_shapes(self):
         model = RainUNet(micro_cfg(), seed=0)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,26 @@ class TestBackward:
         backward(y)
         with pytest.raises(AutodiffError):
             backward(y)
+
+
+class TestTapeRelease:
+    def test_intermediate_arrays_freed_without_cyclic_gc(self, wide):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            x = Tensor(np.arange(4.0), requires_grad=True)
+            h = relu(x * 2.0)
+            freed = weakref.ref(h.data)
+            loss = tensor_sum(h * h)
+            backward(loss)
+            with pytest.raises(AutodiffError):
+                backward(loss)
+            del h, loss
+            assert freed() is None
+            assert x.grad.tolist() == [0.0, 8.0, 16.0, 24.0]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestGraph:

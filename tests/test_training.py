@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainunet import precision
 from rainunet.data import SequenceRecord
 from rainunet.model import RainUNet, RainUNetConfig
 from rainunet.tensor import Tensor, TensorError, backward, grad_check
@@ -105,6 +106,30 @@ class TestAdamW:
             opt.step()
             assert abs(p.data[0] - 2.0 * (1.0 - lr * wd) ** k) < 1e-14
 
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    def test_steps_equal_docstring_formula_bitwise(self, mode, wd):
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(23)
+        with precision.use_precision(mode):
+            p = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        want = p.data.copy()
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        opt = AdamW([("p", p)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        for k in range(1, 6):
+            g = rng.normal(size=want.shape).astype(want.dtype)
+            p.grad = g.copy()
+            opt.step()
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * g * g
+            mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
+            update = mhat / (np.sqrt(vhat) + eps)
+            if wd:
+                update = update + wd * want
+            want = want - lr * update
+            assert p.data.dtype == want.dtype
+            assert np.array_equal(p.data, want)
+
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = AdamW([("p", p)])
@@ -201,6 +226,8 @@ class TestFit:
         assert [r.swa_active for r in res.log] == [False, False, True, True]
         assert res.swa.count == 2
 
+    # the saturated head overflows float32 on purpose
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_aborts_with_diagnostic(self):
         records = tiny_records()
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=4)

@@ -5,15 +5,12 @@ Configuration resolves in three layers: built-in defaults, then a
 line-oriented ``key = value`` config file (``#`` comments allowed, unknown
 keys rejected), then command-line flags. Every command is reproducible:
 identical resolved config and seed give identical artifact bytes.
-``RAINUNET_THREADS`` caps evaluation/prediction worker parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -21,7 +18,6 @@ from typing import get_type_hints
 import numpy as np
 
 from . import data as dataio
-from . import metrics as metricsmod
 from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SequenceRecord,
                    SynthConfig, center_crop_resize, cleansing_filter,
                    load_dataset, save_dataset, select_modalities, synth_generate)
@@ -29,7 +25,7 @@ from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transp
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint,
                     save_checkpoint, save_checkpoint_params)
 from .tensor import (AutodiffError, GradCheckReport, Tensor, TensorError,
-                     grad_check, no_grad, tensor_sum)
+                     grad_check, tensor_sum)
 from .training import (TrainConfig, TrainingAbort, dice_loss, fit,
                        predict_probs, write_training_log_csv)
 from .precision import use_precision
@@ -115,10 +111,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if v is not None:
             overrides[f.name] = v
     return replace(cfg, **overrides)
-
-
-def worker_count() -> int:
-    return max(1, int(os.environ.get("RAINUNET_THREADS", "1")))
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +210,6 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _forward_dataset(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
-    threads = worker_count()
-    if threads == 1:
-        return predict_probs(model, records, batch_size=batch_size)
-    x_all = np.stack([r.input for r in records])
-    spans = [(lo, min(lo + batch_size, len(records)))
-             for lo in range(0, len(records), batch_size)]
-
-    def run(span):
-        with no_grad():
-            return model.forward(Tensor(x_all[span[0]:span[1]])).data
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(run, spans))
-    return np.concatenate(chunks, axis=0)
-
-
 def _load_eval_inputs(cfg: RunConfig):
     if not cfg.checkpoint:
         raise FormatError("a --checkpoint path is required")
@@ -257,7 +232,7 @@ def _load_eval_inputs(cfg: RunConfig):
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     model, records = _load_eval_inputs(cfg)
-    probs = _forward_dataset(model, records)
+    probs = predict_probs(model, records)
     preds = binarize(probs, cfg.threshold)
     gts = np.stack([r.target for r in records])
     report = evaluate_masks(preds, gts)
@@ -275,7 +250,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     model, records = _load_eval_inputs(cfg)
-    probs = _forward_dataset(model, records)
+    probs = predict_probs(model, records)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = dataio.read_manifest(Path(cfg.data) / MANIFEST_NAME)

@@ -9,6 +9,7 @@ the autodiff Tensor type is reserved for differentiable compute.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,9 @@ _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 
 
-def runt_encode(arr) -> bytes:
+def runt_header(arr) -> tuple[bytes, np.ndarray]:
+    """Validate ``arr`` for storage and return the RUNT header with the
+    C-contiguous little-endian array whose buffer is the payload."""
     arr = np.ascontiguousarray(getattr(arr, "data", arr))
     if arr.dtype not in _DTYPE_TO_CODE:
         raise FormatError(f"unsupported dtype {arr.dtype}; use f32, f64 or u8")
@@ -42,12 +45,18 @@ def runt_encode(arr) -> bytes:
     code = _DTYPE_TO_CODE[arr.dtype]
     head = _MAGIC + bytes([_VERSION, code, arr.ndim])
     head += b"".join(struct.pack("<I", s) for s in arr.shape)
-    return head + arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+    return head, arr.astype(arr.dtype.newbyteorder("<"), copy=False)
 
 
-def runt_decode(blob: bytes) -> np.ndarray:
+def runt_encode(arr) -> bytes:
+    head, payload = runt_header(arr)
+    return head + payload.tobytes()
+
+
+def runt_decode(blob) -> np.ndarray:
+    """Decode one whole RUNT blob (bytes or memoryview) or raise FormatError."""
     if blob[:4] != _MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}")
+        raise FormatError(f"bad magic {bytes(blob[:4])!r}")
     if len(blob) < 7:
         raise FormatError("truncated header")
     version, code, ndim = blob[4], blob[5], blob[6]
@@ -55,16 +64,21 @@ def runt_decode(blob: bytes) -> np.ndarray:
         raise FormatError(f"unsupported version {version}")
     if code not in _CODE_TO_DTYPE:
         raise FormatError(f"unknown dtype code {code}")
+    if ndim < 1:
+        raise FormatError("0-d tensors cannot be stored")
     off = 7
     if len(blob) < off + 4 * ndim:
         raise FormatError("truncated shape header")
     shape = struct.unpack_from(f"<{ndim}I", blob, off)
     off += 4 * ndim
     dtype = _CODE_TO_DTYPE[code]
-    expected = off + int(np.prod(shape)) * dtype.itemsize
+    expected = off + math.prod(shape) * dtype.itemsize
     if len(blob) != expected:
         raise FormatError(f"payload length {len(blob)} != expected {expected}")
-    return np.frombuffer(blob[off:], dtype=dtype).reshape(shape).copy()
+    arr = np.frombuffer(blob, dtype=dtype, offset=off).reshape(shape).copy()
+    if dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise FormatError("tensor holds non-finite values")
+    return arr
 
 
 def tensor_file_write(t, path) -> None:
@@ -341,17 +355,21 @@ def write_manifest(path, entries) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"manifest {path} is not UTF-8 text: {err}") from None
     if not lines or lines[0] != _MANIFEST_HEADER:
         raise FormatError(f"bad manifest header in {path}")
     entries = []
     for line in lines[1:]:
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise FormatError(f"bad manifest line: {line!r}")
-        entries.append(ManifestEntry(parts[0], int(parts[1]), parts[2], int(parts[3])))
+        try:
+            key, count, region, start = line.split("\t")
+            entries.append(ManifestEntry(key, int(count), region, int(start)))
+        except ValueError:
+            raise FormatError(f"bad manifest line: {line!r}") from None
     return entries
 
 

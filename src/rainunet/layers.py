@@ -97,8 +97,13 @@ class ConvSpec:
 # outputs whose reads land inside the input, and its input box the strided
 # values they read. Padding is never built: a tap that reads only padding
 # is skipped, and one that reads some padding touches only in-bounds data.
-# Each tap is one GEMM with K = C_in (forward), K = N*T*H*W over its box
-# (weight gradient) or K = C_out (input gradient).
+#
+# Each core copies x and gy to channels-last (N,T,H,W,C) once per call, as
+# temporaries the tape never holds. A live tap is then one `@` between its
+# box as a (rows, C) matrix, which copies contiguous channel runs, and a
+# contiguous copy of its weight slice (matmul skips BLAS for a strided one).
+# The whole weight is never copied: deep stages have few live taps. The inner
+# dimension is C_in (forward), the box's N*T*H*W (dw) or C_out (dx).
 
 
 def _tap_boxes(in_ext, out_ext, kshape, stride, dilation, padding):
@@ -119,22 +124,33 @@ def _tap_boxes(in_ext, out_ext, kshape, stride, dilation, padding):
         yield tap, obox, ibox
 
 
+def _channels_last(a):
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
+def _rows(a, box):
+    """The (t, h, w) box of channels-last ``a`` as a (rows, C) matrix."""
+    return a[(slice(None), *box)].reshape(-1, a.shape[-1])
+
+
 def _corr3d(x, w, stride, dilation, padding, out_extents):
     """Cross-correlate x (N,Ci,T,H,W) with w (Co,Ci,kt,kh,kw)."""
+    xl = _channels_last(x)
     acc = np.zeros((x.shape[0], *out_extents, w.shape[0]), dtype=x.dtype)
     for tap, obox, ibox in _tap_boxes(x.shape[2:], out_extents, w.shape[2:],
                                       stride, dilation, padding):
-        acc[(slice(None), *obox)] += np.tensordot(x[(..., *ibox)], w[(..., *tap)], axes=([1], [1]))
+        dst = acc[(slice(None), *obox)]
+        dst += (_rows(xl, ibox) @ np.ascontiguousarray(w[(..., *tap)].T)).reshape(dst.shape)
     return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
 
 
 def _corr3d_dw(x, gy, kshape, stride, dilation, padding):
     """Weight gradient of _corr3d: correlate each tap's input box with gy."""
+    xl, gyl = _channels_last(x), _channels_last(gy)
     dw = np.zeros((gy.shape[1], x.shape[1], *kshape), dtype=gy.dtype)
     for tap, obox, ibox in _tap_boxes(x.shape[2:], gy.shape[2:], kshape,
                                       stride, dilation, padding):
-        dw[(..., *tap)] = np.tensordot(gy[(..., *obox)], x[(..., *ibox)],
-                                       axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+        dw[(..., *tap)] = _rows(gyl, obox).T @ _rows(xl, ibox)
     return dw
 
 
@@ -145,11 +161,12 @@ def _corr3d_dx(gy, w, stride, dilation, padding, in_extents):
     For a fixed tap the strided input box holds no repeated element, so the
     in-place add is safe.
     """
+    gyl = _channels_last(gy)
     acc = np.zeros((gy.shape[0], *in_extents, w.shape[1]), dtype=gy.dtype)
     for tap, obox, ibox in _tap_boxes(in_extents, gy.shape[2:], w.shape[2:],
                                       stride, dilation, padding):
-        acc[(slice(None), *ibox)] += np.tensordot(gy[(..., *obox)], w[(..., *tap)],
-                                                  axes=([1], [0]))
+        dst = acc[(slice(None), *ibox)]
+        dst += (_rows(gyl, obox) @ np.ascontiguousarray(w[(..., *tap)])).reshape(dst.shape)
     return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
 
 
@@ -240,8 +257,7 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
     in_ext = x.shape[2:]
     out_ext = spec.out_extents(in_ext)
     w, b = layer.weight, layer.bias
-    w_swap = np.ascontiguousarray(w.data.swapaxes(0, 1))
-    y = _corr3d_dx(x.data, w_swap, spec.stride, spec.dilation, spec.padding, out_ext)
+    y = _corr3d_dx(x.data, w.data.swapaxes(0, 1), spec.stride, spec.dilation, spec.padding, out_ext)
     y += b.data.reshape(1, -1, 1, 1, 1)
 
     def make_apply(out):

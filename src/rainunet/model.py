@@ -60,8 +60,9 @@ class RainUNetConfig:
     def validate(self) -> None:
         if self.stages < 1:
             raise TensorError("stages must be >= 1")
-        if min(self.base_channels, self.in_channels, self.in_frames, self.out_frames) < 1:
-            raise TensorError("channel/frame counts must be positive")
+        if min(self.base_channels, self.in_channels, self.in_frames, self.out_frames,
+               self.groupnorm_groups) < 1:
+            raise TensorError("channel/frame/group counts must be positive")
         if self.head_mode != "time-mean":
             raise TensorError(f"unknown head_mode {self.head_mode!r}")
         for k in range(1, self.stages + 1):
@@ -241,10 +242,6 @@ def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:
     return t
 
 
-def build_rainunet(cfg: RainUNetConfig, seed: int) -> RainUNet:
-    return RainUNet(cfg, seed)
-
-
 # ---------------------------------------------------------------------------
 # receptive field arithmetic
 
@@ -268,11 +265,6 @@ def _ts_block_spans(cfg: RainUNetConfig) -> list[tuple[Triple, Triple]]:
         (ConvSpec.same_size(cfg.tsdconv_kernel, cfg.tsdconv_dilation).effective(), one),
         (ConvSpec.same_size(cfg.tconv_kernel).effective(), one),
     ]
-
-
-def conv_stack_receptive_field(specs) -> Triple:
-    """Analytic receptive field of stacked ConvSpecs applied in order."""
-    return _compose_spans([(s.effective(), s.stride) for s in specs])
 
 
 def receptive_field(cfg: RainUNetConfig, blocks: int = 1) -> Triple:
@@ -344,12 +336,14 @@ def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarr
             fh.write(cfg_bytes)
             fh.write(struct.pack("<I", len(params)))
             for name, arr in params.items():
-                blob = dataio.runt_encode(arr)
+                # the array's own buffer is written: no bytes copy of it is made
+                head, payload = dataio.runt_header(arr)
                 name_b = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(name_b)))
                 fh.write(name_b)
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
+                fh.write(struct.pack("<I", len(head) + payload.nbytes))
+                fh.write(head)
+                fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -361,30 +355,48 @@ def save_checkpoint(path, model: RainUNet) -> None:
     save_checkpoint_params(path, model.config, dict((n, t.data) for n, t in model.named_parameters()))
 
 
-def load_checkpoint(path) -> RainUNet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise dataio.FormatError(f"bad checkpoint magic {raw[:4]!r}")
-    if raw[4] != _CKPT_VERSION:
-        raise dataio.FormatError(f"unsupported checkpoint version {raw[4]}")
-    off = 5
-    (cfg_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    cfg = config_from_text(raw[off : off + cfg_len].decode("utf-8"))
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
+    """Split a checkpoint into config text and parameters; every read is bounds-checked."""
+    off = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if off + n > len(raw):
+            raise dataio.FormatError(f"checkpoint truncated at byte {len(raw)} (needs {off + n})")
+        off += n
+        return raw[off - n : off]
+
+    def unpack(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    if take(4) != _CKPT_MAGIC:
+        raise dataio.FormatError(f"bad checkpoint magic {bytes(raw[:4])!r}")
+    version = unpack("<B")
+    if version != _CKPT_VERSION:
+        raise dataio.FormatError(f"unsupported checkpoint version {version}")
+    cfg_text = bytes(take(unpack("<I")))
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (blob_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        params[name] = dataio.runt_decode(raw[off : off + blob_len])
-        off += blob_len
-    model = RainUNet(cfg, seed=0)
-    model.load_state(params)
+    for _ in range(unpack("<I")):
+        name = str(take(unpack("<H")), "utf-8", "replace")  # a bad name fails load_state
+        blob = take(unpack("<I"))
+        if name in params:
+            raise dataio.FormatError(f"parameter {name!r} stored twice")
+        params[name] = dataio.runt_decode(blob)
+    if off != len(raw):
+        raise dataio.FormatError(f"{len(raw) - off} trailing bytes after the last parameter")
+    return cfg_text, params
+
+
+def load_checkpoint(path) -> RainUNet:
+    """Read a checkpoint written by ``save_checkpoint``. A file that is cut
+    short, carries trailing bytes, holds a non-finite value or whose
+    parameters do not fit its config raises FormatError."""
+    with open(path, "rb") as fh:
+        cfg_text, params = _parse_checkpoint(memoryview(fh.read()))
+    # the file's buffer is freed here, before the model is built, to lower the peak
+    try:
+        model = RainUNet(config_from_text(str(cfg_text, "utf-8")), seed=0)
+        model.load_state(params)
+    except (TensorError, ValueError) as err:
+        raise dataio.FormatError(f"checkpoint does not describe a model: {err}") from None
     return model

@@ -430,32 +430,6 @@ def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:
     return _op(np.pad(a.data, widths), (a,), make_apply)
 
 
-_UNARY_KINDS = {"relu": relu, "sigmoid": sigmoid}
-_BINARY_KINDS = {"add": add, "sub": sub, "mul": mul, "div": div, "scale": scale}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by op-kind name; ``b`` is a Tensor of equal shape or a scalar
-    (and must be a scalar for ``scale``)."""
-    if kind in _UNARY_KINDS:
-        if b is not None:
-            raise TensorError(f"{kind} takes no second operand")
-        return _UNARY_KINDS[kind](a)
-    if kind in _BINARY_KINDS:
-        if b is None:
-            raise TensorError(f"{kind} needs a second operand")
-        return _BINARY_KINDS[kind](a, b)
-    raise TensorError(f"unknown elementwise kind {kind!r}")
-
-
-def reduce(kind: str, a: Tensor) -> Tensor:
-    if kind == "sum":
-        return tensor_sum(a)
-    if kind == "mean":
-        return tensor_mean(a)
-    raise TensorError(f"unknown reduce kind {kind!r}")
-
-
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` for every tensor the scalar ``loss`` depends on.
 
@@ -482,11 +456,6 @@ def backward(loss: Tensor) -> None:
     st = _state()
     if st.graph is graph:
         st.graph = None
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 @dataclass

@@ -81,6 +81,11 @@ def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
     return scale(total, 1.0 / n)
 
 
+# Elements per block of AdamW.step: a block's six arrays stay in L2 cache
+# across the update's 16 passes instead of streaming through memory each pass.
+ADAMW_BLOCK = 32768
+
+
 class AdamW:
     """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p)."""
 
@@ -103,27 +108,31 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        # The docstring formula evaluated in place, operation for operation,
-        # in two scratch arrays per parameter.
         for name, t in self.named_params:
-            g, m, v = t.grad, self.m[name], self.v[name]
-            tmp = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
-            m += tmp
-            np.multiply(g, 1.0 - self.beta2, out=tmp)
-            tmp *= g
-            v *= self.beta2
-            v += tmp
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            update = np.divide(m, bc1)
-            update /= tmp
-            if self.weight_decay:
-                np.multiply(t.data, self.weight_decay, out=tmp)
-                update += tmp
-            update *= self.lr
-            t.data -= update
+            p, g, m, v = np.atleast_1d(t.data, t.grad, self.m[name], self.v[name])
+            rows = max(1, ADAMW_BLOCK * len(p) // max(p.size, 1))
+            # The docstring formula in place, operation for operation, in two
+            # scratch arrays per block of axis-0 views: every element sees the
+            # same operations, so the result is bit-identical to a whole-array pass.
+            for lo in range(0, len(p), rows):
+                pb, gb, mb, vb = (a[lo : lo + rows] for a in (p, g, m, v))
+                tmp = np.multiply(gb, 1.0 - self.beta1)
+                mb *= self.beta1
+                mb += tmp
+                np.multiply(gb, 1.0 - self.beta2, out=tmp)
+                tmp *= gb
+                vb *= self.beta2
+                vb += tmp
+                np.divide(vb, bc2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += self.eps
+                update = np.divide(mb, bc1)
+                update /= tmp
+                if self.weight_decay:
+                    np.multiply(pb, self.weight_decay, out=tmp)
+                    update += tmp
+                update *= self.lr
+                pb -= update
 
     def zero_grad(self) -> None:
         for _, t in self.named_params:

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from rainunet import precision
-from rainunet.cli import (RunConfig, _forward_dataset, gradcheck_battery, main,
-                          parse_config_file, worker_count)
-from rainunet.data import (MANIFEST_NAME, SynthConfig, load_dataset,
-                           synth_generate)
+from rainunet.cli import RunConfig, gradcheck_battery, main, parse_config_file
+from rainunet.data import MANIFEST_NAME, load_dataset
 from rainunet.metrics import read_lead_time_csv
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
 
@@ -199,25 +197,6 @@ class TestTrainEvaluatePredict:
                        "--out", tmp_path / "ev") == 1
         err = capsys.readouterr().err
         assert "11" in err and "9" in err
-
-
-class TestThreads:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("RAINUNET_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("RAINUNET_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_parallel_forward_matches_serial(self, monkeypatch):
-        records = synth_generate(SynthConfig(sequences=5, size=24, seed=8,
-                                             radius=(4.0, 7.0)))
-        records = [type(r)(r.input[:9], r.target, r.region, r.start_time) for r in records]
-        model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=1)
-        monkeypatch.delenv("RAINUNET_THREADS", raising=False)
-        serial = _forward_dataset(model, records, batch_size=2)
-        monkeypatch.setenv("RAINUNET_THREADS", "2")
-        parallel = _forward_dataset(model, records, batch_size=2)
-        assert np.array_equal(serial, parallel)
 
 
 class TestGradcheckCommand:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_bilinear_resize
@@ -11,6 +11,14 @@ from rainunet.data import (CANONICAL_CHANNELS, CHANNEL_SETS, IR_CHANNELS,
                            read_manifest, runt_decode, runt_encode,
                            save_dataset, select_modalities, synth_generate,
                            tensor_file_read, tensor_file_write, write_manifest)
+
+
+def _replace_byte(blob: bytes, pos: int, value: int) -> bytes:
+    return blob[:pos] + bytes([value]) + blob[pos + 1:]
+
+
+# magic(4) + version/dtype/ndim(3) + 2 extents(8) + 6 f32(24) = 39 bytes
+_VALID_BLOB = runt_encode(np.arange(6, dtype=np.float32).reshape(2, 3))
 
 
 class TestRuntFormat:
@@ -59,6 +67,38 @@ class TestRuntFormat:
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             runt_encode(np.array([np.nan], dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected_on_decode(self, dtype, bad):
+        blob = runt_encode(np.zeros(3, dtype=dtype))
+        blob = blob[:-dtype().itemsize] + np.array([bad], dtype=dtype).tobytes()
+        with pytest.raises(FormatError, match="non-finite"):
+            runt_decode(blob)
+
+    def test_zero_dims_rejected_on_decode(self):
+        with pytest.raises(FormatError):
+            runt_decode(b"RUNT\x01\x00\x00\x00\x00\x00\x00")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=48),
+        st.binary(max_size=48).map(lambda rest: b"RUNT\x01" + rest),
+        st.tuples(st.integers(0, 38), st.integers(0, 255)).map(
+            lambda pb: _replace_byte(_VALID_BLOB, *pb)),
+        st.lists(st.floats(width=32), min_size=6, max_size=6).map(
+            lambda vals: _VALID_BLOB[:15] + np.array(vals, dtype="<f4").tobytes()),
+        st.integers(0, 38).map(lambda n: _VALID_BLOB[:n]),
+        st.binary(min_size=1, max_size=8).map(lambda tail: _VALID_BLOB + tail),
+    ))
+    def test_decode_fuzz_gives_array_or_format_error(self, blob):
+        try:
+            arr = runt_decode(blob)
+        except FormatError:
+            return
+        assert isinstance(arr, np.ndarray) and arr.ndim >= 1
+        if arr.dtype.kind == "f":
+            assert np.all(np.isfinite(arr))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1),
@@ -246,6 +286,31 @@ class TestDatasetIo:
         path.write_text("not-a-manifest\n")
         with pytest.raises(FormatError):
             read_manifest(path)
+
+    def test_manifest_non_integer_count_rejected(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("RUNM\tv1\nseq00000\tmany\tR0\t0\n")
+        with pytest.raises(FormatError, match="bad manifest line"):
+            read_manifest(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda rest: b"RUNM\tv1\n" + rest),
+        st.lists(st.lists(st.text("0123456789-+_ Rseq\u00e9x", max_size=6),
+                          min_size=1, max_size=5).map("\t".join), max_size=4)
+        .map(lambda lines: "\n".join(["RUNM\tv1", *lines]).encode("utf-8")),
+    ))
+    def test_manifest_fuzz_gives_entries_or_format_error(self, tmp_path, raw):
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(raw)
+        try:
+            entries = read_manifest(path)
+        except FormatError:
+            return
+        for e in entries:
+            assert isinstance(e.positive_count, int) and isinstance(e.start_time, int)
 
     def test_record_validation(self):
         with pytest.raises(FormatError):

@@ -1,12 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import support_box
-from rainunet.data import FormatError
-from rainunet.layers import ConvSpec, conv3d, group_norm
-from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, build_rainunet,
-                            config_from_text, config_to_text,
-                            conv_stack_receptive_field, encoder_receptive_field,
+from rainunet.data import FormatError, runt_encode
+from rainunet.layers import conv3d, group_norm
+from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, config_from_text,
+                            config_to_text, encoder_receptive_field,
                             load_checkpoint, receptive_field, save_checkpoint,
                             save_checkpoint_params)
 from rainunet.tensor import Tensor, TensorError, grad_check, no_grad, relu, tensor_sum
@@ -97,9 +100,6 @@ class TestReceptiveField:
     def test_two_blocks(self):
         assert receptive_field(RainUNetConfig(), 2) == (5, 41, 41)
 
-    def test_pointwise_conv_alone(self):
-        assert conv_stack_receptive_field([ConvSpec.same_size((1, 1, 1))]) == (1, 1, 1)
-
     def test_encoder_grows_with_pooling(self):
         cfg = RainUNetConfig(stages=2)
         # block (span 21) + pool 2 doubles the jump for the second block
@@ -108,15 +108,15 @@ class TestReceptiveField:
 
 class TestBuild:
     def test_same_seed_is_bitwise_identical(self):
-        a = build_rainunet(micro_cfg(), seed=9)
-        b = build_rainunet(micro_cfg(), seed=9)
+        a = RainUNet(micro_cfg(), seed=9)
+        b = RainUNet(micro_cfg(), seed=9)
         for (na, ta), (nb, tb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
     def test_different_seed_differs(self):
-        a = build_rainunet(micro_cfg(), seed=9)
-        b = build_rainunet(micro_cfg(), seed=10)
+        a = RainUNet(micro_cfg(), seed=9)
+        b = RainUNet(micro_cfg(), seed=10)
         assert any(not np.array_equal(ta.data, tb.data)
                    for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()))
 
@@ -206,6 +206,78 @@ class TestCheckpoint:
             save_checkpoint_params(path, model.config, state)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.runc"]
+
+    def test_bytes_are_the_runt_layout(self, tmp_path):
+        model = RainUNet(micro_cfg(), seed=4)
+        cfg = config_to_text(model.config).encode("utf-8")
+        odd = {"empty": np.zeros((0, 3), dtype=np.float32),
+               "strided": np.arange(12.0).reshape(3, 4).T}
+        for params in (model.state(), odd):
+            path = tmp_path / "model.runc"
+            save_checkpoint_params(path, model.config, params)
+            want = b"RUNC" + struct.pack("<BI", 1, len(cfg)) + cfg + struct.pack("<I", len(params))
+            for name, arr in params.items():
+                blob = runt_encode(arr)
+                want += struct.pack("<H", len(name)) + name.encode("utf-8")
+                want += struct.pack("<I", len(blob)) + blob
+            assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("keep", [0, 3, 6, 20, -1])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        raw = path.read_bytes()  # the head bias (float32) is the last blob
+        path.write_bytes(raw[:-4] + np.array([np.nan], dtype=np.float32).tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_parameters_not_fitting_config_rejected(self, tmp_path):
+        model = RainUNet(micro_cfg(), seed=4)
+        state = model.state()
+        del state["head.bias"]
+        path = tmp_path / "model.runc"
+        save_checkpoint_params(path, model.config, state)
+        with pytest.raises(FormatError, match="head.bias"):
+            load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_load_fuzz_gives_model_or_format_error(self, tmp_path, data):
+        # One-stage width-2 model: no single-byte edit of its config text
+        # describes a model larger than a few hundred MB.
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(stages=1, base_channels=2), seed=4))
+        valid = path.read_bytes()
+        pos = st.integers(0, len(valid) - 1)
+        raw = data.draw(st.one_of(
+            st.binary(max_size=64),
+            pos.map(lambda n: valid[:n]),
+            st.binary(min_size=1, max_size=8).map(lambda tail: valid + tail),
+            st.tuples(pos, st.integers(0, 255)).map(
+                lambda pb: valid[:pb[0]] + bytes([pb[1]]) + valid[pb[0] + 1:]),
+        ))
+        path.write_bytes(raw)
+        try:
+            model = load_checkpoint(path)
+        except FormatError:
+            return
+        assert isinstance(model, RainUNet)
 
     def test_shape_mismatch_reports_both_shapes(self):
         model = RainUNet(micro_cfg(), seed=0)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainunet.tensor import (AutodiffError, NonFiniteError, Tensor,
-                             TensorError, active_graph, backward, crop,
-                             concat, elementwise, grad_check, mean_axis,
-                             no_grad, reduce, relu, reshape, sigmoid,
-                             tensor_mean, tensor_new, tensor_sum, zero_pad)
+                             TensorError, active_graph, add, backward, crop,
+                             concat, grad_check, mean_axis, no_grad, relu,
+                             reshape, scale, sigmoid, tensor_mean, tensor_new,
+                             tensor_sum, zero_pad)
 
 
 class TestTensorNew:
@@ -43,18 +43,18 @@ class TestTensorNew:
 
 class TestElementwise:
     def test_relu(self):
-        out = elementwise("relu", Tensor(np.array([-1.0, 0.0, 2.0])))
+        out = relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert out.data.tolist() == [0.0, 0.0, 2.0]
 
     def test_sigmoid_symmetry_point(self):
-        assert elementwise("sigmoid", Tensor(np.array([0.0]))).data.tolist() == [0.5]
+        assert sigmoid(Tensor(np.array([0.0]))).data.tolist() == [0.5]
 
     def test_sigmoid_saturation_is_finite(self):
         out = sigmoid(Tensor(np.array([-1000.0, 1000.0])))
         assert np.all(np.isfinite(out.data))
 
     def test_add(self):
-        out = elementwise("add", Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])))
+        out = add(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])))
         assert out.data.tolist() == [4.0, 6.0]
 
     def test_shape_mismatch(self):
@@ -63,19 +63,15 @@ class TestElementwise:
 
     def test_scalar_operand(self):
         assert (Tensor(np.array([1.0, 2.0])) * 2.0).data.tolist() == [2.0, 4.0]
-        assert elementwise("scale", Tensor(np.array([3.0])), -1.0).data.tolist() == [-3.0]
-
-    def test_unknown_kind(self):
-        with pytest.raises(TensorError):
-            elementwise("pow", Tensor(np.ones(2)))
+        assert scale(Tensor(np.array([3.0])), -1.0).data.tolist() == [-3.0]
 
 
 class TestReduce:
     def test_sum(self):
-        assert reduce("sum", Tensor(np.array([1.0, 2.0, 3.0]))).item() == 6.0
+        assert tensor_sum(Tensor(np.array([1.0, 2.0, 3.0]))).item() == 6.0
 
     def test_mean(self):
-        assert reduce("mean", Tensor(np.array([2.0, 4.0]))).item() == 3.0
+        assert tensor_mean(Tensor(np.array([2.0, 4.0]))).item() == 3.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))

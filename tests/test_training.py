@@ -7,7 +7,7 @@ from rainunet import precision
 from rainunet.data import SequenceRecord
 from rainunet.model import RainUNet, RainUNetConfig
 from rainunet.tensor import Tensor, TensorError, backward, grad_check
-from rainunet.training import (AdamW, EpochLog, SWAAverager, TrainConfig,
+from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
                                TrainingAbort, batch_dice_loss, dice_loss, fit,
                                write_training_log_csv)
 
@@ -109,26 +109,35 @@ class TestAdamW:
     @pytest.mark.parametrize("mode", ["standard", "wide"])
     @pytest.mark.parametrize("wd", [0.0, 0.05])
     def test_steps_equal_docstring_formula_bitwise(self, mode, wd):
+        # Shapes: one block; several blocks of ADAMW_BLOCK elements with a
+        # ragged last block (rows sized from the constant); one row larger
+        # than a block; and a transposed (not C-contiguous) parameter.
+        rows = ADAMW_BLOCK // 1000
+        cases = [((3, 5), False), ((2 * rows + 3, 1000), False),
+                 ((3, ADAMW_BLOCK + 7), False), ((2 * rows + 3, 1000), True)]
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(23)
-        with precision.use_precision(mode):
-            p = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        want = p.data.copy()
-        m, v = np.zeros_like(want), np.zeros_like(want)
-        opt = AdamW([("p", p)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
-        for k in range(1, 6):
-            g = rng.normal(size=want.shape).astype(want.dtype)
-            p.grad = g.copy()
-            opt.step()
-            m = m * b1 + (1.0 - b1) * g
-            v = v * b2 + (1.0 - b2) * g * g
-            mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
-            update = mhat / (np.sqrt(vhat) + eps)
-            if wd:
-                update = update + wd * want
-            want = want - lr * update
-            assert p.data.dtype == want.dtype
-            assert np.array_equal(p.data, want)
+        for shape, transposed in cases:
+            with precision.use_precision(mode):
+                init = rng.normal(size=shape[::-1]).T if transposed else rng.normal(size=shape)
+                p = Tensor(init, requires_grad=True)
+            assert p.shape == shape and p.data.flags.c_contiguous != transposed
+            want = p.data.copy()
+            m, v = np.zeros_like(want), np.zeros_like(want)
+            opt = AdamW([("p", p)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+            for k in range(1, 6):
+                g = rng.normal(size=want.shape).astype(want.dtype)
+                p.grad = g.copy()
+                opt.step()
+                m = m * b1 + (1.0 - b1) * g
+                v = v * b2 + (1.0 - b2) * g * g
+                mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
+                update = mhat / (np.sqrt(vhat) + eps)
+                if wd:
+                    update = update + wd * want
+                want = want - lr * update
+                assert p.data.dtype == want.dtype
+                assert np.array_equal(p.data, want), (shape, transposed, k)
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)

@@ -2,10 +2,15 @@
 group normalization, each a single tape node with an explicit backward rule.
 
 Convolution uses cross-correlation semantics (no kernel flip) and zero
-padding, which is never materialized: each kernel tap works on the box of
-outputs whose reads fall inside the input. The transposed convolution is the
-exact adjoint of the forward correlation, implemented with the same scatter
-kernel that computes the input gradient of the forward pass.
+padding, which is never read: a kernel tap that reads only padding is
+skipped, and a read that falls in the padding contributes a zero. The
+kernels work on a (T, H, N, W, C) copy, one frame at a time: the frame's
+live W taps are laid side by side along the channel axis, so each live
+(t, h) tap is one matrix product with inner dimension live_w*C. The input
+gradient mirrors this, placing gy at the input columns each W tap read. The
+transposed convolution is the exact adjoint of the forward correlation,
+implemented with the kernel that computes the input gradient of the forward
+pass.
 """
 
 from __future__ import annotations
@@ -90,84 +95,186 @@ class ConvSpec:
 # ---------------------------------------------------------------------------
 # numpy cores: correlation forward, gradient w.r.t. weight, gradient w.r.t.
 # input. The three are mutual adjoints; the transposed convolution reuses
-# the input-gradient scatter as its forward pass.
+# the input-gradient core as its forward pass.
 #
-# All three loop over the kernel taps that _tap_boxes yields. Per axis,
-# output i reads input i*s + a*d - p for tap a; a tap's output box holds the
-# outputs whose reads land inside the input, and its input box the strided
-# values they read. Padding is never built: a tap that reads only padding
-# is skipped, and one that reads some padding touches only in-bounds data.
+# The cores take and return the layout (T, H, N, W, C): the batch sits inside
+# H, so an H-range of one frame is one contiguous run of rows. The layer
+# functions make these copies once per call, as temporaries the tape never
+# holds, and the backward shares its copy of gy between the two gradients.
 #
-# Each core copies x and gy to channels-last (N,T,H,W,C) once per call, as
-# temporaries the tape never holds. A live tap is then one `@` between its
-# box as a (rows, C) matrix, which copies contiguous channel runs, and a
-# contiguous copy of its weight slice (matmul skips BLAS for a strided one).
-# The whole weight is never copied: deep stages have few live taps. The inner
-# dimension is C_in (forward), the box's N*T*H*W (dw) or C_out (dx).
+# Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
+# taps that read some data, with the output range they write and the strided
+# input range they read. Padding is never read: a tap that reads only padding
+# is dropped, and one that reads some padding touches only in-bounds data.
+#
+# The live W taps of one frame are laid side by side along the channel axis
+# in a block (_w_block, one np.take from the frame plus a zero column): for
+# the forward and the weight gradient, column i holds in tap j's slot the
+# input column output i reads through tap j, or zeros where that read falls
+# in the padding. The input gradient uses the mirror, a block over the input
+# columns in which tap j's slot holds the gy column that read it. Each live
+# (t, h) tap is then one `@` of an H-range of the block, inner dimension
+# live_w*C, with that tap's live W weights stacked to match: per frame, the
+# stride-1 dilated 1x7x7 conv runs 7 GEMMs of K = 7*C, not 49 of K = C and 49
+# output-sized accumulations. When the only live W tap pairs every column
+# with itself the block is the frame, uncopied, so 1x1 and temporal kernels
+# add no copy. Blocks are made one frame at a time, which keeps the transient
+# near live_w/T of the input beside the layout copies; blocks of all frames
+# at once took the stage-1 transient from 5.5x to 9-10x the input.
+#
+# There is no size rule and no second path: the one geometry serves every
+# stride, dilation and padding. An FFT correlation, measured against the
+# per-tap kernels these replace, took 0.70x of their forward+backward time
+# on the default model's stage-1 dilated conv but 1.02x to 2.0x on smaller
+# maps, so it would have needed a rule choosing by size, for less than the
+# stacked taps give on every map.
 
 
-def _tap_boxes(in_ext, out_ext, kshape, stride, dilation, padding):
-    """Yield ``(tap, out_box, in_box)`` for every kernel tap that reads at
-    least one input value; the boxes are (t, h, w) slice triples."""
-    per_axis = []
-    for n, o, k, s, d, p in zip(in_ext, out_ext, kshape, stride, dilation, padding):
-        live = []
-        for a in range(k):
-            off = a * d - p
-            lo = max(0, -(off // s))
-            hi = min(o, (n - 1 - off) // s + 1)
-            if lo < hi:
-                live.append((a, slice(lo, hi), slice(lo * s + off, (hi - 1) * s + off + 1, s)))
-        per_axis.append(live)
-    for axes in itertools.product(*per_axis):
-        tap, obox, ibox = zip(*axes)
-        yield tap, obox, ibox
+def _axis_taps(n, o, k, s, d, p):
+    """``(tap, out range, in range)`` along one axis for every tap that reads
+    at least one of the ``n`` inputs; the ranges are slices of equal length."""
+    taps = []
+    for a in range(k):
+        off = a * d - p
+        lo = max(0, -(off // s))
+        hi = min(o, (n - 1 - off) // s + 1)
+        if lo < hi:
+            taps.append((a, slice(lo, hi), slice(lo * s + off, (hi - 1) * s + off + 1, s)))
+    return taps
 
 
-def _channels_last(a):
-    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+def _frame_reads(t_taps, by_out):
+    """The (tap index, out frame, in frame) reads of the T taps, grouped by
+    the out frame (``by_out``) or by the in frame, as ``(frame, reads)``."""
+    reads = [(j, o, i) for j, (_, ob, ib) in enumerate(t_taps)
+             for o, i in zip(range(ob.start, ob.stop), range(ib.start, ib.stop, ib.step))]
+    key = (lambda r: r[1]) if by_out else (lambda r: r[2])
+    return itertools.groupby(sorted(reads, key=key), key)
 
 
-def _rows(a, box):
-    """The (t, h, w) box of channels-last ``a`` as a (rows, C) matrix."""
-    return a[(slice(None), *box)].reshape(-1, a.shape[-1])
+def _to_layout(a):
+    """(N, C, T, H, W) -> (T, H, N, W, C)."""
+    return np.ascontiguousarray(a.transpose(2, 3, 0, 4, 1))
 
 
-def _corr3d(x, w, stride, dilation, padding, out_extents):
-    """Cross-correlate x (N,Ci,T,H,W) with w (Co,Ci,kt,kh,kw)."""
-    xl = _channels_last(x)
-    acc = np.zeros((x.shape[0], *out_extents, w.shape[0]), dtype=x.dtype)
-    for tap, obox, ibox in _tap_boxes(x.shape[2:], out_extents, w.shape[2:],
-                                      stride, dilation, padding):
-        dst = acc[(slice(None), *obox)]
-        dst += (_rows(xl, ibox) @ np.ascontiguousarray(w[(..., *tap)].T)).reshape(dst.shape)
-    return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
+def _from_layout(a):
+    """(T, H, N, W, C) -> (N, C, T, H, W), one frame at a time: a whole stage-1
+    map in one copy strides C apart through more than the cache holds and
+    ran 3-4x slower."""
+    t, h, n, w, c = a.shape
+    out = np.empty((n, c, t, h, w), dtype=a.dtype)
+    for f in range(t):
+        out[:, :, f] = a[f].transpose(1, 3, 0, 2)
+    return out
 
 
-def _corr3d_dw(x, gy, kshape, stride, dilation, padding):
-    """Weight gradient of _corr3d: correlate each tap's input box with gy."""
-    xl, gyl = _channels_last(x), _channels_last(gy)
-    dw = np.zeros((gy.shape[1], x.shape[1], *kshape), dtype=gy.dtype)
-    for tap, obox, ibox in _tap_boxes(x.shape[2:], gy.shape[2:], kshape,
-                                      stride, dilation, padding):
-        dw[(..., *tap)] = _rows(gyl, obox).T @ _rows(xl, ibox)
+def _mat(a):
+    """``a`` as a (rows, last axis) matrix."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _w_block(frame, w_taps, n_cols, mirror):
+    """Lay the live W taps of ``frame`` (H, N, W, C) side by side: a block
+    (H, N, n_cols, live_w*C) whose column i holds, in tap j's slot, the frame
+    column that tap pairs with i, or zeros. Forward: output column i reads
+    frame column i*s + a*d - p. Mirror (for gy): input column i*s + a*d - p
+    receives gy column i. When the only live tap pairs every column with
+    itself the block is the frame, uncopied."""
+    w = frame.shape[2]
+    index = np.full((n_cols, len(w_taps)), w, dtype=np.intp)  # w: the zero column
+    for j, (_, ob, ib) in enumerate(w_taps):
+        dst, src = (ib, ob) if mirror else (ob, ib)
+        index[dst, j] = np.arange(w)[src]
+    if np.array_equal(index, np.arange(w)[:, None]):
+        return frame
+    h, n, _, c = frame.shape
+    padded = np.empty((h, n, w + 1, c), dtype=frame.dtype)
+    padded[:, :, :w] = frame
+    padded[:, :, w] = 0
+    return np.take(padded, index, axis=2).reshape(h, n, n_cols, -1)
+
+
+def _stacked_weights(w, t_taps, h_taps, w_taps, contract):
+    """The live taps of w (A, B, kt, kh, kw) as (live_t, live_h, live_w*C, C'):
+    entry [j, k] is the matrix of the j-th live T and k-th live H tap, whose
+    row i*C + c holds index c of axis ``contract`` (0 or 1) at the i-th live
+    W tap. Only live taps are copied: deep stages have few."""
+    out = np.empty((len(t_taps), len(h_taps), len(w_taps), w.shape[contract],
+                    w.shape[1 - contract]), dtype=w.dtype)
+    for j, (a, _, _) in enumerate(t_taps):
+        for k, (b, _, _) in enumerate(h_taps):
+            for i, (e, _, _) in enumerate(w_taps):
+                tap = w[:, :, a, b, e]
+                out[j, k, i] = tap.T if contract else tap
+    return out.reshape(*out.shape[:2], -1, out.shape[-1])
+
+
+def _corr3d(xl, w, stride, dilation, padding, out_extents):
+    """Cross-correlate xl (T,H,N,W,Ci) with w (Co,Ci,kt,kh,kw) into (To,Ho,N,Wo,Co)."""
+    t, h, n, wd, _ = xl.shape
+    to, ho, wo = out_extents
+    acc = np.zeros((to, ho, n, wo, w.shape[0]), dtype=xl.dtype)
+    t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
+        (t, h, wd), out_extents, w.shape[2:], stride, dilation, padding))
+    if not (t_taps and h_taps and w_taps):
+        return acc
+    wst = _stacked_weights(w, t_taps, h_taps, w_taps, 1)
+    for fi, reads in _frame_reads(t_taps, by_out=False):
+        block = _w_block(xl[fi], w_taps, wo, mirror=False)
+        for j, fo, _ in reads:
+            for k, (_, ob, ib) in enumerate(h_taps):
+                dst = acc[fo, ob]
+                dst += (_mat(block[ib]) @ wst[j, k]).reshape(dst.shape)
+    return acc
+
+
+def _corr3d_dw(xl, gyl, kshape, stride, dilation, padding):
+    """Weight gradient (Co,Ci,kt,kh,kw) of _corr3d: correlate each tap's input
+    block with gyl (To,Ho,N,Wo,Co)."""
+    t, h, _, wd, ci = xl.shape
+    to, ho, _, wo, co = gyl.shape
+    dw = np.zeros((co, ci, *kshape), dtype=gyl.dtype)
+    t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
+        (t, h, wd), (to, ho, wo), kshape, stride, dilation, padding))
+    if not (t_taps and h_taps and w_taps):
+        return dw
+    g = {}  # (j, k) -> (Co, live_w*Ci), summed over the frames
+    for fi, reads in _frame_reads(t_taps, by_out=False):
+        block = _w_block(xl[fi], w_taps, wo, mirror=False)
+        for j, fo, _ in reads:
+            for k, (_, ob, ib) in enumerate(h_taps):
+                prod = _mat(gyl[fo, ob]).T @ _mat(block[ib])
+                if (j, k) in g:
+                    g[j, k] += prod
+                else:
+                    g[j, k] = prod
+    for j, (a, _, _) in enumerate(t_taps):
+        for k, (b, _, _) in enumerate(h_taps):
+            for i, (e, _, _) in enumerate(w_taps):
+                dw[:, :, a, b, e] = g[j, k][:, i * ci : (i + 1) * ci]
     return dw
 
 
-def _corr3d_dx(gy, w, stride, dilation, padding, in_extents):
-    """Input gradient of _corr3d: scatter gy back through w, tap by tap.
-
-    w carries (C_gy, C_out, kt, kh, kw); gy channels contract with axis 0.
-    For a fixed tap the strided input box holds no repeated element, so the
-    in-place add is safe.
-    """
-    gyl = _channels_last(gy)
-    acc = np.zeros((gy.shape[0], *in_extents, w.shape[1]), dtype=gy.dtype)
-    for tap, obox, ibox in _tap_boxes(in_extents, gy.shape[2:], w.shape[2:],
-                                      stride, dilation, padding):
-        dst = acc[(slice(None), *ibox)]
-        dst += (_rows(gyl, obox) @ np.ascontiguousarray(w[(..., *tap)])).reshape(dst.shape)
-    return np.ascontiguousarray(np.moveaxis(acc, 4, 1))
+def _corr3d_dx(gyl, w, stride, dilation, padding, in_extents):
+    """Input gradient (T,H,N,W,C) of _corr3d: scatter gyl (To,Ho,N,Wo,C_gy)
+    back through w, which carries (C_gy, C, kt, kh, kw). Within one (t, h)
+    tap the strided input rows hold no repeated element, so the in-place add
+    is safe."""
+    to, ho, n, wo, _ = gyl.shape
+    t, h, wd = in_extents
+    acc = np.zeros((t, h, n, wd, w.shape[1]), dtype=gyl.dtype)
+    t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
+        in_extents, (to, ho, wo), w.shape[2:], stride, dilation, padding))
+    if not (t_taps and h_taps and w_taps):
+        return acc
+    wst = _stacked_weights(w, t_taps, h_taps, w_taps, 0)
+    for fo, reads in _frame_reads(t_taps, by_out=True):
+        block = _w_block(gyl[fo], w_taps, wd, mirror=True)
+        for j, _, fi in reads:
+            for k, (_, ob, ib) in enumerate(h_taps):
+                dst = acc[fi, ib]
+                dst += (_mat(block[ob]) @ wst[j, k]).reshape(dst.shape)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +336,8 @@ def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
     in_ext = x.shape[2:]
     out_ext = spec.out_extents(in_ext)
     w, b = layer.weight, layer.bias
-    y = _corr3d(x.data, w.data, spec.stride, spec.dilation, spec.padding, out_ext)
+    y = _from_layout(_corr3d(_to_layout(x.data), w.data, spec.stride, spec.dilation,
+                             spec.padding, out_ext))
     y += b.data.reshape(1, -1, 1, 1, 1)
 
     def make_apply(out):
@@ -237,14 +345,13 @@ def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
             gy = out.grad
             if b.requires_grad:
                 b.accumulate_grad(gy.sum(axis=(0, 2, 3, 4)))
+            gyl = _to_layout(gy)
             if w.requires_grad:
-                w.accumulate_grad(
-                    _corr3d_dw(x.data, gy, spec.kernel, spec.stride, spec.dilation, spec.padding)
-                )
+                w.accumulate_grad(_corr3d_dw(_to_layout(x.data), gyl, spec.kernel, spec.stride,
+                                             spec.dilation, spec.padding))
             if x.requires_grad:
-                x.accumulate_grad(
-                    _corr3d_dx(gy, w.data, spec.stride, spec.dilation, spec.padding, in_ext)
-                )
+                x.accumulate_grad(_from_layout(
+                    _corr3d_dx(gyl, w.data, spec.stride, spec.dilation, spec.padding, in_ext)))
         return apply
     return _op(y, (x, w, b), make_apply)
 
@@ -257,7 +364,8 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
     in_ext = x.shape[2:]
     out_ext = spec.out_extents(in_ext)
     w, b = layer.weight, layer.bias
-    y = _corr3d_dx(x.data, w.data.swapaxes(0, 1), spec.stride, spec.dilation, spec.padding, out_ext)
+    y = _from_layout(_corr3d_dx(_to_layout(x.data), w.data.swapaxes(0, 1), spec.stride,
+                                spec.dilation, spec.padding, out_ext))
     y += b.data.reshape(1, -1, 1, 1, 1)
 
     def make_apply(out):
@@ -265,14 +373,15 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
             gy = out.grad
             if b.requires_grad:
                 b.accumulate_grad(gy.sum(axis=(0, 2, 3, 4)))
+            gyl = _to_layout(gy)
             if w.requires_grad:
-                dw = _corr3d_dw(gy, x.data, spec.kernel, spec.stride, spec.dilation, spec.padding)
+                dw = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, spec.stride, spec.dilation,
+                                spec.padding)
                 w.accumulate_grad(dw.swapaxes(0, 1))
             if x.requires_grad:
-                x.accumulate_grad(
-                    _corr3d(gy, layer.weight.data.swapaxes(0, 1), spec.stride, spec.dilation,
-                            spec.padding, in_ext)
-                )
+                x.accumulate_grad(_from_layout(
+                    _corr3d(gyl, w.data.swapaxes(0, 1), spec.stride, spec.dilation,
+                            spec.padding, in_ext)))
         return apply
     return _op(y, (x, w, b), make_apply)
 
@@ -311,7 +420,7 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
 class GroupNormLayer:
     """Per-sample normalization over channel groups with affine gamma/beta."""
 
-    def __init__(self, channels: int, groups: int, eps: float = 1e-5):
+    def __init__(self, channels: int, groups: int, eps: float = 1e-5, gamma=None, beta=None):
         if channels % groups != 0:
             raise TensorError(f"channels {channels} not divisible by groups {groups}")
         if eps <= 0:
@@ -319,8 +428,11 @@ class GroupNormLayer:
         self.channels = int(channels)
         self.groups = int(groups)
         self.eps = float(eps)
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.gamma = Tensor(np.ones(channels) if gamma is None else gamma, requires_grad=True)
+        self.beta = Tensor(np.zeros(channels) if beta is None else beta, requires_grad=True)
+        for name, t in self.parameters():
+            if t.shape != (self.channels,):
+                raise TensorError(f"{name} shape {t.shape} != ({self.channels},)")
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

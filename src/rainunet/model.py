@@ -81,20 +81,71 @@ def _effective_groups(channels: int, groups: int) -> int:
     raise TensorError(f"width {channels} not divisible by {groups} normalization groups")
 
 
+class _Drawn:
+    """Parameters of a new model: conv weights drawn from one seeded
+    generator in construction order, norms at the identity."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def scope(self, prefix: str) -> "_Drawn":
+        return self
+
+    def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
+        return Conv3DLayer(c_in, c_out, spec, self.rng)
+
+    def norm(self, name, channels, groups) -> GroupNormLayer:
+        return GroupNormLayer(channels, groups)
+
+
+class _Stored:
+    """Parameters of a loaded model, taken by name from stored arrays. Each
+    is checked against the shape its layer needs before that layer is made,
+    so a config describing a larger model fails before allocating it."""
+
+    def __init__(self, state: dict[str, np.ndarray], prefix: str = ""):
+        self.state = state
+        self.prefix = prefix
+
+    def scope(self, prefix: str) -> "_Stored":
+        return _Stored(self.state, f"{self.prefix}{prefix}.")
+
+    def _take(self, name: str, shape: tuple) -> np.ndarray:
+        name = self.prefix + name
+        if name not in self.state:
+            raise TensorError(f"parameter {name} missing")
+        arr = self.state[name]
+        if tuple(arr.shape) != shape:
+            raise TensorError(f"shape mismatch for {name}: checkpoint {tuple(arr.shape)}, model {shape}")
+        return arr
+
+    def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
+        return Conv3DLayer(c_in, c_out, spec,
+                           weight=self._take(f"{name}.weight", (c_out, c_in, *spec.kernel)),
+                           bias=self._take(f"{name}.bias", (c_out,)))
+
+    def norm(self, name, channels, groups) -> GroupNormLayer:
+        return GroupNormLayer(channels, groups, gamma=self._take(f"{name}.gamma", (channels,)),
+                              beta=self._take(f"{name}.beta", (channels,)))
+
+
 class TSBlock:
     """Temporal-wise separable block: projection then factorized 3D conv."""
 
-    def __init__(self, in_channels: int, out_channels: int, cfg: RainUNetConfig,
-                 rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, cfg: RainUNetConfig, rng):
+        """``rng`` is the generator that draws the weights, or the parameter
+        source of the model being built."""
+        params = _Drawn(rng) if isinstance(rng, np.random.Generator) else rng
         g = _effective_groups(out_channels, cfg.groupnorm_groups)
-        self.proj = Conv3DLayer(in_channels, out_channels, ConvSpec.same_size((1, 1, 1)), rng)
-        self.proj_norm = GroupNormLayer(out_channels, g)
-        self.spatial = Conv3DLayer(out_channels, out_channels, ConvSpec.same_size(cfg.sconv_kernel), rng)
-        self.dilated = Conv3DLayer(
-            out_channels, out_channels, ConvSpec.same_size(cfg.tsdconv_kernel, cfg.tsdconv_dilation), rng
-        )
-        self.temporal = Conv3DLayer(out_channels, out_channels, ConvSpec.same_size(cfg.tconv_kernel), rng)
-        self.out_norm = GroupNormLayer(out_channels, g)
+        self.proj = params.conv("proj", in_channels, out_channels, ConvSpec.same_size((1, 1, 1)))
+        self.proj_norm = params.norm("proj_norm", out_channels, g)
+        self.spatial = params.conv("spatial", out_channels, out_channels,
+                                   ConvSpec.same_size(cfg.sconv_kernel))
+        self.dilated = params.conv("dilated", out_channels, out_channels,
+                                   ConvSpec.same_size(cfg.tsdconv_kernel, cfg.tsdconv_dilation))
+        self.temporal = params.conv("temporal", out_channels, out_channels,
+                                    ConvSpec.same_size(cfg.tconv_kernel))
+        self.out_norm = params.norm("out_norm", out_channels, g)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = relu(group_norm(conv3d(x, self.proj), self.proj_norm))
@@ -120,15 +171,29 @@ class TSBlock:
 
 class RainUNet:
     def __init__(self, cfg: RainUNetConfig, seed: int = 0):
+        self._build(cfg, _Drawn(np.random.default_rng(seed)))
+
+    @classmethod
+    def from_state(cls, cfg: RainUNetConfig, state: dict[str, np.ndarray]) -> "RainUNet":
+        """The model ``cfg`` describes, holding the arrays of ``state`` (cast
+        to the current precision) instead of drawn weights. Raises
+        TensorError when a name or a shape does not fit ``cfg``."""
+        model = cls.__new__(cls)
+        model._build(cfg, _Stored(state))
+        extra = sorted(set(state) - {name for name, _ in model.named_parameters()})
+        if extra:
+            raise TensorError(f"parameters not in the model: {extra}")
+        return model
+
+    def _build(self, cfg: RainUNetConfig, params) -> None:
         cfg.validate()
         self.config = cfg
-        rng = np.random.default_rng(seed)
         t_kernels = cfg.temporal_pool_kernels()
 
         self.encoder: list[TSBlock] = []
         prev = cfg.in_channels
         for k in range(1, cfg.stages + 1):
-            self.encoder.append(TSBlock(prev, cfg.stage_width(k), cfg, rng))
+            self.encoder.append(TSBlock(prev, cfg.stage_width(k), cfg, params.scope(f"enc{k}")))
             prev = cfg.stage_width(k)
 
         # decoder runs from the deepest stage back to stage 1; each upsample
@@ -137,12 +202,13 @@ class RainUNet:
         carry = cfg.stage_width(cfg.stages)
         for k in range(cfg.stages, 0, -1):
             up_spec = ConvSpec.upsample((t_kernels[k - 1] == 2, True, True))
-            up = Conv3DLayer(carry, max(1, carry // 2), up_spec, rng)
-            block = TSBlock(max(1, carry // 2) + cfg.stage_width(k), cfg.stage_width(k), cfg, rng)
+            up = params.scope(f"dec{k}").conv("up", carry, max(1, carry // 2), up_spec)
+            block = TSBlock(max(1, carry // 2) + cfg.stage_width(k), cfg.stage_width(k), cfg,
+                            params.scope(f"dec{k}.block"))
             self.decoder.append((k, up, block))
             carry = cfg.stage_width(k)
 
-        self.head = Conv3DLayer(cfg.stage_width(1), cfg.out_frames, ConvSpec.same_size((1, 1, 1)), rng)
+        self.head = params.conv("head", cfg.stage_width(1), cfg.out_frames, ConvSpec.same_size((1, 1, 1)))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """Stable enumeration: encoder stages, decoder stages (deepest
@@ -377,7 +443,7 @@ def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
     cfg_text = bytes(take(unpack("<I")))
     params: dict[str, np.ndarray] = {}
     for _ in range(unpack("<I")):
-        name = str(take(unpack("<H")), "utf-8", "replace")  # a bad name fails load_state
+        name = str(take(unpack("<H")), "utf-8", "replace")  # a bad name fails the build
         blob = take(unpack("<I"))
         if name in params:
             raise dataio.FormatError(f"parameter {name!r} stored twice")
@@ -395,8 +461,6 @@ def load_checkpoint(path) -> RainUNet:
         cfg_text, params = _parse_checkpoint(memoryview(fh.read()))
     # the file's buffer is freed here, before the model is built, to lower the peak
     try:
-        model = RainUNet(config_from_text(str(cfg_text, "utf-8")), seed=0)
-        model.load_state(params)
+        return RainUNet.from_state(config_from_text(str(cfg_text, "utf-8")), params)
     except (TensorError, ValueError) as err:
         raise dataio.FormatError(f"checkpoint does not describe a model: {err}") from None
-    return model

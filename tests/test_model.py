@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,6 +256,22 @@ class TestCheckpoint:
         save_checkpoint_params(path, model.config, state)
         with pytest.raises(FormatError, match="head.bias"):
             load_checkpoint(path)
+
+    def test_config_larger_than_parameters_rejected_before_building(self, tmp_path):
+        # the config text of a one-stage width-2 checkpoint says nine stages:
+        # a model of 44.6 M parameters, which must not be allocated to find
+        # that the stored ones do not fit it
+        model = RainUNet(micro_cfg(stages=1, base_channels=2), seed=4)
+        path = tmp_path / "model.runc"
+        save_checkpoint_params(path, replace(model.config, stages=9), model.state())
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="enc2"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

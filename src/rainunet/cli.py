@@ -24,8 +24,8 @@ from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SequenceRecord,
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint,
                     save_checkpoint, save_checkpoint_params)
-from .tensor import (AutodiffError, GradCheckReport, Tensor, TensorError,
-                     grad_check, tensor_sum)
+from .tensor import (AutodiffError, GradCheckReport, NonFiniteError, Tensor,
+                     TensorError, grad_check, tensor_sum)
 from .training import (TrainConfig, TrainingAbort, dice_loss, fit,
                        predict_probs, write_training_log_csv)
 from .precision import use_precision
@@ -408,7 +408,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         with use_precision(cfg.precision):
             return _COMMANDS[args.command](cfg)
-    except (TensorError, FormatError, AutodiffError, ValueError, OSError) as err:
+    except (TensorError, FormatError, AutodiffError, NonFiniteError, ValueError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -340,20 +340,17 @@ def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
                              spec.padding, out_ext))
     y += b.data.reshape(1, -1, 1, 1, 1)
 
-    def make_apply(out):
-        def apply():
-            gy = out.grad
-            if b.requires_grad:
-                b.accumulate_grad(gy.sum(axis=(0, 2, 3, 4)))
-            gyl = _to_layout(gy)
-            if w.requires_grad:
-                w.accumulate_grad(_corr3d_dw(_to_layout(x.data), gyl, spec.kernel, spec.stride,
-                                             spec.dilation, spec.padding))
-            if x.requires_grad:
-                x.accumulate_grad(_from_layout(
-                    _corr3d_dx(gyl, w.data, spec.stride, spec.dilation, spec.padding, in_ext)))
-        return apply
-    return _op(y, (x, w, b), make_apply)
+    def grad_fn(gy):
+        gyl = _to_layout(gy)
+        dw = dx = None
+        if w.requires_grad:
+            dw = _corr3d_dw(_to_layout(x.data), gyl, spec.kernel, spec.stride, spec.dilation,
+                            spec.padding)
+        if x.requires_grad:
+            dx = _from_layout(_corr3d_dx(gyl, w.data, spec.stride, spec.dilation, spec.padding,
+                                         in_ext))
+        return dx, dw, gy.sum(axis=(0, 2, 3, 4))
+    return _op(y, (x, w, b), grad_fn)
 
 
 def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
@@ -368,22 +365,17 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
                                 spec.dilation, spec.padding, out_ext))
     y += b.data.reshape(1, -1, 1, 1, 1)
 
-    def make_apply(out):
-        def apply():
-            gy = out.grad
-            if b.requires_grad:
-                b.accumulate_grad(gy.sum(axis=(0, 2, 3, 4)))
-            gyl = _to_layout(gy)
-            if w.requires_grad:
-                dw = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, spec.stride, spec.dilation,
-                                spec.padding)
-                w.accumulate_grad(dw.swapaxes(0, 1))
-            if x.requires_grad:
-                x.accumulate_grad(_from_layout(
-                    _corr3d(gyl, w.data.swapaxes(0, 1), spec.stride, spec.dilation,
-                            spec.padding, in_ext)))
-        return apply
-    return _op(y, (x, w, b), make_apply)
+    def grad_fn(gy):
+        gyl = _to_layout(gy)
+        dw = dx = None
+        if w.requires_grad:
+            dw = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, spec.stride, spec.dilation,
+                            spec.padding).swapaxes(0, 1)
+        if x.requires_grad:
+            dx = _from_layout(_corr3d(gyl, w.data.swapaxes(0, 1), spec.stride, spec.dilation,
+                                      spec.padding, in_ext))
+        return dx, dw, gy.sum(axis=(0, 2, 3, 4))
+    return _op(y, (x, w, b), grad_fn)
 
 
 def maxpool3d(x: Tensor, kernel) -> Tensor:
@@ -403,18 +395,14 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     idx = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
-    def make_apply(out):
-        def apply():
-            if not x.requires_grad:
-                return
-            gflat = np.zeros_like(flat)
-            np.put_along_axis(gflat, idx[..., None], out.grad[..., None], axis=-1)
-            g = gflat.reshape(n, c, to, ho, wo, kt, kh, kw).transpose(0, 1, 2, 5, 3, 6, 4, 7)
-            gx = np.zeros_like(x.data)
-            gx[:, :, : to * kt, : ho * kh, : wo * kw] = g.reshape(n, c, to * kt, ho * kh, wo * kw)
-            x.accumulate_grad(gx)
-        return apply
-    return _op(np.ascontiguousarray(y), (x,), make_apply)
+    def grad_fn(gy):
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, idx[..., None], gy[..., None], axis=-1)
+        g = gflat.reshape(n, c, to, ho, wo, kt, kh, kw).transpose(0, 1, 2, 5, 3, 6, 4, 7)
+        gx = np.zeros_like(x.data)
+        gx[:, :, : to * kt, : ho * kh, : wo * kw] = g.reshape(n, c, to * kt, ho * kh, wo * kw)
+        return (gx,)
+    return _op(np.ascontiguousarray(y), (x,), grad_fn)
 
 
 class GroupNormLayer:
@@ -457,19 +445,13 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     y = xhat * gamma_col + layer.beta.data.reshape(1, c, 1, 1, 1)
     gamma, beta = layer.gamma, layer.beta
 
-    def make_apply(out):
-        def apply():
-            gy = out.grad
-            if gamma.requires_grad:
-                gamma.accumulate_grad(np.sum(gy * xhat, axis=(0, 2, 3, 4)))
-            if beta.requires_grad:
-                beta.accumulate_grad(np.sum(gy, axis=(0, 2, 3, 4)))
-            if x.requires_grad:
-                dxhat = (gy * gamma_col).reshape(n, g, m)
-                xh = xhat.reshape(n, g, m)
-                mean_d = dxhat.mean(axis=2, keepdims=True)
-                mean_dx = (dxhat * xh).mean(axis=2, keepdims=True)
-                dx = (dxhat - mean_d - xh * mean_dx) * inv
-                x.accumulate_grad(dx.reshape(n, c, t, h, w))
-        return apply
-    return _op(y, (x, gamma, beta), make_apply)
+    def grad_fn(gy):
+        dx = None
+        if x.requires_grad:
+            dxhat = (gy * gamma_col).reshape(n, g, m)
+            xh = xhat.reshape(n, g, m)
+            mean_d = dxhat.mean(axis=2, keepdims=True)
+            mean_dx = (dxhat * xh).mean(axis=2, keepdims=True)
+            dx = ((dxhat - mean_d - xh * mean_dx) * inv).reshape(n, c, t, h, w)
+        return dx, np.sum(gy * xhat, axis=(0, 2, 3, 4)), np.sum(gy, axis=(0, 2, 3, 4))
+    return _op(y, (x, gamma, beta), grad_fn)

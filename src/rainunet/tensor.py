@@ -3,9 +3,16 @@
 A thread-local tape (:class:`Graph`) records every operation whose inputs
 require gradients; :func:`backward` replays the tape in reverse. The tape is
 consumed by a single backward call, so "backward twice without a new forward"
-is an error instead of silent gradient accumulation. Gradients *do* accumulate
-additively across fan-out within one backward, and across backward calls on
-leaf tensors until the caller zeroes them (optimizer-style ``zero_grad``).
+is an error instead of silent gradient accumulation.
+
+Each op records a ``grad_fn`` that maps its output's gradient to one gradient
+per input, or ``None`` for an input that needs none; ops never store
+gradients. :func:`backward` alone does, by one rule: a tensor's first
+gradient is kept as returned, and later ones are added out of place. So
+gradients accumulate across fan-out within one backward, and across backward
+calls on leaf tensors until the caller zeroes them (optimizer-style
+``zero_grad``), without one tensor's gradient changing another's that shares
+its array.
 
 No broadcasting: binary operations require equal shapes, scalars are the only
 exception. Layout convention for 5-d values is (N, C, T, H, W).
@@ -62,6 +69,9 @@ def no_grad():
 
 
 class GraphNode:
+    """One recorded op: its input tensors, its output and, in ``apply``, the
+    op's ``grad_fn`` (see :func:`_op`)."""
+
     __slots__ = ("inputs", "out", "apply", "graph")
 
     def __init__(self, inputs, out, apply, graph):
@@ -126,14 +136,6 @@ class Tensor:
         if self.data.size != 1:
             raise TensorError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -205,13 +207,21 @@ def _as_tensor_or_scalar(x):
     raise TensorError(f"expected Tensor or scalar, got {type(x).__name__}")
 
 
-def _op(data: np.ndarray, inputs: tuple[Tensor, ...], make_apply) -> Tensor:
+def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     """Create the output tensor of an op, recording it on the tape when any
-    input takes part in differentiation."""
+    input takes part in differentiation.
+
+    ``grad_fn(gy)`` maps the output's gradient to one gradient per input, in
+    the order of ``inputs``, each with its input's shape and dtype, or
+    ``None`` for an input that needs none. It may return a gradient for an
+    input whose ``requires_grad`` is false, or one past the last input:
+    :func:`backward` drops both. It stores nothing itself; :func:`backward`
+    does.
+    """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        out.node = _recording_graph().record(inputs, out, make_apply(out))
+        out.node = _recording_graph().record(inputs, out, grad_fn)
     return out
 
 
@@ -220,46 +230,25 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise TensorError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def add(a: Tensor, b) -> Tensor:
+def _operands(a: Tensor, b, op: str):
+    """The inputs of the binary op ``a op b`` and the value of ``b``: a
+    scalar ``b`` is a constant, not an input."""
     bt, scalar = _as_tensor_or_scalar(b)
     if bt is None:
-        def make_apply(out):
-            def apply():
-                if a.requires_grad:
-                    a.accumulate_grad(out.grad)
-            return apply
-        return _op(a.data + scalar, (a,), make_apply)
-    _check_same_shape(a, bt, "add")
+        return (a,), scalar
+    _check_same_shape(a, bt, op)
+    return (a, bt), bt.data
 
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad)
-            if bt.requires_grad:
-                bt.accumulate_grad(out.grad)
-        return apply
-    return _op(a.data + bt.data, (a, bt), make_apply)
+
+# With a scalar b, add and sub have one input and their second gradient is dropped.
+def add(a: Tensor, b) -> Tensor:
+    inputs, bv = _operands(a, b, "add")
+    return _op(a.data + bv, inputs, lambda gy: (gy, gy))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    bt, scalar = _as_tensor_or_scalar(b)
-    if bt is None:
-        def make_apply(out):
-            def apply():
-                if a.requires_grad:
-                    a.accumulate_grad(out.grad)
-            return apply
-        return _op(a.data - scalar, (a,), make_apply)
-    _check_same_shape(a, bt, "sub")
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad)
-            if bt.requires_grad:
-                bt.accumulate_grad(-out.grad)
-        return apply
-    return _op(a.data - bt.data, (a, bt), make_apply)
+    inputs, bv = _operands(a, b, "sub")
+    return _op(a.data - bv, inputs, lambda gy: (gy, -gy))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -267,15 +256,7 @@ def mul(a: Tensor, b) -> Tensor:
     if bt is None:
         return scale(a, scalar)
     _check_same_shape(a, bt, "mul")
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad * bt.data)
-            if bt.requires_grad:
-                bt.accumulate_grad(out.grad * a.data)
-        return apply
-    return _op(a.data * bt.data, (a, bt), make_apply)
+    return _op(a.data * bt.data, (a, bt), lambda gy: (gy * bt.data, gy * a.data))
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -283,37 +264,18 @@ def div(a: Tensor, b) -> Tensor:
     if bt is None:
         return scale(a, 1.0 / scalar)
     _check_same_shape(a, bt, "div")
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad / bt.data)
-            if bt.requires_grad:
-                bt.accumulate_grad(-out.grad * a.data / (bt.data * bt.data))
-        return apply
-    return _op(a.data / bt.data, (a, bt), make_apply)
+    return _op(a.data / bt.data, (a, bt),
+               lambda gy: (gy / bt.data, -gy * a.data / (bt.data * bt.data)))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad * k)
-        return apply
-    return _op(a.data * np.asarray(k, dtype=a.data.dtype), (a,), make_apply)
+    return _op(a.data * np.asarray(k, dtype=a.data.dtype), (a,), lambda gy: (gy * k,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad * mask)
-        return apply
-    return _op(np.where(mask, a.data, 0), (a,), make_apply)
+    return _op(np.where(mask, a.data, 0), (a,), lambda gy: (gy * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -324,59 +286,30 @@ def sigmoid(a: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     s[~pos] = ex / (1.0 + ex)
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-        return apply
-    return _op(s, (a,), make_apply)
+    return _op(s, (a,), lambda gy: (gy * s * (1.0 - s),))
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(np.full_like(a.data, out.grad))
-        return apply
-    return _op(np.sum(a.data), (a,), make_apply)
+    return _op(np.sum(a.data), (a,), lambda gy: (np.full_like(a.data, gy),))
 
 
 def tensor_mean(a: Tensor) -> Tensor:
     n = a.data.size
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(np.full_like(a.data, out.grad / n))
-        return apply
     # forward is literally sum/size so mean(x) == sum(x)/size holds exactly
-    return _op(np.sum(a.data) / n, (a,), make_apply)
+    return _op(np.sum(a.data) / n, (a,), lambda gy: (np.full_like(a.data, gy / n),))
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     n = a.shape[axis]
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                g = np.expand_dims(out.grad / n, axis)
-                a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-        return apply
-    return _op(np.mean(a.data, axis=axis), (a,), make_apply)
+    return _op(np.mean(a.data, axis=axis), (a,),
+               lambda gy: (np.broadcast_to(np.expand_dims(gy / n, axis), a.shape).copy(),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
         raise TensorError(f"reshape {a.shape} -> {shape}: size mismatch")
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad.reshape(a.shape))
-        return apply
-    return _op(a.data.reshape(shape), (a,), make_apply)
+    return _op(a.data.reshape(shape), (a,), lambda gy: (gy.reshape(a.shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -384,15 +317,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise TensorError("concat of no tensors")
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def make_apply(out):
-        def apply():
-            pieces = np.split(out.grad, splits, axis=axis)
-            for t, g in zip(tensors, pieces):
-                if t.requires_grad:
-                    t.accumulate_grad(g)
-        return apply
-    return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, make_apply)
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+               lambda gy: np.split(gy, splits, axis=axis))
 
 
 def crop(a: Tensor, bounds: Sequence[tuple[int, int]]) -> Tensor:
@@ -405,14 +331,11 @@ def crop(a: Tensor, bounds: Sequence[tuple[int, int]]) -> Tensor:
             raise TensorError(f"crop: bad bounds {bounds} for shape {a.shape}")
     sl = tuple(slice(lo, hi) for lo, hi in bounds)
 
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                g = np.zeros_like(a.data)
-                g[sl] = out.grad
-                a.accumulate_grad(g)
-        return apply
-    return _op(a.data[sl].copy(), (a,), make_apply)
+    def grad_fn(gy):
+        g = np.zeros_like(a.data)
+        g[sl] = gy
+        return (g,)
+    return _op(a.data[sl].copy(), (a,), grad_fn)
 
 
 def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:
@@ -421,24 +344,24 @@ def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:
     if len(widths) != a.data.ndim:
         raise TensorError("zero_pad: one (before, after) pair per axis required")
     sl = tuple(slice(lo, lo + extent) for (lo, _), extent in zip(widths, a.shape))
-
-    def make_apply(out):
-        def apply():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad[sl])
-        return apply
-    return _op(np.pad(a.data, widths), (a,), make_apply)
+    return _op(np.pad(a.data, widths), (a,), lambda gy: (gy[sl],))
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` for every tensor the scalar ``loss`` depends on.
 
     Walks the recording tape once, in reverse creation order (a valid reverse
-    topological order). The tape is consumed: call forward again before the
-    next backward. Each node drops its inputs, output and backward closure
-    once replayed, so the tape's arrays are freed by reference counting as
-    soon as the caller lets go of its tensors, not by a later cyclic
-    collection.
+    topological order), and gives each node's ``grad_fn`` its output's
+    gradient. Of the gradients it returns, ``None`` and those of inputs that
+    do not require gradients are dropped. A tensor's first gradient is kept
+    as returned, and each later one is added out of place, so an array that
+    two tensors share is never changed through either. A gradient whose
+    shape or dtype differs from its tensor's is an :class:`AutodiffError`.
+
+    The tape is consumed: call forward again before the next backward. Each
+    node drops its inputs, output and ``grad_fn`` once replayed, so the
+    tape's arrays are freed by reference counting as soon as the caller lets
+    go of its tensors, not by a later cyclic collection.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -448,10 +371,18 @@ def backward(loss: Tensor) -> None:
     if graph.consumed:
         raise AutodiffError("backward already ran on this graph; run forward again")
     graph.consumed = True
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
-        if node.out.grad is not None:  # else not on any path from the loss
-            node.apply()
+        # a node whose output got no gradient is not on any path from the loss
+        grads = () if node.out.grad is None else node.apply(node.out.grad)
+        for t, g in zip(node.inputs, grads):
+            if g is None or not t.requires_grad:
+                continue
+            if g.shape != t.shape or g.dtype != t.data.dtype:
+                raise AutodiffError(f"gradient of shape {g.shape} and dtype {g.dtype} for a "
+                                    f"tensor of shape {t.shape} and dtype {t.data.dtype}")
+            # out of place: the first gradient may be shared (add gives gy to both inputs)
+            t.grad = g if t.grad is None else t.grad + g
         node.inputs = node.out = node.apply = None
     st = _state()
     if st.graph is graph:

@@ -1,9 +1,13 @@
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rainunet
 from rainunet import precision
 from rainunet.cli import RunConfig, gradcheck_battery, main, parse_config_file
 from rainunet.data import MANIFEST_NAME, load_dataset
@@ -187,6 +191,28 @@ class TestTrainEvaluatePredict:
         positives = sum(r.positive_count for r in records)
         assert rows["recall"] == 1.0
         assert rows["precision"] == pytest.approx(positives / total)
+
+    def test_overflowing_forward_exits_with_an_error(self, prepared, tmp_path):
+        # Finite weights whose forward overflows to Inf. The suite turns
+        # numpy's overflow warning into an error, so the CLI runs in its own
+        # process, as a user would run it.
+        model = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=0)
+        for name, p in model.named_parameters():
+            if name.endswith(".weight"):
+                p.data = p.data * np.float32(1e38)
+        ckpt = tmp_path / "huge.runc"
+        save_checkpoint(ckpt, model)
+        src = str(Path(rainunet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for command in ("evaluate", "predict"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rainunet.cli", command, "--data", str(prepared),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path / command)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 1, proc.stderr
+            assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_channel_mismatch_reports_both(self, dataset, tmp_path, capsys):
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4, in_channels=9), seed=0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainunet.tensor import (AutodiffError, NonFiniteError, Tensor,
-                             TensorError, active_graph, add, backward, crop,
+                             TensorError, _op, active_graph, add, backward, crop,
                              concat, grad_check, mean_axis, no_grad, relu,
                              reshape, scale, sigmoid, tensor_mean, tensor_new,
                              tensor_sum, zero_pad)
@@ -105,6 +105,25 @@ class TestBackward:
         backward(tensor_sum(x + x))
         assert x.grad.tolist() == [2.0]
 
+    def test_shared_gradient_is_not_changed_through_an_alias(self, wide):
+        # add hands one gy array to a and b; a's later gradient from p must
+        # not be added into that array, or b's gradient changes with a's.
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        p = a * 3.0
+        y = a + b
+        backward(tensor_sum(y) + tensor_sum(p))
+        assert a.grad.tolist() == [4.0, 4.0]
+        assert b.grad.tolist() == [1.0, 1.0]
+
+    def test_gradient_of_wrong_shape_or_dtype_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        for bad in (lambda gy: (np.ones(4, dtype=x.data.dtype),),
+                    lambda gy: (np.ones(3, dtype=np.float16),)):
+            y = _op(x.data * 2.0, (x,), bad)
+            with pytest.raises(AutodiffError):
+                backward(tensor_sum(y))
+
     def test_leaf_grads_accumulate_until_zeroed(self, wide):
         x = Tensor(np.array([1.0]), requires_grad=True)
         backward(tensor_sum(x * x))
@@ -175,7 +194,8 @@ class TestGraph:
         graph = active_graph()
         calls = {i: 0 for i in range(len(graph.nodes))}
         for i, node in enumerate(graph.nodes):
-            node.apply = (lambda f, k: lambda: (calls.__setitem__(k, calls[k] + 1), f()))(node.apply, i)
+            node.apply = (lambda f, k: lambda gy: (calls.__setitem__(k, calls[k] + 1), f(gy))[1])(
+                node.apply, i)
         backward(loss)
         assert all(c == 1 for c in calls.values())
 

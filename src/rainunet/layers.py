@@ -122,6 +122,19 @@ class ConvSpec:
 # near live_w/T of the input beside the layout copies; blocks of all frames
 # at once took the stage-1 transient from 5.5x to 9-10x the input.
 #
+# A conv weight is held tap-major: a (C_out, C_in, kt, kh, kw) array whose
+# memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
+# (C_out, C_in) slab. Stacking the live W taps of a (t, h) tap for the input
+# gradient (rows C_out, columns C_in) is then a reshape of the weight, a view
+# whenever those taps are a contiguous range; the forward's (rows C_in) is a
+# copy of the live slabs only, each read whole. The weight gradient is made
+# in the same layout: np.zeros leaves the slab of a tap that reads only
+# padding as untouched zero pages, only live slabs are written, and the
+# gradient comes with the box of taps outside which it is zero, so AdamW can
+# skip the dead slabs (see training.AdamW). The tap-major layout is private
+# to the program: checkpoints and the layer API keep (C_out, C_in, kt, kh, kw)
+# in C order, and tap_major_copy / c_order convert between the two.
+#
 # There is no size rule and no second path: the one geometry serves every
 # stride, dilation and padding. An FFT correlation, measured against the
 # per-tap kernels these replace, took 0.70x of their forward+backward time
@@ -194,19 +207,24 @@ def _w_block(frame, w_taps, n_cols, mirror):
     return np.take(padded, index, axis=2).reshape(h, n, n_cols, -1)
 
 
+def _tap_index(taps):
+    """The kernel taps of ``taps`` as an index of their axis: a slice when
+    they are a contiguous range, as they are whenever the stride is 1."""
+    a = [tap for tap, _, _ in taps]
+    return slice(a[0], a[-1] + 1) if a == list(range(a[0], a[-1] + 1)) else a
+
+
 def _stacked_weights(w, t_taps, h_taps, w_taps, contract):
     """The live taps of w (A, B, kt, kh, kw) as (live_t, live_h, live_w*C, C'):
     entry [j, k] is the matrix of the j-th live T and k-th live H tap, whose
     row i*C + c holds index c of axis ``contract`` (0 or 1) at the i-th live
-    W tap. Only live taps are copied: deep stages have few."""
-    out = np.empty((len(t_taps), len(h_taps), len(w_taps), w.shape[contract],
-                    w.shape[1 - contract]), dtype=w.dtype)
-    for j, (a, _, _) in enumerate(t_taps):
-        for k, (b, _, _) in enumerate(h_taps):
-            for i, (e, _, _) in enumerate(w_taps):
-                tap = w[:, :, a, b, e]
-                out[j, k, i] = tap.T if contract else tap
-    return out.reshape(*out.shape[:2], -1, out.shape[-1])
+    W tap. A reshape of w's live taps: a view of a tap-major w for contract 0,
+    whose (A, B) slabs already lie stacked, and otherwise a copy of the live
+    taps only (deep stages have few)."""
+    taps = w.transpose(2, 3, 4, contract, 1 - contract)
+    for axis, live in enumerate((t_taps, h_taps, w_taps)):
+        taps = taps[(slice(None),) * axis + (_tap_index(live),)]
+    return taps.reshape(*taps.shape[:2], -1, taps.shape[-1])
 
 
 def _corr3d(xl, w, stride, dilation, padding, out_extents):
@@ -229,15 +247,17 @@ def _corr3d(xl, w, stride, dilation, padding, out_extents):
 
 
 def _corr3d_dw(xl, gyl, kshape, stride, dilation, padding):
-    """Weight gradient (Co,Ci,kt,kh,kw) of _corr3d: correlate each tap's input
-    block with gyl (To,Ho,N,Wo,Co)."""
+    """Weight gradient (Co,Ci,kt,kh,kw) of _corr3d, held tap-major, with the
+    box of taps (three slices over kt, kh, kw) outside which it is zero:
+    correlate each live tap's input block with gyl (To,Ho,N,Wo,Co). Only the
+    live taps' slabs are written."""
     t, h, _, wd, ci = xl.shape
     to, ho, _, wo, co = gyl.shape
-    dw = np.zeros((co, ci, *kshape), dtype=gyl.dtype)
+    dw = np.zeros((*kshape, co, ci), dtype=gyl.dtype)
     t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
         (t, h, wd), (to, ho, wo), kshape, stride, dilation, padding))
     if not (t_taps and h_taps and w_taps):
-        return dw
+        return dw.transpose(3, 4, 0, 1, 2), (slice(0, 0),) * 3
     g = {}  # (j, k) -> (Co, live_w*Ci), summed over the frames
     for fi, reads in _frame_reads(t_taps, by_out=False):
         block = _w_block(xl[fi], w_taps, wo, mirror=False)
@@ -251,8 +271,9 @@ def _corr3d_dw(xl, gyl, kshape, stride, dilation, padding):
     for j, (a, _, _) in enumerate(t_taps):
         for k, (b, _, _) in enumerate(h_taps):
             for i, (e, _, _) in enumerate(w_taps):
-                dw[:, :, a, b, e] = g[j, k][:, i * ci : (i + 1) * ci]
-    return dw
+                dw[a, b, e] = g[j, k][:, i * ci : (i + 1) * ci]
+    box = tuple(slice(taps[0][0], taps[-1][0] + 1) for taps in (t_taps, h_taps, w_taps))
+    return dw.transpose(3, 4, 0, 1, 2), box
 
 
 def _corr3d_dx(gyl, w, stride, dilation, padding, in_extents):
@@ -278,14 +299,68 @@ def _corr3d_dx(gyl, w, stride, dilation, padding, in_extents):
 
 
 # ---------------------------------------------------------------------------
+# weight layout
+
+# The memory axis order of a tap-major (C_out, C_in, kt, kh, kw) weight.
+TAP_MAJOR = (2, 3, 4, 0, 1)
+# Tile of a transposing copy: 16 elements across the weight matrix's short
+# axis (a float32 cache line) by 4096 along its long one.
+_TILE_SHORT, _TILE_LONG = 16, 4096
+
+
+def is_tap_major(w) -> bool:
+    """Whether ``w`` is a conv weight held tap-major."""
+    return w.ndim == 5 and w.transpose(TAP_MAJOR).flags.c_contiguous
+
+
+def _transpose_into(dst, src):
+    """dst[...] = src.T for a 2-d src, tile by tile, each stretch of the long
+    axis finished before the next. Between C order and tap-major a weight is
+    a (C_out*C_in, taps) matrix transposed, and a whole-weight transposing
+    copy, which strides through more than the cache holds, took 2x as long."""
+    r, c = src.shape
+    if r < c:
+        return _transpose_into(dst.T, src.T)
+    long, short = _TILE_LONG, _TILE_SHORT
+    for i in range(0, r, long):
+        for j in range(0, c, short):
+            dst[j : j + short, i : i + long] = src[i : i + long, j : j + short].T
+
+
+def tap_major_copy(w, dtype):
+    """A copy of the weight w (C_out, C_in, kt, kh, kw), of ``dtype``, held
+    tap-major."""
+    w = np.asarray(w)
+    co, ci, *k = w.shape
+    out = np.empty((*k, co, ci), dtype=dtype)
+    if w.flags.c_contiguous:
+        _transpose_into(out.reshape(-1, co * ci), w.reshape(co * ci, -1))
+    else:
+        out[...] = w.transpose(TAP_MAJOR)
+    return out.transpose(3, 4, 0, 1, 2)
+
+
+def c_order(a):
+    """``a`` in C order: itself when it is, a blocked transposing copy when it
+    is a tap-major weight, and np.ascontiguousarray otherwise."""
+    if a.flags.c_contiguous or not is_tap_major(a):
+        return np.ascontiguousarray(a)
+    co, ci = a.shape[:2]
+    out = np.empty(a.shape, dtype=a.dtype)
+    _transpose_into(out.reshape(co * ci, -1), a.transpose(TAP_MAJOR).reshape(-1, co * ci))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # layers
 
 
 class Conv3DLayer:
-    """Weights (C_out, C_in, kt, kh, kw) plus per-output-channel bias.
+    """Weights (C_out, C_in, kt, kh, kw), held tap-major, plus per-output-channel
+    bias.
 
     Weight init is uniform in +-sqrt(1/(C_in*kt*kh*kw)) from the given seeded
-    generator; bias starts at zero.
+    generator; bias starts at zero. Explicit weights are copied.
     """
 
     def __init__(self, in_channels: int, out_channels: int, spec: ConvSpec,
@@ -299,9 +374,10 @@ class Conv3DLayer:
                 raise TensorError("Conv3DLayer needs either a generator or explicit weights")
             bound = np.sqrt(1.0 / (self.in_channels * int(np.prod(spec.kernel))))
             weight = rng.uniform(-bound, bound, size=wshape)
-        weight = np.asarray(weight, dtype=precision.dtype())
+        weight = np.asarray(weight)
         if weight.shape != wshape:
             raise TensorError(f"weight shape {weight.shape} != {wshape}")
+        weight = tap_major_copy(weight, precision.dtype())
         if bias is None:
             bias = np.zeros(self.out_channels)
         bias = np.asarray(bias, dtype=precision.dtype())
@@ -343,7 +419,7 @@ def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
     def grad_fn(gy):
         gyl = _to_layout(gy)
         dw = dx = None
-        if w.requires_grad:
+        if w.requires_grad:  # with its live taps, see backward
             dw = _corr3d_dw(_to_layout(x.data), gyl, spec.kernel, spec.stride, spec.dilation,
                             spec.padding)
         if x.requires_grad:
@@ -369,8 +445,9 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
         gyl = _to_layout(gy)
         dw = dx = None
         if w.requires_grad:
-            dw = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, spec.stride, spec.dilation,
-                            spec.padding).swapaxes(0, 1)
+            dw, taps = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, spec.stride,
+                                  spec.dilation, spec.padding)
+            dw = dw.swapaxes(0, 1), taps
         if x.requires_grad:
             dx = _from_layout(_corr3d(gyl, w.data.swapaxes(0, 1), spec.stride, spec.dilation,
                                       spec.padding, in_ext))

@@ -11,6 +11,12 @@ A TS block is a 1x1x1 projection (norm + relu) followed by factorized 3D
 convolution: spatial 1x3x3, spatially dilated 1x7x7 (dilation 3), temporal
 3x1x1, then norm + relu. The dilated middle stage is what buys the large
 spatial receptive field (21 pixels per block) at stride 1.
+
+On small maps the deep stages' large kernel is mostly inert: a tap whose
+reads fall wholly in the padding never gets a gradient (at 36x36, stage 5's
+dilated conv has one live tap of 49). Such a weight only decays under AdamW,
+so a model evaluated on maps larger than it was trained on uses decayed
+initial weights at those taps.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import data as dataio
-from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
+from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order, conv3d, conv3d_transposed,
+                     group_norm, maxpool3d, tap_major_copy)
 from .tensor import Tensor, TensorError, concat, crop, mean_axis, relu, sigmoid, zero_pad
 
 Triple = tuple[int, int, int]
@@ -99,9 +106,11 @@ class _Drawn:
 
 
 class _Stored:
-    """Parameters of a loaded model, taken by name from stored arrays. Each
-    is checked against the shape its layer needs before that layer is made,
-    so a config describing a larger model fails before allocating it."""
+    """Parameters of a loaded model, taken by name out of a dict of stored
+    arrays. Each is checked against the shape its layer needs before that
+    layer is made, so a config describing a larger model fails before
+    allocating it, and leaves the dict once its layer holds a copy, so the
+    stored and the built model are not both held whole."""
 
     def __init__(self, state: dict[str, np.ndarray], prefix: str = ""):
         self.state = state
@@ -114,10 +123,10 @@ class _Stored:
         name = self.prefix + name
         if name not in self.state:
             raise TensorError(f"parameter {name} missing")
-        arr = self.state[name]
-        if tuple(arr.shape) != shape:
-            raise TensorError(f"shape mismatch for {name}: checkpoint {tuple(arr.shape)}, model {shape}")
-        return arr
+        if tuple(self.state[name].shape) != shape:
+            raise TensorError(f"shape mismatch for {name}: checkpoint "
+                              f"{tuple(self.state[name].shape)}, model {shape}")
+        return self.state.pop(name)
 
     def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
         return Conv3DLayer(c_in, c_out, spec,
@@ -175,14 +184,14 @@ class RainUNet:
 
     @classmethod
     def from_state(cls, cfg: RainUNetConfig, state: dict[str, np.ndarray]) -> "RainUNet":
-        """The model ``cfg`` describes, holding the arrays of ``state`` (cast
-        to the current precision) instead of drawn weights. Raises
-        TensorError when a name or a shape does not fit ``cfg``."""
+        """The model ``cfg`` describes, holding copies of the arrays of
+        ``state`` (cast to the current precision) instead of drawn weights.
+        Each array leaves ``state`` as it is copied. Raises TensorError when
+        a name or a shape does not fit ``cfg``."""
         model = cls.__new__(cls)
         model._build(cfg, _Stored(state))
-        extra = sorted(set(state) - {name for name, _ in model.named_parameters()})
-        if extra:
-            raise TensorError(f"parameters not in the model: {extra}")
+        if state:
+            raise TensorError(f"parameters not in the model: {sorted(state)}")
         return model
 
     def _build(self, cfg: RainUNetConfig, params) -> None:
@@ -241,7 +250,10 @@ class RainUNet:
                 raise TensorError(
                     f"shape mismatch for {name}: checkpoint {tuple(arr.shape)}, model {t.shape}"
                 )
-            t.data = np.asarray(arr, dtype=t.data.dtype).copy()
+            if t.data.ndim == 5:  # a conv weight
+                t.data = tap_major_copy(arr, t.data.dtype)
+            else:
+                t.data = np.asarray(arr, dtype=t.data.dtype).copy()
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.config
@@ -402,8 +414,9 @@ def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarr
             fh.write(cfg_bytes)
             fh.write(struct.pack("<I", len(params)))
             for name, arr in params.items():
-                # the array's own buffer is written: no bytes copy of it is made
-                head, payload = dataio.runt_header(arr)
+                # the array's own buffer is written, or for a tap-major weight
+                # a C-order copy of that one array: no bytes copy is made
+                head, payload = dataio.runt_header(c_order(arr))
                 name_b = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(name_b)))
                 fh.write(name_b)

@@ -109,7 +109,7 @@ def _recording_graph() -> Graph:
 class Tensor:
     """N-dimensional float array that can participate in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "_grad", "grad_taps", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=precision.dtype())
@@ -117,8 +117,19 @@ class Tensor:
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self.grad = None
         self.node: Optional[GraphNode] = None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        # ``grad_taps``: None, or for a conv weight's gradient the three slices
+        # of kernel taps (axes 2-4) outside which it is zero, which only
+        # backward sets; a gradient set here may be nonzero anywhere
+        self._grad, self.grad_taps = g, None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -215,8 +226,10 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     the order of ``inputs``, each with its input's shape and dtype, or
     ``None`` for an input that needs none. It may return a gradient for an
     input whose ``requires_grad`` is false, or one past the last input:
-    :func:`backward` drops both. It stores nothing itself; :func:`backward`
-    does.
+    :func:`backward` drops both. A conv weight's gradient may come as the
+    pair ``(gradient, taps)``, ``taps`` being the slices of kernel taps
+    outside which it is zero; :func:`backward` keeps them in ``grad_taps``.
+    It stores nothing itself; :func:`backward` does.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
@@ -355,8 +368,10 @@ def backward(loss: Tensor) -> None:
     gradient. Of the gradients it returns, ``None`` and those of inputs that
     do not require gradients are dropped. A tensor's first gradient is kept
     as returned, and each later one is added out of place, so an array that
-    two tensors share is never changed through either. A gradient whose
-    shape or dtype differs from its tensor's is an :class:`AutodiffError`.
+    two tensors share is never changed through either. The box of taps that
+    comes with a conv weight's first gradient is kept in ``grad_taps``; a sum
+    of gradients has none. A gradient whose shape or dtype differs from its
+    tensor's is an :class:`AutodiffError`.
 
     The tape is consumed: call forward again before the next backward. Each
     node drops its inputs, output and ``grad_fn`` once replayed, so the
@@ -378,11 +393,16 @@ def backward(loss: Tensor) -> None:
         for t, g in zip(node.inputs, grads):
             if g is None or not t.requires_grad:
                 continue
+            g, taps = g if isinstance(g, tuple) else (g, None)
             if g.shape != t.shape or g.dtype != t.data.dtype:
                 raise AutodiffError(f"gradient of shape {g.shape} and dtype {g.dtype} for a "
                                     f"tensor of shape {t.shape} and dtype {t.data.dtype}")
-            # out of place: the first gradient may be shared (add gives gy to both inputs)
-            t.grad = g if t.grad is None else t.grad + g
+            if t.grad is None:
+                t.grad, t.grad_taps = g, taps
+            else:
+                # out of place: the first gradient may be shared (add gives gy
+                # to both inputs); the sum carries no box of taps
+                t.grad = t.grad + g
         node.inputs = node.out = node.apply = None
     st = _state()
     if st.graph is graph:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import TAP_MAJOR, is_tap_major
 from .model import RainUNet
 from .tensor import (NonFiniteError, Tensor, TensorError, backward, crop,
                      div, no_grad, scale, tensor_sum)
@@ -86,8 +87,42 @@ def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
 ADAMW_BLOCK = 32768
 
 
+def _memory_axes(a) -> tuple[int, ...]:
+    """The axes of ``a`` from the outermost to the innermost in memory."""
+    if is_tap_major(a):
+        return TAP_MAJOR
+    return tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+
+
+def _runs(size: int, started) -> list[tuple[int, int, bool]]:
+    """``(lo, hi, full)`` ranges covering a flat parameter of ``size``
+    elements: ``full`` for the full update, else the decay only. ``started``
+    marks the taps of a tap-major weight that have had the full update, or
+    is None when every element has."""
+    if started is None:
+        return [(0, size, True)]
+    flat = started.reshape(-1)
+    slab = size // flat.size
+    cuts = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1), flat.size]
+    return [(lo * slab, hi * slab, flat[lo]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 class AdamW:
-    """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p)."""
+    """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p).
+
+    Each parameter is updated in place, in the memory order it had when the
+    optimizer was made, in blocks of ADAMW_BLOCK elements; ``m`` and ``v``
+    are flat arrays in that order. Every element sees the formula's
+    operations in order, so the result is bit-identical to a whole-array
+    pass.
+
+    A tap-major conv weight (see layers) is walked as its kernel taps'
+    slabs. A tap outside the gradient's ``grad_taps`` at every step so far
+    has had g = 0 throughout, so its m and v are 0 and the formula reduces,
+    operation for operation, to p -= (0 + wd*p) * lr: such a slab gets only
+    that decay, and its m, v and gradient are never read or written. It
+    gets the full update from the first step its tap is live.
+    """
 
     def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999,
                  eps=1e-8, weight_decay=1e-2):
@@ -98,8 +133,12 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.named_params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.named_params}
+        self.axes = {name: _memory_axes(t.data) for name, t in self.named_params}
+        self.m = {name: np.zeros(t.size, t.data.dtype) for name, t in self.named_params}
+        self.v = {name: np.zeros(t.size, t.data.dtype) for name, t in self.named_params}
+        # per tap-major weight, the taps that have had the full update
+        self.started = {name: np.zeros(t.shape[2:], dtype=bool)
+                        for name, t in self.named_params if self.axes[name] == TAP_MAJOR}
 
     def step(self) -> None:
         for name, t in self.named_params:
@@ -108,31 +147,53 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
+        buffers = {}
         for name, t in self.named_params:
-            p, g, m, v = np.atleast_1d(t.data, t.grad, self.m[name], self.v[name])
-            rows = max(1, ADAMW_BLOCK * len(p) // max(p.size, 1))
-            # The docstring formula in place, operation for operation, in two
-            # scratch arrays per block of axis-0 views: every element sees the
-            # same operations, so the result is bit-identical to a whole-array pass.
-            for lo in range(0, len(p), rows):
-                pb, gb, mb, vb = (a[lo : lo + rows] for a in (p, g, m, v))
-                tmp = np.multiply(gb, 1.0 - self.beta1)
-                mb *= self.beta1
-                mb += tmp
-                np.multiply(gb, 1.0 - self.beta2, out=tmp)
-                tmp *= gb
-                vb *= self.beta2
-                vb += tmp
-                np.divide(vb, bc2, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp += self.eps
-                update = np.divide(mb, bc1)
-                update /= tmp
-                if self.weight_decay:
-                    np.multiply(pb, self.weight_decay, out=tmp)
-                    update += tmp
-                update *= self.lr
-                pb -= update
+            held = t.data.transpose(self.axes[name])
+            # views, unless .data was replaced by an array laid out otherwise
+            p = held.reshape(-1)
+            g = t.grad.transpose(self.axes[name]).reshape(-1)
+            m, v = self.m[name], self.v[name]
+            if p.dtype not in buffers:
+                buffers[p.dtype] = np.empty((2, ADAMW_BLOCK), dtype=p.dtype)
+            tmps = buffers[p.dtype]
+            started = self.started.get(name)
+            if started is not None:
+                started[t.grad_taps or ...] = True
+            for lo, hi, full in _runs(p.size, started):
+                for b in range(lo, hi, ADAMW_BLOCK):
+                    e = min(b + ADAMW_BLOCK, hi)
+                    tmp, update = tmps[:, : e - b]
+                    if full:
+                        self._update(p[b:e], g[b:e], m[b:e], v[b:e], tmp, update, bc1, bc2)
+                    elif self.weight_decay:
+                        # the formula's "+ 0" keeps a -0.0 weight at -0.0
+                        np.multiply(p[b:e], self.weight_decay, out=update)
+                        update += 0.0
+                        update *= self.lr
+                        p[b:e] -= update
+            if not np.may_share_memory(p, held):
+                held[...] = p.reshape(held.shape)
+
+    def _update(self, p, g, m, v, tmp, update, bc1, bc2) -> None:
+        """The docstring formula in place on one block, in two temporary blocks."""
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= self.beta1
+        m += tmp
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v *= self.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bc1, out=update)
+        update /= tmp
+        if self.weight_decay:
+            np.multiply(p, self.weight_decay, out=tmp)
+            update += tmp
+        update *= self.lr
+        p -= update
 
     def zero_grad(self) -> None:
         for _, t in self.named_params:
@@ -140,7 +201,8 @@ class AdamW:
 
 
 class SWAAverager:
-    """Running arithmetic mean of parameter snapshots."""
+    """Running arithmetic mean of parameter snapshots, each held in its
+    parameter's memory order so that accumulating is one contiguous pass."""
 
     def __init__(self):
         self.mean: dict[str, np.ndarray] = {}
@@ -150,14 +212,14 @@ class SWAAverager:
         self.count += 1
         for name, t in named_params:
             if name not in self.mean:
-                self.mean[name] = t.data.copy()
+                self.mean[name] = t.data.copy(order="K")
             else:
                 self.mean[name] += (t.data - self.mean[name]) / self.count
 
     def finalize(self) -> dict[str, np.ndarray]:
         if self.count == 0:
             raise TensorError("SWA finalize with no accumulated snapshots")
-        return {name: arr.copy() for name, arr in self.mean.items()}
+        return {name: arr.copy(order="K") for name, arr in self.mean.items()}
 
 
 @dataclass

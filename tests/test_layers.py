@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_conv3d, naive_conv3d_transposed
-from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, conv3d,
-                             conv3d_transposed, group_norm, maxpool3d)
+from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps,
+                             _stacked_weights, c_order, conv3d, conv3d_transposed, group_norm,
+                             is_tap_major, maxpool3d)
 from rainunet.tensor import Tensor, TensorError, backward, grad_check, mul, tensor_sum
 
 
@@ -163,6 +164,28 @@ class TestConvTapGeometry:
         live[:, :, 0, 3, 3] = True
         assert np.all(dw[~live] == 0.0)
         assert np.all(dw[live] != 0.0)
+
+    def test_weight_gradient_is_tap_major_with_its_live_taps(self):
+        # on a 5x5 map the taps 2-4 of each spatial axis reach data
+        rng = np.random.default_rng(33)
+        layer = Conv3DLayer(2, 3, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        backward(quad(conv3d(Tensor(rng.normal(size=(1, 2, 1, 5, 5))), layer)))
+        w = layer.weight
+        assert is_tap_major(w.grad)
+        assert w.grad_taps == (slice(0, 1), slice(2, 5), slice(2, 5))
+        live = np.zeros(w.shape, dtype=bool)
+        live[(slice(None), slice(None)) + w.grad_taps] = True
+        assert np.all(w.grad[~live] == 0.0) and np.all(w.grad[live] != 0.0)
+
+    def test_weight_used_twice_gets_no_box_of_taps(self):
+        # the first gradient's box (the centre tap) does not bound the sum
+        rng = np.random.default_rng(34)
+        layer = Conv3DLayer(2, 2, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        small = conv3d(Tensor(rng.normal(size=(1, 2, 1, 2, 2))), layer)
+        large = conv3d(Tensor(rng.normal(size=(1, 2, 1, 5, 5))), layer)
+        backward(quad(small) + quad(large))
+        assert layer.weight.grad_taps is None
+        assert np.all(layer.weight.grad[:, :, 0, 2:5, 2:5] != 0.0)
 
     def test_stage1_dilated_conv_memory_peak(self):
         # the default model's stage-1 dilated conv at float32. The forward's
@@ -328,3 +351,45 @@ def test_weight_init_is_seeded_and_bounded():
     bound = np.sqrt(1.0 / (4 * 9))
     assert np.abs(a.weight.data).max() <= bound
     assert np.array_equal(a.bias.data, np.zeros(4))
+
+
+class TestWeightLayout:
+    @pytest.mark.parametrize("given", ["c_order", "tap_major", "list"])
+    def test_explicit_weight_is_held_tap_major(self, given):
+        rng = np.random.default_rng(51)
+        w = rng.normal(size=(3, 2, 1, 3, 3)).astype(np.float32)
+        held = Conv3DLayer(2, 3, ConvSpec((1, 3, 3)), weight=w).weight.data
+        arg = {"c_order": w, "tap_major": held, "list": w.tolist()}[given]
+        layer = Conv3DLayer(2, 3, ConvSpec((1, 3, 3)), weight=arg)
+        assert is_tap_major(layer.weight.data)
+        if isinstance(arg, np.ndarray):
+            assert not np.shares_memory(layer.weight.data, arg)
+        assert np.array_equal(layer.weight.data, w)
+
+    def test_c_order_round_trip(self):
+        rng = np.random.default_rng(52)
+        # a weight matrix taller and one wider than the copy tile
+        for shape in ((300, 20, 1, 7, 7), (2, 3, 3, 1, 1), (1, 1, 1, 1, 1)):
+            w = rng.normal(size=shape)
+            held = Conv3DLayer(shape[1], shape[0], ConvSpec(shape[2:]), weight=w).weight.data
+            back = c_order(held)
+            assert back.flags.c_contiguous and back.dtype == np.float32
+            assert np.array_equal(back, w.astype(np.float32))
+
+    def test_input_gradient_stacks_weight_taps_as_views(self):
+        # the input gradient's stacked live W taps are a view of the
+        # tap-major weight; the forward's are a copy of the same values
+        rng = np.random.default_rng(53)
+        spec = ConvSpec.same_size((1, 7, 7), (1, 3, 3))
+        w = Conv3DLayer(3, 4, spec, rng).weight.data
+        taps = [_axis_taps(n, n, k, 1, d, p) for n, k, d, p
+                in zip((2, 5, 5), spec.kernel, spec.dilation, spec.padding)]
+        for contract in (0, 1):
+            stacked = _stacked_weights(w, *taps, contract)
+            assert stacked.shape == (1, 3, 3 * w.shape[contract], w.shape[1 - contract])
+            assert np.shares_memory(stacked, w) == (contract == 0)
+            for k, h in enumerate(range(2, 5)):
+                for i, e in enumerate(range(2, 5)):
+                    tap = w[:, :, 0, h, e] if contract == 0 else w[:, :, 0, h, e].T
+                    rows = slice(i * tap.shape[0], (i + 1) * tap.shape[0])
+                    assert np.array_equal(stacked[0, k, rows], tap)

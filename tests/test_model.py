@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import support_box
 from rainunet.data import FormatError, runt_encode
-from rainunet.layers import conv3d, group_norm
-from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, config_from_text,
-                            config_to_text, encoder_receptive_field,
+from rainunet import precision
+from rainunet.layers import conv3d, group_norm, is_tap_major
+from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
+                            config_from_text, config_to_text, encoder_receptive_field,
                             load_checkpoint, receptive_field, save_checkpoint,
                             save_checkpoint_params)
 from rainunet.tensor import Tensor, TensorError, grad_check, no_grad, relu, tensor_sum
@@ -314,3 +315,73 @@ class TestCheckpoint:
         state["extra.weight"] = np.zeros(1)
         with pytest.raises(TensorError):
             model.load_state(state)
+
+
+def assert_tap_major_equal(model, want):
+    """Every conv weight of ``model`` held tap-major, every parameter equal
+    to ``want[name]``."""
+    params = model.named_parameters()
+    assert [n for n, _ in params] == list(want)
+    for name, t in params:
+        assert np.array_equal(t.data, want[name]), name
+        assert t.data.dtype == precision.dtype()
+        if t.data.ndim == 5:
+            assert is_tap_major(t.data), name
+
+
+class TestWeightLayout:
+    def test_new_model_holds_the_c_order_draw_tap_major(self):
+        # the conv weights are drawn in C order, one after another from the
+        # model seed's generator, as (C_out, C_in, kt, kh, kw)
+        model = RainUNet(micro_cfg(), seed=9)
+        rng = np.random.default_rng(9)
+        want = {}
+        for name, t in model.named_parameters():
+            if name.endswith(".weight"):
+                c_out, c_in, *k = t.shape
+                bound = np.sqrt(1.0 / (c_in * int(np.prod(k))))
+                want[name] = rng.uniform(-bound, bound, size=t.shape).astype(np.float32)
+            else:
+                want[name] = np.ones(t.shape) if name.endswith("gamma") else np.zeros(t.shape)
+        assert_tap_major_equal(model, want)
+
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_loaded_models_hold_tap_major_weights(self, tmp_path, mode):
+        model = RainUNet(micro_cfg(), seed=4)
+        want = model.state()
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, model)
+        with precision.use_precision(mode):
+            assert_tap_major_equal(load_checkpoint(path), want)
+            other = RainUNet(micro_cfg(), seed=5)
+            other.load_state(want)
+            assert_tap_major_equal(other, want)
+            assert not any(np.shares_memory(t.data, want[n]) for n, t in other.named_parameters())
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.runc", tmp_path / "b.runc"
+        save_checkpoint(first, RainUNet(micro_cfg(), seed=6))
+        save_checkpoint(second, load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_load_peak_is_one_model_plus_its_largest_parameter(self, tmp_path):
+        # building from stored arrays copies each into its layer's tap-major
+        # weight and drops the stored one, so the stored and the built model
+        # are never both held whole. Beside the largest parameter's copy
+        # there is the tensor's finiteness mask (1 byte per 4-byte element).
+        model = RainUNet(RainUNetConfig(stages=3, base_channels=16), seed=4)
+        sizes = [t.data.nbytes for _, t in model.named_parameters()]
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        tracemalloc.start()
+        try:
+            _, state = _parse_checkpoint(memoryview(raw))
+            tracemalloc.reset_peak()
+            loaded = RainUNet.from_state(model.config, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state == {}
+        assert_tap_major_equal(loaded, model.state())
+        assert peak <= sum(sizes) + 1.25 * max(sizes) + 128 * 1024

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from rainunet import precision
 from rainunet.data import SequenceRecord
+from rainunet.layers import Conv3DLayer, ConvSpec, conv3d, is_tap_major
 from rainunet.model import RainUNet, RainUNetConfig
-from rainunet.tensor import Tensor, TensorError, backward, grad_check
+from rainunet.tensor import Tensor, TensorError, backward, grad_check, mul, tensor_sum
 from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
                                TrainingAbort, batch_dice_loss, dice_loss, fit,
                                write_training_log_csv)
@@ -139,6 +140,76 @@ class TestAdamW:
                 assert p.data.dtype == want.dtype
                 assert np.array_equal(p.data, want), (shape, transposed, k)
 
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    @pytest.mark.parametrize("relaid", [None, "before", "after"])
+    def test_dead_tap_slabs_equal_docstring_formula_bitwise(self, mode, wd, relaid):
+        # The dilated 1x7x7 conv (dilation 3, padding 9) reaches data with
+        # 5x5 taps on an 8x8 map, 3x3 on 5x5 and the centre one only on 2x2.
+        # So taps live at step 1 are dead at step 2, some come back at step
+        # 4, and the corner taps are never live: their slabs get only the
+        # decay, which must keep the -0.0 weight put in one of them. With
+        # ``relaid`` a test has replaced the weight's .data by a C-order
+        # array before or after the optimizer was made.
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(29)
+        with precision.use_precision(mode):
+            layer = Conv3DLayer(3, 4, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+            w = layer.weight
+            w.data[1, 2, 0, 0, 0] = -0.0
+            if relaid == "before":
+                w.data = np.ascontiguousarray(w.data)
+            opt = AdamW([("w", w)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+            if relaid == "after":
+                w.data = np.ascontiguousarray(w.data)
+            want = w.data.copy()
+            m, v = np.zeros_like(want), np.zeros_like(want)
+            for k, size in enumerate((8, 2, 2, 5, 2), start=1):
+                x = Tensor(rng.normal(size=(2, 3, 1, size, size)))
+                gy = Tensor(rng.normal(size=(2, 4, 1, size, size)))
+                backward(tensor_sum(mul(conv3d(x, layer), gy)))
+                g = np.array(w.grad)
+                assert is_tap_major(w.grad) and w.grad_taps is not None
+                opt.step()
+                opt.zero_grad()
+                m = m * b1 + (1.0 - b1) * g
+                v = v * b2 + (1.0 - b2) * g * g
+                mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
+                update = mhat / (np.sqrt(vhat) + eps)
+                if wd:
+                    update = update + wd * want
+                want = want - lr * update
+                assert np.array_equal(w.data, want), (k, size)
+                assert np.array_equal(np.signbit(w.data), np.signbit(want)), (k, size)
+        assert np.signbit(w.data[1, 2, 0, 0, 0])
+        assert w.data[0, 0, 0, 0, 0] != 0.0
+
+    def test_dead_tap_slabs_leave_moments_untouched(self):
+        rng = np.random.default_rng(30)
+        layer = Conv3DLayer(2, 2, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        opt = AdamW([("w", layer.weight)])
+        backward(tensor_sum(conv3d(Tensor(rng.normal(size=(1, 2, 1, 2, 2))), layer)))
+        opt.step()
+        # m is flat in the weight's tap-major order: the centre tap is slab 24
+        slabs = opt.m["w"].reshape(49, 4)
+        assert np.all(slabs[24] != 0.0)
+        assert np.all(np.delete(slabs, 24, axis=0) == 0.0)
+
+    def test_gradient_set_by_hand_is_dense(self):
+        # a gradient assigned directly carries no box of live taps, so every
+        # slab gets the full update
+        rng = np.random.default_rng(32)
+        layer = Conv3DLayer(2, 2, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        w = layer.weight
+        backward(tensor_sum(conv3d(Tensor(rng.normal(size=(1, 2, 1, 2, 2))), layer)))
+        assert w.grad_taps is not None
+        w.grad = np.ones(w.shape, dtype=w.data.dtype)
+        assert w.grad_taps is None
+        opt = AdamW([("w", w)], weight_decay=0.0)
+        before = w.data.copy()
+        opt.step()
+        assert np.all(w.data < before)
+
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = AdamW([("p", p)])
@@ -190,6 +261,23 @@ class TestSWA:
     def test_finalize_without_snapshots_rejected(self):
         with pytest.raises(TensorError):
             SWAAverager().finalize()
+
+    def test_conv_weight_mean_keeps_tap_major_layout(self):
+        # the running mean is held as the weight is, so accumulating is a
+        # contiguous pass; its values are those of a C-order mean
+        rng = np.random.default_rng(43)
+        layer = Conv3DLayer(3, 4, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        w = layer.weight
+        swa = SWAAverager()
+        want = None
+        for count in range(1, 5):
+            w.data[...] = rng.normal(size=w.shape)
+            swa.accumulate([("w", w)])
+            snap = np.ascontiguousarray(w.data)
+            want = snap.copy() if want is None else want + (snap - want) / count
+            assert is_tap_major(swa.mean["w"])
+            assert np.array_equal(swa.mean["w"], want)
+        assert np.array_equal(swa.finalize()["w"], want)
 
 
 def tiny_records(n=4, size=12, seed=0):

@@ -364,36 +364,23 @@ _COMMANDS = {
 }
 
 
+_CHOICES = {"precision": ["standard", "wide"], "channels": sorted(CHANNEL_SETS)}
+_HELP = {"out": "output directory", "data": "input dataset directory",
+         "checkpoint": "model checkpoint path"}
+
+
 def _parser() -> argparse.ArgumentParser:
+    """One flag per RunConfig field, ``--`` plus its name with ``-`` for
+    ``_``; a flag left out parses to None, so the layers below it stand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--data", help="input dataset directory")
-    common.add_argument("--checkpoint", help="model checkpoint path")
-    common.add_argument("--precision", choices=["standard", "wide"])
-    common.add_argument("--crop-factor", dest="crop_factor", type=int)
-    common.add_argument("--channels", choices=sorted(CHANNEL_SETS))
-    common.add_argument("--threshold", type=float)
-    common.add_argument("--swa", action="store_true", default=None)
-    common.add_argument("--swa-start", dest="swa_start", type=int)
-    common.add_argument("--sequences", type=int)
-    common.add_argument("--size", type=int)
-    common.add_argument("--blob-min", dest="blob_min", type=int)
-    common.add_argument("--blob-max", dest="blob_max", type=int)
-    common.add_argument("--velocity-min", dest="velocity_min", type=float)
-    common.add_argument("--velocity-max", dest="velocity_max", type=float)
-    common.add_argument("--radius-min", dest="radius_min", type=float)
-    common.add_argument("--radius-max", dest="radius_max", type=float)
-    common.add_argument("--rain-threshold", dest="rain_threshold", type=float)
-    common.add_argument("--cleanse-threshold", dest="cleanse_threshold", type=int)
-    common.add_argument("--stages", type=int)
-    common.add_argument("--base-channels", dest="base_channels", type=int)
-    common.add_argument("--out-frames", dest="out_frames", type=int)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", dest="batch_size", type=int)
-    common.add_argument("--lr", type=float)
-    common.add_argument("--weight-decay", dest="weight_decay", type=float)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if _FIELD_TYPES[f.name] is bool:
+            common.add_argument(flag, dest=f.name, action="store_true", default=None)
+        else:
+            common.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.name],
+                                choices=_CHOICES.get(f.name), help=_HELP.get(f.name))
 
     parser = argparse.ArgumentParser(prog="rainunet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -406,7 +393,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        with use_precision(cfg.precision):
+        # an overflow surfaces once, as the NonFiniteError of the op whose
+        # output holds it, not as numpy warnings from every op before that
+        with use_precision(cfg.precision), np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](cfg)
     except (TensorError, FormatError, AutodiffError, NonFiniteError, ValueError,
             OSError) as err:

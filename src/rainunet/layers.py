@@ -7,10 +7,9 @@ skipped, and a read that falls in the padding contributes a zero. The
 kernels work on a (T, H, N, W, C) copy, one frame at a time: the frame's
 live W taps are laid side by side along the channel axis, so each live
 (t, h) tap is one matrix product with inner dimension live_w*C. The input
-gradient mirrors this, placing gy at the input columns each W tap read. The
-transposed convolution is the exact adjoint of the forward correlation,
-implemented with the kernel that computes the input gradient of the forward
-pass.
+gradient mirrors this, placing gy at the input columns each W tap read. One
+correlation core runs either way, forward or as its adjoint, and the
+transposed convolution is the same op with the two directions exchanged.
 """
 
 from __future__ import annotations
@@ -62,9 +61,7 @@ class ConvSpec:
     @staticmethod
     def same_size(kernel, dilation=(1, 1, 1)) -> "ConvSpec":
         """Stride-1 spec whose zero padding preserves (T, H, W)."""
-        kernel = _triple(kernel)
-        dilation = _triple(dilation)
-        eff = tuple(d * (k - 1) + 1 for k, d in zip(kernel, dilation))
+        eff = ConvSpec(kernel, dilation).effective()
         if any(e % 2 == 0 for e in eff):
             raise TensorError(f"same-size spec needs odd effective extents, got {eff}")
         return ConvSpec(kernel, dilation, (1, 1, 1), tuple((e - 1) // 2 for e in eff))
@@ -78,8 +75,7 @@ class ConvSpec:
 
     def out_extents(self, in_extents: Triple) -> Triple:
         outs = []
-        for n, k, d, s, p in zip(in_extents, self.kernel, self.dilation, self.stride, self.padding):
-            eff = d * (k - 1) + 1
+        for n, eff, s, p in zip(in_extents, self.effective(), self.stride, self.padding):
             if self.transposed:
                 o = (n - 1) * s - 2 * p + eff
             else:
@@ -93,19 +89,22 @@ class ConvSpec:
 
 
 # ---------------------------------------------------------------------------
-# numpy cores: correlation forward, gradient w.r.t. weight, gradient w.r.t.
-# input. The three are mutual adjoints; the transposed convolution reuses
-# the input-gradient core as its forward pass.
+# numpy cores: the correlation, run forward or as its adjoint (the gradient
+# w.r.t. its input), and its gradient w.r.t. the weight. All three products
+# walk one traversal, _tap_blocks; the transposed convolution runs the
+# correlation reversed (see _conv).
 #
 # The cores take and return the layout (T, H, N, W, C): the batch sits inside
-# H, so an H-range of one frame is one contiguous run of rows. The layer
-# functions make these copies once per call, as temporaries the tape never
-# holds, and the backward shares its copy of gy between the two gradients.
+# H, so an H-range of one frame is one contiguous run of rows. The op makes
+# these copies once per call, as temporaries the tape never holds, and the
+# backward shares its copy of gy between the two gradients.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
-# input range they read. Padding is never read: a tap that reads only padding
-# is dropped, and one that reads some padding touches only in-bounds data.
+# input range they read. The op finds them once per call and hands them to
+# the forward and both gradients. Padding is never read: a tap that reads
+# only padding is dropped, and one that reads some padding touches only
+# in-bounds data.
 #
 # The live W taps of one frame are laid side by side along the channel axis
 # in a block (_w_block, one np.take from the frame plus a zero column): for
@@ -227,75 +226,61 @@ def _stacked_weights(w, t_taps, h_taps, w_taps, contract):
     return taps.reshape(*taps.shape[:2], -1, taps.shape[-1])
 
 
-def _corr3d(xl, w, stride, dilation, padding, out_extents):
-    """Cross-correlate xl (T,H,N,W,Ci) with w (Co,Ci,kt,kh,kw) into (To,Ho,N,Wo,Co)."""
-    t, h, n, wd, _ = xl.shape
-    to, ho, wo = out_extents
-    acc = np.zeros((to, ho, n, wo, w.shape[0]), dtype=xl.dtype)
-    t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
-        (t, h, wd), out_extents, w.shape[2:], stride, dilation, padding))
-    if not (t_taps and h_taps and w_taps):
-        return acc
-    wst = _stacked_weights(w, t_taps, h_taps, w_taps, 1)
-    for fi, reads in _frame_reads(t_taps, by_out=False):
-        block = _w_block(xl[fi], w_taps, wo, mirror=False)
-        for j, fo, _ in reads:
+def _tap_blocks(src, taps, n_cols, adjoint):
+    """The one traversal of the three products: for each live (t, h) tap and
+    each frame it reads, ``(j, k, dst, rows)``, where j and k index the live
+    T and H tap, ``rows`` are the block rows of src (T, H, N, W, C) the
+    product reads and ``dst`` the (frame, H range) it writes. Forward, src is
+    the correlation's input and dst indexes its output; adjoint, src is an
+    output gradient, its blocks are mirrored, and dst indexes the input."""
+    t_taps, h_taps, w_taps = taps
+    for f, reads in _frame_reads(t_taps, by_out=adjoint):
+        block = _w_block(src[f], w_taps, n_cols, mirror=adjoint)
+        for j, fo, fi in reads:
             for k, (_, ob, ib) in enumerate(h_taps):
-                dst = acc[fo, ob]
-                dst += (_mat(block[ib]) @ wst[j, k]).reshape(dst.shape)
+                yield (j, k, (fi, ib), block[ob]) if adjoint else (j, k, (fo, ob), block[ib])
+
+
+def _corr3d(src, w, taps, extents, adjoint):
+    """Cross-correlate src (T,H,N,W,C) over the live taps into (T', H', N, W',
+    C'), with ``extents`` (T', H', W'). Forward, w carries (C', C, kt, kh, kw)
+    and src is the input. Adjoint, the input gradient of the forward: w
+    carries (C, C', kt, kh, kw) and src is an output gradient, scattered back
+    through w; within one (t, h) tap the strided input rows hold no repeated
+    element, so the in-place add is safe."""
+    t, h, wd = extents
+    acc = np.zeros((t, h, src.shape[2], wd, w.shape[1 if adjoint else 0]), dtype=src.dtype)
+    if all(taps):
+        wst = _stacked_weights(w, *taps, 0 if adjoint else 1)
+        for j, k, dst, rows in _tap_blocks(src, taps, wd, adjoint):
+            out = acc[dst]
+            out += (_mat(rows) @ wst[j, k]).reshape(out.shape)
     return acc
 
 
-def _corr3d_dw(xl, gyl, kshape, stride, dilation, padding):
-    """Weight gradient (Co,Ci,kt,kh,kw) of _corr3d, held tap-major, with the
-    box of taps (three slices over kt, kh, kw) outside which it is zero:
-    correlate each live tap's input block with gyl (To,Ho,N,Wo,Co). Only the
-    live taps' slabs are written."""
-    t, h, _, wd, ci = xl.shape
-    to, ho, _, wo, co = gyl.shape
+def _corr3d_dw(xl, gyl, kshape, taps):
+    """Weight gradient (Co,Ci,kt,kh,kw) of the forward _corr3d, held
+    tap-major, with the box of taps (three slices over kt, kh, kw) outside
+    which it is zero: correlate each live tap's input block with gyl
+    (To,Ho,N,Wo,Co). Only the live taps' slabs are written."""
+    ci, co = xl.shape[-1], gyl.shape[-1]
     dw = np.zeros((*kshape, co, ci), dtype=gyl.dtype)
-    t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
-        (t, h, wd), (to, ho, wo), kshape, stride, dilation, padding))
-    if not (t_taps and h_taps and w_taps):
+    if not all(taps):
         return dw.transpose(3, 4, 0, 1, 2), (slice(0, 0),) * 3
     g = {}  # (j, k) -> (Co, live_w*Ci), summed over the frames
-    for fi, reads in _frame_reads(t_taps, by_out=False):
-        block = _w_block(xl[fi], w_taps, wo, mirror=False)
-        for j, fo, _ in reads:
-            for k, (_, ob, ib) in enumerate(h_taps):
-                prod = _mat(gyl[fo, ob]).T @ _mat(block[ib])
-                if (j, k) in g:
-                    g[j, k] += prod
-                else:
-                    g[j, k] = prod
+    for j, k, dst, rows in _tap_blocks(xl, taps, gyl.shape[3], adjoint=False):
+        prod = _mat(gyl[dst]).T @ _mat(rows)
+        if (j, k) in g:
+            g[j, k] += prod
+        else:
+            g[j, k] = prod
+    t_taps, h_taps, w_taps = taps
     for j, (a, _, _) in enumerate(t_taps):
         for k, (b, _, _) in enumerate(h_taps):
             for i, (e, _, _) in enumerate(w_taps):
                 dw[a, b, e] = g[j, k][:, i * ci : (i + 1) * ci]
-    box = tuple(slice(taps[0][0], taps[-1][0] + 1) for taps in (t_taps, h_taps, w_taps))
+    box = tuple(slice(axis[0][0], axis[-1][0] + 1) for axis in taps)
     return dw.transpose(3, 4, 0, 1, 2), box
-
-
-def _corr3d_dx(gyl, w, stride, dilation, padding, in_extents):
-    """Input gradient (T,H,N,W,C) of _corr3d: scatter gyl (To,Ho,N,Wo,C_gy)
-    back through w, which carries (C_gy, C, kt, kh, kw). Within one (t, h)
-    tap the strided input rows hold no repeated element, so the in-place add
-    is safe."""
-    to, ho, n, wo, _ = gyl.shape
-    t, h, wd = in_extents
-    acc = np.zeros((t, h, n, wd, w.shape[1]), dtype=gyl.dtype)
-    t_taps, h_taps, w_taps = (_axis_taps(*g) for g in zip(
-        in_extents, (to, ho, wo), w.shape[2:], stride, dilation, padding))
-    if not (t_taps and h_taps and w_taps):
-        return acc
-    wst = _stacked_weights(w, t_taps, h_taps, w_taps, 0)
-    for fo, reads in _frame_reads(t_taps, by_out=True):
-        block = _w_block(gyl[fo], w_taps, wd, mirror=True)
-        for j, _, fi in reads:
-            for k, (_, ob, ib) in enumerate(h_taps):
-                dst = acc[fi, ib]
-                dst += (_mat(block[ob]) @ wst[j, k]).reshape(dst.shape)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -390,69 +375,62 @@ class Conv3DLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.spec.transposed:
-            return conv3d_transposed(x, self)
-        return conv3d(x, self)
+        return _conv(x, self)
 
 
-def _check_conv_input(x: Tensor, layer: Conv3DLayer):
+def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
+    """The op of every conv layer, forward or transposed. The live taps of
+    the correlation are found once and serve the forward and both gradients.
+    A transposed spec runs the correlation reversed, from the op's output
+    extents to its input's: its forward is the adjoint core and its input
+    gradient the forward core, both on w with C_out and C_in swapped, and its
+    weight gradient the weight-gradient core with x and gy swapped."""
     if x.data.ndim != 5:
         raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {x.shape}")
     if x.shape[1] != layer.in_channels:
         raise TensorError(
             f"channel mismatch: input has {x.shape[1]}, layer expects {layer.in_channels}"
         )
-
-
-def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
     spec = layer.spec
-    if spec.transposed:
-        raise TensorError("conv3d called with a transposed spec")
-    _check_conv_input(x, layer)
+    transposed = spec.transposed
     in_ext = x.shape[2:]
     out_ext = spec.out_extents(in_ext)
+    corr_in, corr_out = (out_ext, in_ext) if transposed else (in_ext, out_ext)
+    taps = [_axis_taps(*g) for g in zip(corr_in, corr_out, spec.kernel, spec.stride,
+                                        spec.dilation, spec.padding)]
     w, b = layer.weight, layer.bias
-    y = _from_layout(_corr3d(_to_layout(x.data), w.data, spec.stride, spec.dilation,
-                             spec.padding, out_ext))
+
+    def corr_weight():
+        return w.data.swapaxes(0, 1) if transposed else w.data
+
+    y = _from_layout(_corr3d(_to_layout(x.data), corr_weight(), taps, out_ext, transposed))
     y += b.data.reshape(1, -1, 1, 1, 1)
 
     def grad_fn(gy):
         gyl = _to_layout(gy)
         dw = dx = None
         if w.requires_grad:  # with its live taps, see backward
-            dw = _corr3d_dw(_to_layout(x.data), gyl, spec.kernel, spec.stride, spec.dilation,
-                            spec.padding)
+            if transposed:
+                dw, box = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, taps)
+                dw = dw.swapaxes(0, 1), box
+            else:
+                dw = _corr3d_dw(_to_layout(x.data), gyl, spec.kernel, taps)
         if x.requires_grad:
-            dx = _from_layout(_corr3d_dx(gyl, w.data, spec.stride, spec.dilation, spec.padding,
-                                         in_ext))
+            dx = _from_layout(_corr3d(gyl, corr_weight(), taps, in_ext, not transposed))
         return dx, dw, gy.sum(axis=(0, 2, 3, 4))
     return _op(y, (x, w, b), grad_fn)
+
+
+def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
+    if layer.spec.transposed:
+        raise TensorError("conv3d called with a transposed spec")
+    return _conv(x, layer)
 
 
 def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
-    spec = layer.spec
-    if not spec.transposed:
+    if not layer.spec.transposed:
         raise TensorError("conv3d_transposed needs spec.transposed")
-    _check_conv_input(x, layer)
-    in_ext = x.shape[2:]
-    out_ext = spec.out_extents(in_ext)
-    w, b = layer.weight, layer.bias
-    y = _from_layout(_corr3d_dx(_to_layout(x.data), w.data.swapaxes(0, 1), spec.stride,
-                                spec.dilation, spec.padding, out_ext))
-    y += b.data.reshape(1, -1, 1, 1, 1)
-
-    def grad_fn(gy):
-        gyl = _to_layout(gy)
-        dw = dx = None
-        if w.requires_grad:
-            dw, taps = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, spec.stride,
-                                  spec.dilation, spec.padding)
-            dw = dw.swapaxes(0, 1), taps
-        if x.requires_grad:
-            dx = _from_layout(_corr3d(gyl, w.data.swapaxes(0, 1), spec.stride, spec.dilation,
-                                      spec.padding, in_ext))
-        return dx, dw, gy.sum(axis=(0, 2, 3, 4))
-    return _op(y, (x, w, b), grad_fn)
+    return _conv(x, layer)
 
 
 def maxpool3d(x: Tensor, kernel) -> Tensor:

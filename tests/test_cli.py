@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import rainunet
 from rainunet import precision
-from rainunet.cli import RunConfig, gradcheck_battery, main, parse_config_file
+from rainunet.cli import (RunConfig, _parser, gradcheck_battery, main, parse_config_file,
+                          resolve_config)
 from rainunet.data import MANIFEST_NAME, load_dataset
 from rainunet.metrics import read_lead_time_csv
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
@@ -66,6 +68,19 @@ class TestConfigFile:
         cfg_file.write_text("swa = maybe\n")
         with pytest.raises(Exception, match="boolean"):
             parse_config_file(cfg_file)
+
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_every_field_has_a_flag(self, field):
+        flag = "--" + field.name.replace("_", "-")
+        if isinstance(field.default, bool):
+            value, argv = True, [flag]
+        else:
+            value = {"precision": "wide", "channels": "ir"}.get(
+                field.name, field.default + type(field.default)(1))
+            argv = [flag, str(value)]
+        assert value != field.default
+        cfg = resolve_config(_parser().parse_args(["train", *argv]))
+        assert cfg == replace(RunConfig(), **{field.name: value})
 
     def test_flags_override_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -211,7 +226,8 @@ class TestTrainEvaluatePredict:
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / command)],
                 capture_output=True, text=True, env=env, timeout=300)
             assert proc.returncode == 1, proc.stderr
-            assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
             assert "Traceback" not in proc.stderr
 
     def test_channel_mismatch_reports_both(self, dataset, tmp_path, capsys):

@@ -52,10 +52,15 @@ class TestConv3D:
         out = conv3d(Tensor(x), layer)
         assert np.array_equal(out.data, x)
 
-    def test_channel_mismatch(self):
-        layer = Conv3DLayer(2, 1, ConvSpec((1, 1, 1)), np.random.default_rng(0))
-        with pytest.raises(TensorError):
-            conv3d(Tensor(np.zeros((1, 3, 1, 2, 2))), layer)
+    @pytest.mark.parametrize("op", [conv3d, conv3d_transposed], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("shape,message", [((1, 3, 1, 2, 2), "channel mismatch"),
+                                               ((1, 2, 2, 2), "5-d")],
+                             ids=["channels", "4d"])
+    def test_input_checks(self, op, shape, message):
+        spec = ConvSpec((1, 1, 1), transposed=op is conv3d_transposed)
+        layer = Conv3DLayer(2, 1, spec, np.random.default_rng(0))
+        with pytest.raises(TensorError, match=message):
+            op(Tensor(np.zeros(shape)), layer)
 
     def test_matches_loop_oracle(self, wide):
         rng = np.random.default_rng(42)
@@ -173,6 +178,18 @@ class TestConvTapGeometry:
         w = layer.weight
         assert is_tap_major(w.grad)
         assert w.grad_taps == (slice(0, 1), slice(2, 5), slice(2, 5))
+        live = np.zeros(w.shape, dtype=bool)
+        live[(slice(None), slice(None)) + w.grad_taps] = True
+        assert np.all(w.grad[~live] == 0.0) and np.all(w.grad[live] != 0.0)
+
+    def test_transposed_weight_gradient_has_its_live_taps(self):
+        # a 1x1 input and a 1x1 output: only the centre H and W tap pairs them
+        rng = np.random.default_rng(35)
+        spec = ConvSpec((1, 3, 3), (1, 2, 2), padding=(0, 2, 2), transposed=True)
+        layer = Conv3DLayer(2, 3, spec, rng)
+        backward(quad(conv3d_transposed(Tensor(rng.normal(size=(1, 2, 1, 1, 1))), layer)))
+        w = layer.weight
+        assert w.grad_taps == (slice(0, 1), slice(1, 2), slice(1, 2))
         live = np.zeros(w.shape, dtype=bool)
         live[(slice(None), slice(None)) + w.grad_taps] = True
         assert np.all(w.grad[~live] == 0.0) and np.all(w.grad[live] != 0.0)

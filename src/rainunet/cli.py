@@ -10,14 +10,16 @@ identical resolved config and seed give identical artifact bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+import scipy
 
-from . import data as dataio
+from . import __version__, data as dataio
 from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SequenceRecord,
                    SynthConfig, center_crop_resize, cleansing_filter,
                    load_dataset, save_dataset, select_modalities, synth_generate)
@@ -129,6 +131,22 @@ def _synth_config(cfg: RunConfig) -> SynthConfig:
     )
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    """cfg.out, made if missing, holding the run's manifest ``run.txt``: the
+    resolved config and what else fixes the output bytes (versions, BLAS and
+    its thread count, cores), as key = value lines."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
+    lines += [f"rainunet = {__version__}", f"numpy = {np.__version__}",
+              f"scipy = {scipy.__version__}", f"blas = {blas['name']} {blas['version']}",
+              f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+              f"cpu_count = {os.cpu_count()}"]
+    (out / "run.txt").write_text("\n".join(lines) + "\n")
+    return out
+
+
 def cmd_synth(cfg: RunConfig) -> int:
     records = synth_generate(_synth_config(cfg))
     manifest = save_dataset(records, cfg.out)
@@ -177,8 +195,7 @@ def cmd_train(cfg: RunConfig) -> int:
     records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
     if not records:
         raise FormatError("dataset is empty")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     model = RainUNet(_model_config(cfg, records[0].input.shape[0]), seed=cfg.seed)
     train_cfg = TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
@@ -237,8 +254,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     gts = np.stack([r.target for r in records])
     report = evaluate_masks(preds, gts)
     curve = lead_time_iou(preds, gts)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     write_metrics_csv(out / "metrics.csv", report)
     write_lead_time_csv(out / "leadtime.csv", curve)
     for name in report.METRIC_NAMES:
@@ -251,8 +267,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     model, records = _load_eval_inputs(cfg)
     probs = predict_probs(model, records)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     entries = dataio.read_manifest(Path(cfg.data) / MANIFEST_NAME)
     for e, p in zip(entries, probs):
         dataio.tensor_file_write(p.astype(np.float32), out / f"{e.key}_pred.runt")
@@ -340,11 +355,9 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     if cfg.precision != "wide":
         raise TensorError("gradcheck requires --precision wide")
     results = gradcheck_battery()
-    failures = 0
+    failures = sum(not report.passed for _, report in results)
     for name, report in results:
         status = "PASS" if report.passed else "FAIL"
-        if not report.passed:
-            failures += 1
         print(f"{status} {name}: max_rel_error={report.max_rel_error:.3e} "
               f"tol={report.tolerance:.0e} coords={report.coords_checked}")
     print(f"{len(results) - failures}/{len(results)} gradient checks passed")

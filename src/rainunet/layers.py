@@ -6,9 +6,9 @@ padding, which is never read: a kernel tap that reads only padding is
 skipped, and a read that falls in the padding contributes a zero. The
 kernels work on a (T, H, N, W, C) copy, one frame at a time: the frame's
 live W taps are laid side by side along the channel axis, so each live
-(t, h) tap is one matrix product with inner dimension live_w*C. The input
-gradient mirrors this, placing gy at the input columns each W tap read. One
-correlation core runs either way, forward or as its adjoint, and the
+(t, h) tap is one matrix product with inner dimension live_w*C. The
+backward mirrors this, placing gy at the input columns each W tap read; one
+walk over those blocks gives the input and the weight gradient. The
 transposed convolution is the same op with the two directions exchanged.
 """
 
@@ -89,37 +89,38 @@ class ConvSpec:
 
 
 # ---------------------------------------------------------------------------
-# numpy cores: the correlation, run forward or as its adjoint (the gradient
-# w.r.t. its input), and its gradient w.r.t. the weight. All three products
-# walk one traversal, _tap_blocks; the transposed convolution runs the
-# correlation reversed (see _conv).
+# numpy core: the correlation, run forward or as its adjoint (the gradient
+# w.r.t. its input), and in the backward's pass the gradient w.r.t. its
+# weight. All three products walk one traversal, _tap_blocks, once per conv
+# backward; the transposed convolution runs the correlation reversed.
 #
-# The cores take and return the layout (T, H, N, W, C): the batch sits inside
-# H, so an H-range of one frame is one contiguous run of rows. The op makes
-# these copies once per call, as temporaries the tape never holds, and the
-# backward shares its copy of gy between the two gradients.
+# The core takes and returns the layout (T, H, N, W, C): the batch sits
+# inside H, so an H-range of one frame is one contiguous run of rows. The op
+# makes these copies once per call, as temporaries the tape never holds.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
 # input range they read. The op finds them once per call and hands them to
-# the forward and both gradients. Padding is never read: a tap that reads
-# only padding is dropped, and one that reads some padding touches only
-# in-bounds data.
+# the forward and the backward. Padding is never read: a tap that reads only
+# padding is dropped, and one that reads some padding touches only in-bounds
+# data.
 #
 # The live W taps of one frame are laid side by side along the channel axis
 # in a block (_w_block, one np.take from the frame plus a zero column): for
-# the forward and the weight gradient, column i holds in tap j's slot the
-# input column output i reads through tap j, or zeros where that read falls
-# in the padding. The input gradient uses the mirror, a block over the input
-# columns in which tap j's slot holds the gy column that read it. Each live
-# (t, h) tap is then one `@` of an H-range of the block, inner dimension
-# live_w*C, with that tap's live W weights stacked to match: per frame, the
-# stride-1 dilated 1x7x7 conv runs 7 GEMMs of K = 7*C, not 49 of K = C and 49
-# output-sized accumulations. When the only live W tap pairs every column
-# with itself the block is the frame, uncopied, so 1x1 and temporal kernels
-# add no copy. Blocks are made one frame at a time, which keeps the transient
-# near live_w/T of the input beside the layout copies; blocks of all frames
-# at once took the stage-1 transient from 5.5x to 9-10x the input.
+# the forward, column i holds in tap j's slot the input column output i
+# reads through tap j, or zeros where that read falls in the padding. The
+# adjoint uses the mirror, a block of gy over the input columns in which tap
+# j's slot holds the gy column that read it. Each live (t, h) tap is then one
+# `@` of an H-range m of the block, inner dimension live_w*C, with that tap's
+# live W weights stacked to match: per frame, the stride-1 dilated 1x7x7 conv
+# runs 7 GEMMs of K = 7*C, not 49 of K = C. A backward walks gy's blocks,
+# where m.T @ x's rows is also the tap's (live_w*C_out, C_in) weight
+# gradient, its row groups the tap-major slabs: one block build serves both
+# gradients. When the only live W tap pairs every column with itself the
+# block is the frame, uncopied. Blocks are made one frame at a time, each
+# released, with the consumer's views of it, before the next is built: the
+# stage-1 backward, which also holds x, gy and dx in the layout, peaks at
+# 6.0x the input, against 7.8x with two blocks alive and 9-10x with all.
 #
 # A conv weight is held tap-major: a (C_out, C_in, kt, kh, kw) array whose
 # memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
@@ -127,19 +128,19 @@ class ConvSpec:
 # gradient (rows C_out, columns C_in) is then a reshape of the weight, a view
 # whenever those taps are a contiguous range; the forward's (rows C_in) is a
 # copy of the live slabs only, each read whole. The weight gradient is made
-# in the same layout: np.zeros leaves the slab of a tap that reads only
-# padding as untouched zero pages, only live slabs are written, and the
-# gradient comes with the box of taps outside which it is zero, so AdamW can
-# skip the dead slabs (see training.AdamW). The tap-major layout is private
-# to the program: checkpoints and the layer API keep (C_out, C_in, kt, kh, kw)
-# in C order, and tap_major_copy / c_order convert between the two.
+# in the same layout, for the transposed convolution too: np.zeros leaves
+# the slab of a tap that reads only padding as untouched zero pages, only
+# live slabs are written, and the gradient comes with the box of taps
+# outside which it is zero, so AdamW can skip the dead slabs (see
+# training.AdamW). The tap-major layout is private to the program:
+# checkpoints and the layer API keep (C_out, C_in, kt, kh, kw) in C order,
+# and tap_major_copy / c_order convert between the two.
 #
 # There is no size rule and no second path: the one geometry serves every
-# stride, dilation and padding. An FFT correlation, measured against the
-# per-tap kernels these replace, took 0.70x of their forward+backward time
-# on the default model's stage-1 dilated conv but 1.02x to 2.0x on smaller
-# maps, so it would have needed a rule choosing by size, for less than the
-# stacked taps give on every map.
+# stride, dilation and padding. An FFT correlation took 0.70x of the per-tap
+# kernels' forward+backward time on the default model's stage-1 dilated conv
+# but 1.02x to 2.0x on smaller maps, so it would have needed a rule choosing
+# by size, for less than the stacked taps give on every map.
 
 
 def _axis_taps(n, o, k, s, d, p):
@@ -227,60 +228,50 @@ def _stacked_weights(w, t_taps, h_taps, w_taps, contract):
 
 
 def _tap_blocks(src, taps, n_cols, adjoint):
-    """The one traversal of the three products: for each live (t, h) tap and
+    """The one traversal of a conv's products: for each live (t, h) tap and
     each frame it reads, ``(j, k, dst, rows)``, where j and k index the live
     T and H tap, ``rows`` are the block rows of src (T, H, N, W, C) the
     product reads and ``dst`` the (frame, H range) it writes. Forward, src is
     the correlation's input and dst indexes its output; adjoint, src is an
-    output gradient, its blocks are mirrored, and dst indexes the input."""
+    output gradient, its blocks are mirrored, and dst indexes the input.
+    A frame's block is released before the next is built; the consumer must
+    drop its views of ``rows`` too, or two blocks are held at once."""
     t_taps, h_taps, w_taps = taps
     for f, reads in _frame_reads(t_taps, by_out=adjoint):
         block = _w_block(src[f], w_taps, n_cols, mirror=adjoint)
         for j, fo, fi in reads:
             for k, (_, ob, ib) in enumerate(h_taps):
                 yield (j, k, (fi, ib), block[ob]) if adjoint else (j, k, (fo, ob), block[ib])
+        del block
 
 
-def _corr3d(src, w, taps, extents, adjoint):
+def _corr3d(src, w, taps, extents, adjoint, xl=None, dw=None):
     """Cross-correlate src (T,H,N,W,C) over the live taps into (T', H', N, W',
-    C'), with ``extents`` (T', H', W'). Forward, w carries (C', C, kt, kh, kw)
-    and src is the input. Adjoint, the input gradient of the forward: w
-    carries (C, C', kt, kh, kw) and src is an output gradient, scattered back
-    through w; within one (t, h) tap the strided input rows hold no repeated
-    element, so the in-place add is safe."""
+    C'), with ``extents`` (T', H', W'), or None when w is None. Forward, w
+    carries (C', C, kt, kh, kw) and src is the input. Adjoint, the input
+    gradient of the forward: w carries (C, C', kt, kh, kw) and src is an
+    output gradient, scattered back through w; within one (t, h) tap the
+    strided input rows hold no repeated element, so the in-place add is safe.
+    Given xl (T', H', N, W', C''), each block's rows, transposed, times xl's
+    at their dst add into the tap-major dw (kt, kh, kw, C, C'') the weight
+    gradient: each (live_w*C, C'') product is its live W taps' slabs."""
     t, h, wd = extents
-    acc = np.zeros((t, h, src.shape[2], wd, w.shape[1 if adjoint else 0]), dtype=src.dtype)
+    acc = None
+    if w is not None:
+        acc = np.zeros((t, h, src.shape[2], wd, w.shape[1 if adjoint else 0]), dtype=src.dtype)
     if all(taps):
-        wst = _stacked_weights(w, *taps, 0 if adjoint else 1)
+        wst = None if w is None else _stacked_weights(w, *taps, 0 if adjoint else 1)
+        t_taps, h_taps, w_taps = taps
         for j, k, dst, rows in _tap_blocks(src, taps, wd, adjoint):
-            out = acc[dst]
-            out += (_mat(rows) @ wst[j, k]).reshape(out.shape)
+            m = _mat(rows)
+            if acc is not None:
+                out = acc[dst]
+                out += (m @ wst[j, k]).reshape(out.shape)
+            if dw is not None:
+                slabs = (t_taps[j][0], h_taps[k][0], _tap_index(w_taps))
+                dw[slabs] += (m.T @ _mat(xl[dst])).reshape(-1, *dw.shape[3:])
+            del rows, m
     return acc
-
-
-def _corr3d_dw(xl, gyl, kshape, taps):
-    """Weight gradient (Co,Ci,kt,kh,kw) of the forward _corr3d, held
-    tap-major, with the box of taps (three slices over kt, kh, kw) outside
-    which it is zero: correlate each live tap's input block with gyl
-    (To,Ho,N,Wo,Co). Only the live taps' slabs are written."""
-    ci, co = xl.shape[-1], gyl.shape[-1]
-    dw = np.zeros((*kshape, co, ci), dtype=gyl.dtype)
-    if not all(taps):
-        return dw.transpose(3, 4, 0, 1, 2), (slice(0, 0),) * 3
-    g = {}  # (j, k) -> (Co, live_w*Ci), summed over the frames
-    for j, k, dst, rows in _tap_blocks(xl, taps, gyl.shape[3], adjoint=False):
-        prod = _mat(gyl[dst]).T @ _mat(rows)
-        if (j, k) in g:
-            g[j, k] += prod
-        else:
-            g[j, k] = prod
-    t_taps, h_taps, w_taps = taps
-    for j, (a, _, _) in enumerate(t_taps):
-        for k, (b, _, _) in enumerate(h_taps):
-            for i, (e, _, _) in enumerate(w_taps):
-                dw[a, b, e] = g[j, k][:, i * ci : (i + 1) * ci]
-    box = tuple(slice(axis[0][0], axis[-1][0] + 1) for axis in taps)
-    return dw.transpose(3, 4, 0, 1, 2), box
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +373,10 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     """The op of every conv layer, forward or transposed. The live taps of
     the correlation are found once and serve the forward and both gradients.
     A transposed spec runs the correlation reversed, from the op's output
-    extents to its input's: its forward is the adjoint core and its input
-    gradient the forward core, both on w with C_out and C_in swapped, and its
-    weight gradient the weight-gradient core with x and gy swapped."""
+    extents to its input's: its forward is the adjoint core and its backward
+    the forward core, both on w with C_out and C_in swapped. Either way the
+    backward is one traversal of gy's blocks, which gives the input gradient
+    and the weight gradient's (C_out, C_in) slabs, tap-major."""
     if x.data.ndim != 5:
         raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {x.shape}")
     if x.shape[1] != layer.in_channels:
@@ -399,25 +391,18 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     taps = [_axis_taps(*g) for g in zip(corr_in, corr_out, spec.kernel, spec.stride,
                                         spec.dilation, spec.padding)]
     w, b = layer.weight, layer.bias
-
-    def corr_weight():
-        return w.data.swapaxes(0, 1) if transposed else w.data
-
-    y = _from_layout(_corr3d(_to_layout(x.data), corr_weight(), taps, out_ext, transposed))
+    corr_weight = w.data.swapaxes(0, 1) if transposed else w.data
+    y = _from_layout(_corr3d(_to_layout(x.data), corr_weight, taps, out_ext, transposed))
     y += b.data.reshape(1, -1, 1, 1, 1)
 
     def grad_fn(gy):
-        gyl = _to_layout(gy)
-        dw = dx = None
-        if w.requires_grad:  # with its live taps, see backward
-            if transposed:
-                dw, box = _corr3d_dw(gyl, _to_layout(x.data), spec.kernel, taps)
-                dw = dw.swapaxes(0, 1), box
-            else:
-                dw = _corr3d_dw(_to_layout(x.data), gyl, spec.kernel, taps)
-        if x.requires_grad:
-            dx = _from_layout(_corr3d(gyl, corr_weight(), taps, in_ext, not transposed))
-        return dx, dw, gy.sum(axis=(0, 2, 3, 4))
+        dw = np.zeros((*spec.kernel, *w.shape[:2]), dtype=gy.dtype) if w.requires_grad else None
+        dx = _corr3d(_to_layout(gy), corr_weight if x.requires_grad else None, taps, in_ext,
+                     not transposed, None if dw is None else _to_layout(x.data), dw)
+        if dw is not None:  # with its box of live taps, see backward
+            dw = dw.transpose(3, 4, 0, 1, 2), tuple(
+                slice(a[0][0], a[-1][0] + 1) if a else slice(0, 0) for a in taps)
+        return None if dx is None else _from_layout(dx), dw, gy.sum(axis=(0, 2, 3, 4))
     return _op(y, (x, w, b), grad_fn)
 
 

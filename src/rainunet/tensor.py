@@ -229,10 +229,15 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     :func:`backward` drops both. A conv weight's gradient may come as the
     pair ``(gradient, taps)``, ``taps`` being the slices of kernel taps
     outside which it is zero; :func:`backward` keeps them in ``grad_taps``.
-    It stores nothing itself; :func:`backward` does.
+    It stores nothing itself; :func:`backward` does. A non-finite output's
+    NonFiniteError names the op (grad_fn's enclosing function) and its shape.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=track)
+    try:
+        out = Tensor(data, requires_grad=track)
+    except NonFiniteError:
+        op = grad_fn.__qualname__.split(".<locals>")[0]
+        raise NonFiniteError(f"op {op}: output of shape {data.shape} holds NaN or Inf") from None
     if track:
         out.node = _recording_graph().record(inputs, out, grad_fn)
     return out
@@ -482,19 +487,18 @@ def grad_check(
     else:
         coords = np.arange(n)
 
-    worst = 0.0
-    worst_index = None
+    worst, worst_index = 0.0, None
     flat_analytic = analytic.reshape(-1)
     floor = 1e-3 * float(np.max(np.abs(flat_analytic)))
+
+    def f_at(i, delta):
+        bumped = base.copy()
+        bumped.reshape(-1)[i] += delta
+        return f(Tensor(bumped)).item()
+
     with no_grad():
         for i in coords:
-            bumped = base.copy()
-            bumped.reshape(-1)[i] += eps
-            f_plus = f(Tensor(bumped)).item()
-            bumped = base.copy()
-            bumped.reshape(-1)[i] -= eps
-            f_minus = f(Tensor(bumped)).item()
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_at(i, eps) - f_at(i, -eps)) / (2.0 * eps)
             a = float(flat_analytic[i])
             denom = max(abs(a), abs(numeric), floor)
             # denom is 0 only when a == numeric == 0
@@ -502,10 +506,5 @@ def grad_check(
             if rel > worst:
                 worst = rel
                 worst_index = np.unravel_index(int(i), base.shape)
-    return GradCheckReport(
-        max_rel_error=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        coords_checked=len(coords),
-        worst_index=worst_index,
-    )
+    return GradCheckReport(max_rel_error=worst, tolerance=tol, passed=worst <= tol,
+                           coords_checked=len(coords), worst_index=worst_index)

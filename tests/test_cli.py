@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import rainunet
-from rainunet import precision
+from rainunet import layers, precision
 from rainunet.cli import (RunConfig, _parser, gradcheck_battery, main, parse_config_file,
                           resolve_config)
 from rainunet.data import MANIFEST_NAME, load_dataset
@@ -169,6 +171,32 @@ class TestTrainEvaluatePredict:
         preds = sorted(pred.glob("*_pred.runt"))
         assert len(preds) == len(load_dataset(prepared / MANIFEST_NAME))
 
+    def test_run_manifest_records_config_and_environment(self, prepared, tmp_path):
+        ckpt = tmp_path / "run" / "model.runc"
+        argvs = [["train", "--data", prepared, "--out", tmp_path / "run", "--stages", 1,
+                  "--base-channels", 4, "--epochs", 1, "--seed", 11, "--lr", 0.003],
+                 ["evaluate", "--data", prepared, "--checkpoint", ckpt, "--out", tmp_path / "ev"],
+                 ["predict", "--data", prepared, "--checkpoint", ckpt, "--out", tmp_path / "pr",
+                  "--precision", "wide"]]
+        for argv in argvs:
+            argv = [str(a) for a in argv]
+            assert main(argv) == 0
+            resolved = resolve_config(_parser().parse_args(argv))
+            lines = (Path(resolved.out) / "run.txt").read_text().splitlines()
+            entries = dict(line.split(" = ", 1) for line in lines)
+            assert len(entries) == len(lines)
+            # the config lines read back as a config file give the resolved config
+            config = tmp_path / "config.txt"
+            config.write_text("".join(f"{f.name} = {entries.pop(f.name)}\n"
+                                      for f in fields(RunConfig)))
+            assert replace(RunConfig(), **parse_config_file(config)) == resolved
+            blas = entries.pop("blas")
+            assert blas.split()[0] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+            assert entries == {
+                "rainunet": rainunet.__version__, "numpy": np.__version__,
+                "scipy": scipy.__version__, "cpu_count": str(os.cpu_count()),
+                "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
+
     def test_zero_epochs_checkpoint_is_initialization(self, prepared, tmp_path):
         run = tmp_path / "run0"
         assert run_cli("train", "--data", prepared, "--out", run, "--stages", 1,
@@ -229,6 +257,9 @@ class TestTrainEvaluatePredict:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
             assert "Traceback" not in proc.stderr
+            # the line names the op whose output overflowed, and its shape
+            op = re.match(r"error: op (\w+): output of shape \(\d+(, \d+)*\) holds", lines[0])
+            assert op and callable(getattr(layers, op[1], None)), lines[0]
 
     def test_channel_mismatch_reports_both(self, dataset, tmp_path, capsys):
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4, in_channels=9), seed=0)

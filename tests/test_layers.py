@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_conv3d, naive_conv3d_transposed
+from rainunet import layers
 from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps,
                              _stacked_weights, c_order, conv3d, conv3d_transposed, group_norm,
                              is_tap_major, maxpool3d)
@@ -203,6 +204,27 @@ class TestConvTapGeometry:
         backward(quad(small) + quad(large))
         assert layer.weight.grad_taps is None
         assert np.all(layer.weight.grad[:, :, 0, 2:5, 2:5] != 0.0)
+
+    @pytest.mark.parametrize("spec,extents", [
+        (ConvSpec.same_size((1, 7, 7), (1, 3, 3)), (3, 12, 12)),
+        (ConvSpec.upsample((False, True, True)), (3, 4, 4)),
+    ])
+    def test_backward_builds_each_block_once(self, monkeypatch, spec, extents):
+        # one walk over gy's blocks gives both gradients, so a backward builds
+        # as many W-tap blocks as the forward; a separate weight-gradient
+        # walk over x's blocks would double that
+        calls = []
+        build = layers._w_block
+        monkeypatch.setattr(layers, "_w_block", lambda *a, **k: calls.append(a) or build(*a, **k))
+        rng = np.random.default_rng(36)
+        layer = Conv3DLayer(2, 3, spec, rng)
+        x = Tensor(rng.normal(size=(2, 2, *extents)), requires_grad=True)
+        y = layer(x)
+        forward = len(calls)
+        backward(quad(y))
+        assert forward == extents[0]
+        assert len(calls) == 2 * forward
+        assert x.grad is not None and layer.weight.grad is not None
 
     def test_stage1_dilated_conv_memory_peak(self):
         # the default model's stage-1 dilated conv at float32. The forward's

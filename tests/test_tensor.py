@@ -40,6 +40,15 @@ class TestTensorNew:
         with pytest.raises(NonFiniteError):
             tensor_new([2], [np.nan, 0.0])
 
+    def test_non_finite_op_output_names_the_op_and_shape(self):
+        # float32 3e38 * 10 overflows to Inf in scale's output
+        x = Tensor(np.full((2, 3), 3e38), requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+            scale(x, 10.0)
+        assert str(err.value) == "op scale: output of shape (2, 3) holds NaN or Inf"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"^op add: .*\(2, 3\)"):
+            add(x, x)
+
 
 class TestElementwise:
     def test_relu(self):

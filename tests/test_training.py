@@ -210,6 +210,21 @@ class TestAdamW:
         opt.step()
         assert np.all(w.data < before)
 
+    def test_transposed_conv_gradient_is_read_as_a_view(self):
+        # a decoder's upsampling weight gets a tap-major gradient, which the
+        # step reads in the weight's memory order without a copy
+        model = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=3)
+        rng = np.random.default_rng(39)
+        x = Tensor(rng.normal(size=(1, 9, 4, 8, 8)))
+        target = Tensor((rng.random((1, 32, 8, 8)) < 0.3).astype(float))
+        backward(batch_dice_loss(model.forward(x), target))
+        opt = AdamW(model.named_parameters())
+        ups = [(n, t) for n, t in model.named_parameters() if n.endswith(".up.weight")]
+        assert [n for n, _ in ups] == ["dec2.up.weight", "dec1.up.weight"]
+        for name, t in ups:
+            assert is_tap_major(t.grad), name
+            assert np.shares_memory(t.grad.transpose(opt.axes[name]).reshape(-1), t.grad), name
+
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = AdamW([("p", p)])

@@ -10,6 +10,7 @@ identical resolved config and seed give identical artifact bytes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -24,7 +25,7 @@ from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SequenceRecord,
                    SynthConfig, center_crop_resize, cleansing_filter,
                    load_dataset, save_dataset, select_modalities, synth_generate)
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
-from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint,
+from .model import (RainUNet, RainUNetConfig, TSBlock, config_to_text, load_checkpoint,
                     save_checkpoint, save_checkpoint_params)
 from .tensor import (AutodiffError, GradCheckReport, NonFiniteError, Tensor,
                      TensorError, grad_check, tensor_sum)
@@ -131,14 +132,26 @@ def _synth_config(cfg: RunConfig) -> SynthConfig:
     )
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+# The RunConfig fields that describe a model to build and its training, which
+# evaluate and predict ignore: they run the checkpoint's model.
+_TRAINING_FIELDS = ("stages", "base_channels", "out_frames", "epochs", "batch_size", "lr",
+                    "weight_decay", "swa", "swa_start")
+
+
+def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
     """cfg.out, made if missing, holding the run's manifest ``run.txt``: the
     resolved config and what else fixes the output bytes (versions, BLAS and
-    its thread count, cores), as key = value lines."""
+    its thread count, cores), as key = value lines. Given the ``model`` read
+    from cfg.checkpoint, the checkpoint's sha256 and stored model config
+    stand in for the model and training fields."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)
+             if model is None or f.name not in _TRAINING_FIELDS]
+    if model is not None:
+        digest = hashlib.sha256(Path(cfg.checkpoint).read_bytes()).hexdigest()
+        lines += [f"checkpoint_sha256 = {digest}", *config_to_text(model.config).splitlines()]
     lines += [f"rainunet = {__version__}", f"numpy = {np.__version__}",
               f"scipy = {scipy.__version__}", f"blas = {blas['name']} {blas['version']}",
               f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
@@ -254,7 +267,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     gts = np.stack([r.target for r in records])
     report = evaluate_masks(preds, gts)
     curve = lead_time_iou(preds, gts)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, model)
     write_metrics_csv(out / "metrics.csv", report)
     write_lead_time_csv(out / "leadtime.csv", curve)
     for name in report.METRIC_NAMES:
@@ -267,7 +280,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     model, records = _load_eval_inputs(cfg)
     probs = predict_probs(model, records)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, model)
     entries = dataio.read_manifest(Path(cfg.data) / MANIFEST_NAME)
     for e, p in zip(entries, probs):
         dataio.tensor_file_write(p.astype(np.float32), out / f"{e.key}_pred.runt")

@@ -55,6 +55,12 @@ def runt_encode(arr) -> bytes:
 
 def runt_decode(blob) -> np.ndarray:
     """Decode one whole RUNT blob (bytes or memoryview) or raise FormatError."""
+    return runt_view(blob).copy()
+
+
+def runt_view(blob) -> np.ndarray:
+    """The array of one whole RUNT blob as a read-only view into ``blob``,
+    checked as runt_decode checks it."""
     if blob[:4] != _MAGIC:
         raise FormatError(f"bad magic {bytes(blob[:4])!r}")
     if len(blob) < 7:
@@ -75,7 +81,7 @@ def runt_decode(blob) -> np.ndarray:
     expected = off + math.prod(shape) * dtype.itemsize
     if len(blob) != expected:
         raise FormatError(f"payload length {len(blob)} != expected {expected}")
-    arr = np.frombuffer(blob, dtype=dtype, offset=off).reshape(shape).copy()
+    arr = np.frombuffer(blob, dtype=dtype, offset=off).reshape(shape)
     if dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise FormatError("tensor holds non-finite values")
     return arr

@@ -4,12 +4,17 @@ group normalization, each a single tape node with an explicit backward rule.
 Convolution uses cross-correlation semantics (no kernel flip) and zero
 padding, which is never read: a kernel tap that reads only padding is
 skipped, and a read that falls in the padding contributes a zero. The
-kernels work on a (T, H, N, W, C) copy, one frame at a time: the frame's
+kernels work in the (T, H, N, W, C) layout, one frame at a time: the frame's
 live W taps are laid side by side along the channel axis, so each live
 (t, h) tap is one matrix product with inner dimension live_w*C. The
 backward mirrors this, placing gy at the input columns each W tap read; one
 walk over those blocks gives the input and the weight gradient. The
 transposed convolution is the same op with the two directions exchanged.
+
+Activations keep that layout between ops: a conv's or group norm's output
+and input gradient have the logical shape (N, C, T, H, W) but are views of
+(T, H, N, W, C) memory, and group norm works on that memory directly, so a
+conv fed by a conv or a group norm copies nothing into or out of the layout.
 """
 
 from __future__ import annotations
@@ -96,7 +101,12 @@ class ConvSpec:
 #
 # The core takes and returns the layout (T, H, N, W, C): the batch sits
 # inside H, so an H-range of one frame is one contiguous run of rows. The op
-# makes these copies once per call, as temporaries the tape never holds.
+# hands on the array the core wrote as an (N, C, T, H, W) view
+# (_from_layout), so the tape holds layout arrays as op outputs, and
+# _to_layout of such a view, or of what relu, mul or concat made from it, is
+# the same memory. An input in another memory order, such as the model's
+# input or a max pool's output, is copied into the layout, once forward and
+# once more if the weight gradient needs it.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
@@ -171,14 +181,10 @@ def _to_layout(a):
 
 
 def _from_layout(a):
-    """(T, H, N, W, C) -> (N, C, T, H, W), one frame at a time: a whole stage-1
-    map in one copy strides C apart through more than the cache holds and
-    ran 3-4x slower."""
-    t, h, n, w, c = a.shape
-    out = np.empty((n, c, t, h, w), dtype=a.dtype)
-    for f in range(t):
-        out[:, :, f] = a[f].transpose(1, 3, 0, 2)
-    return out
+    """(T, H, N, W, C) -> (N, C, T, H, W) as a view, no copy: the activation
+    keeps the memory the core wrote, and _to_layout of the view is that
+    memory again."""
+    return a.transpose(2, 4, 0, 1, 3)
 
 
 def _mat(a):
@@ -336,11 +342,14 @@ class Conv3DLayer:
     bias.
 
     Weight init is uniform in +-sqrt(1/(C_in*kt*kh*kw)) from the given seeded
-    generator; bias starts at zero. Explicit weights are copied.
+    generator; bias starts at zero. Explicit weights are copied. ``name``, the
+    layer's scoped name in its model, is what a non-finite output reports.
     """
 
     def __init__(self, in_channels: int, out_channels: int, spec: ConvSpec,
-                 rng: np.random.Generator | None = None, weight=None, bias=None):
+                 rng: np.random.Generator | None = None, weight=None, bias=None,
+                 name: str | None = None):
+        self.name = name
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.spec = spec
@@ -356,7 +365,7 @@ class Conv3DLayer:
         weight = tap_major_copy(weight, precision.dtype())
         if bias is None:
             bias = np.zeros(self.out_channels)
-        bias = np.asarray(bias, dtype=precision.dtype())
+        bias = np.array(bias, dtype=precision.dtype())
         if bias.shape != (self.out_channels,):
             raise TensorError(f"bias shape {bias.shape} != ({self.out_channels},)")
         self.weight = Tensor(weight, requires_grad=True)
@@ -392,18 +401,19 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
                                         spec.dilation, spec.padding)]
     w, b = layer.weight, layer.bias
     corr_weight = w.data.swapaxes(0, 1) if transposed else w.data
-    y = _from_layout(_corr3d(_to_layout(x.data), corr_weight, taps, out_ext, transposed))
-    y += b.data.reshape(1, -1, 1, 1, 1)
+    y = _corr3d(_to_layout(x.data), corr_weight, taps, out_ext, transposed)
+    y += b.data
 
     def grad_fn(gy):
+        gy = _to_layout(gy)
         dw = np.zeros((*spec.kernel, *w.shape[:2]), dtype=gy.dtype) if w.requires_grad else None
-        dx = _corr3d(_to_layout(gy), corr_weight if x.requires_grad else None, taps, in_ext,
+        dx = _corr3d(gy, corr_weight if x.requires_grad else None, taps, in_ext,
                      not transposed, None if dw is None else _to_layout(x.data), dw)
         if dw is not None:  # with its box of live taps, see backward
             dw = dw.transpose(3, 4, 0, 1, 2), tuple(
                 slice(a[0][0], a[-1][0] + 1) if a else slice(0, 0) for a in taps)
-        return None if dx is None else _from_layout(dx), dw, gy.sum(axis=(0, 2, 3, 4))
-    return _op(y, (x, w, b), grad_fn)
+        return None if dx is None else _from_layout(dx), dw, _mat(gy).sum(axis=0)
+    return _op(_from_layout(y), (x, w, b), grad_fn, layer.name)
 
 
 def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
@@ -446,9 +456,12 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
 
 
 class GroupNormLayer:
-    """Per-sample normalization over channel groups with affine gamma/beta."""
+    """Per-sample normalization over channel groups with affine gamma/beta,
+    copied when given; ``name`` as for Conv3DLayer."""
 
-    def __init__(self, channels: int, groups: int, eps: float = 1e-5, gamma=None, beta=None):
+    def __init__(self, channels: int, groups: int, eps: float = 1e-5, gamma=None, beta=None,
+                 name: str | None = None):
+        self.name = name
         if channels % groups != 0:
             raise TensorError(f"channels {channels} not divisible by groups {groups}")
         if eps <= 0:
@@ -456,8 +469,8 @@ class GroupNormLayer:
         self.channels = int(channels)
         self.groups = int(groups)
         self.eps = float(eps)
-        self.gamma = Tensor(np.ones(channels) if gamma is None else gamma, requires_grad=True)
-        self.beta = Tensor(np.zeros(channels) if beta is None else beta, requires_grad=True)
+        self.gamma = Tensor(np.ones(channels) if gamma is None else np.array(gamma), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels) if beta is None else np.array(beta), requires_grad=True)
         for name, t in self.parameters():
             if t.shape != (self.channels,):
                 raise TensorError(f"{name} shape {t.shape} != ({self.channels},)")
@@ -470,6 +483,10 @@ class GroupNormLayer:
 
 
 def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
+    """Group norm in the conv layout: x as rows (T*H, N*W*C), so every pass is
+    a long contiguous row against a row of per-(n, c) terms, and a sum over
+    the rows then over W gives the per-(n, c) sums. Output and input gradient
+    are layout views, as a conv's are."""
     if x.data.ndim != 5:
         raise TensorError(f"group_norm input must be 5-d, got {x.shape}")
     n, c, t, h, w = x.shape
@@ -477,21 +494,35 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
         raise TensorError(f"channel mismatch: input {c}, layer {layer.channels}")
     g = layer.groups
     m = (c // g) * t * h * w  # entries normalized together
-    xg = x.data.reshape(n, g, m)
-    mu = xg.mean(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + layer.eps)
-    xhat = ((xg - mu) * inv).reshape(n, c, t, h, w)
-    gamma_col = layer.gamma.data.reshape(1, c, 1, 1, 1)
-    y = xhat * gamma_col + layer.beta.data.reshape(1, c, 1, 1, 1)
+
+    def sums(a):  # (T*H, N*W*C) -> per-(n, c) sums (N, C)
+        return a.sum(axis=0).reshape(n, w, c).sum(axis=1)
+
+    def grouped(a):  # (N, C) -> per-(n, group) sums spread over each group's channels
+        return np.repeat(a.reshape(n, g, -1).sum(axis=2), c // g, axis=1)
+
+    def row(a):  # per-(n, c) terms (N, C), or per-c (C,), as a row of length N*W*C
+        return np.broadcast_to(a.reshape(-1, 1, c), (n, w, c)).reshape(-1)
+
+    xl = _to_layout(x.data).reshape(t * h, -1)
+    d = xl - row(grouped(sums(xl)) / m)  # x - mean; x̂ = d * inv
+    y = np.square(d)
+    inv = 1.0 / np.sqrt(grouped(sums(y)) / m + layer.eps)
     gamma, beta = layer.gamma, layer.beta
+    np.multiply(d, row(inv * gamma.data), out=y)
+    y += row(beta.data)
 
     def grad_fn(gy):
+        gy = _to_layout(gy).reshape(t * h, -1)
+        gyd = gy * d
+        s_gy, s_gyx = sums(gy), sums(gyd) * inv  # per-(n, c) sums of gy and gy * x̂
         dx = None
         if x.requires_grad:
-            dxhat = (gy * gamma_col).reshape(n, g, m)
-            xh = xhat.reshape(n, g, m)
-            mean_d = dxhat.mean(axis=2, keepdims=True)
-            mean_dx = (dxhat * xh).mean(axis=2, keepdims=True)
-            dx = ((dxhat - mean_d - xh * mean_dx) * inv).reshape(n, c, t, h, w)
-        return dx, np.sum(gy * xhat, axis=(0, 2, 3, 4)), np.sum(gy, axis=(0, 2, 3, 4))
-    return _op(y, (x, gamma, beta), grad_fn)
+            # dx = inv * (gy*gamma - mean(gy*gamma) - x̂ * mean(gy*gamma*x̂)),
+            # the means over each (n, group)
+            dx = gy * row(gamma.data * inv)
+            dx += np.multiply(d, row(-inv * inv * grouped(gamma.data * s_gyx) / m), out=gyd)
+            dx += row(-inv * grouped(gamma.data * s_gy) / m)
+            dx = _from_layout(dx.reshape(t, h, n, w, c))
+        return dx, s_gyx.sum(axis=0), s_gy.sum(axis=0)
+    return _op(_from_layout(y.reshape(t, h, n, w, c)), (x, gamma, beta), grad_fn, layer.name)

@@ -90,27 +90,29 @@ def _effective_groups(channels: int, groups: int) -> int:
 
 class _Drawn:
     """Parameters of a new model: conv weights drawn from one seeded
-    generator in construction order, norms at the identity."""
+    generator in construction order, norms at the identity. Each layer
+    carries its scoped name (``enc1.proj_norm``)."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, prefix: str = ""):
         self.rng = rng
+        self.prefix = prefix
 
     def scope(self, prefix: str) -> "_Drawn":
-        return self
+        return _Drawn(self.rng, f"{self.prefix}{prefix}.")
 
     def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
-        return Conv3DLayer(c_in, c_out, spec, self.rng)
+        return Conv3DLayer(c_in, c_out, spec, self.rng, name=self.prefix + name)
 
     def norm(self, name, channels, groups) -> GroupNormLayer:
-        return GroupNormLayer(channels, groups)
+        return GroupNormLayer(channels, groups, name=self.prefix + name)
 
 
 class _Stored:
     """Parameters of a loaded model, taken by name out of a dict of stored
     arrays. Each is checked against the shape its layer needs before that
     layer is made, so a config describing a larger model fails before
-    allocating it, and leaves the dict once its layer holds a copy, so the
-    stored and the built model are not both held whole."""
+    allocating it, and leaves the dict once its layer holds a copy. Layers
+    are named as by _Drawn."""
 
     def __init__(self, state: dict[str, np.ndarray], prefix: str = ""):
         self.state = state
@@ -131,11 +133,12 @@ class _Stored:
     def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
         return Conv3DLayer(c_in, c_out, spec,
                            weight=self._take(f"{name}.weight", (c_out, c_in, *spec.kernel)),
-                           bias=self._take(f"{name}.bias", (c_out,)))
+                           bias=self._take(f"{name}.bias", (c_out,)), name=self.prefix + name)
 
     def norm(self, name, channels, groups) -> GroupNormLayer:
         return GroupNormLayer(channels, groups, gamma=self._take(f"{name}.gamma", (channels,)),
-                              beta=self._take(f"{name}.beta", (channels,)))
+                              beta=self._take(f"{name}.beta", (channels,)),
+                              name=self.prefix + name)
 
 
 class TSBlock:
@@ -435,7 +438,8 @@ def save_checkpoint(path, model: RainUNet) -> None:
 
 
 def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
-    """Split a checkpoint into config text and parameters; every read is bounds-checked."""
+    """Split a checkpoint into config text and parameters, read-only views
+    into ``raw``; every read is bounds-checked."""
     off = 0
 
     def take(n: int) -> memoryview:
@@ -460,7 +464,7 @@ def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
         blob = take(unpack("<I"))
         if name in params:
             raise dataio.FormatError(f"parameter {name!r} stored twice")
-        params[name] = dataio.runt_decode(blob)
+        params[name] = dataio.runt_view(blob)
     if off != len(raw):
         raise dataio.FormatError(f"{len(raw) - off} trailing bytes after the last parameter")
     return cfg_text, params
@@ -472,7 +476,8 @@ def load_checkpoint(path) -> RainUNet:
     parameters do not fit its config raises FormatError."""
     with open(path, "rb") as fh:
         cfg_text, params = _parse_checkpoint(memoryview(fh.read()))
-    # the file's buffer is freed here, before the model is built, to lower the peak
+    # the parameters are views into the file's buffer, so each is copied once,
+    # by the layer that takes it; the buffer is freed when the last is taken
     try:
         return RainUNet.from_state(config_from_text(str(cfg_text, "utf-8")), params)
     except (TensorError, ValueError) as err:

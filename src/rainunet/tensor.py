@@ -15,7 +15,10 @@ calls on leaf tensors until the caller zeroes them (optimizer-style
 its array.
 
 No broadcasting: binary operations require equal shapes, scalars are the only
-exception. Layout convention for 5-d values is (N, C, T, H, W).
+exception. The logical shape of a 5-d value is (N, C, T, H, W); its memory
+may be in another order: a conv or group norm output is a view whose memory
+is the (T, H, N, W, C) layout of the conv kernels (see rainunet.layers), and
+the elementwise ops and concat keep that order.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def _as_tensor_or_scalar(x):
     raise TensorError(f"expected Tensor or scalar, got {type(x).__name__}")
 
 
-def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
+def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None) -> Tensor:
     """Create the output tensor of an op, recording it on the tape when any
     input takes part in differentiation.
 
@@ -230,14 +233,16 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     pair ``(gradient, taps)``, ``taps`` being the slices of kernel taps
     outside which it is zero; :func:`backward` keeps them in ``grad_taps``.
     It stores nothing itself; :func:`backward` does. A non-finite output's
-    NonFiniteError names the op (grad_fn's enclosing function) and its shape.
+    NonFiniteError names the op (grad_fn's enclosing function), its shape and
+    the ``layer`` the op ran, when the op names one.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     try:
         out = Tensor(data, requires_grad=track)
     except NonFiniteError:
         op = grad_fn.__qualname__.split(".<locals>")[0]
-        raise NonFiniteError(f"op {op}: output of shape {data.shape} holds NaN or Inf") from None
+        where = "" if layer is None else f" (layer {layer})"
+        raise NonFiniteError(f"op {op}: output of shape {data.shape} holds NaN or Inf{where}") from None
     if track:
         out.node = _recording_graph().record(inputs, out, grad_fn)
     return out
@@ -318,9 +323,14 @@ def tensor_mean(a: Tensor) -> Tensor:
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
+    """The mean over ``axis``, in C order; its gradient in the memory order of ``a``."""
     n = a.shape[axis]
-    return _op(np.mean(a.data, axis=axis), (a,),
-               lambda gy: (np.broadcast_to(np.expand_dims(gy / n, axis), a.shape).copy(),))
+
+    def grad_fn(gy):
+        g = np.empty_like(a.data)
+        g[...] = np.expand_dims(gy / n, axis)
+        return (g,)
+    return _op(np.ascontiguousarray(np.mean(a.data, axis=axis)), (a,), grad_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

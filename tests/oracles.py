@@ -65,6 +65,43 @@ def naive_conv3d_transposed(x, w, b, stride, dilation, padding):
     return y + b.reshape(1, -1, 1, 1, 1)
 
 
+def naive_group_norm(x, gamma, beta, groups, eps, gy):
+    """Group norm of x (N, C, T, H, W) and its gradients for the output
+    gradient gy, in float64, one (sample, group) at a time:
+    y = (x - mean) / sqrt(var + eps) * gamma + beta. The input gradient goes
+    through the explicit Jacobian of the normalized values. Returns
+    (y, dx, dgamma, dbeta)."""
+    x = np.asarray(x, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    n, c = x.shape[:2]
+    size = c // groups
+    y = np.zeros(x.shape)
+    dx = np.zeros(x.shape)
+    dgamma = np.zeros(c)
+    dbeta = np.zeros(c)
+    for i in range(n):
+        for g in range(groups):
+            ch = slice(g * size, (g + 1) * size)
+            v = x[i, ch].reshape(-1)
+            count = v.size
+            mean = sum(v) / count
+            var = sum((e - mean) ** 2 for e in v) / count
+            std = np.sqrt(var + eps)
+            xhat = (v - mean) / std
+            # d xhat_j / d v_k = (delta_jk - 1/count - xhat_j xhat_k / count) / std
+            jac = (np.eye(count) - 1.0 / count - np.outer(xhat, xhat) / count) / std
+            scale = np.repeat(np.asarray(gamma, dtype=np.float64)[ch], count // size)
+            shift = np.repeat(np.asarray(beta, dtype=np.float64)[ch], count // size)
+            y[i, ch] = (xhat * scale + shift).reshape(x[i, ch].shape)
+            g_out = gy[i, ch].reshape(-1)
+            dx[i, ch] = (jac.T @ (g_out * scale)).reshape(x[i, ch].shape)
+            for k in range(size):
+                part = slice(k * (count // size), (k + 1) * (count // size))
+                dgamma[g * size + k] += sum(g_out[part] * xhat[part])
+                dbeta[g * size + k] += sum(g_out[part])
+    return y, dx, dgamma, dbeta
+
+
 def naive_bilinear_resize(frame, out_h, out_w):
     """Per-pixel bilinear resize of a single 2-d frame, align-corners-false."""
     in_h, in_w = frame.shape

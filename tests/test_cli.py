@@ -12,11 +12,12 @@ import scipy
 
 import rainunet
 from rainunet import layers, precision
-from rainunet.cli import (RunConfig, _parser, gradcheck_battery, main, parse_config_file,
-                          resolve_config)
+from rainunet.cli import (_TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
+                          parse_config_file, resolve_config)
 from rainunet.data import MANIFEST_NAME, load_dataset
 from rainunet.metrics import read_lead_time_csv
-from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
+from rainunet.model import (RainUNet, RainUNetConfig, config_from_text, load_checkpoint,
+                            save_checkpoint)
 
 
 def sha(path):
@@ -185,10 +186,19 @@ class TestTrainEvaluatePredict:
             lines = (Path(resolved.out) / "run.txt").read_text().splitlines()
             entries = dict(line.split(" = ", 1) for line in lines)
             assert len(entries) == len(lines)
+            kept = [f.name for f in fields(RunConfig)]
+            if argv[0] != "train":
+                # the checkpoint's hash and stored model config stand in for
+                # the model and training fields these commands ignore
+                kept = [name for name in kept if name not in _TRAINING_FIELDS]
+                assert entries.pop("checkpoint_sha256") == sha(ckpt)
+                assert entries["stages"] == "1" and entries["base_channels"] == "4"
+                stored = "".join(f"{f.name} = {entries.pop(f.name)}\n"
+                                 for f in fields(RainUNetConfig))
+                assert config_from_text(stored) == load_checkpoint(ckpt).config
             # the config lines read back as a config file give the resolved config
             config = tmp_path / "config.txt"
-            config.write_text("".join(f"{f.name} = {entries.pop(f.name)}\n"
-                                      for f in fields(RunConfig)))
+            config.write_text("".join(f"{name} = {entries.pop(name)}\n" for name in kept))
             assert replace(RunConfig(), **parse_config_file(config)) == resolved
             blas = entries.pop("blas")
             assert blas.split()[0] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -260,6 +270,10 @@ class TestTrainEvaluatePredict:
             # the line names the op whose output overflowed, and its shape
             op = re.match(r"error: op (\w+): output of shape \(\d+(, \d+)*\) holds", lines[0])
             assert op and callable(getattr(layers, op[1], None)), lines[0]
+            # and the layer of the model that ran it
+            layer = re.search(r"\(layer ([\w.]+)\)$", lines[0])
+            assert layer and layer[1] in {n.rsplit(".", 1)[0] for n, _ in model.named_parameters()}, \
+                lines[0]
 
     def test_channel_mismatch_reports_both(self, dataset, tmp_path, capsys):
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4, in_channels=9), seed=0)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_conv3d, naive_conv3d_transposed
-from rainunet import layers
-from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps,
-                             _stacked_weights, c_order, conv3d, conv3d_transposed, group_norm,
-                             is_tap_major, maxpool3d)
+from oracles import naive_conv3d, naive_conv3d_transposed, naive_group_norm
+from rainunet import layers, precision
+from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps, _from_layout,
+                             _stacked_weights, _to_layout, c_order, conv3d, conv3d_transposed,
+                             group_norm, is_tap_major, maxpool3d)
+from rainunet.model import RainUNetConfig, TSBlock
 from rainunet.tensor import Tensor, TensorError, backward, grad_check, mul, tensor_sum
 
 
@@ -361,6 +362,31 @@ class TestGroupNorm:
         with pytest.raises(TensorError):
             GroupNormLayer(6, 4)
 
+    @pytest.mark.parametrize("shape,groups", [
+        ((2, 16, 2, 3, 5), 8),    # two channels per group, odd W
+        ((4, 256, 1, 4, 4), 8),   # a single-frame deep stage
+        ((3, 6, 3, 4, 7), 3),
+    ])
+    @pytest.mark.parametrize("memory", ["c_order", "layout"])
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_matches_oracle(self, shape, groups, memory, mode):
+        rng = np.random.default_rng(14)
+        x = rng.normal(1.5, 2.0, size=shape)
+        gy = rng.normal(size=shape)
+        gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        want = naive_group_norm(x, gamma, beta, groups, 1e-5, gy)
+        if memory == "layout":  # the same values in the conv layout's memory
+            x, gy = (_from_layout(np.ascontiguousarray(a.transpose(2, 3, 0, 4, 1))) for a in (x, gy))
+        with precision.use_precision(mode):
+            layer = GroupNormLayer(shape[1], groups, gamma=gamma, beta=beta)
+            xt = Tensor(x, requires_grad=True)
+            backward(tensor_sum(mul(group_norm(xt, layer), Tensor(gy))))
+            got = (group_norm(Tensor(x), layer).data, xt.grad, layer.gamma.grad, layer.beta.grad)
+        tol = 1e-11 if mode == "wide" else 2e-5
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
     def test_gradients(self, wide):
         rng = np.random.default_rng(13)
         layer = GroupNormLayer(4, 2)
@@ -432,3 +458,40 @@ class TestWeightLayout:
                     tap = w[:, :, 0, h, e] if contract == 0 else w[:, :, 0, h, e].T
                     rows = slice(i * tap.shape[0], (i + 1) * tap.shape[0])
                     assert np.array_equal(stacked[0, k, rows], tap)
+
+
+class TestLayoutResidency:
+    """Activations stay in the (T, H, N, W, C) memory the conv cores write."""
+
+    @staticmethod
+    def is_layout(a):
+        return a.transpose(2, 3, 0, 4, 1).flags.c_contiguous
+
+    def test_ts_block_keeps_its_activations_in_the_layout(self, monkeypatch):
+        # a stage-1-like TS block, forward and backward: every conv and group
+        # norm output and input gradient is a layout view, and the only
+        # layout copies made are of the block's input (forward, and for the
+        # proj weight gradient), never of what an op of the block produced
+        ops = []
+        op = layers._op
+        monkeypatch.setattr(layers, "_op", lambda data, inputs, *a: ops.append(
+            (inputs[0], op(data, inputs, *a))) or ops[-1][1])
+        copied = []
+
+        def counting(a):
+            out = _to_layout(a)
+            if not np.shares_memory(out, a):
+                copied.append(a)
+            return out
+        monkeypatch.setattr(layers, "_to_layout", counting)
+        rng = np.random.default_rng(41)
+        block = TSBlock(9, 16, RainUNetConfig(stages=1), rng)
+        x = Tensor(rng.standard_normal((2, 9, 4, 22, 22), dtype=np.float32), requires_grad=True)
+        y = block(x)
+        assert len(ops) == 6 and len(copied) == 1
+        conv_out = ops[0][1].data
+        assert np.shares_memory(_to_layout(conv_out), conv_out)
+        backward(quad(y))
+        assert len(copied) == 2 and all(a is x.data for a in copied)
+        for inp, out in ops:
+            assert self.is_layout(out.data) and self.is_layout(inp.grad)

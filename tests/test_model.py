@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import support_box
 from rainunet.data import FormatError, runt_encode
-from rainunet import precision
+from rainunet import model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             config_from_text, config_to_text, encoder_receptive_field,
@@ -357,6 +357,23 @@ class TestWeightLayout:
             other.load_state(want)
             assert_tap_major_equal(other, want)
             assert not any(np.shares_memory(t.data, want[n]) for n, t in other.named_parameters())
+
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_loaded_parameters_are_writable_copies(self, tmp_path, monkeypatch, mode):
+        # the parsed parameters are views into the file's buffer, each copied
+        # once by the layer that takes it
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        buffers = []
+        parse = model_module._parse_checkpoint
+        monkeypatch.setattr(model_module, "_parse_checkpoint",
+                            lambda raw: buffers.append(np.frombuffer(raw, np.uint8)) or parse(raw))
+        with precision.use_precision(mode):
+            loaded = load_checkpoint(path)
+        _, views = parse(memoryview(path.read_bytes()))
+        assert all(not v.flags.writeable for v in views.values())
+        for _, t in loaded.named_parameters():
+            assert t.data.flags.writeable and not np.shares_memory(t.data, buffers[0])
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.runc", tmp_path / "b.runc"

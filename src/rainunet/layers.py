@@ -11,10 +11,11 @@ backward mirrors this, placing gy at the input columns each W tap read; one
 walk over those blocks gives the input and the weight gradient. The
 transposed convolution is the same op with the two directions exchanged.
 
-Activations keep that layout between ops: a conv's or group norm's output
-and input gradient have the logical shape (N, C, T, H, W) but are views of
-(T, H, N, W, C) memory, and group norm works on that memory directly, so a
-conv fed by a conv or a group norm copies nothing into or out of the layout.
+Activations keep that layout between ops: a conv's, group norm's or max
+pool's output and input gradient have the logical shape (N, C, T, H, W) but
+are views of (T, H, N, W, C) memory, and group norm and max pool work on that
+memory directly, so a conv fed by any of them copies nothing into or out of
+the layout.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ class ConvSpec:
 # inside H, so an H-range of one frame is one contiguous run of rows. The op
 # hands on the array the core wrote as an (N, C, T, H, W) view
 # (_from_layout), so the tape holds layout arrays as op outputs, and
-# _to_layout of such a view, or of what relu, mul or concat made from it, is
-# the same memory. An input in another memory order, such as the model's
-# input or a max pool's output, is copied into the layout, once forward and
-# once more if the weight gradient needs it.
+# _to_layout of such a view, or of what relu, mul, concat or a max pool made
+# from it, is the same memory. An input in another memory order, such as the
+# model's input, is copied into the layout, once forward and once more if the
+# weight gradient needs it.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
@@ -431,7 +432,13 @@ def conv3d_transposed(x: Tensor, layer: Conv3DLayer) -> Tensor:
 def maxpool3d(x: Tensor, kernel) -> Tensor:
     """Non-overlapping max pooling (stride == kernel). Trailing elements that
     do not fill a window are dropped; the gradient goes to the first maximum
-    in row-major scan order within each window."""
+    in row-major scan order within each window.
+
+    Works in the conv layout: the windows are kt*kh*kw strided views of it,
+    the output is a running maximum over them in scan order, and output and
+    input gradient are layout views. The backward finds each window's first
+    maximum again by walking the views in the same order, so the tape keeps
+    no copy of the input and no index."""
     kt, kh, kw = _triple(kernel)
     if x.data.ndim != 5:
         raise TensorError(f"maxpool input must be 5-d, got {x.shape}")
@@ -439,20 +446,28 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     if t < kt or h < kh or w < kw:
         raise TensorError(f"pool window ({kt},{kh},{kw}) exceeds input {(t, h, w)}")
     to, ho, wo = t // kt, h // kh, w // kw
-    trimmed = x.data[:, :, : to * kt, : ho * kh, : wo * kw]
-    grouped = trimmed.reshape(n, c, to, kt, ho, kh, wo, kw).transpose(0, 1, 2, 4, 6, 3, 5, 7)
-    flat = np.ascontiguousarray(grouped).reshape(n, c, to, ho, wo, kt * kh * kw)
-    idx = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    offsets = list(itertools.product(range(kt), range(kh), range(kw)))
+
+    def windows(a):  # (T, H, N, W, C) -> its window views (to, ho, N, wo, C), in scan order
+        a = a[: to * kt, : ho * kh, :, : wo * kw].reshape(to, kt, ho, kh, n, wo, kw, c)
+        return [a[:, i, :, j, :, :, k] for i, j, k in offsets]
+
+    xw = windows(_to_layout(x.data))
+    y = xw[0].copy()
+    for v in xw[1:]:
+        np.maximum(y, v, out=y)  # on a tie y, the earlier value, is kept
 
     def grad_fn(gy):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], gy[..., None], axis=-1)
-        g = gflat.reshape(n, c, to, ho, wo, kt, kh, kw).transpose(0, 1, 2, 5, 3, 6, 4, 7)
-        gx = np.zeros_like(x.data)
-        gx[:, :, : to * kt, : ho * kh, : wo * kw] = g.reshape(n, c, to * kt, ho * kh, wo * kw)
-        return (gx,)
-    return _op(np.ascontiguousarray(y), (x,), grad_fn)
+        gy = _to_layout(gy)
+        gx = np.zeros((t, h, n, w, c), dtype=gy.dtype)
+        free = np.ones(y.shape, dtype=bool)  # windows whose maximum is still to be found
+        for v, g in zip(xw, windows(gx)):
+            first = v == y
+            first &= free
+            free ^= first
+            np.multiply(gy, first, out=g)
+        return (_from_layout(gx),)
+    return _op(_from_layout(y), (x,), grad_fn)
 
 
 class GroupNormLayer:

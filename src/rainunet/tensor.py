@@ -16,9 +16,9 @@ its array.
 
 No broadcasting: binary operations require equal shapes, scalars are the only
 exception. The logical shape of a 5-d value is (N, C, T, H, W); its memory
-may be in another order: a conv or group norm output is a view whose memory
-is the (T, H, N, W, C) layout of the conv kernels (see rainunet.layers), and
-the elementwise ops and concat keep that order.
+may be in another order: a conv, group norm or max pool output is a view
+whose memory is the (T, H, N, W, C) layout of the conv kernels (see
+rainunet.layers), and the elementwise ops and concat keep that order.
 """
 
 from __future__ import annotations
@@ -176,24 +176,6 @@ class Tensor:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def backward(self):
-        backward(self)
-
 
 def tensor_new(shape: Sequence[int], fill) -> Tensor:
     """Fresh tensor from a scalar fill value or a flat row-major buffer."""
@@ -297,18 +279,17 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _op(np.where(mask, a.data, 0), (a,), lambda gy: (gy * mask,))
+    return _op(np.maximum(a.data, 0), (a,), lambda gy: (gy * (a.data > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    # piecewise form avoids exp overflow on large |x|
-    pos = x >= 0
-    s = np.empty_like(x)
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e^-|x|, which
+    # cannot overflow
+    ex = np.exp(-np.abs(x))
+    d = 1.0 + ex
+    s = 1.0 / d
+    np.divide(ex, d, out=s, where=x < 0)
     return _op(s, (a,), lambda gy: (gy * s * (1.0 - s),))
 
 

@@ -335,6 +335,54 @@ class TestMaxPool:
         assert grad_check(lambda t: quad(maxpool3d(t, (2, 2, 3))), x).passed
 
 
+def pool_loops(x, gy, kernel):
+    """Max pool by loops over every window: the output, and the input
+    gradient that routes gy to each window's first maximum in row-major scan
+    order (t, then h, then w); trailing elements get none."""
+    kt, kh, kw = kernel
+    n, c, t, h, w = x.shape
+    y = np.zeros((n, c, t // kt, h // kh, w // kw), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for b, ch, i, j, k in np.ndindex(*y.shape):
+        best = None
+        for a, e, f in np.ndindex(kt, kh, kw):
+            at = (b, ch, i * kt + a, j * kh + e, k * kw + f)
+            if best is None or x[at] > x[best]:
+                best = at
+        y[b, ch, i, j, k] = x[best]
+        gx[best] = gy[b, ch, i, j, k]
+    return y, gx
+
+
+class TestMaxPoolLayout:
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_layout_input_against_loops(self, mode):
+        def in_layout(a):  # an (N, C, T, H, W) view of (T, H, N, W, C) memory
+            return a.transpose(2, 3, 0, 4, 1).flags.c_contiguous
+
+        rng = np.random.default_rng(21)
+        # odd extents: T, H and W each leave a trailing slice outside the windows
+        v = rng.integers(-4, 3, size=(2, 3, 5, 7, 5)).astype(float)
+        v[0, 0, 0:2, 0:2, 0:2] = [[[9, 1], [2, 3]], [[9, 0], [1, 2]]]  # tie along t
+        v[0, 1, 0:2, 0:2, 0:2] = [[[1, 2], [9, 0]], [[9, 3], [0, 9]]]  # ties along h, then t
+        v[1, 0, 0:2, 2:4, 2:4] = [[[0, 9], [9, 9]], [[1, 2], [3, 9]]]  # ties along w, h, t
+        v[1, 2, 2:4, 2:4, 0:2] = -1  # all zero after the relu
+        v = np.maximum(v, 0)  # as after a relu: many all-zero windows
+        with precision.use_precision(mode):
+            x = Tensor(_from_layout(_to_layout(v)), requires_grad=True)
+            gy = Tensor(rng.normal(size=(2, 3, 2, 3, 2)))
+            y = maxpool3d(x, (2, 2, 2))
+            backward(tensor_sum(mul(y, gy)))
+        want_y, want_gx = pool_loops(x.data, gy.data, (2, 2, 2))
+        windows = v[:, :, :4, :6, :4].reshape(2, 3, 2, 2, 3, 2, 2, 2)
+        assert np.any(np.all(windows == 0, axis=(3, 5, 7)))
+        assert in_layout(x.data) and in_layout(y.data) and in_layout(x.grad)
+        assert np.array_equal(y.data, want_y)
+        assert np.array_equal(x.grad, want_gx)
+        assert not x.grad[:, :, 4:].any() and not x.grad[:, :, :, 6:].any()
+        assert not x.grad[..., 4:].any()
+
+
 class TestGroupNorm:
     def test_constant_input_gives_zero(self):
         layer = GroupNormLayer(4, 2)

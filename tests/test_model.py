@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import support_box
 from rainunet.data import FormatError, runt_encode
-from rainunet import model as model_module, precision
+from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             config_from_text, config_to_text, encoder_receptive_field,
@@ -175,6 +175,22 @@ class TestForward:
         model = RainUNet(micro_cfg(), seed=3)
         out = model.forward(Tensor(np.random.default_rng(3).normal(size=(1, 9, 4, 15, 15)).astype(np.float32)))
         assert out.shape == (1, 32, 15, 15)
+
+    def test_only_the_input_is_copied_into_the_layout(self, monkeypatch):
+        # every op between the input and the head hands on layout memory
+        copies = []
+        to_layout = layers._to_layout
+
+        def counted(a):
+            out = to_layout(a)
+            if not np.shares_memory(out, a):
+                copies.append(a.shape)
+            return out
+        monkeypatch.setattr(layers, "_to_layout", counted)
+        model = RainUNet(micro_cfg(stages=3), seed=4)
+        with no_grad():
+            model.forward(Tensor(np.random.default_rng(4).normal(size=(2, 9, 4, 16, 16))))
+        assert copies == [(2, 9, 4, 16, 16)]
 
     def test_wrong_channels_rejected(self):
         model = RainUNet(micro_cfg(), seed=0)

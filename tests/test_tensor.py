@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rainunet.tensor import (AutodiffError, NonFiniteError, Tensor,
                              TensorError, _op, active_graph, add, backward, crop,
-                             concat, grad_check, mean_axis, no_grad, relu,
+                             concat, grad_check, mean_axis, mul, no_grad, relu,
                              reshape, scale, sigmoid, tensor_mean, tensor_new,
                              tensor_sum, zero_pad)
 
@@ -61,6 +61,48 @@ class TestElementwise:
     def test_sigmoid_saturation_is_finite(self):
         out = sigmoid(Tensor(np.array([-1000.0, 1000.0])))
         assert np.all(np.isfinite(out.data))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_is_the_piecewise_formula_bitwise(self, dtype):
+        from rainunet import precision
+
+        def piecewise(x):
+            s = np.empty_like(x)
+            pos = x >= 0
+            s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            s[~pos] = ex / (1.0 + ex)
+            return s
+
+        # exp(-|x|) leaves the normal range near 87.3 (float32) and 708.4
+        # (float64), and reaches 0 near 103.97 and 745.13
+        edges = np.array([87.3, 103.9, 104.0, 708.3, 708.4, 745.1, 745.2], dtype=dtype)
+        edges = np.concatenate([edges, np.nextafter(edges, dtype(0)), np.nextafter(edges, dtype(np.inf))])
+        grid = np.concatenate([np.linspace(-1e4, 1e4, 4001, dtype=dtype), edges, -edges,
+                               np.geomspace(1e-8, 1e4, 301, dtype=dtype),
+                               -np.geomspace(1e-8, 1e4, 301, dtype=dtype),
+                               np.array([0.0, -0.0], dtype=dtype)])
+        with precision.use_precision("standard" if dtype == np.float32 else "wide"), \
+                np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(Tensor(grid)).data
+            want = piecewise(grid)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_relu_keeps_a_layout_input_in_the_layout(self):
+        from rainunet.layers import _from_layout
+
+        def in_layout(a):  # an (N, C, T, H, W) view of (T, H, N, W, C) memory
+            return a.transpose(2, 3, 0, 4, 1).flags.c_contiguous
+
+        rng = np.random.default_rng(4)
+        x = Tensor(_from_layout(rng.normal(size=(3, 5, 2, 4, 6))), requires_grad=True)
+        gy = Tensor(_from_layout(rng.normal(size=(3, 5, 2, 4, 6))))
+        y = relu(x)
+        backward(tensor_sum(mul(y, gy)))
+        assert in_layout(y.data) and in_layout(x.grad)
+        assert np.array_equal(y.data, np.where(x.data > 0, x.data, 0))
+        assert np.array_equal(x.grad, np.where(x.data > 0, gy.data, 0))
 
     def test_add(self):
         out = add(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])))

@@ -103,10 +103,6 @@ VIS_CHANNELS = ("VIS_006", "VIS_008")
 WV_CHANNELS = ("WV_062", "WV_073")
 CANONICAL_CHANNELS = IR_CHANNELS + VIS_CHANNELS + WV_CHANNELS
 
-_MODALITY = {name: "IR" for name in IR_CHANNELS}
-_MODALITY.update({name: "VIS" for name in VIS_CHANNELS})
-_MODALITY.update({name: "WV" for name in WV_CHANNELS})
-
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -114,13 +110,10 @@ class ChannelSet:
 
     def __post_init__(self):
         for n in self.names:
-            if n not in _MODALITY:
+            if n not in CANONICAL_CHANNELS:
                 raise FormatError(f"unknown channel {n!r}")
         if len(set(self.names)) != len(self.names):
             raise FormatError("duplicate channel names")
-
-    def modalities(self) -> tuple[str, ...]:
-        return tuple(_MODALITY[n] for n in self.names)
 
     def indices(self) -> list[int]:
         return [CANONICAL_CHANNELS.index(n) for n in self.names]

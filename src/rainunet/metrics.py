@@ -148,10 +148,3 @@ def write_lead_time_csv(path, curve: LeadTimeCurve) -> None:
         for k, iou in enumerate(curve.iou_per_lead, start=1):
             w.writerow([k, k * curve.minutes_per_step, f"{iou:.10g}"])
 
-
-def read_lead_time_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["lead_index", "lead_minutes", "iou"]:
-        raise ValueError(f"unexpected lead-time CSV header {rows[0]}")
-    return np.array([float(r[2]) for r in rows[1:]])

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import data as dataio
 from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order, conv3d, conv3d_transposed,
-                     group_norm, maxpool3d, tap_major_copy)
-from .tensor import Tensor, TensorError, concat, crop, mean_axis, relu, sigmoid, zero_pad
+                     group_norm, maxpool3d)
+from .tensor import Tensor, TensorError, concat, mean_axis, relu, sigmoid, zero_pad
 
 Triple = tuple[int, int, int]
 
@@ -234,29 +234,17 @@ class RainUNet:
         out.extend((f"head.{n}", t) for n, t in self.head.parameters())
         return out
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
-
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        if set(state) != set(params):
-            missing = sorted(set(params) - set(state))
-            extra = sorted(set(state) - set(params))
-            raise TensorError(f"parameter name mismatch: missing {missing}, unexpected {extra}")
-        for name, arr in state.items():
-            t = params[name]
-            if tuple(arr.shape) != t.shape:
-                raise TensorError(
-                    f"shape mismatch for {name}: checkpoint {tuple(arr.shape)}, model {t.shape}"
-                )
-            if t.data.ndim == 5:  # a conv weight
-                t.data = tap_major_copy(arr, t.data.dtype)
-            else:
-                t.data = np.asarray(arr, dtype=t.data.dtype).copy()
+        """Replace this model's layers by those :meth:`from_state` builds
+        from ``state`` under its config, holding copies of its arrays cast
+        to the current precision; ``state`` itself is left whole. Raises
+        TensorError, leaving the model untouched, when a name or a shape
+        does not fit."""
+        built = self.from_state(self.config, dict(state))
+        self.encoder, self.decoder, self.head = built.encoder, built.decoder, built.head
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.config
@@ -292,35 +280,12 @@ class RainUNet:
 
 
 def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:
-    """Reconcile decoder extents with the stored skip extents. Floor pooling
-    of an odd extent loses a slice that doubling cannot restore, so the
-    decoder side is zero-padded (extra slice at the high index); a surplus is
-    center-cropped the same way."""
-    current = t.shape[2:]
-    if current == tuple(target):
+    """Zero-pad the decoder side up to the stored skip extents, at the high
+    index. It never needs a crop: floor pooling by k and doubling back give
+    k * (n // k) <= n on every axis."""
+    if t.shape[2:] == tuple(target):
         return t
-    crops = [(0, t.shape[0]), (0, t.shape[1])]
-    pads = [(0, 0), (0, 0)]
-    need_crop = need_pad = False
-    for cur, tgt in zip(current, target):
-        if cur > tgt:
-            lo = (cur - tgt) // 2
-            crops.append((lo, lo + tgt))
-            pads.append((0, 0))
-            need_crop = True
-        elif cur < tgt:
-            deficit = tgt - cur
-            crops.append((0, cur))
-            pads.append((deficit // 2, deficit - deficit // 2))
-            need_pad = True
-        else:
-            crops.append((0, cur))
-            pads.append((0, 0))
-    if need_crop:
-        t = crop(t, crops)
-    if need_pad:
-        t = zero_pad(t, pads)
-    return t
+    return zero_pad(t, [(0, 0), (0, 0)] + [(0, tgt - cur) for cur, tgt in zip(t.shape[2:], target)])
 
 
 # ---------------------------------------------------------------------------

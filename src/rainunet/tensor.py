@@ -18,7 +18,7 @@ No broadcasting: binary operations require equal shapes, scalars are the only
 exception. The logical shape of a 5-d value is (N, C, T, H, W); its memory
 may be in another order: a conv, group norm or max pool output is a view
 whose memory is the (T, H, N, W, C) layout of the conv kernels (see
-rainunet.layers), and the elementwise ops and concat keep that order.
+rainunet.layers), and the elementwise ops, concat and zero_pad keep that order.
 """
 
 from __future__ import annotations
@@ -158,41 +158,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def tensor_new(shape: Sequence[int], fill) -> Tensor:
-    """Fresh tensor from a scalar fill value or a flat row-major buffer."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise TensorError("shape must be non-empty")
-    if any(s < 1 for s in shape):
-        raise TensorError(f"extents must be >= 1, got {shape}")
-    n = int(np.prod(shape))
-    if np.isscalar(fill):
-        data = np.full(shape, fill, dtype=precision.dtype())
-    else:
-        buf = np.asarray(fill, dtype=precision.dtype()).reshape(-1)
-        if buf.size != n:
-            raise TensorError(f"buffer length {buf.size} != product(shape) {n}")
-        data = buf.reshape(shape).copy()
-    return Tensor(data)
 
 
 def _as_tensor_or_scalar(x):
@@ -235,25 +202,14 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise TensorError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def _operands(a: Tensor, b, op: str):
-    """The inputs of the binary op ``a op b`` and the value of ``b``: a
-    scalar ``b`` is a constant, not an input."""
+def add(a: Tensor, b) -> Tensor:
+    """``a + b``; a scalar ``b`` is a constant, not an input, so its
+    gradient is dropped."""
     bt, scalar = _as_tensor_or_scalar(b)
     if bt is None:
-        return (a,), scalar
-    _check_same_shape(a, bt, op)
-    return (a, bt), bt.data
-
-
-# With a scalar b, add and sub have one input and their second gradient is dropped.
-def add(a: Tensor, b) -> Tensor:
-    inputs, bv = _operands(a, b, "add")
-    return _op(a.data + bv, inputs, lambda gy: (gy, gy))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    inputs, bv = _operands(a, b, "sub")
-    return _op(a.data - bv, inputs, lambda gy: (gy, -gy))
+        return _op(a.data + scalar, (a,), lambda gy: (gy,))
+    _check_same_shape(a, bt, "add")
+    return _op(a.data + bt.data, (a, bt), lambda gy: (gy, gy))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -297,12 +253,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _op(np.sum(a.data), (a,), lambda gy: (np.full_like(a.data, gy),))
 
 
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    # forward is literally sum/size so mean(x) == sum(x)/size holds exactly
-    return _op(np.sum(a.data) / n, (a,), lambda gy: (np.full_like(a.data, gy / n),))
-
-
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     """The mean over ``axis``, in C order; its gradient in the memory order of ``a``."""
     n = a.shape[axis]
@@ -312,13 +262,6 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
         g[...] = np.expand_dims(gy / n, axis)
         return (g,)
     return _op(np.ascontiguousarray(np.mean(a.data, axis=axis)), (a,), grad_fn)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise TensorError(f"reshape {a.shape} -> {shape}: size mismatch")
-    return _op(a.data.reshape(shape), (a,), lambda gy: (gy.reshape(a.shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -348,12 +291,17 @@ def crop(a: Tensor, bounds: Sequence[tuple[int, int]]) -> Tensor:
 
 
 def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:
-    """Zero-pad per axis by (before, after); the gradient crops back."""
+    """Zero-pad per axis by (before, after), in the memory order of ``a``;
+    the gradient crops back."""
     widths = tuple((int(lo), int(hi)) for lo, hi in widths)
     if len(widths) != a.data.ndim:
         raise TensorError("zero_pad: one (before, after) pair per axis required")
+    if any(lo < 0 or hi < 0 for lo, hi in widths):
+        raise TensorError(f"zero_pad: negative widths {widths}")
     sl = tuple(slice(lo, lo + extent) for (lo, _), extent in zip(widths, a.shape))
-    return _op(np.pad(a.data, widths), (a,), lambda gy: (gy[sl],))
+    out = np.zeros_like(a.data, shape=tuple(lo + n + hi for (lo, hi), n in zip(widths, a.shape)))
+    out[sl] = a.data
+    return _op(out, (a,), lambda gy: (gy[sl],))
 
 
 def backward(loss: Tensor) -> None:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import re
@@ -15,7 +16,6 @@ from rainunet import layers, precision
 from rainunet.cli import (_TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
                           parse_config_file, resolve_config)
 from rainunet.data import MANIFEST_NAME, load_dataset
-from rainunet.metrics import read_lead_time_csv
 from rainunet.model import (RainUNet, RainUNetConfig, config_from_text, load_checkpoint,
                             save_checkpoint)
 
@@ -160,7 +160,10 @@ class TestTrainEvaluatePredict:
         ev = tmp_path / "eval"
         assert run_cli("evaluate", "--data", prepared, "--checkpoint",
                        run / "model.runc", "--out", ev) == 0
-        curve = read_lead_time_csv(ev / "leadtime.csv")
+        with open(ev / "leadtime.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["lead_index", "lead_minutes", "iou"]
+        curve = np.array([float(row[2]) for row in rows[1:]])
         assert curve.shape == (32,)
         assert np.all((curve >= 0) & (curve <= 1))
         metrics_lines = (ev / "metrics.csv").read_text().strip().splitlines()
@@ -225,6 +228,15 @@ class TestTrainEvaluatePredict:
         swa = load_checkpoint(run / "model_swa.runc")
         for (_, a), (_, b) in zip(final.named_parameters(), swa.named_parameters()):
             assert np.array_equal(a.data, b.data)
+
+    def test_same_config_and_seed_give_the_same_bytes(self, prepared, tmp_path):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            assert run_cli("train", "--data", prepared, "--out", run, "--stages", 2,
+                           "--base-channels", 4, "--epochs", 3, "--batch-size", 2,
+                           "--seed", 7, "--swa", "--swa-start", 1) == 0
+        for name in ("model.runc", "model_swa.runc", "training_log.csv"):
+            assert sha(runs[0] / name) == sha(runs[1] / name), name
 
     def test_degenerate_predictor_metrics(self, prepared, tmp_path):
         # all parameters zero: every output is 0.5, thresholded to all-positive,

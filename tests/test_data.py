@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_bilinear_resize
-from rainunet.data import (CANONICAL_CHANNELS, CHANNEL_SETS, IR_CHANNELS,
-                           ChannelSet, FormatError, SequenceRecord,
+from rainunet.data import (CANONICAL_CHANNELS, CHANNEL_SETS, IR_CHANNELS, VIS_CHANNELS,
+                           WV_CHANNELS, ChannelSet, FormatError, SequenceRecord,
                            SynthConfig, bilinear_resize, center_crop_resize,
                            center_crop_window, cleansing_filter, load_dataset,
                            read_manifest, runt_decode, runt_encode,
@@ -111,8 +111,8 @@ class TestRuntFormat:
 class TestChannels:
     def test_catalogue(self):
         assert len(CANONICAL_CHANNELS) == 11
-        mods = CHANNEL_SETS["ir+vis+wv"].modalities()
-        assert mods.count("IR") == 7 and mods.count("VIS") == 2 and mods.count("WV") == 2
+        assert (len(IR_CHANNELS), len(VIS_CHANNELS), len(WV_CHANNELS)) == (7, 2, 2)
+        assert CHANNEL_SETS["ir+vis+wv"].names == IR_CHANNELS + VIS_CHANNELS + WV_CHANNELS
 
     def test_default_set_is_nine(self):
         assert len(CHANNEL_SETS["ir+vis"]) == 9

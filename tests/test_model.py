@@ -139,7 +139,7 @@ class TestBuild:
         up = 4 * 8 * 8 + 4                 # transposed 8->4, kernel 2x2x2
         dec = up + ts_params(4 + 8, 8)
         head = 32 * 8 + 32
-        assert model.num_parameters == enc + dec + head
+        assert sum(t.size for _, t in model.named_parameters()) == enc + dec + head
 
     def test_parameter_names_are_stable(self):
         names = [n for n, _ in RainUNet(micro_cfg(), seed=0).named_parameters()]
@@ -172,9 +172,15 @@ class TestForward:
         assert np.max(np.abs(both - np.concatenate([one, two]))) < 1e-6
 
     def test_odd_extents_reconcile(self):
-        model = RainUNet(micro_cfg(), seed=3)
-        out = model.forward(Tensor(np.random.default_rng(3).normal(size=(1, 9, 4, 15, 15)).astype(np.float32)))
-        assert out.shape == (1, 32, 15, 15)
+        # odd frame counts and sides lose a slice to each floor pooling, which
+        # the decoder pads back; a decoder larger than its skip would need a
+        # crop, and zero_pad refuses its negative width
+        rng = np.random.default_rng(3)
+        for stages, frames, h, w in [(2, 4, 15, 15), (2, 3, 13, 17), (2, 5, 17, 15),
+                                     (3, 3, 19, 21), (3, 5, 23, 17)]:
+            model = RainUNet(micro_cfg(stages=stages, in_frames=frames), seed=3)
+            out = model.forward(Tensor(rng.normal(size=(1, 9, frames, h, w))))
+            assert out.shape == (1, 32, h, w)
 
     def test_only_the_input_is_copied_into_the_layout(self, monkeypatch):
         # every op between the input and the head hands on layout memory
@@ -188,9 +194,12 @@ class TestForward:
             return out
         monkeypatch.setattr(layers, "_to_layout", counted)
         model = RainUNet(micro_cfg(stages=3), seed=4)
-        with no_grad():
-            model.forward(Tensor(np.random.default_rng(4).normal(size=(2, 9, 4, 16, 16))))
-        assert copies == [(2, 9, 4, 16, 16)]
+        # at 18x18 the stage-2 skip is 9x9, so the decoder's 8x8 is padded
+        for side in (16, 18):
+            copies.clear()
+            with no_grad():
+                model.forward(Tensor(np.random.default_rng(4).normal(size=(2, 9, 4, side, side))))
+            assert copies == [(2, 9, 4, side, side)]
 
     def test_wrong_channels_rejected(self):
         model = RainUNet(micro_cfg(), seed=0)
@@ -332,6 +341,26 @@ class TestCheckpoint:
         with pytest.raises(TensorError):
             model.load_state(state)
 
+    @pytest.mark.parametrize("fault", ["missing", "extra", "shape"])
+    def test_failed_load_state_leaves_the_model_untouched(self, fault):
+        model = RainUNet(micro_cfg(), seed=0)
+        before = [(n, t, t.data.tobytes()) for n, t in model.named_parameters()]
+        state = RainUNet(micro_cfg(), seed=1).state()
+        if fault == "missing":
+            del state["dec1.block.spatial.bias"]
+        elif fault == "extra":
+            state["extra.weight"] = np.zeros(1)
+        else:
+            state["enc2.out_norm.gamma"] = np.ones(3)
+        kept = dict(state)
+        with pytest.raises(TensorError):
+            model.load_state(state)
+        assert state.keys() == kept.keys()
+        after = model.named_parameters()
+        assert [n for n, _ in after] == [n for n, _, _ in before]
+        for (_, t, raw), (_, t_after) in zip(before, after):
+            assert t_after is t and t.data.tobytes() == raw
+
 
 def assert_tap_major_equal(model, want):
     """Every conv weight of ``model`` held tap-major, every parameter equal
@@ -369,7 +398,9 @@ class TestWeightLayout:
         save_checkpoint(path, model)
         with precision.use_precision(mode):
             assert_tap_major_equal(load_checkpoint(path), want)
-            other = RainUNet(micro_cfg(), seed=5)
+        # built at the default precision, loaded at the current one
+        other = RainUNet(micro_cfg(), seed=5)
+        with precision.use_precision(mode):
             other.load_state(want)
             assert_tap_major_equal(other, want)
             assert not any(np.shares_memory(t.data, want[n]) for n, t in other.named_parameters())

@@ -106,8 +106,8 @@ class ConvSpec:
 # (_from_layout), so the tape holds layout arrays as op outputs, and
 # _to_layout of such a view, or of what relu, mul, concat or a max pool made
 # from it, is the same memory. An input in another memory order, such as the
-# model's input, is copied into the layout, once forward and once more if the
-# weight gradient needs it.
+# model's input, is copied into the layout once, in the forward; the backward
+# reuses that copy for the weight gradient.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
@@ -402,14 +402,15 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
                                         spec.dilation, spec.padding)]
     w, b = layer.weight, layer.bias
     corr_weight = w.data.swapaxes(0, 1) if transposed else w.data
-    y = _corr3d(_to_layout(x.data), corr_weight, taps, out_ext, transposed)
+    xl = _to_layout(x.data)
+    y = _corr3d(xl, corr_weight, taps, out_ext, transposed)
     y += b.data
 
     def grad_fn(gy):
         gy = _to_layout(gy)
         dw = np.zeros((*spec.kernel, *w.shape[:2]), dtype=gy.dtype) if w.requires_grad else None
         dx = _corr3d(gy, corr_weight if x.requires_grad else None, taps, in_ext,
-                     not transposed, None if dw is None else _to_layout(x.data), dw)
+                     not transposed, None if dw is None else xl, dw)
         if dw is not None:  # with its box of live taps, see backward
             dw = dw.transpose(3, 4, 0, 1, 2), tuple(
                 slice(a[0][0], a[-1][0] + 1) if a else slice(0, 0) for a in taps)

@@ -19,6 +19,11 @@ exception. The logical shape of a 5-d value is (N, C, T, H, W); its memory
 may be in another order: a conv, group norm or max pool output is a view
 whose memory is the (T, H, N, W, C) layout of the conv kernels (see
 rainunet.layers), and the elementwise ops, concat and zero_pad keep that order.
+
+The ops here are the generic ones the model is built from. An op with a
+closed-form gradient of its own records itself through :func:`_op` where it
+is defined: the conv, max pool and group norm in rainunet.layers, and the
+dice loss, one op per batch, in rainunet.training.
 """
 
 from __future__ import annotations
@@ -220,15 +225,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _op(a.data * bt.data, (a, bt), lambda gy: (gy * bt.data, gy * a.data))
 
 
-def div(a: Tensor, b) -> Tensor:
-    bt, scalar = _as_tensor_or_scalar(b)
-    if bt is None:
-        return scale(a, 1.0 / scalar)
-    _check_same_shape(a, bt, "div")
-    return _op(a.data / bt.data, (a, bt),
-               lambda gy: (gy / bt.data, -gy * a.data / (bt.data * bt.data)))
-
-
 def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
     return _op(a.data * np.asarray(k, dtype=a.data.dtype), (a,), lambda gy: (gy * k,))
@@ -271,23 +267,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors,
                lambda gy: np.split(gy, splits, axis=axis))
-
-
-def crop(a: Tensor, bounds: Sequence[tuple[int, int]]) -> Tensor:
-    """Slice ``a`` to ``[lo, hi)`` per axis; the gradient zero-pads back."""
-    bounds = tuple((int(lo), int(hi)) for lo, hi in bounds)
-    if len(bounds) != a.data.ndim:
-        raise TensorError("crop: one (lo, hi) pair per axis required")
-    for (lo, hi), extent in zip(bounds, a.shape):
-        if not (0 <= lo < hi <= extent):
-            raise TensorError(f"crop: bad bounds {bounds} for shape {a.shape}")
-    sl = tuple(slice(lo, hi) for lo, hi in bounds)
-
-    def grad_fn(gy):
-        g = np.zeros_like(a.data)
-        g[sl] = gy
-        return (g,)
-    return _op(a.data[sl].copy(), (a,), grad_fn)
 
 
 def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:

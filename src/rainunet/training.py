@@ -1,5 +1,8 @@
 """Dice loss, AdamW with decoupled weight decay, stochastic weight
-averaging, and the training loop."""
+averaging, and the training loop.
+
+The dice loss of a batch is one tape op: the per-sample sums are row sums of
+the batch, and the gradient is written out in closed form (see _dice)."""
 
 from __future__ import annotations
 
@@ -10,8 +13,7 @@ import numpy as np
 
 from .layers import TAP_MAJOR, is_tap_major
 from .model import RainUNet
-from .tensor import (NonFiniteError, Tensor, TensorError, backward, crop,
-                     div, no_grad, scale, tensor_sum)
+from .tensor import NonFiniteError, Tensor, TensorError, _op, backward, no_grad
 
 
 class TrainingAbort(RuntimeError):
@@ -27,9 +29,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 80
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-2
     seed: int = 0
     swa_enabled: bool = False
@@ -38,48 +37,62 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 0 or self.batch_size < 1:
             raise TensorError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr < 0 or self.weight_decay < 0 or self.eps <= 0:
-            raise TensorError("lr/weight_decay must be >= 0 and eps > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise TensorError("betas must lie in [0, 1)")
+        if self.lr < 0 or self.weight_decay < 0:
+            raise TensorError("lr/weight_decay must be >= 0")
         if self.swa_enabled and not 1 <= self.swa_start_epoch <= max(self.epochs, 1):
             raise TensorError("swa_start_epoch must lie in [1, epochs]")
 
 
-def dice_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """1 - 2*sum(p*g) / (sum(p^2) + sum(g^2)) over all entries.
+def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
+    """The dice loss of each of ``rows`` samples, the rows of ``pred`` and
+    ``target`` split along their leading axis, added in sample order and
+    times 1/rows. One tape op with a closed-form gradient.
 
-    Both maps all zero means a perfect match of empty masks: the loss is 0
-    (kept on the tape with zero gradient so callers can still backprop).
+    A sample's loss is 1 - 2*sum(p*g) / (sum(p^2) + sum(g^2)). Both maps all
+    zero means a perfect match of empty masks: the loss is 0, with a zero
+    gradient. The forward and the gradient repeat the operations of the
+    formula written as generic tape ops (sums, ``scale`` by 2 and -1, a
+    quotient, ``+ 1``), in their order, so each sample's numbers are those
+    of that chain; its scalars are broadcast over its row.
     """
     if pred.shape != target.shape:
         raise TensorError(f"shape mismatch {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise TensorError(f"dice loss of an empty batch of shape {pred.shape}")
     if float(pred.data.min()) < 0.0 or float(pred.data.max()) > 1.0:
         raise TensorError("predictions must lie in [0, 1]")
-    tvals = target.data
-    if not np.isin(tvals, (0, 1)).all():
+    if not np.isin(target.data, (0, 1)).all():
         raise TensorError("target must be binary")
-    overlap = tensor_sum(pred * target)
-    denom = tensor_sum(pred * pred) + tensor_sum(target * target)
-    if denom.item() == 0.0:
-        return scale(tensor_sum(pred), 0.0)
-    return scale(div(scale(overlap, 2.0), denom), -1.0) + 1.0
+    p = pred.data.reshape(rows, -1)
+    g = target.data.reshape(rows, -1)
+    a = np.sum(p * g, axis=1) * 2.0
+    den = np.sum(p * p, axis=1) + np.sum(g * g, axis=1)
+    live = den != 0
+    den = np.where(live, den, 1.0)  # the rows of empty samples divide by 1, then get 0
+    losses = np.where(live, -(a / den) + 1.0, 0.0)
+    total = np.add.accumulate(losses)[-1] * np.asarray(1.0 / rows, dtype=losses.dtype)
+
+    def grad_fn(gy):
+        gq = gy * (1.0 / rows)
+        gd = gq * -1.0
+        g_ov = (gd / den * 2.0)[:, None]
+        g_den = (-gd * a / (den * den))[:, None]
+        grad = (g_den * p + g_den * p) + g_ov * g
+        grad[~live] = gq * 0.0
+        return (grad.reshape(pred.shape),)
+    return _op(total, (pred,), grad_fn)
+
+
+def dice_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """The dice loss of the whole of ``pred`` against the binary ``target``
+    (see :func:`_dice`): one sample, whose 1/rows step multiplies by 1."""
+    return _dice(pred, target, 1)
 
 
 def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Per-sample dice over each full probability map, averaged over the
-    leading batch axis."""
-    if pred.shape != target.shape:
-        raise TensorError(f"shape mismatch {pred.shape} vs {target.shape}")
-    n = pred.shape[0]
-    bounds = [(0, e) for e in pred.shape]
-    total = None
-    for i in range(n):
-        bounds[0] = (i, i + 1)
-        sample = crop(pred, list(bounds))
-        part = dice_loss(sample, Tensor(target.data[i : i + 1]))
-        total = part if total is None else total + part
-    return scale(total, 1.0 / n)
+    leading batch axis (see :func:`_dice`)."""
+    return _dice(pred, target, pred.shape[0])
 
 
 # Elements per block of AdamW.step: a block's six arrays stay in L2 cache
@@ -259,8 +272,7 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
         raise TensorError("empty dataset")
     x_all, y_all = _stack_dataset(records, model)
     params = model.named_parameters()
-    opt = AdamW(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                eps=cfg.eps, weight_decay=cfg.weight_decay)
+    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     result = FitResult(swa=SWAAverager() if cfg.swa_enabled else None)
     n = len(records)

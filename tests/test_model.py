@@ -15,7 +15,8 @@ from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint
                             config_from_text, config_to_text, encoder_receptive_field,
                             load_checkpoint, receptive_field, save_checkpoint,
                             save_checkpoint_params)
-from rainunet.tensor import Tensor, TensorError, grad_check, no_grad, relu, tensor_sum
+from rainunet.tensor import (Tensor, TensorError, backward, grad_check, no_grad, relu,
+                             tensor_sum)
 
 
 def micro_cfg(**kw):
@@ -182,8 +183,9 @@ class TestForward:
             out = model.forward(Tensor(rng.normal(size=(1, 9, frames, h, w))))
             assert out.shape == (1, 32, h, w)
 
-    def test_only_the_input_is_copied_into_the_layout(self, monkeypatch):
-        # every op between the input and the head hands on layout memory
+    @pytest.fixture
+    def layout_copies(self, monkeypatch):
+        """The shapes of the arrays that layers._to_layout copies."""
         copies = []
         to_layout = layers._to_layout
 
@@ -193,13 +195,24 @@ class TestForward:
                 copies.append(a.shape)
             return out
         monkeypatch.setattr(layers, "_to_layout", counted)
+        return copies
+
+    def test_only_the_input_is_copied_into_the_layout(self, layout_copies):
+        # every op between the input and the head hands on layout memory
         model = RainUNet(micro_cfg(stages=3), seed=4)
         # at 18x18 the stage-2 skip is 9x9, so the decoder's 8x8 is padded
         for side in (16, 18):
-            copies.clear()
+            layout_copies.clear()
             with no_grad():
                 model.forward(Tensor(np.random.default_rng(4).normal(size=(2, 9, 4, side, side))))
-            assert copies == [(2, 9, 4, side, side)]
+            assert layout_copies == [(2, 9, 4, side, side)]
+
+    def test_the_backward_reuses_the_inputs_layout_copy(self, layout_copies):
+        # the first conv's weight gradient reads the copy its forward made
+        model = RainUNet(micro_cfg(), seed=4)
+        x = np.random.default_rng(4).normal(size=(2, 9, 4, 16, 16))
+        backward(tensor_sum(model.forward(Tensor(x))))
+        assert layout_copies.count(x.shape) == 1
 
     def test_wrong_channels_rejected(self):
         model = RainUNet(micro_cfg(), seed=0)

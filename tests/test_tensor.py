@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rainunet.tensor import (AutodiffError, NonFiniteError, Tensor,
-                             TensorError, _op, active_graph, add, backward, crop,
-                             concat, grad_check, mean_axis, mul, no_grad, relu,
+                             TensorError, _op, active_graph, add, backward, concat,
+                             grad_check, mean_axis, mul, no_grad, relu,
                              scale, sigmoid, tensor_sum, zero_pad)
 
 
@@ -215,15 +215,16 @@ class TestGraph:
 
 
 class TestShapeOps:
-    def test_concat_and_crop_roundtrip(self, wide):
+    def test_concat_split_gradient(self, wide):
         a = Tensor(np.ones((1, 2, 2)), requires_grad=True)
         b = Tensor(np.full((1, 3, 2), 2.0), requires_grad=True)
         joined = concat([a, b], axis=1)
         assert joined.shape == (1, 5, 2)
-        part = crop(joined, [(0, 1), (2, 5), (0, 2)])
-        backward(tensor_sum(part))
-        assert np.array_equal(a.grad, np.zeros((1, 2, 2)))
-        assert np.array_equal(b.grad, np.ones((1, 3, 2)))
+        assert np.array_equal(joined.data[:, 2:], b.data)
+        w = np.arange(10.0).reshape(1, 5, 2)
+        backward(tensor_sum(mul(joined, Tensor(w))))
+        assert np.array_equal(a.grad, w[:, :2])
+        assert np.array_equal(b.grad, w[:, 2:])
 
     def test_zero_pad_backward(self, wide):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -239,10 +240,6 @@ class TestShapeOps:
         assert np.allclose(y.data, x.data.mean(axis=1))
         backward(tensor_sum(y))
         assert np.allclose(x.grad, np.full((2, 3, 2), 1 / 3))
-
-    def test_crop_bounds_checked(self):
-        with pytest.raises(TensorError):
-            crop(Tensor(np.ones((2, 2))), [(0, 3), (0, 2)])
 
     def test_zero_pad_negative_widths_rejected(self):
         with pytest.raises(TensorError):

@@ -7,7 +7,8 @@ from rainunet import precision
 from rainunet.data import SequenceRecord
 from rainunet.layers import Conv3DLayer, ConvSpec, conv3d, is_tap_major
 from rainunet.model import RainUNet, RainUNetConfig
-from rainunet.tensor import Tensor, TensorError, backward, grad_check, mul, tensor_sum
+from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check,
+                             mul, tensor_sum)
 from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
                                TrainingAbort, batch_dice_loss, dice_loss, fit,
                                write_training_log_csv)
@@ -78,6 +79,75 @@ class TestDiceLoss:
         got = batch_dice_loss(Tensor(p), Tensor(g)).item()
         want = np.mean([dice_loss(Tensor(p[i]), Tensor(g[i])).item() for i in range(3)])
         assert abs(got - want) < 1e-12
+
+
+def formula_batch_dice(p, g):
+    """The batch dice loss and its gradient, sample by sample in the order
+    of the operations the loss is defined by: per sample a = 2*sum(p*g),
+    den = sum(p*p) + sum(g*g), loss 1 - a/den (0 when den is 0), the losses
+    added in sample order and times 1/n; the gradient of a unit loss."""
+    n = p.shape[0]
+    one = p.dtype.type
+    total, grads = None, []
+    for pi, gi in zip(p.reshape(n, -1), g.reshape(n, -1)):
+        gq = one(1.0) * (1.0 / n)
+        den = np.sum(pi * pi) + np.sum(gi * gi)
+        if den == 0:
+            loss, grad = one(0.0), np.full_like(pi, gq * 0.0)
+        else:
+            a = np.sum(pi * gi) * 2.0
+            loss = -(a / den) + 1.0
+            gd = gq * -1.0
+            g_ov = gd / den * 2.0
+            g_den = -gd * a / (den * den)
+            grad = (g_den * pi + g_den * pi) + g_ov * gi
+        total = loss if total is None else total + loss
+        grads.append(grad)
+    return np.asarray(total * one(1.0 / n)), np.stack(grads).reshape(p.shape)
+
+
+class TestBatchDiceOp:
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_bytes_equal_the_formula(self, mode):
+        with precision.use_precision(mode):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                p = rng.random((4, 3, 9, 9)).astype(precision.dtype())
+                g = (rng.random(p.shape) < 0.3).astype(precision.dtype())
+                p[rng.random(p.shape) < 0.1] = 0.0
+                p[2], g[2] = 0.0, 0.0  # an all-empty sample
+                pred = Tensor(p, requires_grad=True)
+                loss = batch_dice_loss(pred, Tensor(g))
+                backward(loss)
+                want_loss, want_grad = formula_batch_dice(p, g)
+                assert loss.data.tobytes() == want_loss.tobytes()
+                assert pred.grad.tobytes() == want_grad.tobytes()
+
+    def test_gradient_with_an_empty_and_a_disjoint_sample(self, wide):
+        rng = np.random.default_rng(33)
+        p = rng.uniform(0.05, 0.95, size=(2, 2, 4, 4))
+        g = np.zeros((3, 2, 4, 4))
+        g[1] = rng.random((2, 4, 4)) < 0.4
+        # sample 0 is empty in both maps; sample 2 predicts rain where none
+        # fell, so its overlap is 0
+        empty = Tensor(np.zeros((1, 2, 4, 4)))
+        rep = grad_check(lambda t: batch_dice_loss(concat([empty, t], axis=0), Tensor(g)),
+                         Tensor(p), tol=1e-4)
+        assert rep.passed
+
+    @pytest.mark.parametrize("loss_fn", [batch_dice_loss, dice_loss])
+    def test_one_tape_node(self, loss_fn):
+        rng = np.random.default_rng(34)
+        pred = Tensor(rng.random((4, 2, 6, 6)), requires_grad=True)
+        graph = active_graph()
+        start = 0 if graph is None or graph.consumed else len(graph.nodes)
+        loss = loss_fn(pred, Tensor((rng.random((4, 2, 6, 6)) < 0.5).astype(float)))
+        assert loss.node.graph.nodes[start:] == [loss.node]
+        backward(loss)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(TensorError):
+            batch_dice_loss(Tensor(np.zeros((0, 2, 4, 4))), Tensor(np.zeros((0, 2, 4, 4))))
 
 
 class TestAdamW:

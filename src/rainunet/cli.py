@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -25,8 +25,8 @@ from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SequenceRecord,
                    SynthConfig, center_crop_resize, cleansing_filter,
                    load_dataset, save_dataset, select_modalities, synth_generate)
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
-from .model import (RainUNet, RainUNetConfig, TSBlock, config_to_text, load_checkpoint,
-                    save_checkpoint, save_checkpoint_params)
+from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
+                    save_checkpoint_params)
 from .tensor import (AutodiffError, GradCheckReport, NonFiniteError, Tensor,
                      TensorError, grad_check, tensor_sum)
 from .training import (TrainConfig, TrainingAbort, dice_loss, fit,
@@ -71,43 +71,13 @@ class RunConfig:
     threshold: float = 0.5
 
 
-_FIELD_TYPES = get_type_hints(RunConfig)
-
-
-def _coerce(key: str, raw: str):
-    typ = _FIELD_TYPES[key]
-    if typ is bool:
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise FormatError(f"bad boolean for {key}: {raw!r}")
-    return typ(raw)
-
-
-def parse_config_file(path) -> dict:
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, sep, value = stripped.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _FIELD_TYPES:
-            raise FormatError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, value.strip())
-    return values
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.command == "gradcheck":
         cfg = replace(cfg, precision="wide")
     if args.config:
-        cfg = replace(cfg, **parse_config_file(args.config))
+        cfg = replace(cfg, **dataio.parse_config(Path(args.config).read_text(), RunConfig,
+                                                 args.config))
     overrides = {}
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
@@ -147,16 +117,15 @@ def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)
-             if model is None or f.name not in _TRAINING_FIELDS]
+    values = {k: v for k, v in asdict(cfg).items() if model is None or k not in _TRAINING_FIELDS}
     if model is not None:
-        digest = hashlib.sha256(Path(cfg.checkpoint).read_bytes()).hexdigest()
-        lines += [f"checkpoint_sha256 = {digest}", *config_to_text(model.config).splitlines()]
-    lines += [f"rainunet = {__version__}", f"numpy = {np.__version__}",
-              f"scipy = {scipy.__version__}", f"blas = {blas['name']} {blas['version']}",
-              f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
-              f"cpu_count = {os.cpu_count()}"]
-    (out / "run.txt").write_text("\n".join(lines) + "\n")
+        values["checkpoint_sha256"] = hashlib.sha256(Path(cfg.checkpoint).read_bytes()).hexdigest()
+        values.update(asdict(model.config))
+    values.update(rainunet=__version__, numpy=np.__version__, scipy=scipy.__version__,
+                  blas=f"{blas['name']} {blas['version']}",
+                  OPENBLAS_NUM_THREADS=os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+                  cpu_count=os.cpu_count())
+    (out / "run.txt").write_text(dataio.config_text(values))
     return out
 
 
@@ -249,14 +218,6 @@ def _load_eval_inputs(cfg: RunConfig):
     records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
     if not records:
         raise FormatError("dataset is empty")
-    have = records[0].input.shape[0]
-    want = model.config.in_channels
-    if have != want:
-        raise TensorError(
-            f"dataset records carry {have} channels but the checkpoint model "
-            f"expects {want}; shapes {records[0].input.shape} vs "
-            f"(C={want}, T={model.config.in_frames}, H, W)"
-        )
     return model, records
 
 
@@ -400,12 +361,13 @@ def _parser() -> argparse.ArgumentParser:
     ``_``; a flag left out parses to None, so the layers below it stand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
+    types = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if _FIELD_TYPES[f.name] is bool:
+        if types[f.name] is bool:
             common.add_argument(flag, dest=f.name, action="store_true", default=None)
         else:
-            common.add_argument(flag, dest=f.name, type=_FIELD_TYPES[f.name],
+            common.add_argument(flag, dest=f.name, type=types[f.name],
                                 choices=_CHOICES.get(f.name), help=_HELP.get(f.name))
 
     parser = argparse.ArgumentParser(prog="rainunet", description=__doc__)

@@ -1,6 +1,6 @@
-"""Sequence records, the RUNT tensor file format, preprocessing stages
-(modality selection, cleansing, center crop) and a synthetic rain-movie
-generator used for desk-scale experiments.
+"""Sequence records, the RUNT tensor file format, the ``key = value`` config
+text, preprocessing stages (modality selection, cleansing, center crop) and
+a synthetic rain-movie generator used for desk-scale experiments.
 
 A record pairs a 4-frame multi-channel satellite movie with a 32-frame
 binary rain mask on a 15-minute grid. Records hold plain numpy arrays;
@@ -13,13 +13,14 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 
 class FormatError(ValueError):
-    """Malformed RUNT file, manifest, or checkpoint."""
+    """Malformed RUNT file, manifest, config text or checkpoint."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,56 @@ def tensor_file_write(t, path) -> None:
 
 def tensor_file_read(path) -> np.ndarray:
     return runt_decode(Path(path).read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# config text, as in --config files, a checkpoint's model config and a run's
+# run.txt manifest: one ``key = value`` line per setting, ``#`` comments
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def config_text(values: dict) -> str:
+    """One ``key = value`` line per item of ``values``: a tuple as its ints
+    joined by commas, any other value as ``str(v)``."""
+    lines = []
+    for key, v in values.items():
+        if isinstance(v, tuple):
+            v = ",".join(str(int(x)) for x in v)
+        lines.append(f"{key} = {v}\n")
+    return "".join(lines)
+
+
+def parse_config(text: str, cls: type, source: str) -> dict:
+    """The settings of ``text``'s lines, each parsed as its field of the
+    dataclass ``cls`` is typed: a bool from true/1/yes or false/0/no, a tuple
+    from comma-separated ints, anything else as ``type(raw)``. A line
+    without ``=``, an unknown key or a value its type rejects raises
+    FormatError naming ``source`` and the line."""
+    types = get_type_hints(cls)
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, sep, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        where = f"{source} line {lineno}"
+        if not sep or not key:
+            raise FormatError(f"{where}: expected 'key = value'")
+        if key not in types:
+            raise FormatError(f"{where}: unknown config key {key!r}")
+        typ = types[key]
+        try:
+            if typ is bool:
+                values[key] = _BOOLS[raw.lower()]
+            elif get_origin(typ) is tuple:
+                values[key] = tuple(int(x) for x in raw.split(","))
+            else:
+                values[key] = typ(raw)
+        except (KeyError, ValueError):
+            raise FormatError(f"{where}: bad {typ.__name__} for {key}: {raw!r}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +300,12 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        settings = {"velocity_min": self.velocity[0], "velocity_max": self.velocity[1],
+                    "radius_min": self.radius[0], "radius_max": self.radius[1],
+                    "rain_threshold": self.rain_threshold}
+        for name, v in settings.items():
+            if not math.isfinite(v):
+                raise FormatError(f"{name} must be finite, got {v}")
         if self.sequences < 1:
             raise FormatError("need at least one sequence")
         if self.size < 8:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -329,50 +329,18 @@ def encoder_receptive_field(cfg: RainUNetConfig) -> Triple:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file: magic, version, config text, then one tensor-format blob
-# per parameter keyed by its enumeration name
+# checkpoint file: magic, version, config text (data.config_text), then one
+# tensor-format blob per parameter keyed by its enumeration name
 
 _CKPT_MAGIC = b"RUNC"
 _CKPT_VERSION = 1
-_TUPLE_FIELDS = {"sconv_kernel", "tsdconv_kernel", "tsdconv_dilation", "tconv_kernel"}
-
-
-def config_to_text(cfg: RainUNetConfig) -> str:
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
-            v = ",".join(str(int(x)) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def config_from_text(text: str) -> RainUNetConfig:
-    known = {f.name: f for f in fields(RainUNetConfig)}
-    kwargs = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in known:
-            raise TensorError(f"unknown config key {key!r} in checkpoint")
-        if key in _TUPLE_FIELDS:
-            kwargs[key] = tuple(int(x) for x in value.split(","))
-        elif key == "head_mode":
-            kwargs[key] = value
-        else:
-            kwargs[key] = int(value)
-    return RainUNetConfig(**kwargs)
 
 
 def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> None:
     """Write the checkpoint to ``<path>.tmp`` and move it onto ``path``, so a
     failure part-way (such as a parameter that cannot be encoded) leaves the
     previous checkpoint at ``path`` whole."""
-    cfg_bytes = config_to_text(cfg).encode("utf-8")
+    cfg_bytes = dataio.config_text(asdict(cfg)).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -437,13 +405,16 @@ def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
 
 def load_checkpoint(path) -> RainUNet:
     """Read a checkpoint written by ``save_checkpoint``. A file that is cut
-    short, carries trailing bytes, holds a non-finite value or whose
-    parameters do not fit its config raises FormatError."""
+    short, carries trailing bytes, holds a non-finite value or a malformed
+    config line, or whose parameters do not fit its config raises
+    FormatError."""
     with open(path, "rb") as fh:
         cfg_text, params = _parse_checkpoint(memoryview(fh.read()))
+    cfg = RainUNetConfig(**dataio.parse_config(str(cfg_text, "utf-8", "replace"), RainUNetConfig,
+                                               f"{path} config"))
     # the parameters are views into the file's buffer, so each is copied once,
     # by the layer that takes it; the buffer is freed when the last is taken
     try:
-        return RainUNet.from_state(config_from_text(str(cfg_text, "utf-8")), params)
+        return RainUNet.from_state(cfg, params)
     except (TensorError, ValueError) as err:
         raise dataio.FormatError(f"checkpoint does not describe a model: {err}") from None

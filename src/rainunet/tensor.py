@@ -14,11 +14,11 @@ calls on leaf tensors until the caller zeroes them (optimizer-style
 ``zero_grad``), without one tensor's gradient changing another's that shares
 its array.
 
-No broadcasting: binary operations require equal shapes, scalars are the only
-exception. The logical shape of a 5-d value is (N, C, T, H, W); its memory
-may be in another order: a conv, group norm or max pool output is a view
-whose memory is the (T, H, N, W, C) layout of the conv kernels (see
-rainunet.layers), and the elementwise ops, concat and zero_pad keep that order.
+No broadcasting: ``mul`` takes two tensors of one shape. The logical shape
+of a 5-d value is (N, C, T, H, W); its memory may be in another order: a
+conv, group norm or max pool output is a view whose memory is the
+(T, H, N, W, C) layout of the conv kernels (see rainunet.layers), and the
+elementwise ops, concat and zero_pad keep that order.
 
 The ops here are the generic ones the model is built from. An op with a
 closed-form gradient of its own records itself through :func:`_op` where it
@@ -159,20 +159,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # operator sugar; the real work happens in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-
-def _as_tensor_or_scalar(x):
-    if isinstance(x, Tensor):
-        return x, None
-    if np.isscalar(x):
-        return None, float(x)
-    raise TensorError(f"expected Tensor or scalar, got {type(x).__name__}")
 
 
 def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None) -> Tensor:
@@ -202,32 +190,12 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if not isinstance(b, Tensor):
+        raise TensorError(f"mul: expected a Tensor, got {type(b).__name__}")
     if a.shape != b.shape:
-        raise TensorError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b) -> Tensor:
-    """``a + b``; a scalar ``b`` is a constant, not an input, so its
-    gradient is dropped."""
-    bt, scalar = _as_tensor_or_scalar(b)
-    if bt is None:
-        return _op(a.data + scalar, (a,), lambda gy: (gy,))
-    _check_same_shape(a, bt, "add")
-    return _op(a.data + bt.data, (a, bt), lambda gy: (gy, gy))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    bt, scalar = _as_tensor_or_scalar(b)
-    if bt is None:
-        return scale(a, scalar)
-    _check_same_shape(a, bt, "mul")
-    return _op(a.data * bt.data, (a, bt), lambda gy: (gy * bt.data, gy * a.data))
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    k = float(k)
-    return _op(a.data * np.asarray(k, dtype=a.data.dtype), (a,), lambda gy: (gy * k,))
+        raise TensorError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+    return _op(a.data * b.data, (a, b), lambda gy: (gy * b.data, gy * a.data))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -323,8 +291,8 @@ def backward(loss: Tensor) -> None:
             if t.grad is None:
                 t.grad, t.grad_taps = g, taps
             else:
-                # out of place: the first gradient may be shared (add gives gy
-                # to both inputs); the sum carries no box of taps
+                # out of place: the first gradient may be shared (an op may
+                # give one gy to two inputs); the sum carries no box of taps
                 t.grad = t.grad + g
         node.inputs = node.out = node.apply = None
     st = _state()

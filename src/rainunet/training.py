@@ -7,6 +7,7 @@ the batch, and the gradient is written out in closed form (see _dice)."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ class TrainConfig:
     swa_start_epoch: int = 10
 
     def validate(self) -> None:
+        for name, v in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if not math.isfinite(v):
+                raise TensorError(f"{name} must be finite, got {v}")
         if self.epochs < 0 or self.batch_size < 1:
             raise TensorError("epochs must be >= 0 and batch_size >= 1")
         if self.lr < 0 or self.weight_decay < 0:
@@ -50,10 +54,10 @@ def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
 
     A sample's loss is 1 - 2*sum(p*g) / (sum(p^2) + sum(g^2)). Both maps all
     zero means a perfect match of empty masks: the loss is 0, with a zero
-    gradient. The forward and the gradient repeat the operations of the
-    formula written as generic tape ops (sums, ``scale`` by 2 and -1, a
-    quotient, ``+ 1``), in their order, so each sample's numbers are those
-    of that chain; its scalars are broadcast over its row.
+    gradient. The forward and the gradient repeat the formula's operations
+    one by one (sums, products by 2 and -1, a quotient, ``+ 1``), in their
+    order, so each sample's numbers are those of that chain of elementwise
+    ops; its scalars are broadcast over its row.
     """
     if pred.shape != target.shape:
         raise TensorError(f"shape mismatch {pred.shape} vs {target.shape}")

@@ -4,8 +4,9 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ import scipy
 
 import rainunet
 from rainunet import layers, precision
-from rainunet.cli import (_TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
-                          parse_config_file, resolve_config)
-from rainunet.data import MANIFEST_NAME, load_dataset
-from rainunet.model import (RainUNet, RainUNetConfig, config_from_text, load_checkpoint,
-                            save_checkpoint)
+from rainunet.cli import _TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main, resolve_config
+from rainunet.data import MANIFEST_NAME, FormatError, config_text, load_dataset, parse_config
+from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -47,30 +46,46 @@ def prepared(tmp_path, dataset):
     return prep
 
 
+def parse_run_config(text):
+    return parse_config(text, RunConfig, "run.cfg")
+
+
 class TestConfigFile:
-    def test_parse_and_types(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
+    def test_parse_and_types(self):
+        values = parse_run_config(
             "# experiment settings\n"
             "seed = 9\n"
             "lr = 0.01  # inline comment\n"
             "swa = true\n"
             "channels = ir\n"
         )
-        values = parse_config_file(cfg_file)
         assert values == {"seed": 9, "lr": 0.01, "swa": True, "channels": "ir"}
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("mystery = 1\n")
-        with pytest.raises(Exception, match="unknown config key"):
-            parse_config_file(cfg_file)
+    def test_unknown_key_rejected(self):
+        with pytest.raises(FormatError, match="^run.cfg line 1: unknown config key 'mystery'$"):
+            parse_run_config("mystery = 1\n")
 
-    def test_bad_boolean_rejected(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("swa = maybe\n")
-        with pytest.raises(Exception, match="boolean"):
-            parse_config_file(cfg_file)
+    def test_bad_boolean_rejected(self):
+        with pytest.raises(FormatError, match="^run.cfg line 1: bad bool for swa: 'maybe'$"):
+            parse_run_config("swa = maybe\n")
+
+    @pytest.mark.parametrize("line", ["seed 9", "= 9", "epochs = 2.5", "stages ="])
+    def test_malformed_line_rejected(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\nseed = 9\n{line}\n")
+        assert run_cli("synth", "--config", config, "--out", tmp_path / "raw") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {config} line 3: "), err
+        assert not (tmp_path / "raw").exists()
+
+    def test_every_field_round_trips(self):
+        cfg = RunConfig(**{f.name: True if isinstance(f.default, bool)
+                           else f"x{i}" if isinstance(f.default, str) else f.default + 1 + i
+                           for i, f in enumerate(fields(RunConfig))})
+        assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
+        text = config_text(asdict(cfg))
+        assert text.count("\n") == len(fields(RunConfig))
+        assert RunConfig(**parse_run_config(text)) == cfg
 
     @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
     def test_every_field_has_a_flag(self, field):
@@ -93,6 +108,44 @@ class TestConfigFile:
         code = run_cli("preprocess", "--config", cfg_file, "--data", tmp_path,
                        "--out", out, "--crop-factor", 0)
         assert code == 1
+
+
+# the command that reads each float setting of RunConfig
+FLOAT_READERS = {"velocity_min": "synth", "velocity_max": "synth", "radius_min": "synth",
+                 "radius_max": "synth", "rain_threshold": "synth", "lr": "train",
+                 "weight_decay": "train", "threshold": "evaluate"}
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", [name for name, typ in get_type_hints(RunConfig).items()
+                                      if typ is float])
+    def test_one_line_error_names_the_setting(self, request, tmp_path, capsys, name, value):
+        command = FLOAT_READERS[name]
+        argv = [command, "--out", tmp_path / "out", "--" + name.replace("_", "-"), value]
+        if command == "synth":
+            argv += ["--sequences", 2, "--size", 24]
+        else:
+            argv += ["--data", request.getfixturevalue("prepared")]
+        if command == "train":
+            argv += ["--stages", 1, "--base-channels", 4, "--epochs", 1]
+        if command == "evaluate":
+            ckpt = tmp_path / "model.runc"
+            save_checkpoint(ckpt, RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0))
+            argv += ["--checkpoint", ckpt]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert re.search(rf"\b{name}\b", lines[0]) and "Traceback" not in err, err
+
+    def test_in_a_config_file(self, prepared, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("lr = nan\n")
+        assert run_cli("train", "--config", config, "--data", prepared, "--out", tmp_path / "out",
+                       "--stages", 1, "--base-channels", 4, "--epochs", 1) == 1
+        assert capsys.readouterr().err == "error: lr must be finite, got nan\n"
 
 
 class TestSynth:
@@ -198,11 +251,11 @@ class TestTrainEvaluatePredict:
                 assert entries["stages"] == "1" and entries["base_channels"] == "4"
                 stored = "".join(f"{f.name} = {entries.pop(f.name)}\n"
                                  for f in fields(RainUNetConfig))
-                assert config_from_text(stored) == load_checkpoint(ckpt).config
+                assert RainUNetConfig(**parse_config(stored, RainUNetConfig, "run.txt")) == \
+                    load_checkpoint(ckpt).config
             # the config lines read back as a config file give the resolved config
-            config = tmp_path / "config.txt"
-            config.write_text("".join(f"{name} = {entries.pop(name)}\n" for name in kept))
-            assert replace(RunConfig(), **parse_config_file(config)) == resolved
+            config = "".join(f"{name} = {entries.pop(name)}\n" for name in kept)
+            assert replace(RunConfig(), **parse_run_config(config)) == resolved
             blas = entries.pop("blas")
             assert blas.split()[0] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
             assert entries == {

@@ -1,6 +1,7 @@
+import re
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import support_box
-from rainunet.data import FormatError, runt_encode
+from rainunet.data import FormatError, config_text, parse_config, runt_encode
 from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
-                            config_from_text, config_to_text, encoder_receptive_field,
+                            encoder_receptive_field,
                             load_checkpoint, receptive_field, save_checkpoint,
                             save_checkpoint_params)
 from rainunet.tensor import (Tensor, TensorError, backward, grad_check, no_grad, relu,
@@ -43,7 +44,14 @@ class TestConfig:
 
     def test_text_round_trip(self):
         cfg = micro_cfg(base_channels=6, groupnorm_groups=2, out_frames=16)
-        assert config_from_text(config_to_text(cfg)) == cfg
+        assert RainUNetConfig(**parse_config(config_text(asdict(cfg)), RainUNetConfig, "x")) == cfg
+
+    def test_default_text_is_pinned(self):
+        # the checkpoint's config block: changing it changes every checkpoint's bytes
+        assert config_text(asdict(RainUNetConfig())) == (
+            "stages = 5\nbase_channels = 16\nin_channels = 9\nin_frames = 4\nout_frames = 32\n"
+            "sconv_kernel = 1,3,3\ntsdconv_kernel = 1,7,7\ntsdconv_dilation = 1,3,3\n"
+            "tconv_kernel = 3,1,1\ngroupnorm_groups = 8\nhead_mode = time-mean\n")
 
 
 class TestTSBlock:
@@ -250,7 +258,7 @@ class TestCheckpoint:
 
     def test_bytes_are_the_runt_layout(self, tmp_path):
         model = RainUNet(micro_cfg(), seed=4)
-        cfg = config_to_text(model.config).encode("utf-8")
+        cfg = config_text(asdict(model.config)).encode("utf-8")
         odd = {"empty": np.zeros((0, 3), dtype=np.float32),
                "strided": np.arange(12.0).reshape(3, 4).T}
         for params in (model.state(), odd):
@@ -270,6 +278,19 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:keep])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", ["stages 2", "mystery = 1", "stages = two",
+                                      "sconv_kernel = 1,x,3", "= 2"])
+    def test_malformed_config_line_rejected(self, tmp_path, line):
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 5)
+        lines = raw[9 : 9 + n].decode("utf-8").splitlines(keepends=True)
+        cfg = "".join([*lines[:2], line + "\n", *lines[2:]]).encode("utf-8")
+        path.write_bytes(raw[:5] + struct.pack("<I", len(cfg)) + cfg + raw[9 + n :])
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))} config line 3: "):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

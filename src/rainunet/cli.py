@@ -83,7 +83,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         v = getattr(args, f.name, None)
         if v is not None:
             overrides[f.name] = v
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    # a config file's values bypass argparse's choices
+    for name, allowed in _CHOICES.items():
+        value = getattr(cfg, name)
+        if value not in allowed:
+            raise FormatError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +183,14 @@ def cmd_train(cfg: RunConfig) -> int:
     records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
     if not records:
         raise FormatError("dataset is empty")
-    out = _out_dir(cfg)
-    model = RainUNet(_model_config(cfg, records[0].input.shape[0]), seed=cfg.seed)
     train_cfg = TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         weight_decay=cfg.weight_decay, seed=cfg.seed,
         swa_enabled=cfg.swa, swa_start_epoch=cfg.swa_start,
     )
+    train_cfg.validate()  # a rejected setting leaves nothing in cfg.out
+    model = RainUNet(_model_config(cfg, records[0].input.shape[0]), seed=cfg.seed)
+    out = _out_dir(cfg)
     ckpt = out / "model.runc"
     save_checkpoint(ckpt, model)  # epoch-0 state; overwritten as epochs complete
 

@@ -5,6 +5,7 @@ a synthetic rain-movie generator used for desk-scale experiments.
 A record pairs a 4-frame multi-channel satellite movie with a 32-frame
 binary rain mask on a 15-minute grid. Records hold plain numpy arrays;
 the autodiff Tensor type is reserved for differentiable compute.
+scipy is imported only by ``synth_generate``, for its blur.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import get_origin, get_type_hints
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 
 class FormatError(ValueError):
@@ -341,7 +341,11 @@ def synth_generate(cfg: SynthConfig) -> list[SequenceRecord]:
     per-sequence velocity across all 36 frames: the first 4 render the 11
     satellite channels (per-channel gain/offset/blur of the rain field,
     normalized to [0,1]), the last 32 threshold the field into the mask, so
-    rain seen in the inputs continues along its track into the targets."""
+    rain seen in the inputs continues along its track into the targets.
+    The blur is scipy's ``gaussian_filter``, imported here alone."""
+    # scipy.ndimage takes longer to import than numpy; no other command needs it
+    from scipy.ndimage import gaussian_filter
+
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     records = []

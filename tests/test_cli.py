@@ -15,7 +15,8 @@ import scipy
 import rainunet
 from rainunet import layers, precision
 from rainunet.cli import _TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main, resolve_config
-from rainunet.data import MANIFEST_NAME, FormatError, config_text, load_dataset, parse_config
+from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
+                           parse_config, save_dataset, synth_generate)
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
 
 
@@ -25,6 +26,15 @@ def sha(path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def python(*args):
+    """Run a fresh ``python`` that imports this checkout's rainunet."""
+    src = str(Path(rainunet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 SYNTH_ARGS = ["--sequences", 6, "--size", 36, "--radius-min", 4, "--radius-max", 8,
@@ -77,6 +87,17 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {config} line 3: "), err
         assert not (tmp_path / "raw").exists()
+
+    @pytest.mark.parametrize("name", ["channels", "precision"])
+    def test_value_outside_the_flag_choices_rejected(self, dataset, tmp_path, capsys, name):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{name} = bogus\n")
+        capsys.readouterr()
+        assert run_cli("preprocess", "--config", config, "--data", dataset,
+                       "--out", tmp_path / "prep") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {name} must be one of [^\n]*, got 'bogus'\n", err), err
+        assert not (tmp_path / "prep").exists()
 
     def test_every_field_round_trips(self):
         cfg = RunConfig(**{f.name: True if isinstance(f.default, bool)
@@ -168,6 +189,29 @@ class TestSynth:
                        "--size", 24, "--blob-min", 0, "--blob-max", 0) == 0
         assert "remove 100%" in capsys.readouterr().err
 
+    def test_fresh_process_writes_the_in_process_bytes(self, tmp_path):
+        # synth imports scipy.ndimage itself: the CLI's process has not loaded it
+        code = ("import sys; from rainunet.cli import main; "
+                "assert 'scipy.ndimage' not in sys.modules; sys.exit(main(sys.argv[1:]))")
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        proc = python("-c", code, "synth", "--out", fresh, *SYNTH_ARGS)
+        assert proc.returncode == 0, proc.stderr
+        save_dataset(synth_generate(SynthConfig(sequences=6, size=36, velocity=(0.0, 0.5),
+                                                radius=(4.0, 8.0), seed=5)), here)
+        names = sorted(p.name for p in here.iterdir())
+        assert sorted(p.name for p in fresh.iterdir()) == names
+        assert [sha(fresh / n) for n in names] == [sha(here / n) for n in names]
+
+
+class TestImports:
+    def test_no_module_loads_scipy_ndimage(self):
+        # scipy.ndimage costs more start-up than numpy; only synth's blur needs it
+        proc = python("-c", "import sys, rainunet.cli, rainunet.training, rainunet.model, "
+                      "rainunet.data; print(sorted(m for m in sys.modules "
+                      "if m.startswith('scipy.ndimage')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestPreprocess:
     def test_pipeline_order_and_manifest(self, dataset, tmp_path, capsys):
@@ -227,6 +271,15 @@ class TestTrainEvaluatePredict:
                        run / "model.runc", "--out", pred) == 0
         preds = sorted(pred.glob("*_pred.runt"))
         assert len(preds) == len(load_dataset(prepared / MANIFEST_NAME))
+
+    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--swa", "--swa-start", 30, "--epochs", 2]],
+                             ids=["lr_nan", "swa_start_past_epochs"])
+    def test_rejected_setting_leaves_no_output(self, prepared, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", prepared, "--out", out, "--stages", 1,
+                       "--base-channels", 4, *argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "run.txt").exists() and not (out / "model.runc").exists()
 
     def test_run_manifest_records_config_and_environment(self, prepared, tmp_path):
         ckpt = tmp_path / "run" / "model.runc"
@@ -320,14 +373,9 @@ class TestTrainEvaluatePredict:
                 p.data = p.data * np.float32(1e38)
         ckpt = tmp_path / "huge.runc"
         save_checkpoint(ckpt, model)
-        src = str(Path(rainunet.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for command in ("evaluate", "predict"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "rainunet.cli", command, "--data", str(prepared),
-                 "--checkpoint", str(ckpt), "--out", str(tmp_path / command)],
-                capture_output=True, text=True, env=env, timeout=300)
+            proc = python("-m", "rainunet.cli", command, "--data", prepared,
+                          "--checkpoint", ckpt, "--out", tmp_path / command)
             assert proc.returncode == 1, proc.stderr
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -29,7 +29,7 @@ from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_che
                     save_checkpoint_params)
 from .tensor import (AutodiffError, GradCheckReport, NonFiniteError, Tensor,
                      TensorError, grad_check, tensor_sum)
-from .training import (TrainConfig, TrainingAbort, dice_loss, fit,
+from .training import (TrainConfig, TrainingAbort, check_records, dice_loss, fit,
                        predict_probs, write_training_log_csv)
 from .precision import use_precision
 from .metrics import binarize, evaluate_masks, lead_time_iou, write_lead_time_csv, write_metrics_csv
@@ -116,10 +116,12 @@ _TRAINING_FIELDS = ("stages", "base_channels", "out_frames", "epochs", "batch_si
 
 def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
     """cfg.out, made if missing, holding the run's manifest ``run.txt``: the
-    resolved config and what else fixes the output bytes (versions, BLAS and
-    its thread count, cores), as key = value lines. Given the ``model`` read
-    from cfg.checkpoint, the checkpoint's sha256 and stored model config
-    stand in for the model and training fields."""
+    resolved config and the environment (versions, BLAS and its thread
+    count, cores), as key = value lines. The environment is a record, not a
+    guarantee: trained bytes change with the BLAS thread count, which splits
+    the weight gradient's reductions. Given the ``model`` read from
+    cfg.checkpoint, the checkpoint's sha256 and stored model config stand in
+    for the model and training fields."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -188,8 +190,11 @@ def cmd_train(cfg: RunConfig) -> int:
         weight_decay=cfg.weight_decay, seed=cfg.seed,
         swa_enabled=cfg.swa, swa_start_epoch=cfg.swa_start,
     )
-    train_cfg.validate()  # a rejected setting leaves nothing in cfg.out
-    model = RainUNet(_model_config(cfg, records[0].input.shape[0]), seed=cfg.seed)
+    # a rejected setting leaves nothing in cfg.out
+    train_cfg.validate()
+    model_cfg = _model_config(cfg, records[0].input.shape[0])
+    check_records(records, model_cfg)
+    model = RainUNet(model_cfg, seed=cfg.seed)
     out = _out_dir(cfg)
     ckpt = out / "model.runc"
     save_checkpoint(ckpt, model)  # epoch-0 state; overwritten as epochs complete

@@ -33,25 +33,31 @@ _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 
 
-def runt_header(arr) -> tuple[bytes, np.ndarray]:
-    """Validate ``arr`` for storage and return the RUNT header with the
-    C-contiguous little-endian array whose buffer is the payload."""
-    arr = np.ascontiguousarray(getattr(arr, "data", arr))
-    if arr.dtype not in _DTYPE_TO_CODE:
-        raise FormatError(f"unsupported dtype {arr.dtype}; use f32, f64 or u8")
-    if arr.ndim < 1:
+def runt_header(dtype, shape) -> bytes:
+    """The RUNT header of an array of ``dtype`` and ``shape``, or FormatError
+    when such an array cannot be stored."""
+    if dtype not in _DTYPE_TO_CODE:
+        raise FormatError(f"unsupported dtype {dtype}; use f32, f64 or u8")
+    if len(shape) < 1:
         raise FormatError("0-d tensors cannot be stored")
+    head = _MAGIC + bytes([_VERSION, _DTYPE_TO_CODE[dtype], len(shape)])
+    return head + b"".join(struct.pack("<I", s) for s in shape)
+
+
+def runt_payload(arr) -> np.ndarray:
+    """``arr``, or a piece of a payload in C order, as the C-contiguous
+    little-endian array whose buffer is written; FormatError if it holds a
+    non-finite value."""
+    arr = np.ascontiguousarray(arr)
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise FormatError("refusing to store non-finite values")
-    code = _DTYPE_TO_CODE[arr.dtype]
-    head = _MAGIC + bytes([_VERSION, code, arr.ndim])
-    head += b"".join(struct.pack("<I", s) for s in arr.shape)
-    return head, arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    return arr.astype(arr.dtype.newbyteorder("<"), copy=False)
 
 
 def runt_encode(arr) -> bytes:
-    head, payload = runt_header(arr)
-    return head + payload.tobytes()
+    arr = np.ascontiguousarray(getattr(arr, "data", arr))
+    head = runt_header(arr.dtype, arr.shape)
+    return head + runt_payload(arr).tobytes()
 
 
 def runt_decode(blob) -> np.ndarray:

@@ -103,55 +103,39 @@ class ConvSpec:
 # The core takes and returns the layout (T, H, N, W, C): the batch sits
 # inside H, so an H-range of one frame is one contiguous run of rows. The op
 # hands on the array the core wrote as an (N, C, T, H, W) view
-# (_from_layout), so the tape holds layout arrays as op outputs, and
-# _to_layout of such a view, or of what relu, mul, concat or a max pool made
-# from it, is the same memory. An input in another memory order, such as the
-# model's input, is copied into the layout once, in the forward; the backward
+# (_from_layout), so _to_layout of a conv's output, or of what relu, mul,
+# concat or a max pool made from it, is the same memory. An input in another
+# memory order is copied into the layout once, in the forward; the backward
 # reuses that copy for the weight gradient.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
-# input range they read. The op finds them once per call and hands them to
-# the forward and the backward. Padding is never read: a tap that reads only
-# padding is dropped, and one that reads some padding touches only in-bounds
-# data.
+# input range they read, so padding is never read.
 #
 # The live W taps of one frame are laid side by side along the channel axis
-# in a block (_w_block, one np.take from the frame plus a zero column): for
-# the forward, column i holds in tap j's slot the input column output i
-# reads through tap j, or zeros where that read falls in the padding. The
-# adjoint uses the mirror, a block of gy over the input columns in which tap
-# j's slot holds the gy column that read it. Each live (t, h) tap is then one
-# `@` of an H-range m of the block, inner dimension live_w*C, with that tap's
-# live W weights stacked to match: per frame, the stride-1 dilated 1x7x7 conv
-# runs 7 GEMMs of K = 7*C, not 49 of K = C. A backward walks gy's blocks,
-# where m.T @ x's rows is also the tap's (live_w*C_out, C_in) weight
-# gradient, its row groups the tap-major slabs: one block build serves both
-# gradients. When the only live W tap pairs every column with itself the
-# block is the frame, uncopied. Blocks are made one frame at a time, each
-# released, with the consumer's views of it, before the next is built: the
-# stage-1 backward, which also holds x, gy and dx in the layout, peaks at
-# 6.0x the input, against 7.8x with two blocks alive and 9-10x with all.
+# in a block (_w_block): for the forward, column i holds in tap j's slot the
+# input column output i reads through tap j, or zeros; the adjoint uses the
+# mirror, a block of gy. Each live (t, h) tap is then one `@` of an H-range of
+# the block, inner dimension live_w*C, with that tap's live W weights stacked
+# to match; in the backward, m.T @ x's rows is also the tap's weight
+# gradient, so one block build serves both gradients. Blocks are made one
+# frame at a time, each released before the next is built, which bounds the
+# stage-1 backward's peak. One geometry serves every stride, dilation and
+# padding; there is no size rule and no second path.
 #
 # A conv weight is held tap-major: a (C_out, C_in, kt, kh, kw) array whose
 # memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
-# (C_out, C_in) slab. Stacking the live W taps of a (t, h) tap for the input
-# gradient (rows C_out, columns C_in) is then a reshape of the weight, a view
-# whenever those taps are a contiguous range; the forward's (rows C_in) is a
-# copy of the live slabs only, each read whole. The weight gradient is made
-# in the same layout, for the transposed convolution too: np.zeros leaves
-# the slab of a tap that reads only padding as untouched zero pages, only
-# live slabs are written, and the gradient comes with the box of taps
-# outside which it is zero, so AdamW can skip the dead slabs (see
-# training.AdamW). The tap-major layout is private to the program:
-# checkpoints and the layer API keep (C_out, C_in, kt, kh, kw) in C order,
-# and tap_major_copy / c_order convert between the two.
-#
-# There is no size rule and no second path: the one geometry serves every
-# stride, dilation and padding. An FFT correlation took 0.70x of the per-tap
-# kernels' forward+backward time on the default model's stage-1 dilated conv
-# but 1.02x to 2.0x on smaller maps, so it would have needed a rule choosing
-# by size, for less than the stacked taps give on every map.
+# (C_out, C_in) slab, and the stacked W taps of a (t, h) tap are a reshape of
+# it. The weight gradient is made in the same layout: only live slabs are
+# written, and it comes with the box of taps outside which it is zero, so
+# AdamW can skip the dead slabs (see training.AdamW). Checkpoints and the
+# layer API keep (C_out, C_in, kt, kh, kw) in C order. Between the two
+# orders a weight is its (C_out*C_in, taps) C-order matrix transposed, and
+# it moves in pieces of about _PIECE elements, whole rows of that matrix
+# (_row_pieces): a drawn weight is drawn piece by piece in C order and each
+# piece transposed into the tap-major array, and a checkpoint is written
+# from one reused piece buffer (c_order_pieces), so neither holds a second
+# whole-layer copy.
 
 
 def _axis_taps(n, o, k, s, d, p):
@@ -289,6 +273,8 @@ TAP_MAJOR = (2, 3, 4, 0, 1)
 # Tile of a transposing copy: 16 elements across the weight matrix's short
 # axis (a float32 cache line) by 4096 along its long one.
 _TILE_SHORT, _TILE_LONG = 16, 4096
+# Elements per piece of a weight moving between C order and tap-major.
+_PIECE = 1 << 18
 
 
 def is_tap_major(w) -> bool:
@@ -310,28 +296,42 @@ def _transpose_into(dst, src):
             dst[j : j + short, i : i + long] = src[i : i + long, j : j + short].T
 
 
-def tap_major_copy(w, dtype):
-    """A copy of the weight w (C_out, C_in, kt, kh, kw), of ``dtype``, held
-    tap-major."""
-    w = np.asarray(w)
-    co, ci, *k = w.shape
+def _row_pieces(rows, taps):
+    """``(lo, hi)`` ranges of the rows of a weight's (C_out*C_in, taps)
+    C-order matrix, each of about _PIECE elements."""
+    step = max(1, _PIECE // taps)
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _tap_major(shape, dtype, rows):
+    """A tap-major weight of ``shape`` (C_out, C_in, kt, kh, kw) and
+    ``dtype``, filled piece by piece: ``rows(lo, hi)`` gives rows lo:hi of
+    its (C_out*C_in, taps) C-order matrix."""
+    co, ci, *k = shape
     out = np.empty((*k, co, ci), dtype=dtype)
-    if w.flags.c_contiguous:
-        _transpose_into(out.reshape(-1, co * ci), w.reshape(co * ci, -1))
-    else:
-        out[...] = w.transpose(TAP_MAJOR)
+    held = out.reshape(-1, co * ci)
+    for lo, hi in _row_pieces(co * ci, len(held)):
+        _transpose_into(held[:, lo:hi], rows(lo, hi))
     return out.transpose(3, 4, 0, 1, 2)
 
 
-def c_order(a):
-    """``a`` in C order: itself when it is, a blocked transposing copy when it
-    is a tap-major weight, and np.ascontiguousarray otherwise."""
+def c_order_pieces(a):
+    """The elements of ``a`` in C order, as 1-d pieces of about _PIECE
+    elements: views of ``a`` in C order, and for a tap-major weight pieces of
+    one reused buffer, each overwritten by the next."""
     if a.flags.c_contiguous or not is_tap_major(a):
-        return np.ascontiguousarray(a)
+        flat = np.ascontiguousarray(a).reshape(-1)
+        for lo in range(0, flat.size, _PIECE):
+            yield flat[lo : lo + _PIECE]
+        return
     co, ci = a.shape[:2]
-    out = np.empty(a.shape, dtype=a.dtype)
-    _transpose_into(out.reshape(co * ci, -1), a.transpose(TAP_MAJOR).reshape(-1, co * ci))
-    return out
+    held = a.transpose(TAP_MAJOR).reshape(-1, co * ci)
+    pieces = _row_pieces(co * ci, len(held))
+    buf = np.empty(pieces[0][1] * len(held), dtype=a.dtype)
+    for lo, hi in pieces:
+        piece = buf[: (hi - lo) * len(held)]
+        _transpose_into(piece.reshape(hi - lo, -1), held[:, lo:hi])
+        yield piece
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +355,22 @@ class Conv3DLayer:
         self.out_channels = int(out_channels)
         self.spec = spec
         wshape = (self.out_channels, self.in_channels, *spec.kernel)
+        taps = int(np.prod(spec.kernel))
         if weight is None:
             if rng is None:
                 raise TensorError("Conv3DLayer needs either a generator or explicit weights")
-            bound = np.sqrt(1.0 / (self.in_channels * int(np.prod(spec.kernel))))
-            weight = rng.uniform(-bound, bound, size=wshape)
-        weight = np.asarray(weight)
-        if weight.shape != wshape:
-            raise TensorError(f"weight shape {weight.shape} != {wshape}")
-        weight = tap_major_copy(weight, precision.dtype())
+            bound = np.sqrt(1.0 / (self.in_channels * taps))
+            # the generator's draws in C order, one piece after another
+            weight = _tap_major(wshape, precision.dtype(),
+                                lambda lo, hi: rng.uniform(-bound, bound, size=(hi - lo, taps)))
+        else:
+            weight = np.asarray(weight)
+            if weight.shape != wshape:
+                raise TensorError(f"weight shape {weight.shape} != {wshape}")
+            # its (C_out*C_in, taps) C-order matrix, a view of a C-order or tap-major weight
+            matrix = (weight.transpose(TAP_MAJOR).reshape(taps, -1).T if is_tap_major(weight)
+                      else weight.reshape(-1, taps))
+            weight = _tap_major(wshape, precision.dtype(), lambda lo, hi: matrix[lo:hi])
         if bias is None:
             bias = np.zeros(self.out_channels)
         bias = np.array(bias, dtype=precision.dtype())

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import data as dataio
-from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order, conv3d, conv3d_transposed,
-                     group_norm, maxpool3d)
+from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order_pieces, conv3d,
+                     conv3d_transposed, group_norm, maxpool3d)
 from .tensor import Tensor, TensorError, concat, mean_axis, relu, sigmoid, zero_pad
 
 Triple = tuple[int, int, int]
@@ -63,6 +63,20 @@ class RainUNetConfig:
             kernels.append(k)
             t //= k
         return kernels
+
+    def check_input(self, shape) -> None:
+        """Raise TensorError, naming the setting, unless an input of ``shape``
+        (N, C, T, H, W) fits: C is in_channels, T is in_frames, and H and W
+        are at least 2^stages, so that every stage has a 2x2 window to pool."""
+        if len(shape) != 5:
+            raise TensorError(f"input must be (N,C,T,H,W), got {tuple(shape)}")
+        _, c, t, h, w = shape
+        if (c, t) != (self.in_channels, self.in_frames):
+            raise TensorError(f"input (C,T)=({c},{t}) but in_channels, in_frames = "
+                              f"{self.in_channels}, {self.in_frames}")
+        if min(h, w) < 2**self.stages:
+            raise TensorError(f"input H,W ({h}, {w}) too small for stages = {self.stages}: "
+                              f"each must be >= 2^{self.stages}")
 
     def validate(self) -> None:
         if self.stages < 1:
@@ -164,14 +178,6 @@ class TSBlock:
         h = conv3d(conv3d(conv3d(h, self.spatial), self.dilated), self.temporal)
         return relu(group_norm(h, self.out_norm))
 
-    def conv_path(self, x: Tensor) -> Tensor:
-        """Convolutions only, no normalization or activation. Group norm
-        couples every voxel of a group through its statistics, so this linear
-        pathway is the one whose impulse response shows the geometric
-        receptive field."""
-        h = conv3d(x, self.proj)
-        return conv3d(conv3d(conv3d(h, self.spatial), self.dilated), self.temporal)
-
     def parameters(self):
         out = []
         for name, mod in (("proj", self.proj), ("proj_norm", self.proj_norm),
@@ -248,24 +254,13 @@ class RainUNet:
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.config
-        if x.data.ndim != 5:
-            raise TensorError(f"input must be (N,C,T,H,W), got {x.shape}")
-        if x.shape[1] != cfg.in_channels or x.shape[2] != cfg.in_frames:
-            raise TensorError(
-                f"input (C,T)=({x.shape[1]},{x.shape[2]}) but model expects "
-                f"({cfg.in_channels},{cfg.in_frames})"
-            )
+        cfg.check_input(x.shape)
         t_kernels = cfg.temporal_pool_kernels()
         skips: list[Tensor] = []
         cur = x
         for k in range(1, cfg.stages + 1):
             cur = self.encoder[k - 1](cur)
             skips.append(cur)
-            if cur.shape[3] < 2 or cur.shape[4] < 2:
-                raise TensorError(
-                    f"spatial extent {cur.shape[3:]} too small to pool at stage {k}; "
-                    f"input needs H,W >= 2^{cfg.stages}"
-                )
             cur = maxpool3d(cur, (t_kernels[k - 1], 2, 2))
         for k, up, block in self.decoder:
             cur = conv3d_transposed(cur, up)
@@ -289,46 +284,6 @@ def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# receptive field arithmetic
-
-
-def _compose_spans(spans: list[tuple[Triple, Triple]]) -> Triple:
-    """Receptive field of a chain of (effective kernel, stride) layers."""
-    rf = [1, 1, 1]
-    jump = [1, 1, 1]
-    for eff, stride in spans:
-        for i in range(3):
-            rf[i] += (eff[i] - 1) * jump[i]
-            jump[i] *= stride[i]
-    return tuple(rf)
-
-
-def _ts_block_spans(cfg: RainUNetConfig) -> list[tuple[Triple, Triple]]:
-    one = (1, 1, 1)
-    return [
-        (ConvSpec.same_size((1, 1, 1)).effective(), one),
-        (ConvSpec.same_size(cfg.sconv_kernel).effective(), one),
-        (ConvSpec.same_size(cfg.tsdconv_kernel, cfg.tsdconv_dilation).effective(), one),
-        (ConvSpec.same_size(cfg.tconv_kernel).effective(), one),
-    ]
-
-
-def receptive_field(cfg: RainUNetConfig, blocks: int = 1) -> Triple:
-    """Analytic receptive field of ``blocks`` stacked TS blocks (no pooling)."""
-    return _compose_spans(_ts_block_spans(cfg) * blocks)
-
-
-def encoder_receptive_field(cfg: RainUNetConfig) -> Triple:
-    """Analytic receptive field of the full encoder, pooling included."""
-    spans: list[tuple[Triple, Triple]] = []
-    for kt in cfg.temporal_pool_kernels():
-        spans.extend(_ts_block_spans(cfg))
-        pool = (kt, 2, 2)
-        spans.append((pool, pool))
-    return _compose_spans(spans)
-
-
-# ---------------------------------------------------------------------------
 # checkpoint file: magic, version, config text (data.config_text), then one
 # tensor-format blob per parameter keyed by its enumeration name
 
@@ -338,8 +293,9 @@ _CKPT_VERSION = 1
 
 def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> None:
     """Write the checkpoint to ``<path>.tmp`` and move it onto ``path``, so a
-    failure part-way (such as a parameter that cannot be encoded) leaves the
-    previous checkpoint at ``path`` whole."""
+    failure part-way (such as a parameter that cannot be encoded, found in
+    the piece that holds it) leaves the previous checkpoint at ``path``
+    whole."""
     cfg_bytes = dataio.config_text(asdict(cfg)).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -350,15 +306,16 @@ def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarr
             fh.write(cfg_bytes)
             fh.write(struct.pack("<I", len(params)))
             for name, arr in params.items():
-                # the array's own buffer is written, or for a tap-major weight
-                # a C-order copy of that one array: no bytes copy is made
-                head, payload = dataio.runt_header(c_order(arr))
+                # the payload goes out in C-order pieces, views of the array or
+                # of one piece buffer, each checked before it is written
+                head = dataio.runt_header(arr.dtype, arr.shape)
                 name_b = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(name_b)))
                 fh.write(name_b)
-                fh.write(struct.pack("<I", len(head) + payload.nbytes))
+                fh.write(struct.pack("<I", len(head) + arr.nbytes))
                 fh.write(head)
-                fh.write(payload)
+                for piece in c_order_pieces(arr):
+                    fh.write(dataio.runt_payload(piece))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

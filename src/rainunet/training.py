@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import TAP_MAJOR, is_tap_major
-from .model import RainUNet
+from .model import RainUNet, RainUNetConfig
 from .tensor import NonFiniteError, Tensor, TensorError, _op, backward, no_grad
 
 
@@ -129,9 +129,9 @@ class AdamW:
 
     Each parameter is updated in place, in the memory order it had when the
     optimizer was made, in blocks of ADAMW_BLOCK elements; ``m`` and ``v``
-    are flat arrays in that order. Every element sees the formula's
-    operations in order, so the result is bit-identical to a whole-array
-    pass.
+    are flat arrays in that order, views into one buffer per dtype. Every
+    element sees the formula's operations in order, so the result is
+    bit-identical to a whole-array pass.
 
     A tap-major conv weight (see layers) is walked as its kernel taps'
     slabs. A tap outside the gradient's ``grad_taps`` at every step so far
@@ -151,8 +151,18 @@ class AdamW:
         self.weight_decay = weight_decay
         self.step_count = 0
         self.axes = {name: _memory_axes(t.data) for name, t in self.named_params}
-        self.m = {name: np.zeros(t.size, t.data.dtype) for name, t in self.named_params}
-        self.v = {name: np.zeros(t.size, t.data.dtype) for name, t in self.named_params}
+        # m and v of every parameter of one dtype are views into one zeroed
+        # buffer: the slabs of dead taps stay untouched zero pages, and the
+        # whole state goes back at once when the optimizer is dropped
+        sizes: dict[np.dtype, int] = {}
+        for _, t in self.named_params:
+            sizes[t.data.dtype] = sizes.get(t.data.dtype, 0) + t.size
+        state = {dtype: np.zeros((2, n), dtype) for dtype, n in sizes.items()}
+        self.m, self.v = {}, {}
+        for name, t in self.named_params:  # each buffer handed out from its end
+            sizes[t.data.dtype] -= t.size
+            lo = sizes[t.data.dtype]
+            self.m[name], self.v[name] = state[t.data.dtype][:, lo : lo + t.size]
         # per tap-major weight, the taps that have had the full update
         self.started = {name: np.zeros(t.shape[2:], dtype=bool)
                         for name, t in self.named_params if self.axes[name] == TAP_MAJOR}
@@ -252,17 +262,18 @@ class FitResult:
     swa: SWAAverager | None = None
 
 
-def _stack_dataset(records, model: RainUNet):
-    want_c = model.config.in_channels
+def check_records(records, cfg: RainUNetConfig) -> None:
+    """Raise TensorError, naming the setting, unless every record fits a
+    model of ``cfg``: its input as RainUNetConfig.check_input takes it, its
+    target's frames against out_frames and its H and W against the input's."""
     for r in records:
-        if r.input.shape[0] != want_c:
-            raise TensorError(
-                f"record has {r.input.shape[0]} channels but the model wants {want_c}; "
-                "run modality selection first"
-            )
-    x = np.stack([r.input for r in records])
-    y = np.stack([r.target for r in records]).astype(np.float32)
-    return x, y
+        cfg.check_input((1, *r.input.shape))
+        if r.target.shape[0] != cfg.out_frames:
+            raise TensorError(f"targets have {r.target.shape[0]} frames but out_frames = "
+                              f"{cfg.out_frames}")
+        if r.target.shape[1:] != r.input.shape[2:]:
+            raise TensorError(f"target H,W {r.target.shape[1:]} differ from the input's "
+                              f"{r.input.shape[2:]}")
 
 
 def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitResult:
@@ -274,7 +285,9 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
     cfg.validate()
     if not records:
         raise TensorError("empty dataset")
-    x_all, y_all = _stack_dataset(records, model)
+    check_records(records, model.config)
+    x_all = np.stack([r.input for r in records])
+    y_all = np.stack([r.target for r in records]).astype(np.float32)
     params = model.named_parameters()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
@@ -310,7 +323,7 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
 
 def predict_probs(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
     """Forward a dataset under no_grad; returns (S, out_frames, H, W)."""
-    x_all, _ = _stack_dataset(records, model)
+    x_all = np.stack([r.input for r in records])
     chunks = []
     with no_grad():
         for start in range(0, len(records), batch_size):

@@ -1,4 +1,6 @@
 import sys
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,30 @@ def _standard_by_default():
     precision.set_precision("standard")
     yield
     precision.set_precision("standard")
+
+
+@pytest.fixture
+def traced_peak():
+    """Trace allocations with tracemalloc for a block: ``with traced_peak()
+    as peak:``. Each ``peak()`` returns the most bytes held at once since
+    the previous call, or since the block began, above what was held then,
+    and starts the next span."""
+
+    @contextmanager
+    def tracing():
+        tracemalloc.start()
+        in_use = 0
+
+        def peak() -> int:
+            nonlocal in_use
+            top = tracemalloc.get_traced_memory()[1] - in_use
+            in_use = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return top
+
+        try:
+            yield peak
+        finally:
+            tracemalloc.stop()
+
+    return tracing

@@ -272,13 +272,19 @@ class TestTrainEvaluatePredict:
         preds = sorted(pred.glob("*_pred.runt"))
         assert len(preds) == len(load_dataset(prepared / MANIFEST_NAME))
 
-    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--swa", "--swa-start", 30, "--epochs", 2]],
-                             ids=["lr_nan", "swa_start_past_epochs"])
+    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--swa", "--swa-start", 30, "--epochs", 2],
+                                      ["--out-frames", 4], ["--stages", 6]],
+                             ids=["lr_nan", "swa_start_past_epochs", "out_frames_not_the_targets",
+                                  "stages_too_deep_for_the_maps"])
     def test_rejected_setting_leaves_no_output(self, prepared, tmp_path, capsys, argv):
+        # the targets have 32 frames and the maps are 36x36, too small to pool 6 times
         out = tmp_path / "run"
+        capsys.readouterr()
         assert run_cli("train", "--data", prepared, "--out", out, "--stages", 1,
                        "--base-channels", 4, *argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert argv[0].lstrip("-").replace("-", "_") in err[0], err  # names the setting
         assert not (out / "run.txt").exists() and not (out / "model.runc").exists()
 
     def test_run_manifest_records_config_and_environment(self, prepared, tmp_path):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import naive_conv3d, naive_conv3d_transposed, naive_group_norm
 from rainunet import layers, precision
 from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps, _from_layout,
-                             _stacked_weights, _to_layout, c_order, conv3d, conv3d_transposed,
+                             _stacked_weights, _to_layout, c_order_pieces, conv3d, conv3d_transposed,
                              group_norm, is_tap_major, maxpool3d)
 from rainunet.model import RainUNetConfig, TSBlock
 from rainunet.tensor import Tensor, TensorError, _op, backward, grad_check, mul, tensor_sum
@@ -228,7 +226,7 @@ class TestConvTapGeometry:
         assert len(calls) == 2 * forward
         assert x.grad is not None and layer.weight.grad is not None
 
-    def test_stage1_dilated_conv_memory_peak(self):
+    def test_stage1_dilated_conv_memory_peak(self, traced_peak):
         # the default model's stage-1 dilated conv at float32. The forward's
         # peak counts from before the call, output included; the backward's
         # counts above what is in use when backward starts. Per-frame blocks
@@ -238,17 +236,13 @@ class TestConvTapGeometry:
         layer = Conv3DLayer(16, 16, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
         x = Tensor(rng.standard_normal((4, 16, 4, 66, 66), dtype=np.float32), requires_grad=True)
         gy = Tensor(rng.standard_normal(x.shape, dtype=np.float32))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             y = conv3d(x, layer)
-            forward_peak = tracemalloc.get_traced_memory()[1]
+            forward_peak = peak()
             loss = tensor_sum(mul(y, gy))
-            in_use = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+            peak()  # the backward's span starts here
             backward(loss)
-            backward_peak = tracemalloc.get_traced_memory()[1] - in_use
-        finally:
-            tracemalloc.stop()
+            backward_peak = peak()
         assert x.grad is not None and layer.weight.grad is not None
         assert forward_peak <= 7 * x.data.nbytes
         assert backward_peak <= 7 * x.data.nbytes
@@ -486,9 +480,9 @@ class TestWeightLayout:
         for shape in ((300, 20, 1, 7, 7), (2, 3, 3, 1, 1), (1, 1, 1, 1, 1)):
             w = rng.normal(size=shape)
             held = Conv3DLayer(shape[1], shape[0], ConvSpec(shape[2:]), weight=w).weight.data
-            back = c_order(held)
-            assert back.flags.c_contiguous and back.dtype == np.float32
-            assert np.array_equal(back, w.astype(np.float32))
+            back = np.concatenate([piece.copy() for piece in c_order_pieces(held)])
+            assert back.dtype == np.float32
+            assert np.array_equal(back, w.astype(np.float32).reshape(-1))
 
     def test_input_gradient_stacks_weight_taps_as_views(self):
         # the input gradient's stacked live W taps are a view of the

@@ -1,6 +1,5 @@
 import re
 import struct
-import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -11,11 +10,9 @@ from hypothesis import strategies as st
 from oracles import support_box
 from rainunet.data import FormatError, config_text, parse_config, runt_encode
 from rainunet import layers, model as model_module, precision
-from rainunet.layers import conv3d, group_norm, is_tap_major
+from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
-                            encoder_receptive_field,
-                            load_checkpoint, receptive_field, save_checkpoint,
-                            save_checkpoint_params)
+                            load_checkpoint, save_checkpoint, save_checkpoint_params)
 from rainunet.tensor import (Tensor, TensorError, backward, grad_check, no_grad, relu,
                              tensor_sum)
 
@@ -83,19 +80,42 @@ class TestTSBlock:
         assert np.array_equal(direct.data, manual.data)
 
     def test_impulse_support_matches_receptive_field(self):
-        # positive weights keep the response solid inside the geometric box;
-        # normalization is excluded because its statistics couple all voxels
+        # the impulse response of the blocks' four convs, with positive
+        # weights, fills the geometric box: one block spans (3, 21, 21) and
+        # two (5, 41, 41). Normalization is left out because its statistics
+        # couple all voxels.
         rng = np.random.default_rng(4)
-        cfg = micro_cfg()
-        block = TSBlock(1, 2, cfg, rng)
-        for _, p in block.parameters():
-            if p.data.ndim == 5:
-                p.data = np.abs(p.data) + 0.01
-        x = np.zeros((1, 1, 5, 25, 25), dtype=np.float32)
-        x[0, 0, 2, 12, 12] = 1.0
+        blocks = [TSBlock(c, 2, micro_cfg(), rng) for c in (1, 2)]
+        for block in blocks:
+            for _, p in block.parameters():
+                if p.data.ndim == 5:
+                    p.data = np.abs(p.data) + 0.01
+
+        def convs(block, h):
+            for conv in (block.proj, block.spatial, block.dilated, block.temporal):
+                h = conv3d(h, conv)
+            return h
+
+        x = np.zeros((1, 1, 7, 45, 45), dtype=np.float32)
+        x[0, 0, 3, 22, 22] = 1.0
         with no_grad():
-            out = block.conv_path(Tensor(x))
-        assert support_box(out.data) == receptive_field(cfg, 1) == (3, 21, 21)
+            one = convs(blocks[0], Tensor(x))
+            two = convs(blocks[1], one)
+        assert support_box(one.data) == (3, 21, 21)
+        assert support_box(two.data) == (5, 41, 41)
+
+        # through two encoder stages, each conv path then a 2x pool along H,
+        # an output row is reached from an H span of 21 + 1 + 2*20 + 2 input
+        # rows: sample i carries its impulse at row i
+        h = 128
+        x = np.zeros((h, 1, 1, h, 2), dtype=np.float32)
+        x[np.arange(h), 0, 0, np.arange(h)] = 1.0
+        out = Tensor(x)
+        with no_grad():
+            for block in blocks:
+                out = maxpool3d(convs(block, out), (1, 2, 1))
+        reached = np.flatnonzero(out.data[:, :, :, h // 8].any(axis=(1, 2, 3)))
+        assert reached[-1] - reached[0] + 1 == 21 + 1 + 2 * 20 + 2
 
     def test_gradients(self, wide):
         rng = np.random.default_rng(5)
@@ -103,19 +123,6 @@ class TestTSBlock:
         x = Tensor(rng.normal(size=(1, 2, 2, 8, 8)))
         rep = grad_check(lambda t: tensor_sum(block(t) * block(t)), x, max_coords=40)
         assert rep.passed
-
-
-class TestReceptiveField:
-    def test_single_block(self):
-        assert receptive_field(RainUNetConfig()) == (3, 21, 21)
-
-    def test_two_blocks(self):
-        assert receptive_field(RainUNetConfig(), 2) == (5, 41, 41)
-
-    def test_encoder_grows_with_pooling(self):
-        cfg = RainUNetConfig(stages=2)
-        # block (span 21) + pool 2 doubles the jump for the second block
-        assert encoder_receptive_field(cfg)[1] == 1 + 20 + 1 + 2 * 20 + 2
 
 
 class TestBuild:
@@ -317,21 +324,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="head.bias"):
             load_checkpoint(path)
 
-    def test_config_larger_than_parameters_rejected_before_building(self, tmp_path):
+    def test_config_larger_than_parameters_rejected_before_building(self, tmp_path, traced_peak):
         # the config text of a one-stage width-2 checkpoint says nine stages:
         # a model of 44.6 M parameters, which must not be allocated to find
         # that the stored ones do not fit it
         model = RainUNet(micro_cfg(stages=1, base_channels=2), seed=4)
         path = tmp_path / "model.runc"
         save_checkpoint_params(path, replace(model.config, stages=9), model.state())
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(FormatError, match="enc2"):
                 load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10e6
+            assert peak() < 10e6
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -462,7 +465,7 @@ class TestWeightLayout:
         save_checkpoint(second, load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_load_peak_is_one_model_plus_its_largest_parameter(self, tmp_path):
+    def test_load_peak_is_one_model_plus_its_largest_parameter(self, tmp_path, traced_peak):
         # building from stored arrays copies each into its layer's tap-major
         # weight and drops the stored one, so the stored and the built model
         # are never both held whole. Beside the largest parameter's copy
@@ -472,14 +475,52 @@ class TestWeightLayout:
         path = tmp_path / "model.runc"
         save_checkpoint(path, model)
         raw = path.read_bytes()
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             _, state = _parse_checkpoint(memoryview(raw))
-            tracemalloc.reset_peak()
+            peak()  # counts from here
             loaded = RainUNet.from_state(model.config, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            load = peak()
         assert state == {}
         assert_tap_major_equal(loaded, model.state())
-        assert peak <= sum(sizes) + 1.25 * max(sizes) + 128 * 1024
+        assert load <= sum(sizes) + 1.25 * max(sizes) + 128 * 1024
+
+    def test_build_peak_is_the_model_plus_one_piece(self, traced_peak):
+        # each weight is drawn in float64 one piece at a time, straight into
+        # its tap-major array; beside the parameters there is the tensor's
+        # finiteness mask (1 byte per 4-byte element) and one piece's draw
+        cfg = RainUNetConfig(stages=4, base_channels=16)
+        with traced_peak() as peak:
+            model = RainUNet(cfg, seed=4)
+            build = peak()
+        sizes = [t.data.nbytes for _, t in model.named_parameters()]
+        assert max(sizes) // 4 > 2 * layers._PIECE  # the largest weight spans pieces
+        assert build <= sum(sizes) + max(sizes) / 4 + layers._PIECE * 8 + 256 * 1024
+
+    def test_save_peak_does_not_grow_with_the_model(self, tmp_path, traced_peak):
+        # a tap-major weight goes out in C-order pieces from one buffer, each
+        # checked (a mask of 1 byte per element) before it is written
+        model = RainUNet(RainUNetConfig(stages=4, base_channels=16), seed=4)
+        path = tmp_path / "model.runc"
+        with traced_peak() as peak:
+            save_checkpoint(path, model)
+            save = peak()
+        assert max(t.size for _, t in model.named_parameters()) > 2 * layers._PIECE
+        assert save <= layers._PIECE * 5 + 256 * 1024
+        assert_tap_major_equal(load_checkpoint(path), model.state())
+
+    def test_non_finite_value_in_a_later_piece_keeps_the_last_checkpoint(self, tmp_path):
+        # the writer has already written the weight's first pieces when it
+        # finds the NaN in its last one
+        model = RainUNet(RainUNetConfig(stages=4, base_channels=16), seed=4)
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        params = {n: t.data for n, t in model.named_parameters()}
+        name = max(params, key=lambda n: params[n].size)
+        weight = params[name] = params[name].copy(order="K")
+        assert is_tap_major(weight) and weight.size > 2 * layers._PIECE
+        weight[-1, -1, -1, -1, -1] = np.nan
+        with pytest.raises(FormatError, match="non-finite"):
+            save_checkpoint_params(path, model.config, params)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.runc"]

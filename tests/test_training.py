@@ -265,6 +265,20 @@ class TestAdamW:
         assert np.all(slabs[24] != 0.0)
         assert np.all(np.delete(slabs, 24, axis=0) == 0.0)
 
+    def test_moments_are_views_of_one_buffer_per_dtype(self):
+        # one zeroed allocation holds every m and v of a dtype, so the
+        # untouched slabs of dead taps cost no memory and the state is freed
+        # at once
+        params = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=3).named_parameters()
+        opt = AdamW(params)
+        moments = [*opt.m.values(), *opt.v.values()]
+        base = moments[0].base
+        assert base is not None and all(a.base is base for a in moments)
+        assert sum(a.size for a in moments) == 2 * sum(t.size for _, t in params)
+        assert all(a.flags.c_contiguous and not a.any() for a in moments)
+        for i, a in enumerate(moments):
+            assert not any(np.shares_memory(a, b) for b in moments[i + 1:])
+
     def test_gradient_set_by_hand_is_dense(self):
         # a gradient assigned directly carries no box of live taps, so every
         # slab gets the full update

@@ -55,7 +55,9 @@ def runt_payload(arr) -> np.ndarray:
 
 
 def runt_encode(arr) -> bytes:
-    arr = np.ascontiguousarray(getattr(arr, "data", arr))
+    # the header is checked on the array as given: np.ascontiguousarray
+    # would make a 0-d array 1-d
+    arr = np.asarray(getattr(arr, "data", arr))
     head = runt_header(arr.dtype, arr.shape)
     return head + runt_payload(arr).tobytes()
 

@@ -412,12 +412,13 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     xl = _to_layout(x.data)
     y = _corr3d(xl, corr_weight, taps, out_ext, transposed)
     y += b.data
+    dx_weight = corr_weight if x.requires_grad else None
+    dw_shape = (*spec.kernel, *w.shape[:2]) if w.requires_grad else None
 
     def grad_fn(gy):
         gy = _to_layout(gy)
-        dw = np.zeros((*spec.kernel, *w.shape[:2]), dtype=gy.dtype) if w.requires_grad else None
-        dx = _corr3d(gy, corr_weight if x.requires_grad else None, taps, in_ext,
-                     not transposed, None if dw is None else xl, dw)
+        dw = None if dw_shape is None else np.zeros(dw_shape, dtype=gy.dtype)
+        dx = _corr3d(gy, dx_weight, taps, in_ext, not transposed, None if dw is None else xl, dw)
         if dw is not None:  # with its box of live taps, see backward
             dw = dw.transpose(3, 4, 0, 1, 2), tuple(
                 slice(a[0][0], a[-1][0] + 1) if a else slice(0, 0) for a in taps)
@@ -509,7 +510,10 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     """Group norm in the conv layout: x as rows (T*H, N*W*C), so every pass is
     a long contiguous row against a row of per-(n, c) terms, and a sum over
     the rows then over W gives the per-(n, c) sums. Output and input gradient
-    are layout views, as a conv's are."""
+    are layout views, as a conv's are. The tape keeps the input, the mean row
+    and the per-(n, c) inverse deviation; the backward recomputes the centred
+    input x - mean from them, the forward's subtraction on the same arrays,
+    instead of keeping a second map."""
     if x.data.ndim != 5:
         raise TensorError(f"group_norm input must be 5-d, got {x.shape}")
     n, c, t, h, w = x.shape
@@ -528,24 +532,29 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
         return np.broadcast_to(a.reshape(-1, 1, c), (n, w, c)).reshape(-1)
 
     xl = _to_layout(x.data).reshape(t * h, -1)
-    d = xl - row(grouped(sums(xl)) / m)  # x - mean; x̂ = d * inv
+    mean = row(grouped(sums(xl)) / m)
+    d = xl - mean  # x̂ = d * inv
     y = np.square(d)
     inv = 1.0 / np.sqrt(grouped(sums(y)) / m + layer.eps)
-    gamma, beta = layer.gamma, layer.beta
-    np.multiply(d, row(inv * gamma.data), out=y)
-    y += row(beta.data)
+    gamma = layer.gamma.data
+    np.multiply(d, row(inv * gamma), out=y)
+    y += row(layer.beta.data)
+    del d  # the backward recomputes it; free it before _op's finite check
+    need_dx = x.requires_grad
 
     def grad_fn(gy):
         gy = _to_layout(gy).reshape(t * h, -1)
+        d = xl - mean
         gyd = gy * d
         s_gy, s_gyx = sums(gy), sums(gyd) * inv  # per-(n, c) sums of gy and gy * x̂
         dx = None
-        if x.requires_grad:
+        if need_dx:
             # dx = inv * (gy*gamma - mean(gy*gamma) - x̂ * mean(gy*gamma*x̂)),
             # the means over each (n, group)
-            dx = gy * row(gamma.data * inv)
-            dx += np.multiply(d, row(-inv * inv * grouped(gamma.data * s_gyx) / m), out=gyd)
-            dx += row(-inv * grouped(gamma.data * s_gy) / m)
+            dx = gy * row(gamma * inv)
+            dx += np.multiply(d, row(-inv * inv * grouped(gamma * s_gyx) / m), out=gyd)
+            dx += row(-inv * grouped(gamma * s_gy) / m)
             dx = _from_layout(dx.reshape(t, h, n, w, c))
         return dx, s_gyx.sum(axis=0), s_gy.sum(axis=0)
-    return _op(_from_layout(y.reshape(t, h, n, w, c)), (x, gamma, beta), grad_fn, layer.name)
+    return _op(_from_layout(y.reshape(t, h, n, w, c)), (x, layer.gamma, layer.beta), grad_fn,
+               layer.name)

@@ -14,6 +14,14 @@ calls on leaf tensors until the caller zeroes them (optimizer-style
 ``zero_grad``), without one tensor's gradient changing another's that shares
 its array.
 
+The tape keeps only what a backward reads. A node holds each input that an
+op on the same tape produced as that op's node, and its own output only
+through a weak reference; the gradient of an op's output is gathered on its
+node and handed to the output tensor if the caller still holds it. Each
+``grad_fn`` captures the arrays and flags its gradient reads, not the
+tensors it was given. So an activation that no backward reads, such as a
+relu's input or a mean's, is freed as soon as the forward moves past it.
+
 No broadcasting: ``mul`` takes two tensors of one shape. The logical shape
 of a 5-d value is (N, C, T, H, W); its memory may be in another order: a
 conv, group norm or max pool output is a view whose memory is the
@@ -29,6 +37,7 @@ dice loss, one op per batch, in rainunet.training.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -77,16 +86,23 @@ def no_grad():
 
 
 class GraphNode:
-    """One recorded op: its input tensors, its output and, in ``apply``, the
-    op's ``grad_fn`` (see :func:`_op`)."""
+    """One recorded op: its inputs, a weak reference to its output tensor,
+    that output's shape and dtype, the gradient gathered for it during
+    :func:`backward` (``grad``, ``grad_taps``) and, in ``apply``, the op's
+    ``grad_fn`` (see :func:`_op`). An input is held as its producer's node
+    when an op on the same graph made it, and as the tensor otherwise (a
+    leaf, or the output of an op on a tape already consumed)."""
 
-    __slots__ = ("inputs", "out", "apply", "graph")
+    __slots__ = ("inputs", "out", "apply", "graph", "shape", "dtype", "grad", "grad_taps")
+    requires_grad = True  # a recorded op's output always takes part
 
     def __init__(self, inputs, out, apply, graph):
         self.inputs = inputs
-        self.out = out
+        self.out = weakref.ref(out)
         self.apply = apply
         self.graph = graph
+        self.shape, self.dtype = out.shape, out.dtype
+        self.grad = self.grad_taps = None
 
 
 class Graph:
@@ -98,7 +114,9 @@ class Graph:
         self.consumed = False
 
     def record(self, inputs, out, apply) -> GraphNode:
-        node = GraphNode(inputs, out, apply, self)
+        """Record ``out``'s op, its inputs made on this graph held as their nodes."""
+        held = tuple(t if t.node is None or t.node.graph is not self else t.node for t in inputs)
+        node = GraphNode(held, out, apply, self)
         self.nodes.append(node)
         return node
 
@@ -117,7 +135,7 @@ def _recording_graph() -> Graph:
 class Tensor:
     """N-dimensional float array that can participate in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "grad_taps", "node")
+    __slots__ = ("data", "requires_grad", "_grad", "grad_taps", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=precision.dtype())
@@ -142,6 +160,10 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def size(self) -> int:
@@ -174,7 +196,10 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     :func:`backward` drops both. A conv weight's gradient may come as the
     pair ``(gradient, taps)``, ``taps`` being the slices of kernel taps
     outside which it is zero; :func:`backward` keeps them in ``grad_taps``.
-    It stores nothing itself; :func:`backward` does. A non-finite output's
+    It stores nothing itself; :func:`backward` does. It should capture the
+    arrays and flags it reads, not the tensors of ``inputs``: the tape holds
+    those only as nodes, so that what no gradient reads is freed when the
+    caller drops it. A non-finite output's
     NonFiniteError names the op (grad_fn's enclosing function), its shape and
     the ``layer`` the op ran, when the op names one.
     """
@@ -195,11 +220,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise TensorError(f"mul: expected a Tensor, got {type(b).__name__}")
     if a.shape != b.shape:
         raise TensorError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return _op(a.data * b.data, (a, b), lambda gy: (gy * b.data, gy * a.data))
+    x, y = a.data, b.data
+    return _op(x * y, (a, b), lambda gy: (gy * y, gy * x))
 
 
 def relu(a: Tensor) -> Tensor:
-    return _op(np.maximum(a.data, 0), (a,), lambda gy: (gy * (a.data > 0),))
+    y = np.maximum(a.data, 0)  # y > 0 exactly where a > 0: the gradient masks with y
+    return _op(y, (a,), lambda gy: (gy * (y > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -213,19 +240,31 @@ def sigmoid(a: Tensor) -> Tensor:
     return _op(s, (a,), lambda gy: (gy * s * (1.0 - s),))
 
 
+def _filler(a: np.ndarray):
+    """A function ``fill(v)`` giving a new array of ``a``'s shape, dtype and
+    memory order (its axes by decreasing stride, as ``np.empty_like``) set
+    to ``v``; it keeps nothing of ``a`` alive."""
+    shape, dtype = a.shape, a.dtype
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+
+    def fill(v):
+        g = np.empty([shape[i] for i in order], dtype).transpose(np.argsort(order))
+        g[...] = v
+        return g
+    return fill
+
+
 def tensor_sum(a: Tensor) -> Tensor:
-    return _op(np.sum(a.data), (a,), lambda gy: (np.full_like(a.data, gy),))
+    fill = _filler(a.data)
+    return _op(np.sum(a.data), (a,), lambda gy: (fill(gy),))
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     """The mean over ``axis``, in C order; its gradient in the memory order of ``a``."""
     n = a.shape[axis]
-
-    def grad_fn(gy):
-        g = np.empty_like(a.data)
-        g[...] = np.expand_dims(gy / n, axis)
-        return (g,)
-    return _op(np.ascontiguousarray(np.mean(a.data, axis=axis)), (a,), grad_fn)
+    fill = _filler(a.data)
+    return _op(np.ascontiguousarray(np.mean(a.data, axis=axis)), (a,),
+               lambda gy: (fill(np.expand_dims(gy / n, axis)),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -257,17 +296,21 @@ def backward(loss: Tensor) -> None:
     Walks the recording tape once, in reverse creation order (a valid reverse
     topological order), and gives each node's ``grad_fn`` its output's
     gradient. Of the gradients it returns, ``None`` and those of inputs that
-    do not require gradients are dropped. A tensor's first gradient is kept
-    as returned, and each later one is added out of place, so an array that
-    two tensors share is never changed through either. The box of taps that
+    do not require gradients are dropped. A gradient goes to what the node
+    holds for the input: the producer's node, whose ``grad`` is complete
+    before that node is replayed and is then set on its output tensor if the
+    caller still holds it, or the tensor itself (a leaf, or an output of a
+    tape already consumed). Either way the first gradient is kept as
+    returned, and each later one is added out of place, so an array that two
+    tensors share is never changed through either. The box of taps that
     comes with a conv weight's first gradient is kept in ``grad_taps``; a sum
     of gradients has none. A gradient whose shape or dtype differs from its
-    tensor's is an :class:`AutodiffError`.
+    input's is an :class:`AutodiffError`.
 
     The tape is consumed: call forward again before the next backward. Each
-    node drops its inputs, output and ``grad_fn`` once replayed, so the
-    tape's arrays are freed by reference counting as soon as the caller lets
-    go of its tensors, not by a later cyclic collection.
+    node drops its inputs, output, gradient and ``grad_fn`` once replayed, so
+    the tape's arrays are freed by reference counting as it goes, not by a
+    later cyclic collection.
     """
     if loss.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -277,24 +320,27 @@ def backward(loss: Tensor) -> None:
     if graph.consumed:
         raise AutodiffError("backward already ran on this graph; run forward again")
     graph.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    loss.node.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         # a node whose output got no gradient is not on any path from the loss
-        grads = () if node.out.grad is None else node.apply(node.out.grad)
-        for t, g in zip(node.inputs, grads):
-            if g is None or not t.requires_grad:
-                continue
-            g, taps = g if isinstance(g, tuple) else (g, None)
-            if g.shape != t.shape or g.dtype != t.data.dtype:
-                raise AutodiffError(f"gradient of shape {g.shape} and dtype {g.dtype} for a "
-                                    f"tensor of shape {t.shape} and dtype {t.data.dtype}")
-            if t.grad is None:
-                t.grad, t.grad_taps = g, taps
-            else:
-                # out of place: the first gradient may be shared (an op may
-                # give one gy to two inputs); the sum carries no box of taps
-                t.grad = t.grad + g
-        node.inputs = node.out = node.apply = None
+        if node.grad is not None:
+            out = node.out()
+            if out is not None:
+                out.grad, out.grad_taps = node.grad, node.grad_taps
+            for t, g in zip(node.inputs, node.apply(node.grad)):
+                if g is None or not t.requires_grad:
+                    continue
+                g, taps = g if isinstance(g, tuple) else (g, None)
+                if g.shape != t.shape or g.dtype != t.dtype:
+                    raise AutodiffError(f"gradient of shape {g.shape} and dtype {g.dtype} for a "
+                                        f"tensor of shape {t.shape} and dtype {t.dtype}")
+                if t.grad is None:
+                    t.grad, t.grad_taps = g, taps
+                else:
+                    # out of place: the first gradient may be shared (an op may
+                    # give one gy to two inputs); the sum carries no box of taps
+                    t.grad, t.grad_taps = t.grad + g, None
+        node.inputs = node.out = node.apply = node.grad = node.grad_taps = None
     st = _state()
     if st.graph is graph:
         st.graph = None

@@ -75,6 +75,7 @@ def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
     den = np.where(live, den, 1.0)  # the rows of empty samples divide by 1, then get 0
     losses = np.where(live, -(a / den) + 1.0, 0.0)
     total = np.add.accumulate(losses)[-1] * np.asarray(1.0 / rows, dtype=losses.dtype)
+    shape = pred.shape
 
     def grad_fn(gy):
         gq = gy * (1.0 / rows)
@@ -83,7 +84,7 @@ def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
         g_den = (-gd * a / (den * den))[:, None]
         grad = (g_den * p + g_den * p) + g_ov * g
         grad[~live] = gq * 0.0
-        return (grad.reshape(pred.shape),)
+        return (grad.reshape(shape),)
     return _op(total, (pred,), grad_fn)
 
 

@@ -1,3 +1,4 @@
+import gc
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -22,6 +23,17 @@ def _standard_by_default():
     precision.set_precision("standard")
     yield
     precision.set_precision("standard")
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run the test with the cyclic garbage collector off, so that only
+    reference counting frees memory."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
 
 
 @pytest.fixture

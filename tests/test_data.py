@@ -68,6 +68,12 @@ class TestRuntFormat:
         with pytest.raises(FormatError):
             runt_encode(np.array([np.nan], dtype=np.float32))
 
+    @pytest.mark.parametrize("scalar", [np.float32(1.5), np.array(1.5, dtype=np.float64)])
+    def test_zero_d_array_rejected(self, scalar):
+        # stored as shape (1,) it would decode to another shape than it had
+        with pytest.raises(FormatError, match="0-d"):
+            runt_encode(scalar)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected_on_decode(self, dtype, bad):

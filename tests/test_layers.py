@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps, 
                              _stacked_weights, _to_layout, c_order_pieces, conv3d, conv3d_transposed,
                              group_norm, is_tap_major, maxpool3d)
 from rainunet.model import RainUNetConfig, TSBlock
-from rainunet.tensor import Tensor, TensorError, _op, backward, grad_check, mul, tensor_sum
+from rainunet.tensor import (Tensor, TensorError, _op, backward, concat, grad_check, mean_axis,
+                             mul, relu, tensor_sum)
 
 
 def quad(y):
@@ -538,3 +542,79 @@ class TestLayoutResidency:
         assert len(copied) == 1 and copied[0] is x.data
         for inp, out in ops:
             assert self.is_layout(out.data) and self.is_layout(inp.grad)
+
+
+def _owner(a):
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+# For each op output that no backward reads: how the op makes it from a
+# (2, 8, 2, 6, 6) input, and what consumes it in the model
+_UNREAD = {
+    "group_norm under relu": (lambda x, rng: group_norm(x, GroupNormLayer(8, 4)), relu),
+    "conv under mean_axis": (
+        lambda x, rng: conv3d(x, Conv3DLayer(8, 32, ConvSpec.same_size((1, 1, 1)), rng)),
+        lambda y: mean_axis(y, 2)),
+    "up-conv under concat": (
+        lambda x, rng: conv3d_transposed(
+            x, Conv3DLayer(8, 4, ConvSpec.upsample((False, True, True)), rng)),
+        lambda y: concat([y, Tensor(np.ones(y.shape, dtype=np.float32), requires_grad=True)], axis=1)),
+}
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestTapeRelease:
+    """The tape keeps only what a backward reads: an activation that no
+    gradient reads is freed as soon as the caller drops it, before backward,
+    by reference counting alone."""
+
+    @pytest.mark.parametrize("case", sorted(_UNREAD))
+    def test_unread_output_freed_before_backward(self, case):
+        make, consume = _UNREAD[case]
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        y = make(x, rng)
+        freed = weakref.ref(_owner(y.data))
+        z = consume(y)
+        del y
+        assert freed() is None
+        backward(quad(z))
+        assert x.grad is not None and z.grad is not None
+
+    def test_held_activation_gets_the_gradient_a_leaf_gets(self):
+        # the group norm output is dropped, the relu output held: it gets the
+        # bytes that a leaf holding the same values gets from the same loss
+        rng = np.random.default_rng(44)
+        conv = Conv3DLayer(8, 8, ConvSpec.same_size((1, 3, 3)), rng)
+        norm = GroupNormLayer(8, 4)
+        x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        g = group_norm(x, norm)
+        freed = weakref.ref(_owner(g.data))
+        h = relu(g)
+        del g
+        loss = quad(conv(h))
+        assert freed() is None
+        backward(loss)
+        leaf = Tensor(h.data, requires_grad=True)
+        backward(quad(conv(leaf)))
+        assert h.grad.dtype == leaf.grad.dtype and h.grad.tobytes() == leaf.grad.tobytes()
+
+    def test_ts_block_tape_holds_the_maps_its_backward_reads(self, traced_peak):
+        # after the forward, the block holds what its backward reads: the
+        # layout copy of its input, the four conv outputs, and the two relu
+        # outputs (one the spatial conv's input, one the block's output), 7
+        # maps, plus per-(n, c) terms. Keeping the group norm outputs under
+        # the relus and group norm's centred copies made 11.
+        rng = np.random.default_rng(45)
+        block = TSBlock(16, 16, RainUNetConfig(stages=1), rng)
+        x = Tensor(rng.standard_normal((2, 16, 4, 22, 22), dtype=np.float32), requires_grad=True)
+        with traced_peak():
+            before = tracemalloc.get_traced_memory()[0]
+            y = block(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        assert held <= 7 * x.data.nbytes + (1 << 16)
+        backward(quad(y))
+        assert x.grad is not None

@@ -167,6 +167,17 @@ class TestBackward:
         with pytest.raises(AutodiffError):
             backward(y)
 
+    def test_output_of_a_consumed_tape_still_gets_its_gradient(self, wide):
+        # h's own tape is gone when mul records h on a new one: h is held
+        # there as the tensor and accumulates its gradient as a leaf does
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = relu(x)
+        backward(tensor_sum(h))
+        assert h.grad.tolist() == [1.0, 1.0, 1.0]
+        backward(tensor_sum(mul(h, h)))
+        assert h.grad.tolist() == [3.0, 1.0, 7.0]
+        assert x.grad.tolist() == [1.0, 0.0, 1.0]
+
     def test_backward_twice_is_an_error(self):
         x = Tensor(np.ones(2), requires_grad=True)
         y = tensor_sum(x)
@@ -194,6 +205,34 @@ class TestTapeRelease:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("consume", [relu, tensor_sum, lambda t: mean_axis(t, 1)],
+                             ids=["relu", "tensor_sum", "mean_axis"])
+    def test_input_no_gradient_reads_freed_before_backward(self, no_cyclic_gc, consume):
+        x = Tensor(np.arange(6.0).reshape(2, 3) - 2.0, requires_grad=True)
+        a = times(x, 2.0)
+        freed = weakref.ref(a.data)
+        loss = tensor_sum(consume(a))
+        del a
+        assert freed() is None
+        backward(loss)
+        assert x.grad is not None
+
+    def test_held_intermediate_gets_the_gradient_a_leaf_gets(self, no_cyclic_gc):
+        # a is dropped and freed, h is held: h's gradient has the bytes of a
+        # leaf's that holds the same values and feeds the same loss
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((2, 5), dtype=np.float32), requires_grad=True)
+        a = times(x, 3.0)
+        freed = weakref.ref(a.data)
+        h = relu(a)
+        del a
+        loss = tensor_sum(mul(sigmoid(h), h))
+        assert freed() is None
+        backward(loss)
+        leaf = Tensor(h.data, requires_grad=True)
+        backward(tensor_sum(mul(sigmoid(leaf), leaf)))
+        assert h.grad.dtype == leaf.grad.dtype and h.grad.tobytes() == leaf.grad.tobytes()
+
 
 class TestGraph:
     def test_creation_order_is_topological(self):
@@ -202,11 +241,15 @@ class TestGraph:
         z = plus(y, x)
         loss = tensor_sum(z)
         graph = active_graph()
-        pos = {id(node.out): i for i, node in enumerate(graph.nodes)}
+        # an input made on this tape is held as its producer's node
+        pos = {id(node): i for i, node in enumerate(graph.nodes)}
+        links = 0
         for i, node in enumerate(graph.nodes):
             for inp in node.inputs:
                 if id(inp) in pos:
                     assert pos[id(inp)] < i
+                    links += 1
+        assert links == 2  # y into z, z into the sum
         backward(loss)
 
     def test_backward_visits_each_node_once(self):

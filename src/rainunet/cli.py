@@ -4,7 +4,9 @@ gradcheck.
 Configuration resolves in three layers: built-in defaults, then a
 line-oriented ``key = value`` config file (``#`` comments allowed, unknown
 keys rejected), then command-line flags. Every command is reproducible:
-identical resolved config and seed give identical artifact bytes.
+identical resolved config and seed give identical artifact bytes, at the
+same BLAS thread count for ``train``, whose weight-gradient reductions the
+BLAS splits by thread.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 import scipy
 
 from . import __version__, data as dataio
-from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SequenceRecord,
-                   SynthConfig, center_crop_resize, cleansing_filter,
-                   load_dataset, save_dataset, select_modalities, synth_generate)
+from .data import (CHANNEL_SETS, MANIFEST_NAME, OUT_FRAMES, FormatError, SynthConfig,
+                   center_crop_resize, cleansing_filter, load_dataset, save_dataset,
+                   select_modalities, synth_generate)
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
                     save_checkpoint_params)
@@ -59,7 +61,6 @@ class RunConfig:
     # model
     stages: int = 5
     base_channels: int = 16
-    out_frames: int = 32
     # training
     epochs: int = 20
     batch_size: int = 4
@@ -96,22 +97,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # commands
 
 
-def _synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        sequences=cfg.sequences,
-        size=cfg.size,
-        blob_count=(cfg.blob_min, cfg.blob_max),
-        velocity=(cfg.velocity_min, cfg.velocity_max),
-        radius=(cfg.radius_min, cfg.radius_max),
-        rain_threshold=cfg.rain_threshold,
-        seed=cfg.seed,
-    )
+def _section(cfg: RunConfig, cls):
+    """The ``cls`` (SynthConfig, TrainConfig) whose every field is the
+    RunConfig field of the same name."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 # The RunConfig fields that describe a model to build and its training, which
 # evaluate and predict ignore: they run the checkpoint's model.
-_TRAINING_FIELDS = ("stages", "base_channels", "out_frames", "epochs", "batch_size", "lr",
-                    "weight_decay", "swa", "swa_start")
+_TRAINING_FIELDS = ("stages", "base_channels", "epochs", "batch_size", "lr", "weight_decay",
+                    "swa", "swa_start")
 
 
 def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
@@ -138,7 +133,7 @@ def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    records = synth_generate(_synth_config(cfg))
+    records = synth_generate(_section(cfg, SynthConfig))
     manifest = save_dataset(records, cfg.out)
     rainy = sum(1 for r in records if r.positive_count >= cfg.cleanse_threshold)
     print(f"wrote {len(records)} records to {manifest.parent}")
@@ -153,16 +148,9 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         raise FormatError("preprocess needs --data pointing at a dataset directory")
     records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
     channels = CHANNEL_SETS[cfg.channels]
-    selected = [
-        SequenceRecord(select_modalities(r, channels), r.target, r.region, r.start_time)
-        for r in records
-    ]
+    selected = [replace(r, input=select_modalities(r, channels)) for r in records]
     kept, removed = cleansing_filter(selected, cfg.cleanse_threshold)
-    cropped = [
-        SequenceRecord(center_crop_resize(r.input, cfg.crop_factor), r.target,
-                       r.region, r.start_time)
-        for r in kept
-    ]
+    cropped = [replace(r, input=center_crop_resize(r.input, cfg.crop_factor)) for r in kept]
     save_dataset(cropped, cfg.out)
     frac = removed / len(records) if records else 0.0
     print(f"kept {len(kept)} of {len(records)} records "
@@ -175,7 +163,7 @@ def _model_config(cfg: RunConfig, in_channels: int) -> RainUNetConfig:
         stages=cfg.stages,
         base_channels=cfg.base_channels,
         in_channels=in_channels,
-        out_frames=cfg.out_frames,
+        out_frames=OUT_FRAMES,
     )
 
 
@@ -185,11 +173,7 @@ def cmd_train(cfg: RunConfig) -> int:
     records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
     if not records:
         raise FormatError("dataset is empty")
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        weight_decay=cfg.weight_decay, seed=cfg.seed,
-        swa_enabled=cfg.swa, swa_start_epoch=cfg.swa_start,
-    )
+    train_cfg = _section(cfg, TrainConfig)
     # a rejected setting leaves nothing in cfg.out
     train_cfg.validate()
     model_cfg = _model_config(cfg, records[0].input.shape[0])

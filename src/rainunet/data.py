@@ -301,32 +301,30 @@ _CHANNEL_RENDER = {
 class SynthConfig:
     sequences: int = 16
     size: int = 66
-    blob_count: tuple[int, int] = (1, 4)
-    velocity: tuple[float, float] = (0.0, 1.5)   # pixels per frame
-    radius: tuple[float, float] = (3.0, 7.0)
+    blob_min: int = 1
+    blob_max: int = 4
+    velocity_min: float = 0.0   # pixels per frame
+    velocity_max: float = 1.5
+    radius_min: float = 3.0
+    radius_max: float = 7.0
     rain_threshold: float = 0.4
     seed: int = 0
 
     def validate(self) -> None:
-        settings = {"velocity_min": self.velocity[0], "velocity_max": self.velocity[1],
-                    "radius_min": self.radius[0], "radius_max": self.radius[1],
-                    "rain_threshold": self.rain_threshold}
-        for name, v in settings.items():
+        for name in ("velocity_min", "velocity_max", "radius_min", "radius_max", "rain_threshold"):
+            v = getattr(self, name)
             if not math.isfinite(v):
                 raise FormatError(f"{name} must be finite, got {v}")
         if self.sequences < 1:
             raise FormatError("need at least one sequence")
         if self.size < 8:
             raise FormatError("spatial size too small")
-        lo, hi = self.blob_count
-        if lo < 0 or hi < lo:
-            raise FormatError(f"degenerate blob count range {self.blob_count}")
-        lo, hi = self.velocity
-        if lo < 0 or hi < lo:
-            raise FormatError(f"degenerate velocity range {self.velocity}")
-        lo, hi = self.radius
-        if lo <= 0 or hi < lo:
-            raise FormatError(f"degenerate radius range {self.radius}")
+        if self.blob_min < 0 or self.blob_max < self.blob_min:
+            raise FormatError(f"degenerate blob count range {(self.blob_min, self.blob_max)}")
+        if self.velocity_min < 0 or self.velocity_max < self.velocity_min:
+            raise FormatError(f"degenerate velocity range {(self.velocity_min, self.velocity_max)}")
+        if self.radius_min <= 0 or self.radius_max < self.radius_min:
+            raise FormatError(f"degenerate radius range {(self.radius_min, self.radius_max)}")
         if self.rain_threshold <= 0:
             raise FormatError("rain threshold must be positive")
 
@@ -358,13 +356,13 @@ def synth_generate(cfg: SynthConfig) -> list[SequenceRecord]:
     rng = np.random.default_rng(cfg.seed)
     records = []
     for i in range(cfg.sequences):
-        n_blobs = int(rng.integers(cfg.blob_count[0], cfg.blob_count[1] + 1))
+        n_blobs = int(rng.integers(cfg.blob_min, cfg.blob_max + 1))
         blobs = []
         for _ in range(n_blobs):
             cy, cx = rng.uniform(0, cfg.size, size=2)
-            speed = rng.uniform(cfg.velocity[0], cfg.velocity[1])
+            speed = rng.uniform(cfg.velocity_min, cfg.velocity_max)
             angle = rng.uniform(0, 2 * np.pi)
-            radius = rng.uniform(cfg.radius[0], cfg.radius[1])
+            radius = rng.uniform(cfg.radius_min, cfg.radius_max)
             blobs.append((cy, cx, speed * np.sin(angle), speed * np.cos(angle), radius))
 
         fields = [_rain_field(cfg.size, blobs, f) for f in range(TOTAL_FRAMES)]

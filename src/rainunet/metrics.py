@@ -115,17 +115,9 @@ def lead_time_iou(pred, gt) -> LeadTimeCurve:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
     if pred.ndim != 4:
         raise ValueError(f"expected (S, L, H, W), got {pred.shape}")
-    leads = pred.shape[1]
-    ious = np.zeros(leads)
-    degenerate = np.zeros(leads, dtype=bool)
-    for k in range(leads):
-        c = confusion(pred[:, k], gt[:, k])
-        den = c.tp + c.fp + c.fn
-        if den == 0:
-            degenerate[k] = True
-        else:
-            ious[k] = c.tp / den
-    return LeadTimeCurve(iou_per_lead=ious, degenerate=degenerate)
+    reports = [evaluate_masks(pred[:, k], gt[:, k]) for k in range(pred.shape[1])]
+    return LeadTimeCurve(iou_per_lead=np.array([r.iou for r in reports], dtype=float),
+                         degenerate=np.array(["iou" in r.degenerate for r in reports], dtype=bool))
 
 
 # ---------------------------------------------------------------------------

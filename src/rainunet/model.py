@@ -102,57 +102,60 @@ def _effective_groups(channels: int, groups: int) -> int:
     raise TensorError(f"width {channels} not divisible by {groups} normalization groups")
 
 
-class _Drawn:
-    """Parameters of a new model: conv weights drawn from one seeded
-    generator in construction order, norms at the identity. Each layer
-    carries its scoped name (``enc1.proj_norm``)."""
+def _new(name: str, shape: tuple) -> None:
+    """The ``take`` of a new model: nothing is stored, so each conv draws its
+    weights and each norm starts at the identity."""
+    return None
 
-    def __init__(self, rng: np.random.Generator, prefix: str = ""):
+
+def _stored(state: dict[str, np.ndarray]):
+    """The ``take`` of a loaded model: the array of ``state`` under that name,
+    checked against the shape its layer needs before that layer is made (so
+    a config describing a larger model fails before allocating it), and
+    popped, so it leaves the dict once its layer holds a copy."""
+
+    def take(name: str, shape: tuple) -> np.ndarray:
+        if name not in state:
+            raise TensorError(f"parameter {name} missing")
+        if tuple(state[name].shape) != shape:
+            raise TensorError(f"shape mismatch for {name}: checkpoint "
+                              f"{tuple(state[name].shape)}, model {shape}")
+        return state.pop(name)
+
+    return take
+
+
+class _Params:
+    """The parameter source of a model being built. Each layer gets its scoped
+    name (``enc1.proj_norm``) and each of its parameters ``take(f"{name}.weight",
+    shape)``; where that gives None, conv weights are drawn from ``rng`` in
+    construction order. Every layer built is appended to ``layers``, which all
+    scopes share."""
+
+    def __init__(self, take, rng: np.random.Generator | None = None, prefix: str = "",
+                 layers: list | None = None):
+        self.take = take
         self.rng = rng
         self.prefix = prefix
+        self.layers = [] if layers is None else layers
 
-    def scope(self, prefix: str) -> "_Drawn":
-        return _Drawn(self.rng, f"{self.prefix}{prefix}.")
+    def scope(self, prefix: str) -> "_Params":
+        return _Params(self.take, self.rng, f"{self.prefix}{prefix}.", self.layers)
 
     def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
-        return Conv3DLayer(c_in, c_out, spec, self.rng, name=self.prefix + name)
-
-    def norm(self, name, channels, groups) -> GroupNormLayer:
-        return GroupNormLayer(channels, groups, name=self.prefix + name)
-
-
-class _Stored:
-    """Parameters of a loaded model, taken by name out of a dict of stored
-    arrays. Each is checked against the shape its layer needs before that
-    layer is made, so a config describing a larger model fails before
-    allocating it, and leaves the dict once its layer holds a copy. Layers
-    are named as by _Drawn."""
-
-    def __init__(self, state: dict[str, np.ndarray], prefix: str = ""):
-        self.state = state
-        self.prefix = prefix
-
-    def scope(self, prefix: str) -> "_Stored":
-        return _Stored(self.state, f"{self.prefix}{prefix}.")
-
-    def _take(self, name: str, shape: tuple) -> np.ndarray:
         name = self.prefix + name
-        if name not in self.state:
-            raise TensorError(f"parameter {name} missing")
-        if tuple(self.state[name].shape) != shape:
-            raise TensorError(f"shape mismatch for {name}: checkpoint "
-                              f"{tuple(self.state[name].shape)}, model {shape}")
-        return self.state.pop(name)
-
-    def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
-        return Conv3DLayer(c_in, c_out, spec,
-                           weight=self._take(f"{name}.weight", (c_out, c_in, *spec.kernel)),
-                           bias=self._take(f"{name}.bias", (c_out,)), name=self.prefix + name)
+        layer = Conv3DLayer(c_in, c_out, spec, self.rng,
+                            weight=self.take(f"{name}.weight", (c_out, c_in, *spec.kernel)),
+                            bias=self.take(f"{name}.bias", (c_out,)), name=name)
+        self.layers.append(layer)
+        return layer
 
     def norm(self, name, channels, groups) -> GroupNormLayer:
-        return GroupNormLayer(channels, groups, gamma=self._take(f"{name}.gamma", (channels,)),
-                              beta=self._take(f"{name}.beta", (channels,)),
-                              name=self.prefix + name)
+        name = self.prefix + name
+        layer = GroupNormLayer(channels, groups, gamma=self.take(f"{name}.gamma", (channels,)),
+                               beta=self.take(f"{name}.beta", (channels,)), name=name)
+        self.layers.append(layer)
+        return layer
 
 
 class TSBlock:
@@ -161,7 +164,7 @@ class TSBlock:
     def __init__(self, in_channels: int, out_channels: int, cfg: RainUNetConfig, rng):
         """``rng`` is the generator that draws the weights, or the parameter
         source of the model being built."""
-        params = _Drawn(rng) if isinstance(rng, np.random.Generator) else rng
+        params = rng if isinstance(rng, _Params) else _Params(_new, rng)
         g = _effective_groups(out_channels, cfg.groupnorm_groups)
         self.proj = params.conv("proj", in_channels, out_channels, ConvSpec.same_size((1, 1, 1)))
         self.proj_norm = params.norm("proj_norm", out_channels, g)
@@ -178,18 +181,10 @@ class TSBlock:
         h = conv3d(conv3d(conv3d(h, self.spatial), self.dilated), self.temporal)
         return relu(group_norm(h, self.out_norm))
 
-    def parameters(self):
-        out = []
-        for name, mod in (("proj", self.proj), ("proj_norm", self.proj_norm),
-                          ("spatial", self.spatial), ("dilated", self.dilated),
-                          ("temporal", self.temporal), ("out_norm", self.out_norm)):
-            out.extend((f"{name}.{p}", t) for p, t in mod.parameters())
-        return out
-
 
 class RainUNet:
     def __init__(self, cfg: RainUNetConfig, seed: int = 0):
-        self._build(cfg, _Drawn(np.random.default_rng(seed)))
+        self._build(cfg, _Params(_new, np.random.default_rng(seed)))
 
     @classmethod
     def from_state(cls, cfg: RainUNetConfig, state: dict[str, np.ndarray]) -> "RainUNet":
@@ -198,14 +193,15 @@ class RainUNet:
         Each array leaves ``state`` as it is copied. Raises TensorError when
         a name or a shape does not fit ``cfg``."""
         model = cls.__new__(cls)
-        model._build(cfg, _Stored(state))
+        model._build(cfg, _Params(_stored(state)))
         if state:
             raise TensorError(f"parameters not in the model: {sorted(state)}")
         return model
 
-    def _build(self, cfg: RainUNetConfig, params) -> None:
+    def _build(self, cfg: RainUNetConfig, params: _Params) -> None:
         cfg.validate()
         self.config = cfg
+        self.layers = params.layers  # every conv and norm, in construction order
         t_kernels = cfg.temporal_pool_kernels()
 
         self.encoder: list[TSBlock] = []
@@ -229,16 +225,9 @@ class RainUNet:
         self.head = params.conv("head", cfg.stage_width(1), cfg.out_frames, ConvSpec.same_size((1, 1, 1)))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Stable enumeration: encoder stages, decoder stages (deepest
-        first, matching forward order), then the head."""
-        out = []
-        for i, block in enumerate(self.encoder, start=1):
-            out.extend((f"enc{i}.{n}", t) for n, t in block.parameters())
-        for k, up, block in self.decoder:
-            out.extend((f"dec{k}.up.{n}", t) for n, t in up.parameters())
-            out.extend((f"dec{k}.block.{n}", t) for n, t in block.parameters())
-        out.extend((f"head.{n}", t) for n, t in self.head.parameters())
-        return out
+        """Stable enumeration in construction order: encoder stages, decoder
+        stages (deepest first, matching forward order), then the head."""
+        return [(f"{layer.name}.{n}", t) for layer in self.layers for n, t in layer.parameters()]
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}
@@ -251,6 +240,7 @@ class RainUNet:
         does not fit."""
         built = self.from_state(self.config, dict(state))
         self.encoder, self.decoder, self.head = built.encoder, built.decoder, built.head
+        self.layers = built.layers
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.config

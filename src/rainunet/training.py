@@ -32,8 +32,8 @@ class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-2
     seed: int = 0
-    swa_enabled: bool = False
-    swa_start_epoch: int = 10
+    swa: bool = False
+    swa_start: int = 10
 
     def validate(self) -> None:
         for name, v in (("lr", self.lr), ("weight_decay", self.weight_decay)):
@@ -43,8 +43,8 @@ class TrainConfig:
             raise TensorError("epochs must be >= 0 and batch_size >= 1")
         if self.lr < 0 or self.weight_decay < 0:
             raise TensorError("lr/weight_decay must be >= 0")
-        if self.swa_enabled and not 1 <= self.swa_start_epoch <= max(self.epochs, 1):
-            raise TensorError("swa_start_epoch must lie in [1, epochs]")
+        if self.swa and not 1 <= self.swa_start <= max(self.epochs, 1):
+            raise TensorError("swa_start must lie in [1, epochs]")
 
 
 def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
@@ -292,7 +292,7 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
     params = model.named_parameters()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    result = FitResult(swa=SWAAverager() if cfg.swa_enabled else None)
+    result = FitResult(swa=SWAAverager() if cfg.swa else None)
     n = len(records)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
@@ -313,7 +313,7 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
             opt.step()
             opt.zero_grad()
             losses.append(loss.item())
-        swa_active = cfg.swa_enabled and epoch >= cfg.swa_start_epoch
+        swa_active = cfg.swa and epoch >= cfg.swa_start
         if swa_active:
             result.swa.accumulate(params)
         result.log.append(EpochLog(epoch, float(np.mean(losses)), swa_active))

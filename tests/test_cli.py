@@ -18,6 +18,7 @@ from rainunet.cli import _TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
+from rainunet.training import TrainConfig
 
 
 def sha(path):
@@ -121,6 +122,13 @@ class TestConfigFile:
         cfg = resolve_config(_parser().parse_args(["train", *argv]))
         assert cfg == replace(RunConfig(), **{field.name: value})
 
+    @pytest.mark.parametrize("section", [SynthConfig, TrainConfig])
+    def test_every_section_field_is_a_setting(self, section):
+        # the CLI builds each section from the RunConfig fields of the same names
+        settings = get_type_hints(RunConfig)
+        for name, typ in get_type_hints(section).items():
+            assert settings.get(name) == typ, name
+
     def test_flags_override_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("seed = 9\nepochs = 7\n")
@@ -196,8 +204,9 @@ class TestSynth:
         fresh, here = tmp_path / "fresh", tmp_path / "here"
         proc = python("-c", code, "synth", "--out", fresh, *SYNTH_ARGS)
         assert proc.returncode == 0, proc.stderr
-        save_dataset(synth_generate(SynthConfig(sequences=6, size=36, velocity=(0.0, 0.5),
-                                                radius=(4.0, 8.0), seed=5)), here)
+        save_dataset(synth_generate(SynthConfig(sequences=6, size=36, velocity_min=0.0,
+                                                velocity_max=0.5, radius_min=4.0,
+                                                radius_max=8.0, seed=5)), here)
         names = sorted(p.name for p in here.iterdir())
         assert sorted(p.name for p in fresh.iterdir()) == names
         assert [sha(fresh / n) for n in names] == [sha(here / n) for n in names]
@@ -273,11 +282,10 @@ class TestTrainEvaluatePredict:
         assert len(preds) == len(load_dataset(prepared / MANIFEST_NAME))
 
     @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--swa", "--swa-start", 30, "--epochs", 2],
-                                      ["--out-frames", 4], ["--stages", 6]],
-                             ids=["lr_nan", "swa_start_past_epochs", "out_frames_not_the_targets",
-                                  "stages_too_deep_for_the_maps"])
+                                      ["--stages", 6]],
+                             ids=["lr_nan", "swa_start_past_epochs", "stages_too_deep_for_the_maps"])
     def test_rejected_setting_leaves_no_output(self, prepared, tmp_path, capsys, argv):
-        # the targets have 32 frames and the maps are 36x36, too small to pool 6 times
+        # the maps are 36x36, too small to pool 6 times
         out = tmp_path / "run"
         capsys.readouterr()
         assert run_cli("train", "--data", prepared, "--out", out, "--stages", 1,

@@ -243,23 +243,23 @@ class TestSynth:
         assert set(np.unique(rec.target)) <= {0, 1}
 
     def test_zero_blobs_all_removed_by_cleansing(self):
-        records = synth_generate(SynthConfig(sequences=3, size=24, blob_count=(0, 0), seed=2))
+        records = synth_generate(SynthConfig(sequences=3, size=24, blob_min=0, blob_max=0, seed=2))
         assert all(r.positive_count == 0 for r in records)
         kept, removed = cleansing_filter(records, threshold=100)
         assert kept == [] and removed == 3
 
     def test_static_velocity_freezes_targets(self):
-        records = synth_generate(SynthConfig(sequences=2, size=24, velocity=(0.0, 0.0),
-                                             radius=(5.0, 8.0), seed=3))
+        records = synth_generate(SynthConfig(sequences=2, size=24, velocity_min=0.0, velocity_max=0.0,
+                                             radius_min=5.0, radius_max=8.0, seed=3))
         for rec in records:
             for k in range(1, 32):
                 assert np.array_equal(rec.target[k], rec.target[0])
 
     def test_degenerate_ranges_rejected(self):
         with pytest.raises(FormatError):
-            SynthConfig(radius=(3.0, 2.0)).validate()
+            SynthConfig(radius_min=3.0, radius_max=2.0).validate()
         with pytest.raises(FormatError):
-            SynthConfig(blob_count=(2, 1)).validate()
+            SynthConfig(blob_min=2, blob_max=1).validate()
         with pytest.raises(FormatError):
             SynthConfig(rain_threshold=0.0).validate()
 
@@ -267,7 +267,7 @@ class TestSynth:
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         records = synth_generate(SynthConfig(sequences=3, size=24, seed=5,
-                                             radius=(4.0, 7.0)))
+                                             radius_min=4.0, radius_max=7.0))
         manifest = save_dataset(records, tmp_path / "ds")
         loaded = load_dataset(manifest)
         assert len(loaded) == 3
@@ -278,7 +278,7 @@ class TestDatasetIo:
 
     def test_manifest_positive_counts_verified(self, tmp_path):
         records = synth_generate(SynthConfig(sequences=1, size=24, seed=6,
-                                             radius=(4.0, 7.0)))
+                                             radius_min=4.0, radius_max=7.0))
         manifest = save_dataset(records, tmp_path / "ds")
         entries = read_manifest(manifest)
         bad = [type(entries[0])(entries[0].key, entries[0].positive_count + 1,

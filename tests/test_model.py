@@ -61,8 +61,10 @@ class TestTSBlock:
     def test_zero_network_outputs_zero(self):
         rng = np.random.default_rng(1)
         block = TSBlock(2, 4, micro_cfg(), rng)
-        for _, p in block.parameters():
-            p.data = np.zeros_like(p.data)
+        for layer in (block.proj, block.proj_norm, block.spatial, block.dilated, block.temporal,
+                      block.out_norm):
+            for _, p in layer.parameters():
+                p.data = np.zeros_like(p.data)
         out = block(Tensor(rng.normal(size=(1, 2, 2, 8, 8)).astype(np.float32)))
         assert np.array_equal(out.data, np.zeros_like(out.data))
 
@@ -87,9 +89,8 @@ class TestTSBlock:
         rng = np.random.default_rng(4)
         blocks = [TSBlock(c, 2, micro_cfg(), rng) for c in (1, 2)]
         for block in blocks:
-            for _, p in block.parameters():
-                if p.data.ndim == 5:
-                    p.data = np.abs(p.data) + 0.01
+            for conv in (block.proj, block.spatial, block.dilated, block.temporal):
+                conv.weight.data = np.abs(conv.weight.data) + 0.01
 
         def convs(block, h):
             for conv in (block.proj, block.spatial, block.dilated, block.temporal):
@@ -158,10 +159,45 @@ class TestBuild:
         assert sum(t.size for _, t in model.named_parameters()) == enc + dec + head
 
     def test_parameter_names_are_stable(self):
-        names = [n for n, _ in RainUNet(micro_cfg(), seed=0).named_parameters()]
-        assert len(names) == len(set(names))
-        assert names[0] == "enc1.proj.weight"
-        assert names[-1] == "head.bias"
+        # the checkpoint keys: a change here breaks every stored checkpoint
+        model = RainUNet(micro_cfg(), seed=0)
+        names = [n for n, _ in model.named_parameters()]
+        assert names == '''
+            enc1.proj.weight enc1.proj.bias enc1.proj_norm.gamma enc1.proj_norm.beta
+            enc1.spatial.weight enc1.spatial.bias enc1.dilated.weight enc1.dilated.bias
+            enc1.temporal.weight enc1.temporal.bias enc1.out_norm.gamma enc1.out_norm.beta
+            enc2.proj.weight enc2.proj.bias enc2.proj_norm.gamma enc2.proj_norm.beta
+            enc2.spatial.weight enc2.spatial.bias enc2.dilated.weight enc2.dilated.bias
+            enc2.temporal.weight enc2.temporal.bias enc2.out_norm.gamma enc2.out_norm.beta
+            dec2.up.weight dec2.up.bias dec2.block.proj.weight dec2.block.proj.bias
+            dec2.block.proj_norm.gamma dec2.block.proj_norm.beta dec2.block.spatial.weight
+            dec2.block.spatial.bias dec2.block.dilated.weight dec2.block.dilated.bias
+            dec2.block.temporal.weight dec2.block.temporal.bias dec2.block.out_norm.gamma
+            dec2.block.out_norm.beta dec1.up.weight dec1.up.bias dec1.block.proj.weight
+            dec1.block.proj.bias dec1.block.proj_norm.gamma dec1.block.proj_norm.beta
+            dec1.block.spatial.weight dec1.block.spatial.bias dec1.block.dilated.weight
+            dec1.block.dilated.bias dec1.block.temporal.weight dec1.block.temporal.bias
+            dec1.block.out_norm.gamma dec1.block.out_norm.beta head.weight head.bias
+            '''.split()
+
+    def test_parameter_keys_name_the_layers_that_run(self):
+        # each key is <layer.name>.<param> of a layer in model.layers, and those
+        # are the layers the forward reaches through the encoder, decoder and head
+        # (also after load_state, which swaps in the layers of another build)
+        loaded = RainUNet(micro_cfg(), seed=1)
+        loaded.load_state(RainUNet(micro_cfg(), seed=0).state())
+        for model in (RainUNet(micro_cfg(), seed=0), loaded):
+            used = [model.head]
+            for block in model.encoder + [block for _, _, block in model.decoder]:
+                used += [block.proj, block.proj_norm, block.spatial, block.dilated,
+                         block.temporal, block.out_norm]
+            used += [up for _, up, _ in model.decoder]
+            assert sorted(map(id, model.layers)) == sorted(map(id, used))
+            by_name = {layer.name: dict(layer.parameters()) for layer in model.layers}
+            assert len(by_name) == len(model.layers)
+            for key, t in model.named_parameters():
+                layer_name, param = key.rsplit(".", 1)
+                assert by_name[layer_name][param] is t
 
 
 class TestForward:

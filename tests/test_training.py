@@ -418,7 +418,7 @@ class TestFit:
     def test_swa_runs_from_start_epoch(self):
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=3)
         res = fit(model, tiny_records(), TrainConfig(epochs=4, batch_size=4, lr=1e-3, seed=3,
-                                                     swa_enabled=True, swa_start_epoch=3))
+                                                     swa=True, swa_start=3))
         assert [r.swa_active for r in res.log] == [False, False, True, True]
         assert res.swa.count == 2
 
@@ -436,11 +436,16 @@ class TestFit:
         with pytest.raises(TensorError):
             fit(model, [], TrainConfig())
 
+    def test_out_frames_must_match_the_targets(self):
+        model = RainUNet(RainUNetConfig(stages=1, base_channels=4, out_frames=4), seed=0)
+        with pytest.raises(TensorError, match="out_frames"):
+            fit(model, tiny_records(), TrainConfig(epochs=1, batch_size=2))
+
     def test_config_validation(self):
         with pytest.raises(TensorError):
             TrainConfig(batch_size=0).validate()
         with pytest.raises(TensorError):
-            TrainConfig(epochs=2, swa_enabled=True, swa_start_epoch=3).validate()
+            TrainConfig(epochs=2, swa=True, swa_start=3).validate()
 
     def test_log_csv_schema(self, tmp_path):
         path = tmp_path / "log.csv"

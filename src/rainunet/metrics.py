@@ -60,26 +60,38 @@ def binarize(probs, threshold: float = 0.5) -> np.ndarray:
     return (_as_array(probs) >= threshold).astype(np.uint8)
 
 
-def _check_binary(arr, name):
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{name} is not binary")
+def is_binary(arr) -> bool:
+    """Whether every element of ``arr`` is 0 or 1, checked by its dtype:
+    nothing for bool, the extremes for integers, exact comparisons else."""
+    if arr.dtype == bool or arr.size == 0:
+        return True
+    if arr.dtype.kind in "ui":
+        return bool(arr.max() <= 1 and (arr.dtype.kind == "u" or arr.min() >= 0))
+    return bool(np.logical_or(arr == 0, arr == 1).all())
 
 
-def confusion(pred, gt) -> ConfusionCounts:
+def _binary_pair(pred, gt):
     pred = _as_array(pred)
     gt = _as_array(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    _check_binary(pred, "pred")
-    _check_binary(gt, "gt")
-    p = pred.astype(bool)
-    g = gt.astype(bool)
-    return ConfusionCounts(
-        tp=int(np.count_nonzero(p & g)),
-        fp=int(np.count_nonzero(p & ~g)),
-        fn=int(np.count_nonzero(~p & g)),
-        tn=int(np.count_nonzero(~p & ~g)),
-    )
+    for arr, name in ((pred, "pred"), (gt, "gt")):
+        if not is_binary(arr):
+            raise ValueError(f"{name} is not binary")
+    return pred, gt
+
+
+def _positives(pred, gt, axis=None):
+    """The true, predicted and actual positives of two binary arrays,
+    counted over ``axis``."""
+    tp = np.count_nonzero(np.logical_and(pred, gt), axis=axis)
+    return tp, np.count_nonzero(pred, axis=axis), np.count_nonzero(gt, axis=axis)
+
+
+def confusion(pred, gt) -> ConfusionCounts:
+    pred, gt = _binary_pair(pred, gt)
+    tp, pp, ap = map(int, _positives(pred, gt))
+    return ConfusionCounts(tp=tp, fp=pp - tp, fn=ap - tp, tn=pred.size - pp - ap + tp)
 
 
 def _ratio(num: int, den: int, name: str, degenerate: list[str]) -> float:
@@ -108,16 +120,16 @@ def evaluate_masks(pred, gt) -> MetricsReport:
 
 def lead_time_iou(pred, gt) -> LeadTimeCurve:
     """IoU per future frame, counts pooled across all sequences. Expects
-    (S, L, H, W) binary stacks with the lead axis second."""
-    pred = _as_array(pred)
-    gt = _as_array(gt)
-    if pred.shape != gt.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
+    (S, L, H, W) binary stacks with the lead axis second. A lead's IoU is
+    that of :func:`evaluate_masks` on its frames, 0 where it is 0/0."""
+    pred, gt = _binary_pair(pred, gt)
     if pred.ndim != 4:
         raise ValueError(f"expected (S, L, H, W), got {pred.shape}")
-    reports = [evaluate_masks(pred[:, k], gt[:, k]) for k in range(pred.shape[1])]
-    return LeadTimeCurve(iou_per_lead=np.array([r.iou for r in reports], dtype=float),
-                         degenerate=np.array(["iou" in r.degenerate for r in reports], dtype=bool))
+    tp, pp, ap = _positives(pred, gt, axis=(0, 2, 3))
+    union = pp + ap - tp  # tp + fp + fn
+    degenerate = union == 0
+    iou = tp / np.where(degenerate, 1, union)
+    return LeadTimeCurve(iou_per_lead=iou, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ gradient is kept as returned, and later ones are added out of place. So
 gradients accumulate across fan-out within one backward, and across backward
 calls on leaf tensors until the caller zeroes them (optimizer-style
 ``zero_grad``), without one tensor's gradient changing another's that shares
-its array.
+its array. A leaf's gradient is complete once the first op recorded that
+reads it has been replayed; :func:`backward` can hand each leaf to an
+``on_grad`` callback at that point, so that an optimizer updates a parameter
+and drops its gradient while the rest of the tape is replayed.
 
 The tape keeps only what a backward reads. A node holds each input that an
 op on the same tape produced as that op's node, and its own output only
@@ -104,6 +107,10 @@ class GraphNode:
         self.shape, self.dtype = out.shape, out.dtype
         self.grad = self.grad_taps = None
 
+    def release(self) -> None:
+        """Drop what the node holds for a backward."""
+        self.inputs = self.out = self.apply = self.grad = self.grad_taps = None
+
 
 class Graph:
     """Recorded operations in creation order, which is topological by
@@ -123,6 +130,19 @@ class Graph:
 
 def active_graph() -> Optional[Graph]:
     return _state().graph
+
+
+def discard_tape() -> None:
+    """Drop the thread's recording tape without a backward, as after a
+    forward that failed part-way: its nodes release what they hold, the
+    next op starts a new tape, and a backward from an output recorded on
+    the old one is an AutodiffError."""
+    st = _state()
+    graph, st.graph = st.graph, None
+    if graph is not None:
+        graph.consumed = True
+        for node in graph.nodes:
+            node.release()
 
 
 def _recording_graph() -> Graph:
@@ -290,7 +310,20 @@ def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:
     return _op(out, (a,), lambda gy: (gy[sl],))
 
 
-def backward(loss: Tensor) -> None:
+def _first_readers(graph: Graph) -> dict:
+    """Each tensor the tape holds as a tensor (not as its producer's node)
+    and that requires a gradient, listed under the first node recorded that
+    reads it: the last node replayed to give it a gradient."""
+    seen, firsts = set(), {}
+    for node in graph.nodes:
+        for t in node.inputs:
+            if isinstance(t, Tensor) and t.requires_grad and id(t) not in seen:
+                seen.add(id(t))
+                firsts.setdefault(node, []).append(t)
+    return firsts
+
+
+def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -> None:
     """Populate ``grad`` for every tensor the scalar ``loss`` depends on.
 
     Walks the recording tape once, in reverse creation order (a valid reverse
@@ -307,6 +340,14 @@ def backward(loss: Tensor) -> None:
     of gradients has none. A gradient whose shape or dtype differs from its
     input's is an :class:`AutodiffError`.
 
+    ``on_grad(t)``, when given, is called for each tensor the tape holds as
+    a tensor (a leaf, or an output of a tape already consumed) whose ``grad``
+    is set, right after the first node recorded that reads it has been
+    replayed: no node replayed later reads it, so its ``grad`` is complete.
+    It is called once per such tensor, in replay order, and may consume the
+    gradient (an optimizer updating the parameter and dropping its ``grad``),
+    so that a backward need not hold every gradient at once.
+
     The tape is consumed: call forward again before the next backward. Each
     node drops its inputs, output, gradient and ``grad_fn`` once replayed, so
     the tape's arrays are freed by reference counting as it goes, not by a
@@ -320,6 +361,7 @@ def backward(loss: Tensor) -> None:
     if graph.consumed:
         raise AutodiffError("backward already ran on this graph; run forward again")
     graph.consumed = True
+    firsts = {} if on_grad is None else _first_readers(graph)
     loss.node.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         # a node whose output got no gradient is not on any path from the loss
@@ -340,7 +382,10 @@ def backward(loss: Tensor) -> None:
                     # out of place: the first gradient may be shared (an op may
                     # give one gy to two inputs); the sum carries no box of taps
                     t.grad, t.grad_taps = t.grad + g, None
-        node.inputs = node.out = node.apply = node.grad = node.grad_taps = None
+        node.release()
+        for t in firsts.get(node, ()):
+            if t.grad is not None:
+                on_grad(t)
     st = _state()
     if st.graph is graph:
         st.graph = None

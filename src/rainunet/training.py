@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import TAP_MAJOR, is_tap_major
+from .metrics import is_binary
 from .model import RainUNet, RainUNetConfig
-from .tensor import NonFiniteError, Tensor, TensorError, _op, backward, no_grad
+from .tensor import (NonFiniteError, Tensor, TensorError, _op, backward, discard_tape,
+                     no_grad)
 
 
 class TrainingAbort(RuntimeError):
@@ -28,7 +30,7 @@ class TrainingAbort(RuntimeError):
 @dataclass
 class TrainConfig:
     epochs: int = 20
-    batch_size: int = 80
+    batch_size: int = 4
     lr: float = 1e-3
     weight_decay: float = 1e-2
     seed: int = 0
@@ -65,7 +67,7 @@ def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
         raise TensorError(f"dice loss of an empty batch of shape {pred.shape}")
     if float(pred.data.min()) < 0.0 or float(pred.data.max()) > 1.0:
         raise TensorError("predictions must lie in [0, 1]")
-    if not np.isin(target.data, (0, 1)).all():
+    if not is_binary(target.data):
         raise TensorError("target must be binary")
     p = pred.data.reshape(rows, -1)
     g = target.data.reshape(rows, -1)
@@ -134,6 +136,12 @@ class AdamW:
     element sees the formula's operations in order, so the result is
     bit-identical to a whole-array pass.
 
+    A step's parameters may be updated one at a time: :meth:`step_param`
+    updates one parameter for the pending step as soon as its gradient is
+    complete (``backward``'s ``on_grad``) and drops that gradient, and
+    :meth:`step` updates the rest and closes the step. Parameters are
+    independent, so each gets the same bytes whenever it is updated.
+
     A tap-major conv weight (see layers) is walked as its kernel taps'
     slabs. A tap outside the gradient's ``grad_taps`` at every step so far
     has had g = 0 throughout, so its m and v are 0 and the formula reduces,
@@ -167,41 +175,66 @@ class AdamW:
         # per tap-major weight, the taps that have had the full update
         self.started = {name: np.zeros(t.shape[2:], dtype=bool)
                         for name, t in self.named_params if self.axes[name] == TAP_MAJOR}
+        self.names = {id(t): name for name, t in self.named_params}
+        self.updated: set[str] = set()  # the parameters the pending step has updated
+        self.buffers: dict[np.dtype, np.ndarray] = {}
+
+    def step_param(self, t) -> None:
+        """Update the parameter ``t`` for the pending step from its gradient,
+        and drop that gradient. A tensor this optimizer does not hold is
+        left alone."""
+        name = self.names.get(id(t))
+        if name is None:
+            return
+        if name in self.updated:
+            raise TensorError(f"{name} was already updated in this step")
+        if t.grad is None:
+            raise TensorError(f"missing gradient for {name}")
+        self._update_param(name, t)
+        self.updated.add(name)
+        t.grad = None
 
     def step(self) -> None:
-        for name, t in self.named_params:
+        """Update every parameter :meth:`step_param` has not, then close the step."""
+        rest = [(name, t) for name, t in self.named_params if name not in self.updated]
+        for name, t in rest:
             if t.grad is None:
                 raise TensorError(f"missing gradient for {name}")
+        for name, t in rest:
+            self._update_param(name, t)
+        self.updated.clear()
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
-        buffers = {}
-        for name, t in self.named_params:
-            held = t.data.transpose(self.axes[name])
-            # views, unless .data was replaced by an array laid out otherwise
-            p = held.reshape(-1)
-            g = t.grad.transpose(self.axes[name]).reshape(-1)
-            m, v = self.m[name], self.v[name]
-            if p.dtype not in buffers:
-                buffers[p.dtype] = np.empty((2, ADAMW_BLOCK), dtype=p.dtype)
-            tmps = buffers[p.dtype]
-            started = self.started.get(name)
-            if started is not None:
-                started[t.grad_taps or ...] = True
-            for lo, hi, full in _runs(p.size, started):
-                for b in range(lo, hi, ADAMW_BLOCK):
-                    e = min(b + ADAMW_BLOCK, hi)
-                    tmp, update = tmps[:, : e - b]
-                    if full:
-                        self._update(p[b:e], g[b:e], m[b:e], v[b:e], tmp, update, bc1, bc2)
-                    elif self.weight_decay:
-                        # the formula's "+ 0" keeps a -0.0 weight at -0.0
-                        np.multiply(p[b:e], self.weight_decay, out=update)
-                        update += 0.0
-                        update *= self.lr
-                        p[b:e] -= update
-            if not np.may_share_memory(p, held):
-                held[...] = p.reshape(held.shape)
+
+    def _update_param(self, name, t) -> None:
+        """The pending step's update of one parameter from its gradient."""
+        k = self.step_count + 1
+        bc1 = 1.0 - self.beta1**k
+        bc2 = 1.0 - self.beta2**k
+        held = t.data.transpose(self.axes[name])
+        # views, unless .data was replaced by an array laid out otherwise
+        p = held.reshape(-1)
+        g = t.grad.transpose(self.axes[name]).reshape(-1)
+        m, v = self.m[name], self.v[name]
+        if p.dtype not in self.buffers:
+            self.buffers[p.dtype] = np.empty((2, ADAMW_BLOCK), dtype=p.dtype)
+        tmps = self.buffers[p.dtype]
+        started = self.started.get(name)
+        if started is not None:
+            started[t.grad_taps or ...] = True
+        for lo, hi, full in _runs(p.size, started):
+            for b in range(lo, hi, ADAMW_BLOCK):
+                e = min(b + ADAMW_BLOCK, hi)
+                tmp, update = tmps[:, : e - b]
+                if full:
+                    self._update(p[b:e], g[b:e], m[b:e], v[b:e], tmp, update, bc1, bc2)
+                elif self.weight_decay:
+                    # the formula's "+ 0" keeps a -0.0 weight at -0.0
+                    np.multiply(p[b:e], self.weight_decay, out=update)
+                    update += 0.0
+                    update *= self.lr
+                    p[b:e] -= update
+        if not np.may_share_memory(p, held):
+            held[...] = p.reshape(held.shape)
 
     def _update(self, p, g, m, v, tmp, update, bc1, bc2) -> None:
         """The docstring formula in place on one block, in two temporary blocks."""
@@ -280,8 +313,15 @@ def check_records(records, cfg: RainUNetConfig) -> None:
 def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitResult:
     """Seeded-shuffle minibatch training with dice loss and AdamW.
 
+    Each parameter is updated inside the backward, as soon as its gradient
+    is complete (AdamW.step_param as ``backward``'s ``on_grad``), and its
+    gradient is dropped then, so a step never holds every gradient at once;
+    AdamW.step then closes the step. The bytes are those of a backward
+    followed by one AdamW.step.
+
     A non-finite loss (or activation) aborts with the epoch/step in the
-    message; the log collected so far rides along on the exception.
+    message, after dropping the step's partial tape; the log collected so
+    far rides along on the exception.
     """
     cfg.validate()
     if not records:
@@ -304,8 +344,9 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
             try:
                 probs = model.forward(xb)
                 loss = batch_dice_loss(probs, yb)
-                backward(loss)
+                backward(loss, on_grad=opt.step_param)
             except NonFiniteError as err:
+                discard_tape()
                 raise TrainingAbort(
                     f"non-finite value at epoch {epoch}, step {len(losses) + 1}: {err}",
                     result.log,

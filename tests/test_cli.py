@@ -124,10 +124,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("section", [SynthConfig, TrainConfig])
     def test_every_section_field_is_a_setting(self, section):
-        # the CLI builds each section from the RunConfig fields of the same names
+        # the CLI builds each section from the RunConfig fields of the same
+        # names, so a direct caller gets the CLI's default for each of them
         settings = get_type_hints(RunConfig)
         for name, typ in get_type_hints(section).items():
             assert settings.get(name) == typ, name
+            assert getattr(section(), name) == getattr(RunConfig(), name), name
 
     def test_flags_override_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -67,6 +67,22 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion(np.array([2]), np.array([1]))
 
+    @pytest.mark.parametrize("bad", [np.array([0, 2], np.uint8), np.array([-1, 1], np.int64),
+                                     np.array([0.5, 1.0]), np.array([np.nan, 0], np.float32)],
+                             ids=["uint8", "int64", "float64", "nan"])
+    def test_non_binary_of_each_dtype_rejected(self, bad):
+        ok = np.zeros(2, dtype=np.uint8)
+        with pytest.raises(ValueError, match="pred is not binary"):
+            confusion(bad, ok)
+        with pytest.raises(ValueError, match="gt is not binary"):
+            confusion(ok, bad)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.float32, np.float64])
+    def test_binary_of_each_dtype_counted(self, dtype):
+        pred = np.array([1, 1, 0, 0], dtype)
+        gt = np.array([1, 0, 1, 0], dtype)
+        assert confusion(pred, gt) == ConfusionCounts(1, 1, 1, 1)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             confusion(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
@@ -132,6 +148,18 @@ class TestLeadTime:
             tp, fp, fn, _ = confusion_loop(pred[0, k], gt[0, k])
             want = tp / (tp + fp + fn) if tp + fp + fn else 0.0
             assert curve.iou_per_lead[k] == pytest.approx(want)
+
+    def test_each_lead_is_evaluate_masks_of_its_frames(self):
+        rng = np.random.default_rng(8)
+        pred = (rng.random((3, 5, 4, 4)) < 0.4).astype(np.uint8)
+        gt = (rng.random((3, 5, 4, 4)) < 0.4).astype(np.uint8)
+        pred[:, 2] = gt[:, 2] = 0  # a lead whose IoU is 0/0
+        curve = lead_time_iou(pred, gt)
+        for k in range(5):
+            report = evaluate_masks(pred[:, k], gt[:, k])
+            assert curve.iou_per_lead[k] == report.iou
+            assert curve.degenerate[k] == ("iou" in report.degenerate)
+        assert curve.degenerate.tolist() == [False, False, True, False, False]
 
     def test_counts_pool_additively_across_sequences(self):
         rng = np.random.default_rng(7)

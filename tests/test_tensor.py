@@ -186,6 +186,30 @@ class TestBackward:
             backward(y)
 
 
+class TestOnGrad:
+    def test_runs_once_per_leaf_with_a_gradient_after_every_reader(self, wide):
+        # a is read by two ops and sees their summed gradient; c is read
+        # only off the loss's path and k needs no gradient: neither is handed
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        c = Tensor(np.array([5.0, 6.0]), requires_grad=True)
+        k = Tensor(np.array([2.0, 2.0]))
+        mul(c, c)
+        loss = tensor_sum(plus(mul(a, b), mul(relu(a), k)))
+        graph = active_graph()
+        readers = {id(t): [n for n in graph.nodes if any(i is t for i in n.inputs)]
+                   for t in (a, b)}
+        seen = []
+
+        def on_grad(t):
+            assert all(n.apply is None for n in readers[id(t)])  # every reader replayed
+            seen.append((t, t.grad.tolist()))
+
+        backward(loss, on_grad=on_grad)
+        assert [(t is a, g) for t, g in seen] == [(True, [5.0, 4.0]), (False, [1.0, -2.0])]
+        assert c.grad is None
+
+
 class TestTapeRelease:
     def test_intermediate_arrays_freed_without_cyclic_gc(self, wide):
         was_enabled = gc.isenabled()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rainunet import precision
 from rainunet.data import SequenceRecord
 from rainunet.layers import Conv3DLayer, ConvSpec, conv3d, is_tap_major
-from rainunet.model import RainUNet, RainUNetConfig
+from rainunet.model import RainUNet, RainUNetConfig, save_checkpoint
 from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check,
                              mul, tensor_sum)
 from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
@@ -315,6 +315,50 @@ class TestAdamW:
         with pytest.raises(TensorError):
             opt.step()
 
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_per_parameter_updates_then_step_equal_step_bitwise(self, mode):
+        # a conv weight whose live taps change from step to step, its bias
+        # and a plain vector; each step updates a different subset early
+        rng = np.random.default_rng(47)
+        with precision.use_precision(mode):
+            layers = [Conv3DLayer(3, 4, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+                      for _ in range(2)]
+            layers[1].weight.data[...] = layers[0].weight.data
+            layers[1].bias.data[...] = layers[0].bias.data
+            vecs = [Tensor(np.arange(5.0) - 2.0, requires_grad=True) for _ in range(2)]
+            opts = [AdamW([("w", lay.weight), ("b", lay.bias), ("v", vec)], weight_decay=0.05)
+                    for lay, vec in zip(layers, vecs)]
+            for k, size in enumerate((8, 2, 5)):
+                x = rng.normal(size=(2, 3, 1, size, size))
+                gy = rng.normal(size=(2, 4, 1, size, size))
+                gv = rng.normal(size=5)
+                for lay, vec in zip(layers, vecs):
+                    backward(tensor_sum(mul(conv3d(Tensor(x), lay), Tensor(gy))))
+                    vec.grad = gv.astype(vec.data.dtype)
+                early = [[], [layers[1].weight], [layers[1].bias, vecs[1]]][k]
+                for t in early:
+                    opts[1].step_param(t)
+                    assert t.grad is None
+                for opt in opts:
+                    opt.step()
+                    opt.zero_grad()
+        assert opts[0].step_count == opts[1].step_count == 3
+        for (name, t), (_, u) in zip(opts[0].named_params, opts[1].named_params):
+            assert np.array_equal(t.data, u.data), name
+            assert np.array_equal(opts[0].m[name], opts[1].m[name]), name
+            assert np.array_equal(opts[0].v[name], opts[1].v[name]), name
+        assert np.array_equal(opts[0].started["w"], opts[1].started["w"])
+
+    def test_missing_gradient_named_after_per_parameter_updates(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        opt = AdamW([("p", p), ("q", q)])
+        p.grad = np.ones(2)
+        opt.step_param(p)
+        with pytest.raises(TensorError, match="missing gradient for q"):
+            opt.step()
+        assert np.array_equal(q.data, np.ones(3)) and opt.step_count == 0
+
     def test_zero_grad_clears(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = AdamW([("p", p)])
@@ -430,6 +474,58 @@ class TestFit:
         model.head.weight.data[:] = np.finfo(np.float32).max
         with pytest.raises(TrainingAbort, match="epoch 1"):
             fit(model, records, TrainConfig(epochs=1, batch_size=2, lr=1e-3, seed=0))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_abort_drops_the_partial_tape(self):
+        model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=4)
+        model.head.weight.data[:] = np.finfo(np.float32).max
+        with pytest.raises(TrainingAbort):
+            fit(model, tiny_records(), TrainConfig(epochs=1, batch_size=2, seed=0))
+        graph = active_graph()
+        assert graph is None or not graph.nodes
+
+    def test_equals_a_loop_of_backward_then_step(self, tmp_path):
+        # fit updates each parameter inside the backward; a plain backward,
+        # then AdamW.step, then zero_grad must give the same bytes
+        cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=6, swa=True, swa_start=2)
+        records = tiny_records(n=5)
+        fitted = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=8)
+        res = fit(fitted, records, cfg)
+
+        by_hand = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=8)
+        params = by_hand.named_parameters()
+        opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        swa = SWAAverager()
+        x_all = np.stack([r.input for r in records])
+        y_all = np.stack([r.target for r in records]).astype(np.float32)
+        rng = np.random.default_rng(cfg.seed)
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(records))
+            for start in range(0, len(records), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                backward(batch_dice_loss(by_hand.forward(Tensor(x_all[idx])), Tensor(y_all[idx])))
+                opt.step()
+                opt.zero_grad()
+            if epoch >= cfg.swa_start:
+                swa.accumulate(params)
+
+        for (name, t), (_, u) in zip(fitted.named_parameters(), params):
+            assert np.array_equal(t.data, u.data), name
+            assert np.array_equal(res.swa.mean[name], swa.mean[name]), name
+        for name, model in (("fit", fitted), ("hand", by_hand)):
+            save_checkpoint(tmp_path / f"{name}.runc", model)
+        assert (tmp_path / "fit.runc").read_bytes() == (tmp_path / "hand.runc").read_bytes()
+
+    def test_step_never_holds_every_gradient(self, traced_peak):
+        # deep stages hold most of the weights: the step's peak above the
+        # model is AdamW's m and v (2P) plus less than half the gradient
+        # bytes P, where a backward ending with every gradient held reaches 3P
+        model = RainUNet(RainUNetConfig(stages=3, base_channels=32), seed=9)
+        param_bytes = sum(t.data.nbytes for _, t in model.named_parameters())
+        records = tiny_records(n=1, size=8)
+        with traced_peak() as peak:
+            fit(model, records, TrainConfig(epochs=1, batch_size=1, seed=0))
+            assert peak() < 2.5 * param_bytes
 
     def test_empty_dataset_rejected(self):
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0)

@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, make_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -29,63 +29,68 @@ from .data import (CHANNEL_SETS, MANIFEST_NAME, OUT_FRAMES, FormatError, SynthCo
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
                     save_checkpoint_params)
-from .tensor import (AutodiffError, GradCheckReport, NonFiniteError, Tensor,
-                     TensorError, grad_check, tensor_sum)
+from .tensor import AutodiffError, GradCheckReport, Tensor, TensorError, grad_check, tensor_sum
 from .training import (TrainConfig, TrainingAbort, check_records, dice_loss, fit,
                        predict_probs, write_training_log_csv)
 from .precision import use_precision
 from .metrics import binarize, evaluate_masks, lead_time_iou, write_lead_time_csv, write_metrics_csv
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    out: str = "runs/out"
-    data: str = ""
-    checkpoint: str = ""
-    precision: str = "standard"
-    # synthesis
-    sequences: int = 16
-    size: int = 66
-    blob_min: int = 1
-    blob_max: int = 4
-    velocity_min: float = 0.0
-    velocity_max: float = 1.5
-    radius_min: float = 3.0
-    radius_max: float = 7.0
-    rain_threshold: float = 0.4
+def _settings(cls, names=None) -> list[tuple[str, type, object]]:
+    """``(name, type, default)`` of the fields of the dataclass ``cls`` in
+    ``names``, or of every field but ``seed``, in declaration order."""
+    types = get_type_hints(cls)
+    return [(f.name, types[f.name], f.default) for f in fields(cls)
+            if (f.name in names if names else f.name != "seed")]
+
+
+_MODEL_SETTINGS = _settings(RainUNetConfig, ("stages", "base_channels"))
+_TRAIN_SETTINGS = _settings(TrainConfig)
+
+# Every setting of a run. The settings of synthesis, the model and training
+# are the fields of the configs built from them (see _section), declared
+# there; the rest, and the seed they share, are the CLI's own.
+RunConfig = make_dataclass("RunConfig", [
+    ("seed", int, 0),
+    ("out", str, "runs/out"),
+    ("data", str, ""),
+    ("checkpoint", str, ""),
+    ("precision", str, "standard"),
+    *_settings(SynthConfig),
     # preprocessing
-    channels: str = "ir+vis"
-    crop_factor: int = 3
-    cleanse_threshold: int = 100
-    # model
-    stages: int = 5
-    base_channels: int = 16
-    # training
-    epochs: int = 20
-    batch_size: int = 4
-    lr: float = 1e-3
-    weight_decay: float = 1e-2
-    swa: bool = False
-    swa_start: int = 10
+    ("channels", str, "ir+vis"),
+    ("crop_factor", int, 3),
+    ("cleanse_threshold", int, 100),
+    *_MODEL_SETTINGS,
+    *_TRAIN_SETTINGS,
     # evaluation
-    threshold: float = 0.5
+    ("threshold", float, 0.5),
+], namespace={"__module__": __name__})
+
+# The RunConfig fields that describe a model to build and its training, which
+# evaluate and predict ignore: they run the checkpoint's model.
+_TRAINING_FIELDS = tuple(name for name, _, _ in _MODEL_SETTINGS + _TRAIN_SETTINGS)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the --config file, then the flags given, each value
+    parsed by data.parse_value; then each choice setting checked once."""
     cfg = RunConfig()
     if args.command == "gradcheck":
         cfg = replace(cfg, precision="wide")
     if args.config:
         cfg = replace(cfg, **dataio.parse_config(Path(args.config).read_text(), RunConfig,
                                                  args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
-    cfg = replace(cfg, **overrides)
-    # a config file's values bypass argparse's choices
+    flags = {}
+    for name, typ in get_type_hints(RunConfig).items():
+        raw = getattr(args, name)
+        if raw is not None:  # a bool flag given is True already
+            flags[name] = raw if typ is bool else dataio.parse_value(typ, raw, name, _flag(name))
+    cfg = replace(cfg, **flags)
     for name, allowed in _CHOICES.items():
         value = getattr(cfg, name)
         if value not in allowed:
@@ -101,12 +106,6 @@ def _section(cfg: RunConfig, cls):
     """The ``cls`` (SynthConfig, TrainConfig) whose every field is the
     RunConfig field of the same name."""
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
-
-
-# The RunConfig fields that describe a model to build and its training, which
-# evaluate and predict ignore: they run the checkpoint's model.
-_TRAINING_FIELDS = ("stages", "base_channels", "epochs", "batch_size", "lr", "weight_decay",
-                    "swa", "swa_start")
 
 
 def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
@@ -143,18 +142,26 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
+def _records(cfg: RunConfig) -> list:
+    """The records of the dataset at cfg.data; FormatError without one, or
+    when it holds none."""
     if not cfg.data:
-        raise FormatError("preprocess needs --data pointing at a dataset directory")
+        raise FormatError("a --data dataset directory is required")
     records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
+    if not records:
+        raise FormatError("dataset is empty")
+    return records
+
+
+def cmd_preprocess(cfg: RunConfig) -> int:
+    records = _records(cfg)
     channels = CHANNEL_SETS[cfg.channels]
     selected = [replace(r, input=select_modalities(r, channels)) for r in records]
     kept, removed = cleansing_filter(selected, cfg.cleanse_threshold)
     cropped = [replace(r, input=center_crop_resize(r.input, cfg.crop_factor)) for r in kept]
     save_dataset(cropped, cfg.out)
-    frac = removed / len(records) if records else 0.0
     print(f"kept {len(kept)} of {len(records)} records "
-          f"(removed {removed}, fraction {frac:.3f}) -> {cfg.out}")
+          f"(removed {removed}, fraction {removed / len(records):.3f}) -> {cfg.out}")
     return 0
 
 
@@ -168,11 +175,7 @@ def _model_config(cfg: RunConfig, in_channels: int) -> RainUNetConfig:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    if not cfg.data:
-        raise FormatError("train needs --data pointing at a preprocessed dataset")
-    records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
-    if not records:
-        raise FormatError("dataset is empty")
+    records = _records(cfg)
     train_cfg = _section(cfg, TrainConfig)
     # a rejected setting leaves nothing in cfg.out
     train_cfg.validate()
@@ -208,13 +211,8 @@ def cmd_train(cfg: RunConfig) -> int:
 def _load_eval_inputs(cfg: RunConfig):
     if not cfg.checkpoint:
         raise FormatError("a --checkpoint path is required")
-    if not cfg.data:
-        raise FormatError("a --data dataset directory is required")
-    model = load_checkpoint(cfg.checkpoint)
-    records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
-    if not records:
-        raise FormatError("dataset is empty")
-    return model, records
+    records = _records(cfg)
+    return load_checkpoint(cfg.checkpoint), records
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -354,17 +352,17 @@ _HELP = {"out": "output directory", "data": "input dataset directory",
 
 def _parser() -> argparse.ArgumentParser:
     """One flag per RunConfig field, ``--`` plus its name with ``-`` for
-    ``_``; a flag left out parses to None, so the layers below it stand."""
+    ``_``, holding the string resolve_config parses; a flag left out parses
+    to None, so the layers below it stand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    types = get_type_hints(RunConfig)
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if types[f.name] is bool:
-            common.add_argument(flag, dest=f.name, action="store_true", default=None)
+    for name, typ in get_type_hints(RunConfig).items():
+        if typ is bool:
+            common.add_argument(_flag(name), dest=name, action="store_true", default=None)
         else:
-            common.add_argument(flag, dest=f.name, type=types[f.name],
-                                choices=_CHOICES.get(f.name), help=_HELP.get(f.name))
+            allowed = _CHOICES.get(name)
+            common.add_argument(_flag(name), dest=name, help=_HELP.get(name),
+                                metavar=allowed and "{" + ",".join(allowed) + "}")
 
     parser = argparse.ArgumentParser(prog="rainunet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,8 +379,8 @@ def main(argv=None) -> int:
         # output holds it, not as numpy warnings from every op before that
         with use_precision(cfg.precision), np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](cfg)
-    except (TensorError, FormatError, AutodiffError, NonFiniteError, ValueError,
-            OSError) as err:
+    # TensorError and FormatError are ValueErrors, NonFiniteError an ArithmeticError
+    except (ValueError, ArithmeticError, MemoryError, OSError, AutodiffError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -122,12 +122,26 @@ def config_text(values: dict) -> str:
     return "".join(lines)
 
 
+def parse_value(typ, raw: str, key: str, where: str):
+    """``raw`` as the setting ``key`` of type ``typ``: a bool from true/1/yes
+    or false/0/no, a tuple from comma-separated ints, anything else as
+    ``typ(raw)``. A value its type rejects raises FormatError naming
+    ``where``."""
+    try:
+        if typ is bool:
+            return _BOOLS[raw.lower()]
+        if get_origin(typ) is tuple:
+            return tuple(int(x) for x in raw.split(","))
+        return typ(raw)
+    except (KeyError, ValueError):
+        raise FormatError(f"{where}: bad {typ.__name__} for {key}: {raw!r}") from None
+
+
 def parse_config(text: str, cls: type, source: str) -> dict:
-    """The settings of ``text``'s lines, each parsed as its field of the
-    dataclass ``cls`` is typed: a bool from true/1/yes or false/0/no, a tuple
-    from comma-separated ints, anything else as ``type(raw)``. A line
-    without ``=``, an unknown key or a value its type rejects raises
-    FormatError naming ``source`` and the line."""
+    """The settings of ``text``'s lines, each parsed by :func:`parse_value`
+    as its field of the dataclass ``cls`` is typed. A line without ``=``, an
+    unknown key or a value its type rejects raises FormatError naming
+    ``source`` and the line."""
     types = get_type_hints(cls)
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -141,16 +155,7 @@ def parse_config(text: str, cls: type, source: str) -> dict:
             raise FormatError(f"{where}: expected 'key = value'")
         if key not in types:
             raise FormatError(f"{where}: unknown config key {key!r}")
-        typ = types[key]
-        try:
-            if typ is bool:
-                values[key] = _BOOLS[raw.lower()]
-            elif get_origin(typ) is tuple:
-                values[key] = tuple(int(x) for x in raw.split(","))
-            else:
-                values[key] = typ(raw)
-        except (KeyError, ValueError):
-            raise FormatError(f"{where}: bad {typ.__name__} for {key}: {raw!r}") from None
+        values[key] = parse_value(types[key], raw, key, where)
     return values
 
 
@@ -163,29 +168,12 @@ WV_CHANNELS = ("WV_062", "WV_073")
 CANONICAL_CHANNELS = IR_CHANNELS + VIS_CHANNELS + WV_CHANNELS
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        for n in self.names:
-            if n not in CANONICAL_CHANNELS:
-                raise FormatError(f"unknown channel {n!r}")
-        if len(set(self.names)) != len(self.names):
-            raise FormatError("duplicate channel names")
-
-    def indices(self) -> list[int]:
-        return [CANONICAL_CHANNELS.index(n) for n in self.names]
-
-    def __len__(self):
-        return len(self.names)
-
-
+# each choice of the ``channels`` setting: its channels, in canonical order
 CHANNEL_SETS = {
-    "ir": ChannelSet(IR_CHANNELS),
-    "ir+vis": ChannelSet(IR_CHANNELS + VIS_CHANNELS),
-    "ir+wv": ChannelSet(IR_CHANNELS + WV_CHANNELS),
-    "ir+vis+wv": ChannelSet(CANONICAL_CHANNELS),
+    "ir": IR_CHANNELS,
+    "ir+vis": IR_CHANNELS + VIS_CHANNELS,
+    "ir+wv": IR_CHANNELS + WV_CHANNELS,
+    "ir+vis+wv": CANONICAL_CHANNELS,
 }
 DEFAULT_CHANNEL_SET = CHANNEL_SETS["ir+vis"]
 
@@ -219,18 +207,18 @@ class SequenceRecord:
         return int(self.target.sum())
 
 
-def select_modalities(rec: SequenceRecord, channels: ChannelSet) -> np.ndarray:
-    """Extract the requested channels, in set order. Only valid on records
-    that still carry the full canonical channel stack."""
+def select_modalities(rec: SequenceRecord, channels: tuple[str, ...]) -> np.ndarray:
+    """Extract the named canonical channels, in the given order. Only valid
+    on records that still carry the full canonical channel stack."""
     if rec.input.shape[0] != len(CANONICAL_CHANNELS):
         raise FormatError(
             f"record has {rec.input.shape[0]} channels, expected the canonical "
             f"{len(CANONICAL_CHANNELS)} before modality selection"
         )
-    return rec.input[channels.indices()].copy()
+    return rec.input[[CANONICAL_CHANNELS.index(n) for n in channels]]  # an index list copies
 
 
-def cleansing_filter(records, threshold: int = 100):
+def cleansing_filter(records, threshold: int):
     """Drop records whose 32-frame positive-pixel total is below the
     threshold (non-rainy sequences). Returns (kept, removed_count)."""
     kept = [r for r in records if r.positive_count >= threshold]

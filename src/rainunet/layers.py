@@ -95,33 +95,29 @@ class ConvSpec:
 
 
 # ---------------------------------------------------------------------------
-# numpy core: the correlation, run forward or as its adjoint (the gradient
-# w.r.t. its input), and in the backward's pass the gradient w.r.t. its
-# weight. All three products walk one traversal, _tap_blocks, once per conv
-# backward; the transposed convolution runs the correlation reversed.
+# numpy core, the kernels of the module docstring: the correlation, run
+# forward or as its adjoint (the gradient w.r.t. its input), and in the
+# backward's pass the gradient w.r.t. its weight, all three from one
+# traversal, _tap_blocks.
 #
-# The core takes and returns the layout (T, H, N, W, C): the batch sits
-# inside H, so an H-range of one frame is one contiguous run of rows. The op
-# hands on the array the core wrote as an (N, C, T, H, W) view
-# (_from_layout), so _to_layout of a conv's output, or of what relu, mul,
-# concat or a max pool made from it, is the same memory. An input in another
-# memory order is copied into the layout once, in the forward; the backward
-# reuses that copy for the weight gradient.
+# In the layout (T, H, N, W, C) the batch sits inside H, so an H-range of one
+# frame is one contiguous run of rows. An input in another memory order is
+# copied into the layout once, in the forward; the backward reuses that copy
+# for the weight gradient.
 #
 # Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
 # taps that read some data, with the output range they write and the strided
-# input range they read, so padding is never read.
+# input range they read.
 #
-# The live W taps of one frame are laid side by side along the channel axis
-# in a block (_w_block): for the forward, column i holds in tap j's slot the
-# input column output i reads through tap j, or zeros; the adjoint uses the
-# mirror, a block of gy. Each live (t, h) tap is then one `@` of an H-range of
-# the block, inner dimension live_w*C, with that tap's live W weights stacked
-# to match; in the backward, m.T @ x's rows is also the tap's weight
-# gradient, so one block build serves both gradients. Blocks are made one
-# frame at a time, each released before the next is built, which bounds the
-# stage-1 backward's peak. One geometry serves every stride, dilation and
-# padding; there is no size rule and no second path.
+# In a frame's block (_w_block), for the forward, column i holds in tap j's
+# slot the input column output i reads through tap j, or zeros; the adjoint
+# uses the mirror, a block of gy. Each live (t, h) tap multiplies an H-range
+# of the block by its live W weights, stacked to match (_stacked_weights); in
+# the backward, m.T @ x's rows is also the tap's weight gradient, so one
+# block build serves both gradients. Blocks are made one frame at a time,
+# each released before the next is built, which bounds the stage-1
+# backward's peak. One geometry serves every stride, dilation and padding;
+# there is no size rule and no second path.
 #
 # A conv weight is held tap-major: a (C_out, C_in, kt, kh, kw) array whose
 # memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
@@ -479,20 +475,22 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     return _op(_from_layout(y), (x,), grad_fn)
 
 
+# Added to each group's variance before its square root, so a constant
+# group divides by sqrt(GROUP_NORM_EPS), not by 0.
+GROUP_NORM_EPS = 1e-5
+
+
 class GroupNormLayer:
     """Per-sample normalization over channel groups with affine gamma/beta,
     copied when given; ``name`` as for Conv3DLayer."""
 
-    def __init__(self, channels: int, groups: int, eps: float = 1e-5, gamma=None, beta=None,
+    def __init__(self, channels: int, groups: int, gamma=None, beta=None,
                  name: str | None = None):
         self.name = name
         if channels % groups != 0:
             raise TensorError(f"channels {channels} not divisible by groups {groups}")
-        if eps <= 0:
-            raise TensorError("eps must be positive")
         self.channels = int(channels)
         self.groups = int(groups)
-        self.eps = float(eps)
         self.gamma = Tensor(np.ones(channels) if gamma is None else np.array(gamma), requires_grad=True)
         self.beta = Tensor(np.zeros(channels) if beta is None else np.array(beta), requires_grad=True)
         for name, t in self.parameters():
@@ -535,7 +533,7 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     mean = row(grouped(sums(xl)) / m)
     d = xl - mean  # x̂ = d * inv
     y = np.square(d)
-    inv = 1.0 / np.sqrt(grouped(sums(y)) / m + layer.eps)
+    inv = 1.0 / np.sqrt(grouped(sums(y)) / m + GROUP_NORM_EPS)
     gamma = layer.gamma.data
     np.multiply(d, row(inv * gamma), out=y)
     y += row(layer.beta.data)

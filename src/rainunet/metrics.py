@@ -46,11 +46,14 @@ class MetricsReport:
     METRIC_NAMES = ("iou", "precision", "recall", "accuracy", "f1")
 
 
+# minutes between a movie's frames, and so between lead times: the 15-minute grid
+MINUTES_PER_STEP = 15
+
+
 @dataclass(frozen=True)
 class LeadTimeCurve:
     iou_per_lead: np.ndarray          # one IoU per future frame
     degenerate: np.ndarray            # bool, True where IoU was 0/0
-    minutes_per_step: int = 15
 
 
 def binarize(probs, threshold: float = 0.5) -> np.ndarray:
@@ -150,5 +153,5 @@ def write_lead_time_csv(path, curve: LeadTimeCurve) -> None:
         w = csv.writer(fh)
         w.writerow(["lead_index", "lead_minutes", "iou"])
         for k, iou in enumerate(curve.iou_per_lead, start=1):
-            w.writerow([k, k * curve.minutes_per_step, f"{iou:.10g}"])
+            w.writerow([k, k * MINUTES_PER_STEP, f"{iou:.10g}"])
 

@@ -102,45 +102,39 @@ def _effective_groups(channels: int, groups: int) -> int:
     raise TensorError(f"width {channels} not divisible by {groups} normalization groups")
 
 
-def _new(name: str, shape: tuple) -> None:
-    """The ``take`` of a new model: nothing is stored, so each conv draws its
-    weights and each norm starts at the identity."""
-    return None
-
-
-def _stored(state: dict[str, np.ndarray]):
-    """The ``take`` of a loaded model: the array of ``state`` under that name,
-    checked against the shape its layer needs before that layer is made (so
-    a config describing a larger model fails before allocating it), and
-    popped, so it leaves the dict once its layer holds a copy."""
-
-    def take(name: str, shape: tuple) -> np.ndarray:
-        if name not in state:
-            raise TensorError(f"parameter {name} missing")
-        if tuple(state[name].shape) != shape:
-            raise TensorError(f"shape mismatch for {name}: checkpoint "
-                              f"{tuple(state[name].shape)}, model {shape}")
-        return state.pop(name)
-
-    return take
-
-
 class _Params:
-    """The parameter source of a model being built. Each layer gets its scoped
-    name (``enc1.proj_norm``) and each of its parameters ``take(f"{name}.weight",
-    shape)``; where that gives None, conv weights are drawn from ``rng`` in
-    construction order. Every layer built is appended to ``layers``, which all
-    scopes share."""
+    """The parameter source of a model being built: a new model's, drawing
+    from ``rng``, or a loaded model's, taking the arrays of ``state``. Each
+    layer gets its scoped name (``enc1.proj_norm``) and each of its
+    parameters ``take(f"{name}.weight", shape)``. Every layer built is
+    appended to ``layers``, which all scopes share."""
 
-    def __init__(self, take, rng: np.random.Generator | None = None, prefix: str = "",
+    def __init__(self, state: dict[str, np.ndarray] | None = None,
+                 rng: np.random.Generator | None = None, prefix: str = "",
                  layers: list | None = None):
-        self.take = take
+        self.state = state
         self.rng = rng
         self.prefix = prefix
         self.layers = [] if layers is None else layers
 
     def scope(self, prefix: str) -> "_Params":
-        return _Params(self.take, self.rng, f"{self.prefix}{prefix}.", self.layers)
+        return _Params(self.state, self.rng, f"{self.prefix}{prefix}.", self.layers)
+
+    def take(self, name: str, shape: tuple) -> np.ndarray | None:
+        """None for a new model: each conv draws its weights from ``rng`` in
+        construction order and each norm starts at the identity. For a loaded
+        model, the array of ``state`` under ``name``, checked against the
+        shape its layer needs before that layer is made (so a config
+        describing a larger model fails before allocating it), and popped, so
+        it leaves the dict once its layer holds a copy."""
+        if self.state is None:
+            return None
+        if name not in self.state:
+            raise TensorError(f"parameter {name} missing")
+        if tuple(self.state[name].shape) != shape:
+            raise TensorError(f"shape mismatch for {name}: checkpoint "
+                              f"{tuple(self.state[name].shape)}, model {shape}")
+        return self.state.pop(name)
 
     def conv(self, name, c_in, c_out, spec) -> Conv3DLayer:
         name = self.prefix + name
@@ -164,7 +158,7 @@ class TSBlock:
     def __init__(self, in_channels: int, out_channels: int, cfg: RainUNetConfig, rng):
         """``rng`` is the generator that draws the weights, or the parameter
         source of the model being built."""
-        params = rng if isinstance(rng, _Params) else _Params(_new, rng)
+        params = rng if isinstance(rng, _Params) else _Params(rng=rng)
         g = _effective_groups(out_channels, cfg.groupnorm_groups)
         self.proj = params.conv("proj", in_channels, out_channels, ConvSpec.same_size((1, 1, 1)))
         self.proj_norm = params.norm("proj_norm", out_channels, g)
@@ -184,7 +178,7 @@ class TSBlock:
 
 class RainUNet:
     def __init__(self, cfg: RainUNetConfig, seed: int = 0):
-        self._build(cfg, _Params(_new, np.random.default_rng(seed)))
+        self._build(cfg, _Params(rng=np.random.default_rng(seed)))
 
     @classmethod
     def from_state(cls, cfg: RainUNetConfig, state: dict[str, np.ndarray]) -> "RainUNet":
@@ -193,7 +187,7 @@ class RainUNet:
         Each array leaves ``state`` as it is copied. Raises TensorError when
         a name or a shape does not fit ``cfg``."""
         model = cls.__new__(cls)
-        model._build(cfg, _Params(_stored(state)))
+        model._build(cfg, _Params(state))
         if state:
             raise TensorError(f"parameters not in the model: {sorted(state)}")
         return model

@@ -3,27 +3,9 @@
 A thread-local tape (:class:`Graph`) records every operation whose inputs
 require gradients; :func:`backward` replays the tape in reverse. The tape is
 consumed by a single backward call, so "backward twice without a new forward"
-is an error instead of silent gradient accumulation.
-
-Each op records a ``grad_fn`` that maps its output's gradient to one gradient
-per input, or ``None`` for an input that needs none; ops never store
-gradients. :func:`backward` alone does, by one rule: a tensor's first
-gradient is kept as returned, and later ones are added out of place. So
-gradients accumulate across fan-out within one backward, and across backward
-calls on leaf tensors until the caller zeroes them (optimizer-style
-``zero_grad``), without one tensor's gradient changing another's that shares
-its array. A leaf's gradient is complete once the first op recorded that
-reads it has been replayed; :func:`backward` can hand each leaf to an
-``on_grad`` callback at that point, so that an optimizer updates a parameter
-and drops its gradient while the rest of the tape is replayed.
-
-The tape keeps only what a backward reads. A node holds each input that an
-op on the same tape produced as that op's node, and its own output only
-through a weak reference; the gradient of an op's output is gathered on its
-node and handed to the output tensor if the caller still holds it. Each
-``grad_fn`` captures the arrays and flags its gradient reads, not the
-tensors it was given. So an activation that no backward reads, such as a
-relu's input or a mean's, is freed as soon as the forward moves past it.
+is an error instead of silent gradient accumulation. What an op records is
+set out at :func:`_op`, what the tape holds at :class:`GraphNode`, and how
+gradients are stored and handed on at :func:`backward`.
 
 No broadcasting: ``mul`` takes two tensors of one shape. The logical shape
 of a 5-d value is (N, C, T, H, W); its memory may be in another order: a
@@ -92,9 +74,15 @@ class GraphNode:
     """One recorded op: its inputs, a weak reference to its output tensor,
     that output's shape and dtype, the gradient gathered for it during
     :func:`backward` (``grad``, ``grad_taps``) and, in ``apply``, the op's
-    ``grad_fn`` (see :func:`_op`). An input is held as its producer's node
-    when an op on the same graph made it, and as the tensor otherwise (a
-    leaf, or the output of an op on a tape already consumed)."""
+    ``grad_fn`` (see :func:`_op`).
+
+    The tape keeps only what a backward reads. An input is held as its
+    producer's node when an op on the same graph made it, and as the tensor
+    otherwise (a leaf, or the output of an op on a tape already consumed).
+    The output is held only weakly: its gradient is gathered here and handed
+    to it if the caller still holds it. With each ``grad_fn`` capturing
+    arrays, not tensors, an activation that no backward reads, such as a
+    relu's input or a mean's, is freed as soon as the forward moves past it."""
 
     __slots__ = ("inputs", "out", "apply", "graph", "shape", "dtype", "grad", "grad_taps")
     requires_grad = True  # a recorded op's output always takes part
@@ -217,9 +205,8 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     pair ``(gradient, taps)``, ``taps`` being the slices of kernel taps
     outside which it is zero; :func:`backward` keeps them in ``grad_taps``.
     It stores nothing itself; :func:`backward` does. It should capture the
-    arrays and flags it reads, not the tensors of ``inputs``: the tape holds
-    those only as nodes, so that what no gradient reads is freed when the
-    caller drops it. A non-finite output's
+    arrays and flags it reads, not the tensors of ``inputs``, which the tape
+    holds only as nodes (see :class:`GraphNode`). A non-finite output's
     NonFiniteError names the op (grad_fn's enclosing function), its shape and
     the ``layer`` the op ran, when the op names one.
     """
@@ -330,23 +317,25 @@ def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -
     topological order), and gives each node's ``grad_fn`` its output's
     gradient. Of the gradients it returns, ``None`` and those of inputs that
     do not require gradients are dropped. A gradient goes to what the node
-    holds for the input: the producer's node, whose ``grad`` is complete
-    before that node is replayed and is then set on its output tensor if the
-    caller still holds it, or the tensor itself (a leaf, or an output of a
-    tape already consumed). Either way the first gradient is kept as
-    returned, and each later one is added out of place, so an array that two
-    tensors share is never changed through either. The box of taps that
-    comes with a conv weight's first gradient is kept in ``grad_taps``; a sum
-    of gradients has none. A gradient whose shape or dtype differs from its
+    holds for the input (see :class:`GraphNode`): the producer's node, whose
+    ``grad`` is complete before that node is replayed and is then set on its
+    output tensor if the caller still holds it, or the tensor itself. Either
+    way the first gradient is kept as returned, and each later one is added
+    out of place, so an array that two tensors share is never changed
+    through either. So gradients accumulate across fan-out within one
+    backward, and on a leaf across backward calls until the caller zeroes
+    it (optimizer-style ``zero_grad``). The box of taps that comes with a
+    conv weight's first gradient is kept in ``grad_taps``; a sum of
+    gradients has none. A gradient whose shape or dtype differs from its
     input's is an :class:`AutodiffError`.
 
     ``on_grad(t)``, when given, is called for each tensor the tape holds as
-    a tensor (a leaf, or an output of a tape already consumed) whose ``grad``
-    is set, right after the first node recorded that reads it has been
-    replayed: no node replayed later reads it, so its ``grad`` is complete.
-    It is called once per such tensor, in replay order, and may consume the
-    gradient (an optimizer updating the parameter and dropping its ``grad``),
-    so that a backward need not hold every gradient at once.
+    a tensor whose ``grad`` is set, right after the first node recorded that
+    reads it has been replayed: no node replayed later reads it, so its
+    ``grad`` is complete. It is called once per such tensor, in replay
+    order, and may consume the gradient (an optimizer updating the parameter
+    and dropping its ``grad``), so that a backward need not hold every
+    gradient at once.
 
     The tape is consumed: call forward again before the next backward. Each
     node drops its inputs, output, gradient and ``grad_fn`` once replayed, so

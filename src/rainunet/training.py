@@ -102,6 +102,9 @@ def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
     return _dice(pred, target, pred.shape[0])
 
 
+# AdamW's moment decay rates and denominator guard: the defaults of Kingma &
+# Ba (arXiv:1412.6980)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Elements per block of AdamW.step: a block's six arrays stay in L2 cache
 # across the update's 16 passes instead of streaming through memory each pass.
 ADAMW_BLOCK = 32768
@@ -128,7 +131,8 @@ def _runs(size: int, started) -> list[tuple[int, int, bool]]:
 
 
 class AdamW:
-    """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p).
+    """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + EPS) + wd * p),
+    with mhat and vhat the bias-corrected moments of decay BETA1 and BETA2.
 
     Each parameter is updated in place, in the memory order it had when the
     optimizer was made, in blocks of ADAMW_BLOCK elements; ``m`` and ``v``
@@ -150,13 +154,9 @@ class AdamW:
     gets the full update from the first step its tap is live.
     """
 
-    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=1e-2):
+    def __init__(self, named_params, lr=1e-3, weight_decay=1e-2):
         self.named_params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.axes = {name: _memory_axes(t.data) for name, t in self.named_params}
@@ -208,8 +208,8 @@ class AdamW:
     def _update_param(self, name, t) -> None:
         """The pending step's update of one parameter from its gradient."""
         k = self.step_count + 1
-        bc1 = 1.0 - self.beta1**k
-        bc2 = 1.0 - self.beta2**k
+        bc1 = 1.0 - BETA1**k
+        bc2 = 1.0 - BETA2**k
         held = t.data.transpose(self.axes[name])
         # views, unless .data was replaced by an array laid out otherwise
         p = held.reshape(-1)
@@ -238,16 +238,16 @@ class AdamW:
 
     def _update(self, p, g, m, v, tmp, update, bc1, bc2) -> None:
         """The docstring formula in place on one block, in two temporary blocks."""
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
-        m *= self.beta1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        m *= BETA1
         m += tmp
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        np.multiply(g, 1.0 - BETA2, out=tmp)
         tmp *= g
-        v *= self.beta2
+        v *= BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += EPS
         np.divide(m, bc1, out=update)
         update /= tmp
         if self.weight_decay:
@@ -352,7 +352,6 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
                     result.log,
                 ) from err
             opt.step()
-            opt.zero_grad()
             losses.append(loss.item())
         swa_active = cfg.swa and epoch >= cfg.swa_start
         if swa_active:

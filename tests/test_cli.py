@@ -14,7 +14,8 @@ import scipy
 
 import rainunet
 from rainunet import layers, precision
-from rainunet.cli import _TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main, resolve_config
+from rainunet.cli import (_CHOICES, _TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
+                          resolve_config)
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
@@ -179,6 +180,48 @@ class TestNonFiniteSettings:
         assert capsys.readouterr().err == "error: lr must be finite, got nan\n"
 
 
+class TestBadValues:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name,typ", [(name, typ) for name, typ in
+                                          get_type_hints(RunConfig).items() if typ in (int, float)])
+    def test_unparsable_value_names_the_flag_or_line(self, tmp_path, capsys, name, typ, source):
+        flag = "--" + name.replace("_", "-")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\n{name} = bogus\n")
+        argv = [flag, "bogus"] if source == "flag" else ["--config", config]
+        where = flag if source == "flag" else f"{config} line 2"
+        capsys.readouterr()
+        assert run_cli("synth", "--out", tmp_path / "out", *argv) == 1
+        assert capsys.readouterr().err == f"error: {where}: bad {typ.__name__} for {name}: 'bogus'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(_CHOICES))
+    def test_flag_outside_the_choices(self, tmp_path, capsys, name):
+        # a config file's value is checked by the same check (TestConfigFile)
+        capsys.readouterr()
+        assert run_cli("synth", "--out", tmp_path / "out", "--" + name, "bogus") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {name} must be one of [^\n]*, got 'bogus'\n", err), err
+        assert not (tmp_path / "out").exists()
+
+    # The first allocation each makes is hundreds of terabytes or more, or
+    # the square of 1e308, so each fails at once.
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--size", 100_000_000],
+        ["synth", "--sequences", 1, "--size", 8, "--radius-min", 1e308, "--radius-max", 1e308],
+        ["train", "--stages", 1, "--base-channels", 10_000_000_000_000],
+    ], ids=["synth_size", "synth_radius", "train_base_channels"])
+    def test_unallocatable_or_overflowing_run(self, request, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv = [*argv, "--data", request.getfixturevalue("prepared")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_writes_records_and_manifest(self, dataset):
         manifest = dataset / MANIFEST_NAME
@@ -248,6 +291,14 @@ class TestPreprocess:
                        "--cleanse-threshold", 0) == 0
         for src in sorted(dataset.glob("*_input.runt")):
             assert sha(src) == sha(prep / src.name)
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_empty_dataset_rejected(self, tmp_path, capsys, command):
+        save_dataset([], tmp_path / "empty")
+        capsys.readouterr()
+        assert run_cli(command, "--data", tmp_path / "empty", "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: dataset is empty\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_crop_factor_fails(self, dataset, tmp_path, capsys):
         assert run_cli("preprocess", "--data", dataset, "--out", tmp_path / "x",

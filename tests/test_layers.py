@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import naive_conv3d, naive_conv3d_transposed, naive_group_norm
 from rainunet import layers, precision
-from rainunet.layers import (Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps, _from_layout,
-                             _stacked_weights, _to_layout, c_order_pieces, conv3d, conv3d_transposed,
-                             group_norm, is_tap_major, maxpool3d)
+from rainunet.layers import (GROUP_NORM_EPS, Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps,
+                             _from_layout, _stacked_weights, _to_layout, c_order_pieces, conv3d,
+                             conv3d_transposed, group_norm, is_tap_major, maxpool3d)
 from rainunet.model import RainUNetConfig, TSBlock
 from rainunet.tensor import (Tensor, TensorError, _op, backward, concat, grad_check, mean_axis,
                              mul, relu, tensor_sum)
@@ -403,7 +403,7 @@ class TestGroupNorm:
         grouped = out.reshape(2, 3, -1)
         assert np.abs(grouped.mean(axis=2)).max() < 1e-6
         # variance sits at 1 up to the eps guard
-        assert np.abs(grouped.var(axis=2) - 1.0).max() < 2 * layer.eps
+        assert np.abs(grouped.var(axis=2) - 1.0).max() < 2 * GROUP_NORM_EPS
 
     def test_divisibility_enforced(self):
         with pytest.raises(TensorError):

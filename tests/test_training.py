@@ -195,7 +195,7 @@ class TestAdamW:
             assert p.shape == shape and p.data.flags.c_contiguous != transposed
             want = p.data.copy()
             m, v = np.zeros_like(want), np.zeros_like(want)
-            opt = AdamW([("p", p)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+            opt = AdamW([("p", p)], lr=lr, weight_decay=wd)
             for k in range(1, 6):
                 g = rng.normal(size=want.shape).astype(want.dtype)
                 p.grad = g.copy()
@@ -229,7 +229,7 @@ class TestAdamW:
             w.data[1, 2, 0, 0, 0] = -0.0
             if relaid == "before":
                 w.data = np.ascontiguousarray(w.data)
-            opt = AdamW([("w", w)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+            opt = AdamW([("w", w)], lr=lr, weight_decay=wd)
             if relaid == "after":
                 w.data = np.ascontiguousarray(w.data)
             want = w.data.copy()

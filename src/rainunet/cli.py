@@ -7,6 +7,11 @@ keys rejected), then command-line flags. Every command is reproducible:
 identical resolved config and seed give identical artifact bytes, at the
 same BLAS thread count for ``train``, whose weight-gradient reductions the
 BLAS splits by thread.
+
+Every file a command writes reaches disk whole, through data.write_file: a
+command killed part-way leaves each of its files as it was before or as
+the command finished it, and a dataset it was rewriting loads the old
+records, loads the new ones, or fails to load.
 """
 
 from __future__ import annotations
@@ -115,7 +120,8 @@ def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
     guarantee: trained bytes change with the BLAS thread count, which splits
     the weight gradient's reductions. Given the ``model`` read from
     cfg.checkpoint, the checkpoint's sha256 and stored model config stand in
-    for the model and training fields."""
+    for the model and training fields. Like every artifact, run.txt is
+    whole, old or new, after a kill (see the module docstring)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -127,7 +133,7 @@ def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
                   blas=f"{blas['name']} {blas['version']}",
                   OPENBLAS_NUM_THREADS=os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
                   cpu_count=os.cpu_count())
-    (out / "run.txt").write_text(dataio.config_text(values))
+    dataio.write_file(out / "run.txt", [dataio.config_text(values).encode("utf-8")])
     return out
 
 
@@ -196,10 +202,10 @@ def cmd_train(cfg: RunConfig) -> int:
         write_training_log_csv(out / "training_log.csv", err.log)
         print(f"aborted: {err} (last-good checkpoint kept at {ckpt})", file=sys.stderr)
         return 1
-    write_training_log_csv(out / "training_log.csv", result.log)
     if result.log:
         print(f"trained {cfg.epochs} epochs, final mean loss {result.log[-1].mean_loss:.6f}")
-    else:
+    else:  # no epoch ended to write the log, so its header is written here
+        write_training_log_csv(out / "training_log.csv", result.log)
         print("trained 0 epochs (checkpoint is the initialization)")
     if cfg.swa:
         save_checkpoint_params(out / "model_swa.runc", model.config, result.swa.finalize())

@@ -1,6 +1,8 @@
 """Sequence records, the RUNT tensor file format, the ``key = value`` config
-text, preprocessing stages (modality selection, cleansing, center crop) and
-a synthetic rain-movie generator used for desk-scale experiments.
+text, CSV tables, preprocessing stages (modality selection, cleansing,
+center crop) and a synthetic rain-movie generator used for desk-scale
+experiments. Every file the package writes goes to disk through
+:func:`write_file`.
 
 A record pairs a 4-frame multi-channel satellite movie with a 32-frame
 binary rain mask on a 15-minute grid. Records hold plain numpy arrays;
@@ -10,10 +12,13 @@ scipy is imported only by ``synth_generate``, for its blur.
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -21,6 +26,31 @@ import numpy as np
 
 class FormatError(ValueError):
     """Malformed RUNT file, manifest, config text or checkpoint."""
+
+
+def write_file(path, chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to ``<path>.tmp``, then move
+    it onto ``path``. Any exception, one raised while a chunk is made
+    included, removes the temp file and leaves ``path`` as it was. So a
+    process killed at any point leaves ``path`` whole: its previous file or
+    its new one. Nothing is fsynced: the promise covers a killed process,
+    not a power cut."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """The ``header`` row, then each of ``rows``, as a CSV table with csv's
+    quoting and ``\\r\\n`` line ends."""
+    # writerow returns what write returns: here, the row's line as bytes
+    line = csv.writer(SimpleNamespace(write=str.encode)).writerow
+    write_file(path, (line(row) for row in [header, *rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +84,17 @@ def runt_payload(arr) -> np.ndarray:
     return arr.astype(arr.dtype.newbyteorder("<"), copy=False)
 
 
-def runt_encode(arr) -> bytes:
+def runt_chunks(arr) -> list:
+    """The RUNT file of ``arr`` (or a Tensor's data): its header, then its
+    payload array."""
     # the header is checked on the array as given: np.ascontiguousarray
     # would make a 0-d array 1-d
     arr = np.asarray(getattr(arr, "data", arr))
-    head = runt_header(arr.dtype, arr.shape)
-    return head + runt_payload(arr).tobytes()
+    return [runt_header(arr.dtype, arr.shape), runt_payload(arr)]
+
+
+def runt_encode(arr) -> bytes:
+    return b"".join(runt_chunks(arr))
 
 
 def runt_decode(blob) -> np.ndarray:
@@ -97,7 +132,7 @@ def runt_view(blob) -> np.ndarray:
 
 
 def tensor_file_write(t, path) -> None:
-    Path(path).write_bytes(runt_encode(t))
+    write_file(path, runt_chunks(t))
 
 
 def tensor_file_read(path) -> np.ndarray:
@@ -313,6 +348,11 @@ class SynthConfig:
             raise FormatError(f"degenerate velocity range {(self.velocity_min, self.velocity_max)}")
         if self.radius_min <= 0 or self.radius_max < self.radius_min:
             raise FormatError(f"degenerate radius range {(self.radius_min, self.radius_max)}")
+        for name in ("radius_min", "radius_max"):
+            r = getattr(self, name)
+            if not 0.0 < 2.0 * r * r < math.inf:  # _rain_field divides by 2 * radius**2
+                raise FormatError(f"{name} {r} is out of range: 2 * {name}**2 must be "
+                                  "a positive finite float")
         if self.rain_threshold <= 0:
             raise FormatError("rain threshold must be positive")
 
@@ -390,22 +430,28 @@ class ManifestEntry:
 
 
 def save_dataset(records, out_dir) -> Path:
+    """Write ``records`` and their manifest to ``out_dir``. The manifest
+    there is removed first and written last, so a rewrite cut short leaves
+    no manifest: the directory then fails to load, never loading a mix of
+    old and new records."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / MANIFEST_NAME
+    manifest.unlink(missing_ok=True)
     entries = []
     for i, rec in enumerate(records):
         key = f"seq{i:05d}"
         tensor_file_write(rec.input.astype(np.float32), out / f"{key}_input.runt")
         tensor_file_write(rec.target, out / f"{key}_target.runt")
         entries.append(ManifestEntry(key, rec.positive_count, rec.region, rec.start_time))
-    write_manifest(out / MANIFEST_NAME, entries)
-    return out / MANIFEST_NAME
+    write_manifest(manifest, entries)
+    return manifest
 
 
 def write_manifest(path, entries) -> None:
     lines = [_MANIFEST_HEADER]
     lines += [f"{e.key}\t{e.positive_count}\t{e.region}\t{e.start_time}" for e in entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_manifest(path) -> list[ManifestEntry]:

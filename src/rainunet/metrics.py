@@ -7,10 +7,11 @@ score is reported as 0 with the metric listed in the degenerate set.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import write_csv
 
 
 def _as_array(x) -> np.ndarray:
@@ -140,18 +141,12 @@ def lead_time_iou(pred, gt) -> LeadTimeCurve:
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value", "degenerate"])
-        for name in MetricsReport.METRIC_NAMES:
-            w.writerow([name, f"{getattr(report, name):.10g}",
-                        int(name in report.degenerate)])
+    write_csv(path, ["metric", "value", "degenerate"],
+              ([name, f"{getattr(report, name):.10g}", int(name in report.degenerate)]
+               for name in MetricsReport.METRIC_NAMES))
 
 
 def write_lead_time_csv(path, curve: LeadTimeCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lead_index", "lead_minutes", "iou"])
-        for k, iou in enumerate(curve.iou_per_lead, start=1):
-            w.writerow([k, k * MINUTES_PER_STEP, f"{iou:.10g}"])
-
+    write_csv(path, ["lead_index", "lead_minutes", "iou"],
+              ([k, k * MINUTES_PER_STEP, f"{iou:.10g}"]
+               for k, iou in enumerate(curve.iou_per_lead, start=1)))

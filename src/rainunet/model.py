@@ -21,7 +21,6 @@ initial weights at those taps.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -276,35 +275,24 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> None:
-    """Write the checkpoint to ``<path>.tmp`` and move it onto ``path``, so a
-    failure part-way (such as a parameter that cannot be encoded, found in
-    the piece that holds it) leaves the previous checkpoint at ``path``
-    whole."""
+    """Write the checkpoint through data.write_file, so a failure part-way
+    (such as a parameter that cannot be encoded, found in the piece that
+    holds it) leaves the previous checkpoint at ``path`` whole."""
+    dataio.write_file(path, _checkpoint_chunks(cfg, params))
+
+
+def _checkpoint_chunks(cfg: RainUNetConfig, params: dict[str, np.ndarray]):
     cfg_bytes = dataio.config_text(asdict(cfg)).encode("utf-8")
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<B", _CKPT_VERSION))
-            fh.write(struct.pack("<I", len(cfg_bytes)))
-            fh.write(cfg_bytes)
-            fh.write(struct.pack("<I", len(params)))
-            for name, arr in params.items():
-                # the payload goes out in C-order pieces, views of the array or
-                # of one piece buffer, each checked before it is written
-                head = dataio.runt_header(arr.dtype, arr.shape)
-                name_b = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(name_b)))
-                fh.write(name_b)
-                fh.write(struct.pack("<I", len(head) + arr.nbytes))
-                fh.write(head)
-                for piece in c_order_pieces(arr):
-                    fh.write(dataio.runt_payload(piece))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    yield _CKPT_MAGIC + struct.pack("<BI", _CKPT_VERSION, len(cfg_bytes)) + cfg_bytes
+    yield struct.pack("<I", len(params))
+    for name, arr in params.items():
+        # the payload goes out in C-order pieces, views of the array or of
+        # one piece buffer, each checked before it is written
+        head = dataio.runt_header(arr.dtype, arr.shape)
+        name_b = name.encode("utf-8")
+        yield struct.pack("<H", len(name_b)) + name_b
+        yield struct.pack("<I", len(head) + arr.nbytes) + head
+        yield from map(dataio.runt_payload, c_order_pieces(arr))
 
 
 def save_checkpoint(path, model: RainUNet) -> None:

@@ -323,10 +323,10 @@ def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -
     way the first gradient is kept as returned, and each later one is added
     out of place, so an array that two tensors share is never changed
     through either. So gradients accumulate across fan-out within one
-    backward, and on a leaf across backward calls until the caller zeroes
-    it (optimizer-style ``zero_grad``). The box of taps that comes with a
-    conv weight's first gradient is kept in ``grad_taps``; a sum of
-    gradients has none. A gradient whose shape or dtype differs from its
+    backward, and on a leaf across backward calls until it is dropped
+    (``Tensor.zero_grad``, or the AdamW step that consumes it). The box of
+    taps that comes with a conv weight's first gradient is kept in
+    ``grad_taps``; a sum of gradients has none. A gradient whose shape or dtype differs from its
     input's is an :class:`AutodiffError`.
 
     ``on_grad(t)``, when given, is called for each tensor the tape holds as

@@ -6,12 +6,12 @@ the batch, and the gradient is written out in closed form (see _dice)."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_csv
 from .layers import TAP_MAJOR, is_tap_major
 from .metrics import is_binary
 from .model import RainUNet, RainUNetConfig
@@ -142,9 +142,10 @@ class AdamW:
 
     A step's parameters may be updated one at a time: :meth:`step_param`
     updates one parameter for the pending step as soon as its gradient is
-    complete (``backward``'s ``on_grad``) and drops that gradient, and
-    :meth:`step` updates the rest and closes the step. Parameters are
-    independent, so each gets the same bytes whenever it is updated.
+    complete (``backward``'s ``on_grad``), and :meth:`step` updates the rest
+    and closes the step. Both drop each gradient they read: the optimizer
+    consumes the gradient. Parameters are independent, so each gets the
+    same bytes whenever it is updated.
 
     A tap-major conv weight (see layers) is walked as its kernel taps'
     slabs. A tap outside the gradient's ``grad_taps`` at every step so far
@@ -192,7 +193,6 @@ class AdamW:
             raise TensorError(f"missing gradient for {name}")
         self._update_param(name, t)
         self.updated.add(name)
-        t.grad = None
 
     def step(self) -> None:
         """Update every parameter :meth:`step_param` has not, then close the step."""
@@ -206,7 +206,8 @@ class AdamW:
         self.step_count += 1
 
     def _update_param(self, name, t) -> None:
-        """The pending step's update of one parameter from its gradient."""
+        """The pending step's update of one parameter from its gradient,
+        which is then dropped."""
         k = self.step_count + 1
         bc1 = 1.0 - BETA1**k
         bc2 = 1.0 - BETA2**k
@@ -235,6 +236,7 @@ class AdamW:
                     p[b:e] -= update
         if not np.may_share_memory(p, held):
             held[...] = p.reshape(held.shape)
+        t.grad = None
 
     def _update(self, p, g, m, v, tmp, update, bc1, bc2) -> None:
         """The docstring formula in place on one block, in two temporary blocks."""
@@ -255,10 +257,6 @@ class AdamW:
             update += tmp
         update *= self.lr
         p -= update
-
-    def zero_grad(self) -> None:
-        for _, t in self.named_params:
-            t.zero_grad()
 
 
 class SWAAverager:
@@ -373,8 +371,5 @@ def predict_probs(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
 
 
 def write_training_log_csv(path, log: list[EpochLog]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "mean_loss", "swa"])
-        for row in log:
-            w.writerow([row.epoch, f"{row.mean_loss:.10g}", int(row.swa_active)])
+    write_csv(path, ["epoch", "mean_loss", "swa"],
+              ([row.epoch, f"{row.mean_loss:.10g}", int(row.swa_active)] for row in log))

@@ -206,12 +206,20 @@ class TestBadValues:
 
     # The first allocation each makes is hundreds of terabytes or more, or
     # the square of 1e308, so each fails at once.
-    @pytest.mark.parametrize("argv", [
-        ["synth", "--size", 100_000_000],
-        ["synth", "--sequences", 1, "--size", 8, "--radius-min", 1e308, "--radius-max", 1e308],
-        ["train", "--stages", 1, "--base-channels", 10_000_000_000_000],
-    ], ids=["synth_size", "synth_radius", "train_base_channels"])
-    def test_unallocatable_or_overflowing_run(self, request, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, setting", [
+        (["synth", "--size", 100_000_000], None),
+        (["synth", "--sequences", 1, "--size", 8, "--radius-min", 1e308, "--radius-max", 1e308],
+         "radius_min"),
+        (["synth", "--sequences", 1, "--size", 8, "--radius-min", 1, "--radius-max", 1e200],
+         "radius_max"),
+        (["synth", "--sequences", 1, "--size", 8, "--radius-min", 1e-200, "--radius-max", 1e-200],
+         "radius_min"),
+        (["train", "--stages", 1, "--base-channels", 10_000_000_000_000], None),
+    ], ids=["synth_size", "synth_radius", "synth_radius_max", "synth_tiny_radius",
+            "train_base_channels"])
+    def test_unallocatable_or_overflowing_run(self, request, tmp_path, capsys, argv, setting):
+        # an allocation failure names the shape numpy could not allocate; a
+        # radius that 2 * radius**2 takes out of float range names its setting
         if argv[0] == "train":
             argv = [*argv, "--data", request.getfixturevalue("prepared")]
         out = tmp_path / "out"
@@ -219,6 +227,7 @@ class TestBadValues:
         assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert setting is None or setting in err[0], err
         assert not out.exists()
 
 

@@ -10,7 +10,8 @@ from rainunet.data import (CANONICAL_CHANNELS, CHANNEL_SETS, IR_CHANNELS, VIS_CH
                            center_crop_window, cleansing_filter, load_dataset,
                            read_manifest, runt_decode, runt_encode,
                            save_dataset, select_modalities, synth_generate,
-                           tensor_file_read, tensor_file_write, write_manifest)
+                           tensor_file_read, tensor_file_write, write_csv, write_file,
+                           write_manifest)
 
 
 def _replace_byte(blob: bytes, pos: int, value: int) -> bytes:
@@ -19,6 +20,27 @@ def _replace_byte(blob: bytes, pos: int, value: int) -> bytes:
 
 # magic(4) + version/dtype/ndim(3) + 2 extents(8) + 6 f32(24) = 39 bytes
 _VALID_BLOB = runt_encode(np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("before", [None, b"old"], ids=["absent", "present"])
+    def test_failure_while_making_a_chunk_leaves_the_path(self, tmp_path, before):
+        path = tmp_path / "f.bin"
+        if before is not None:
+            path.write_bytes(before)
+
+        def chunks():
+            yield b"new"
+            raise FormatError("bad chunk")
+
+        with pytest.raises(FormatError, match="bad chunk"):
+            write_file(path, chunks())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["f.bin"])
+        assert before is None or path.read_bytes() == before
+
+    def test_csv_quoting_and_line_ends(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, "x,y"], [2.5, 'q"']])
+        assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n2.5,"q"""\r\n'
 
 
 class TestRuntFormat:

@@ -155,8 +155,8 @@ class TestAdamW:
         p = Tensor(np.array([1.5, -2.5], dtype=np.float32), requires_grad=True)
         before = p.data.copy()
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
-        p.grad = np.zeros_like(p.data)
         for _ in range(3):
+            p.grad = np.zeros_like(p.data)
             opt.step()
         assert np.array_equal(p.data, before)
 
@@ -241,7 +241,6 @@ class TestAdamW:
                 g = np.array(w.grad)
                 assert is_tap_major(w.grad) and w.grad_taps is not None
                 opt.step()
-                opt.zero_grad()
                 m = m * b1 + (1.0 - b1) * g
                 v = v * b2 + (1.0 - b2) * g * g
                 mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
@@ -341,7 +340,6 @@ class TestAdamW:
                     assert t.grad is None
                 for opt in opts:
                     opt.step()
-                    opt.zero_grad()
         assert opts[0].step_count == opts[1].step_count == 3
         for (name, t), (_, u) in zip(opts[0].named_params, opts[1].named_params):
             assert np.array_equal(t.data, u.data), name
@@ -358,13 +356,6 @@ class TestAdamW:
         with pytest.raises(TensorError, match="missing gradient for q"):
             opt.step()
         assert np.array_equal(q.data, np.ones(3)) and opt.step_count == 0
-
-    def test_zero_grad_clears(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        opt = AdamW([("p", p)])
-        p.grad = np.ones(2)
-        opt.zero_grad()
-        assert p.grad is None
 
 
 class TestSWA:
@@ -486,7 +477,8 @@ class TestFit:
 
     def test_equals_a_loop_of_backward_then_step(self, tmp_path):
         # fit updates each parameter inside the backward; a plain backward,
-        # then AdamW.step, then zero_grad must give the same bytes
+        # then AdamW.step, which consumes every gradient, must give the same
+        # bytes
         cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=6, swa=True, swa_start=2)
         records = tiny_records(n=5)
         fitted = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=8)
@@ -505,7 +497,7 @@ class TestFit:
                 idx = order[start : start + cfg.batch_size]
                 backward(batch_dice_loss(by_hand.forward(Tensor(x_all[idx])), Tensor(y_all[idx])))
                 opt.step()
-                opt.zero_grad()
+                assert all(t.grad is None for _, t in params)
             if epoch >= cfg.swa_start:
                 swa.accumulate(params)
 

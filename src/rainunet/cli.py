@@ -22,13 +22,13 @@ import os
 import sys
 from dataclasses import asdict, fields, make_dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import Literal, get_args, get_type_hints
 
 import numpy as np
 import scipy
 
 from . import __version__, data as dataio
-from .data import (CHANNEL_SETS, MANIFEST_NAME, OUT_FRAMES, FormatError, SynthConfig,
+from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SynthConfig,
                    center_crop_resize, cleansing_filter, load_dataset, save_dataset,
                    select_modalities, synth_generate)
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
@@ -60,10 +60,10 @@ RunConfig = make_dataclass("RunConfig", [
     ("out", str, "runs/out"),
     ("data", str, ""),
     ("checkpoint", str, ""),
-    ("precision", str, "standard"),
+    ("precision", Literal["standard", "wide"], "standard"),
     *_settings(SynthConfig),
     # preprocessing
-    ("channels", str, "ir+vis"),
+    ("channels", Literal[tuple(sorted(CHANNEL_SETS))], "ir+vis"),
     ("crop_factor", int, 3),
     ("cleanse_threshold", int, 100),
     *_MODEL_SETTINGS,
@@ -83,7 +83,7 @@ def _flag(name: str) -> str:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the --config file, then the flags given, each value
-    parsed by data.parse_value; then each choice setting checked once."""
+    parsed by data.parse_value."""
     cfg = RunConfig()
     if args.command == "gradcheck":
         cfg = replace(cfg, precision="wide")
@@ -95,12 +95,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raw = getattr(args, name)
         if raw is not None:  # a bool flag given is True already
             flags[name] = raw if typ is bool else dataio.parse_value(typ, raw, name, _flag(name))
-    cfg = replace(cfg, **flags)
-    for name, allowed in _CHOICES.items():
-        value = getattr(cfg, name)
-        if value not in allowed:
-            raise FormatError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-    return cfg
+    return replace(cfg, **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
     values = {k: v for k, v in asdict(cfg).items() if model is None or k not in _TRAINING_FIELDS}
     if model is not None:
         values["checkpoint_sha256"] = hashlib.sha256(Path(cfg.checkpoint).read_bytes()).hexdigest()
-        values.update(asdict(model.config))
+        values.update(model.config.block())
     values.update(rainunet=__version__, numpy=np.__version__, scipy=scipy.__version__,
                   blas=f"{blas['name']} {blas['version']}",
                   OPENBLAS_NUM_THREADS=os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
@@ -171,21 +166,12 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     return 0
 
 
-def _model_config(cfg: RunConfig, in_channels: int) -> RainUNetConfig:
-    return RainUNetConfig(
-        stages=cfg.stages,
-        base_channels=cfg.base_channels,
-        in_channels=in_channels,
-        out_frames=OUT_FRAMES,
-    )
-
-
 def cmd_train(cfg: RunConfig) -> int:
     records = _records(cfg)
     train_cfg = _section(cfg, TrainConfig)
     # a rejected setting leaves nothing in cfg.out
     train_cfg.validate()
-    model_cfg = _model_config(cfg, records[0].input.shape[0])
+    model_cfg = RainUNetConfig(cfg.stages, cfg.base_channels, in_channels=records[0].input.shape[0])
     check_records(records, model_cfg)
     model = RainUNet(model_cfg, seed=cfg.seed)
     out = _out_dir(cfg)
@@ -312,7 +298,7 @@ def gradcheck_battery(seeds: int = 3, base_seed: int = 100) -> list[tuple[str, G
         p = Tensor(rng.uniform(0.05, 0.95, size=24))
         results.append((f"dice_loss/p[{s}]", grad_check(lambda t: dice_loss(t, g), p)))
 
-        block = TSBlock(2, 4, RainUNetConfig(stages=1, base_channels=4), rng)
+        block = TSBlock(2, 4, rng)
         xb = Tensor(rng.normal(size=(1, 2, 2, 8, 8)))
         results.append((f"ts_block/x[{s}]", grad_check(lambda t: _quadratic(block(t)), xb, max_coords=48, seed=s)))
 
@@ -351,7 +337,6 @@ _COMMANDS = {
 }
 
 
-_CHOICES = {"precision": ["standard", "wide"], "channels": sorted(CHANNEL_SETS)}
 _HELP = {"out": "output directory", "data": "input dataset directory",
          "checkpoint": "model checkpoint path"}
 
@@ -366,9 +351,9 @@ def _parser() -> argparse.ArgumentParser:
         if typ is bool:
             common.add_argument(_flag(name), dest=name, action="store_true", default=None)
         else:
-            allowed = _CHOICES.get(name)
+            allowed = get_args(typ)  # a Literal's choices
             common.add_argument(_flag(name), dest=name, help=_HELP.get(name),
-                                metavar=allowed and "{" + ",".join(allowed) + "}")
+                                metavar="{" + ",".join(allowed) + "}" if allowed else None)
 
     parser = argparse.ArgumentParser(prog="rainunet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -159,14 +160,17 @@ def config_text(values: dict) -> str:
 
 def parse_value(typ, raw: str, key: str, where: str):
     """``raw`` as the setting ``key`` of type ``typ``: a bool from true/1/yes
-    or false/0/no, a tuple from comma-separated ints, anything else as
+    or false/0/no, a ``Literal`` from one of its choices, anything else as
     ``typ(raw)``. A value its type rejects raises FormatError naming
     ``where``."""
+    if get_origin(typ) is Literal:
+        if raw not in get_args(typ):
+            raise FormatError(f"{where}: {key} must be one of {', '.join(get_args(typ))}, "
+                              f"got {raw!r}")
+        return raw
     try:
         if typ is bool:
             return _BOOLS[raw.lower()]
-        if get_origin(typ) is tuple:
-            return tuple(int(x) for x in raw.split(","))
         return typ(raw)
     except (KeyError, ValueError):
         raise FormatError(f"{where}: bad {typ.__name__} for {key}: {raw!r}") from None
@@ -433,7 +437,8 @@ def save_dataset(records, out_dir) -> Path:
     """Write ``records`` and their manifest to ``out_dir``. The manifest
     there is removed first and written last, so a rewrite cut short leaves
     no manifest: the directory then fails to load, never loading a mix of
-    old and new records."""
+    old and new records. Then each record file the new manifest does not
+    list (left by an earlier, larger dataset) is removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / MANIFEST_NAME
@@ -445,6 +450,10 @@ def save_dataset(records, out_dir) -> Path:
         tensor_file_write(rec.target, out / f"{key}_target.runt")
         entries.append(ManifestEntry(key, rec.positive_count, rec.region, rec.start_time))
     write_manifest(manifest, entries)
+    listed = {f"{e.key}_{part}.runt" for e in entries for part in ("input", "target")}
+    for path in out.glob("seq*.runt"):
+        if re.fullmatch(r"seq\d{5,}_(input|target)\.runt", path.name) and path.name not in listed:
+            path.unlink()
     return manifest
 
 

@@ -12,6 +12,15 @@ convolution: spatial 1x3x3, spatially dilated 1x7x7 (dilation 3), temporal
 3x1x1, then norm + relu. The dilated middle stage is what buys the large
 spatial receptive field (21 pixels per block) at stride 1.
 
+The paper has one architecture, so the TS block's geometry (kernels and
+dilation), the normalization group count and the frame counts (4 in, 32
+out, as data.IN_FRAMES and OUT_FRAMES) are constants; a RainUNetConfig
+holds only the stage count, the base width and the input channel count.
+The checkpoint's config block keeps the constants as its fixed tail, under
+the setting names they once had, so checkpoints from before and after they
+became constants are byte-identical, and a checkpoint whose tail differs is
+refused as another model.
+
 On small maps the deep stages' large kernel is mostly inert: a tap whose
 reads fall wholly in the padding never gets a gradient (at 36x36, stage 5's
 dilated conv has one live tap of 49). Such a weight only decays under AdamW,
@@ -31,7 +40,19 @@ from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order_pieces, conv
                      conv3d_transposed, group_norm, maxpool3d)
 from .tensor import Tensor, TensorError, concat, mean_axis, relu, sigmoid, zero_pad
 
-Triple = tuple[int, int, int]
+# The paper's one architecture: the TS block's factorized conv kernels, the
+# dilation of its middle conv and the normalization group count.
+SCONV_KERNEL = (1, 3, 3)
+TSDCONV_KERNEL, TSDCONV_DILATION = (1, 7, 7), (1, 3, 3)
+TCONV_KERNEL = (3, 1, 1)
+GROUPNORM_GROUPS = 8
+
+# The constants as the settings they once were, in the order the checkpoint's
+# config block lists them after the RainUNetConfig fields
+_FIXED = dict(in_frames=dataio.IN_FRAMES, out_frames=dataio.OUT_FRAMES, sconv_kernel=SCONV_KERNEL,
+              tsdconv_kernel=TSDCONV_KERNEL, tsdconv_dilation=TSDCONV_DILATION,
+              tconv_kernel=TCONV_KERNEL, groupnorm_groups=GROUPNORM_GROUPS, head_mode="time-mean")
+_FIXED_TEXT = dataio.config_text(_FIXED)
 
 
 @dataclass
@@ -39,14 +60,14 @@ class RainUNetConfig:
     stages: int = 5
     base_channels: int = 16
     in_channels: int = 9
-    in_frames: int = 4
-    out_frames: int = 32
-    sconv_kernel: Triple = (1, 3, 3)
-    tsdconv_kernel: Triple = (1, 7, 7)
-    tsdconv_dilation: Triple = (1, 3, 3)
-    tconv_kernel: Triple = (3, 1, 1)
-    groupnorm_groups: int = 8
-    head_mode: str = "time-mean"
+    # constants, not fields: unannotated, so no config text can set them
+    in_frames = dataio.IN_FRAMES
+    out_frames = dataio.OUT_FRAMES
+
+    def block(self) -> dict:
+        """The config block of a checkpoint and of a run's run.txt: the
+        fields, then the architecture's constants under their setting names."""
+        return {**asdict(self), **_FIXED}
 
     def stage_width(self, k: int) -> int:
         """Channel width at stage k (1-based): base doubled per stage."""
@@ -80,25 +101,18 @@ class RainUNetConfig:
     def validate(self) -> None:
         if self.stages < 1:
             raise TensorError("stages must be >= 1")
-        if min(self.base_channels, self.in_channels, self.in_frames, self.out_frames,
-               self.groupnorm_groups) < 1:
-            raise TensorError("channel/frame/group counts must be positive")
-        if self.head_mode != "time-mean":
-            raise TensorError(f"unknown head_mode {self.head_mode!r}")
+        if min(self.base_channels, self.in_channels) < 1:
+            raise TensorError("channel counts must be positive")
         for k in range(1, self.stages + 1):
-            _effective_groups(self.stage_width(k), self.groupnorm_groups)
-        # same-size specs must exist for the three factorized convs
-        ConvSpec.same_size(self.sconv_kernel)
-        ConvSpec.same_size(self.tsdconv_kernel, self.tsdconv_dilation)
-        ConvSpec.same_size(self.tconv_kernel)
+            _effective_groups(self.stage_width(k))
 
 
-def _effective_groups(channels: int, groups: int) -> int:
-    if channels % groups == 0:
-        return groups
-    if channels < groups:
+def _effective_groups(channels: int) -> int:
+    if channels % GROUPNORM_GROUPS == 0:
+        return GROUPNORM_GROUPS
+    if channels < GROUPNORM_GROUPS:
         return 1
-    raise TensorError(f"width {channels} not divisible by {groups} normalization groups")
+    raise TensorError(f"width {channels} not divisible by {GROUPNORM_GROUPS} normalization groups")
 
 
 class _Params:
@@ -154,19 +168,19 @@ class _Params:
 class TSBlock:
     """Temporal-wise separable block: projection then factorized 3D conv."""
 
-    def __init__(self, in_channels: int, out_channels: int, cfg: RainUNetConfig, rng):
+    def __init__(self, in_channels: int, out_channels: int, rng):
         """``rng`` is the generator that draws the weights, or the parameter
         source of the model being built."""
         params = rng if isinstance(rng, _Params) else _Params(rng=rng)
-        g = _effective_groups(out_channels, cfg.groupnorm_groups)
+        g = _effective_groups(out_channels)
         self.proj = params.conv("proj", in_channels, out_channels, ConvSpec.same_size((1, 1, 1)))
         self.proj_norm = params.norm("proj_norm", out_channels, g)
         self.spatial = params.conv("spatial", out_channels, out_channels,
-                                   ConvSpec.same_size(cfg.sconv_kernel))
+                                   ConvSpec.same_size(SCONV_KERNEL))
         self.dilated = params.conv("dilated", out_channels, out_channels,
-                                   ConvSpec.same_size(cfg.tsdconv_kernel, cfg.tsdconv_dilation))
+                                   ConvSpec.same_size(TSDCONV_KERNEL, TSDCONV_DILATION))
         self.temporal = params.conv("temporal", out_channels, out_channels,
-                                    ConvSpec.same_size(cfg.tconv_kernel))
+                                    ConvSpec.same_size(TCONV_KERNEL))
         self.out_norm = params.norm("out_norm", out_channels, g)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -200,7 +214,7 @@ class RainUNet:
         self.encoder: list[TSBlock] = []
         prev = cfg.in_channels
         for k in range(1, cfg.stages + 1):
-            self.encoder.append(TSBlock(prev, cfg.stage_width(k), cfg, params.scope(f"enc{k}")))
+            self.encoder.append(TSBlock(prev, cfg.stage_width(k), params.scope(f"enc{k}")))
             prev = cfg.stage_width(k)
 
         # decoder runs from the deepest stage back to stage 1; each upsample
@@ -210,7 +224,7 @@ class RainUNet:
         for k in range(cfg.stages, 0, -1):
             up_spec = ConvSpec.upsample((t_kernels[k - 1] == 2, True, True))
             up = params.scope(f"dec{k}").conv("up", carry, max(1, carry // 2), up_spec)
-            block = TSBlock(max(1, carry // 2) + cfg.stage_width(k), cfg.stage_width(k), cfg,
+            block = TSBlock(max(1, carry // 2) + cfg.stage_width(k), cfg.stage_width(k),
                             params.scope(f"dec{k}.block"))
             self.decoder.append((k, up, block))
             carry = cfg.stage_width(k)
@@ -267,8 +281,9 @@ def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file: magic, version, config text (data.config_text), then one
-# tensor-format blob per parameter keyed by its enumeration name
+# checkpoint file: magic, version, config text (data.config_text of
+# RainUNetConfig.block), then one tensor-format blob per parameter keyed by
+# its enumeration name
 
 _CKPT_MAGIC = b"RUNC"
 _CKPT_VERSION = 1
@@ -282,7 +297,7 @@ def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarr
 
 
 def _checkpoint_chunks(cfg: RainUNetConfig, params: dict[str, np.ndarray]):
-    cfg_bytes = dataio.config_text(asdict(cfg)).encode("utf-8")
+    cfg_bytes = dataio.config_text(cfg.block()).encode("utf-8")
     yield _CKPT_MAGIC + struct.pack("<BI", _CKPT_VERSION, len(cfg_bytes)) + cfg_bytes
     yield struct.pack("<I", len(params))
     for name, arr in params.items():
@@ -335,11 +350,17 @@ def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
 def load_checkpoint(path) -> RainUNet:
     """Read a checkpoint written by ``save_checkpoint``. A file that is cut
     short, carries trailing bytes, holds a non-finite value or a malformed
-    config line, or whose parameters do not fit its config raises
+    config line, whose config block does not end with the architecture's
+    constants, or whose parameters do not fit its config raises
     FormatError."""
     with open(path, "rb") as fh:
         cfg_text, params = _parse_checkpoint(memoryview(fh.read()))
-    cfg = RainUNetConfig(**dataio.parse_config(str(cfg_text, "utf-8", "replace"), RainUNetConfig,
+    text = str(cfg_text, "utf-8", "replace")
+    # the constants' text must start at a line start; any other tail is another model
+    if not ("\n" + text).endswith("\n" + _FIXED_TEXT):
+        raise dataio.FormatError(f"{path} config: not this program's architecture: the "
+                                 "block must end with its fixed settings, in_frames to head_mode")
+    cfg = RainUNetConfig(**dataio.parse_config(text[:-len(_FIXED_TEXT)], RainUNetConfig,
                                                f"{path} config"))
     # the parameters are views into the file's buffer, so each is copied once,
     # by the layer that takes it; the buffer is freed when the last is taken

@@ -296,13 +296,11 @@ class FitResult:
 
 def check_records(records, cfg: RainUNetConfig) -> None:
     """Raise TensorError, naming the setting, unless every record fits a
-    model of ``cfg``: its input as RainUNetConfig.check_input takes it, its
-    target's frames against out_frames and its H and W against the input's."""
+    model of ``cfg``: its input as RainUNetConfig.check_input takes it and
+    its target's H and W against the input's. A SequenceRecord's target
+    always has the model's out_frames."""
     for r in records:
         cfg.check_input((1, *r.input.shape))
-        if r.target.shape[0] != cfg.out_frames:
-            raise TensorError(f"targets have {r.target.shape[0]} frames but out_frames = "
-                              f"{cfg.out_frames}")
         if r.target.shape[1:] != r.input.shape[2:]:
             raise TensorError(f"target H,W {r.target.shape[1:]} differ from the input's "
                               f"{r.input.shape[2:]}")

@@ -2,11 +2,12 @@ import csv
 import hashlib
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scipy
 
 import rainunet
 from rainunet import layers, precision
-from rainunet.cli import (_CHOICES, _TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
+from rainunet.cli import (_TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
                           resolve_config)
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
@@ -38,6 +39,9 @@ def python(*args):
     return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
                           env=env, timeout=300)
 
+
+# the values each choice setting takes, as its error lists them
+CHOICES = {"channels": "ir, ir+vis, ir+vis+wv, ir+wv", "precision": "standard, wide"}
 
 SYNTH_ARGS = ["--sequences", 6, "--size", 36, "--radius-min", 4, "--radius-max", 8,
               "--velocity-min", 0, "--velocity-max", 0.5, "--seed", 5]
@@ -90,21 +94,29 @@ class TestConfigFile:
         assert len(err) == 1 and err[0].startswith(f"error: {config} line 3: "), err
         assert not (tmp_path / "raw").exists()
 
-    @pytest.mark.parametrize("name", ["channels", "precision"])
+    @pytest.mark.parametrize("name", sorted(CHOICES))
     def test_value_outside_the_flag_choices_rejected(self, dataset, tmp_path, capsys, name):
         config = tmp_path / "run.cfg"
         config.write_text(f"{name} = bogus\n")
         capsys.readouterr()
         assert run_cli("preprocess", "--config", config, "--data", dataset,
                        "--out", tmp_path / "prep") == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"error: {name} must be one of [^\n]*, got 'bogus'\n", err), err
+        assert capsys.readouterr().err == \
+            f"error: {config} line 1: {name} must be one of {CHOICES[name]}, got 'bogus'\n"
         assert not (tmp_path / "prep").exists()
 
     def test_every_field_round_trips(self):
-        cfg = RunConfig(**{f.name: True if isinstance(f.default, bool)
-                           else f"x{i}" if isinstance(f.default, str) else f.default + 1 + i
-                           for i, f in enumerate(fields(RunConfig))})
+        types = get_type_hints(RunConfig)
+
+        def changed(i, f):
+            choices = get_args(types[f.name])
+            if choices:  # a choice setting takes another choice
+                return next(c for c in choices if c != f.default)
+            if isinstance(f.default, bool):
+                return True
+            return f"x{i}" if isinstance(f.default, str) else f.default + 1 + i
+
+        cfg = RunConfig(**{f.name: changed(i, f) for i, f in enumerate(fields(RunConfig))})
         assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
         text = config_text(asdict(cfg))
         assert text.count("\n") == len(fields(RunConfig))
@@ -195,13 +207,13 @@ class TestBadValues:
         assert capsys.readouterr().err == f"error: {where}: bad {typ.__name__} for {name}: 'bogus'\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", sorted(_CHOICES))
+    @pytest.mark.parametrize("name", sorted(CHOICES))
     def test_flag_outside_the_choices(self, tmp_path, capsys, name):
-        # a config file's value is checked by the same check (TestConfigFile)
+        # the line names the flag, as a config file's names its line (TestConfigFile)
         capsys.readouterr()
         assert run_cli("synth", "--out", tmp_path / "out", "--" + name, "bogus") == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"error: {name} must be one of [^\n]*, got 'bogus'\n", err), err
+        assert capsys.readouterr().err == \
+            f"error: --{name}: {name} must be one of {CHOICES[name]}, got 'bogus'\n"
         assert not (tmp_path / "out").exists()
 
     # The first allocation each makes is hundreds of terabytes or more, or
@@ -378,10 +390,9 @@ class TestTrainEvaluatePredict:
                 kept = [name for name in kept if name not in _TRAINING_FIELDS]
                 assert entries.pop("checkpoint_sha256") == sha(ckpt)
                 assert entries["stages"] == "1" and entries["base_channels"] == "4"
-                stored = "".join(f"{f.name} = {entries.pop(f.name)}\n"
-                                 for f in fields(RainUNetConfig))
-                assert RainUNetConfig(**parse_config(stored, RainUNetConfig, "run.txt")) == \
-                    load_checkpoint(ckpt).config
+                block = load_checkpoint(ckpt).config.block()
+                stored = "".join(f"{name} = {entries.pop(name)}\n" for name in block)
+                assert stored == config_text(block)
             # the config lines read back as a config file give the resolved config
             config = "".join(f"{name} = {entries.pop(name)}\n" for name in kept)
             assert replace(RunConfig(), **parse_run_config(config)) == resolved
@@ -473,6 +484,23 @@ class TestTrainEvaluatePredict:
                        "--out", tmp_path / "ev") == 1
         err = capsys.readouterr().err
         assert "11" in err and "9" in err
+
+    @pytest.mark.parametrize("old, new", [("groupnorm_groups = 8\n", "groupnorm_groups = 4\n"),
+                                          ("stages = 1\n", "stages = 1\nin_frames = 4\n")],
+                             ids=["groups", "in_frames_among_the_settings"])
+    def test_checkpoint_of_another_architecture(self, dataset, tmp_path, capsys, old, new):
+        ckpt = tmp_path / "other.runc"
+        save_checkpoint(ckpt, RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0))
+        raw = ckpt.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 5)
+        cfg = raw[9 : 9 + n].replace(old.encode("utf-8"), new.encode("utf-8"))
+        ckpt.write_bytes(raw[:5] + struct.pack("<I", len(cfg)) + cfg + raw[9 + n :])
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", dataset, "--checkpoint", ckpt,
+                       "--out", tmp_path / "ev") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(ckpt))} config[^\n]*\n", err), err
+        assert not (tmp_path / "ev").exists()
 
 
 class TestGradcheckCommand:

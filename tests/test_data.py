@@ -294,6 +294,22 @@ class TestDatasetIo:
             assert np.array_equal(a.target, b.target)
             assert (a.region, a.start_time) == (b.region, b.start_time)
 
+    def test_smaller_rewrite_removes_the_unlisted_records(self, tmp_path):
+        # a rewrite with fewer records removes the extra record files and
+        # touches no other file in the directory
+        ds = tmp_path / "ds"
+        save_dataset(synth_generate(SynthConfig(sequences=5, size=24, seed=5)), ds)
+        others = {"notes.txt": b"kept", "seq00004_pred.runt": b"kept", "seq9_input.runt": b"kept"}
+        for name, raw in others.items():
+            (ds / name).write_bytes(raw)
+        records = synth_generate(SynthConfig(sequences=2, size=24, seed=6))
+        manifest = save_dataset(records, ds)
+        records_on_disk = {"manifest.txt"} | {f"seq{i:05d}_{part}.runt" for i in range(2)
+                                              for part in ("input", "target")}
+        assert {p.name for p in ds.iterdir()} == records_on_disk | set(others)
+        assert all((ds / name).read_bytes() == raw for name, raw in others.items())
+        assert [r.start_time for r in load_dataset(manifest)] == [r.start_time for r in records]
+
     def test_manifest_positive_counts_verified(self, tmp_path):
         records = synth_generate(SynthConfig(sequences=1, size=24, seed=6,
                                              radius_min=4.0, radius_max=7.0))

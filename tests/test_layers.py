@@ -11,7 +11,7 @@ from rainunet import layers, precision
 from rainunet.layers import (GROUP_NORM_EPS, Conv3DLayer, ConvSpec, GroupNormLayer, _axis_taps,
                              _from_layout, _stacked_weights, _to_layout, c_order_pieces, conv3d,
                              conv3d_transposed, group_norm, is_tap_major, maxpool3d)
-from rainunet.model import RainUNetConfig, TSBlock
+from rainunet.model import TSBlock
 from rainunet.tensor import (Tensor, TensorError, _op, backward, concat, grad_check, mean_axis,
                              mul, relu, tensor_sum)
 
@@ -532,7 +532,7 @@ class TestLayoutResidency:
             return out
         monkeypatch.setattr(layers, "_to_layout", counting)
         rng = np.random.default_rng(41)
-        block = TSBlock(9, 16, RainUNetConfig(stages=1), rng)
+        block = TSBlock(9, 16, rng)
         x = Tensor(rng.standard_normal((2, 9, 4, 22, 22), dtype=np.float32), requires_grad=True)
         y = block(x)
         assert len(ops) == 6 and len(copied) == 1
@@ -609,7 +609,7 @@ class TestTapeRelease:
         # maps, plus per-(n, c) terms. Keeping the group norm outputs under
         # the relus and group norm's centred copies made 11.
         rng = np.random.default_rng(45)
-        block = TSBlock(16, 16, RainUNetConfig(stages=1), rng)
+        block = TSBlock(16, 16, rng)
         x = Tensor(rng.standard_normal((2, 16, 4, 22, 22), dtype=np.float32), requires_grad=True)
         with traced_peak():
             before = tracemalloc.get_traced_memory()[0]

@@ -1,6 +1,6 @@
 import re
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -8,13 +8,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import support_box
-from rainunet.data import FormatError, config_text, parse_config, runt_encode
+from rainunet.data import IN_FRAMES, OUT_FRAMES, FormatError, config_text, parse_config, runt_encode
 from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             load_checkpoint, save_checkpoint, save_checkpoint_params)
 from rainunet.tensor import (Tensor, TensorError, backward, grad_check, no_grad, relu,
                              tensor_sum)
+
+
+def edit_config_block(path, old: str, new: str) -> None:
+    """Replace ``old`` by ``new`` in the config block of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 5)
+    cfg = raw[9 : 9 + n].replace(old.encode("utf-8"), new.encode("utf-8"), 1)
+    assert cfg != raw[9 : 9 + n]
+    path.write_bytes(raw[:5] + struct.pack("<I", len(cfg)) + cfg + raw[9 + n :])
 
 
 def micro_cfg(**kw):
@@ -28,24 +37,30 @@ class TestConfig:
         cfg = RainUNetConfig(base_channels=16)
         assert [cfg.stage_width(k) for k in range(1, 6)] == [16, 32, 64, 128, 256]
 
+    def test_only_three_settings(self):
+        # the frame counts are the records' constants, not settings
+        names = [f.name for f in fields(RainUNetConfig)]
+        assert names == ["stages", "base_channels", "in_channels"]
+        assert (RainUNetConfig.in_frames, RainUNetConfig.out_frames) == (IN_FRAMES, OUT_FRAMES)
+
     def test_temporal_pool_schedule(self):
-        assert RainUNetConfig(stages=5, in_frames=4).temporal_pool_kernels() == [2, 2, 1, 1, 1]
-        assert RainUNetConfig(stages=2, in_frames=1).temporal_pool_kernels() == [1, 1]
+        assert RainUNetConfig(stages=5).temporal_pool_kernels() == [2, 2, 1, 1, 1]
+        assert RainUNetConfig(stages=2).temporal_pool_kernels() == [2, 2]
 
     def test_group_divisibility_enforced(self):
         with pytest.raises(TensorError):
-            RainUNetConfig(base_channels=12, groupnorm_groups=8).validate()
+            RainUNetConfig(base_channels=12).validate()
 
     def test_small_widths_degrade_to_one_group(self):
-        RainUNetConfig(stages=1, base_channels=4, groupnorm_groups=8).validate()
+        RainUNetConfig(stages=1, base_channels=4).validate()
 
     def test_text_round_trip(self):
-        cfg = micro_cfg(base_channels=6, groupnorm_groups=2, out_frames=16)
+        cfg = micro_cfg(base_channels=6, in_channels=5)
         assert RainUNetConfig(**parse_config(config_text(asdict(cfg)), RainUNetConfig, "x")) == cfg
 
     def test_default_text_is_pinned(self):
         # the checkpoint's config block: changing it changes every checkpoint's bytes
-        assert config_text(asdict(RainUNetConfig())) == (
+        assert config_text(RainUNetConfig().block()) == (
             "stages = 5\nbase_channels = 16\nin_channels = 9\nin_frames = 4\nout_frames = 32\n"
             "sconv_kernel = 1,3,3\ntsdconv_kernel = 1,7,7\ntsdconv_dilation = 1,3,3\n"
             "tconv_kernel = 3,1,1\ngroupnorm_groups = 8\nhead_mode = time-mean\n")
@@ -54,13 +69,13 @@ class TestConfig:
 class TestTSBlock:
     def test_output_shape(self):
         rng = np.random.default_rng(0)
-        block = TSBlock(9, 8, micro_cfg(), rng)
+        block = TSBlock(9, 8, rng)
         out = block(Tensor(rng.normal(size=(1, 9, 2, 12, 12)).astype(np.float32)))
         assert out.shape == (1, 8, 2, 12, 12)
 
     def test_zero_network_outputs_zero(self):
         rng = np.random.default_rng(1)
-        block = TSBlock(2, 4, micro_cfg(), rng)
+        block = TSBlock(2, 4, rng)
         for layer in (block.proj, block.proj_norm, block.spatial, block.dilated, block.temporal,
                       block.out_norm):
             for _, p in layer.parameters():
@@ -70,7 +85,7 @@ class TestTSBlock:
 
     def test_equals_manual_composition_bitwise(self):
         rng = np.random.default_rng(2)
-        block = TSBlock(3, 8, micro_cfg(), rng)
+        block = TSBlock(3, 8, rng)
         x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 2, 10, 10)).astype(np.float32))
         with no_grad():
             direct = block(x)
@@ -87,7 +102,7 @@ class TestTSBlock:
         # two (5, 41, 41). Normalization is left out because its statistics
         # couple all voxels.
         rng = np.random.default_rng(4)
-        blocks = [TSBlock(c, 2, micro_cfg(), rng) for c in (1, 2)]
+        blocks = [TSBlock(c, 2, rng) for c in (1, 2)]
         for block in blocks:
             for conv in (block.proj, block.spatial, block.dilated, block.temporal):
                 conv.weight.data = np.abs(conv.weight.data) + 0.01
@@ -120,7 +135,7 @@ class TestTSBlock:
 
     def test_gradients(self, wide):
         rng = np.random.default_rng(5)
-        block = TSBlock(2, 4, micro_cfg(), rng)
+        block = TSBlock(2, 4, rng)
         x = Tensor(rng.normal(size=(1, 2, 2, 8, 8)))
         rep = grad_check(lambda t: tensor_sum(block(t) * block(t)), x, max_coords=40)
         assert rep.passed
@@ -224,14 +239,13 @@ class TestForward:
         assert np.max(np.abs(both - np.concatenate([one, two]))) < 1e-6
 
     def test_odd_extents_reconcile(self):
-        # odd frame counts and sides lose a slice to each floor pooling, which
-        # the decoder pads back; a decoder larger than its skip would need a
+        # odd sides lose a row or column to each floor pooling, which the
+        # decoder pads back; a decoder larger than its skip would need a
         # crop, and zero_pad refuses its negative width
         rng = np.random.default_rng(3)
-        for stages, frames, h, w in [(2, 4, 15, 15), (2, 3, 13, 17), (2, 5, 17, 15),
-                                     (3, 3, 19, 21), (3, 5, 23, 17)]:
-            model = RainUNet(micro_cfg(stages=stages, in_frames=frames), seed=3)
-            out = model.forward(Tensor(rng.normal(size=(1, 9, frames, h, w))))
+        for stages, h, w in [(2, 15, 15), (2, 13, 17), (2, 17, 15), (3, 19, 21), (3, 23, 17)]:
+            model = RainUNet(micro_cfg(stages=stages), seed=3)
+            out = model.forward(Tensor(rng.normal(size=(1, 9, 4, h, w))))
             assert out.shape == (1, 32, h, w)
 
     @pytest.fixture
@@ -278,9 +292,11 @@ class TestForward:
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
-        model = RainUNet(micro_cfg(groupnorm_groups=2), seed=4)
+        model = RainUNet(micro_cfg(in_channels=5), seed=4)
         path = tmp_path / "model.runc"
         save_checkpoint(path, model)
+        cfg_text, _ = _parse_checkpoint(memoryview(path.read_bytes()))
+        assert cfg_text == config_text(model.config.block()).encode("utf-8")
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters()):
@@ -301,7 +317,7 @@ class TestCheckpoint:
 
     def test_bytes_are_the_runt_layout(self, tmp_path):
         model = RainUNet(micro_cfg(), seed=4)
-        cfg = config_text(asdict(model.config)).encode("utf-8")
+        cfg = config_text(model.config.block()).encode("utf-8")
         odd = {"empty": np.zeros((0, 3), dtype=np.float32),
                "strided": np.arange(12.0).reshape(3, 4).T}
         for params in (model.state(), odd):
@@ -324,16 +340,28 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("line", ["stages 2", "mystery = 1", "stages = two",
-                                      "sconv_kernel = 1,x,3", "= 2"])
+                                      "sconv_kernel = 1,x,3", "= 2", "in_frames = 4",
+                                      "out_frames = 32"])
     def test_malformed_config_line_rejected(self, tmp_path, line):
+        # a constant's name among the settings is an unknown key
         path = tmp_path / "model.runc"
         save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
-        raw = path.read_bytes()
-        (n,) = struct.unpack_from("<I", raw, 5)
-        lines = raw[9 : 9 + n].decode("utf-8").splitlines(keepends=True)
-        cfg = "".join([*lines[:2], line + "\n", *lines[2:]]).encode("utf-8")
-        path.write_bytes(raw[:5] + struct.pack("<I", len(cfg)) + cfg + raw[9 + n :])
+        edit_config_block(path, "base_channels = 4\n", f"base_channels = 4\n{line}\n")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))} config line 3: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("groupnorm_groups = 8\n", "groupnorm_groups = 4\n", "not this program's architecture"),
+        ("sconv_kernel = 1,3,3\n", "sconv_kernel = 1,5,5\n", "not this program's architecture"),
+        ("head_mode = time-mean\n", "", "not this program's architecture"),
+        ("stages = 2\n", "stages = 2\nin_frames = 4\n", "line 2: unknown config key 'in_frames'"),
+    ], ids=["groups", "sconv_kernel", "no_head_mode", "in_frames_among_the_settings"])
+    def test_checkpoint_of_another_architecture_rejected(self, tmp_path, old, new, message):
+        # each edit once loaded, as a different model or the same one
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        edit_config_block(path, old, new)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))} config:? {message}"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -524,11 +524,6 @@ class TestFit:
         with pytest.raises(TensorError):
             fit(model, [], TrainConfig())
 
-    def test_out_frames_must_match_the_targets(self):
-        model = RainUNet(RainUNetConfig(stages=1, base_channels=4, out_frames=4), seed=0)
-        with pytest.raises(TensorError, match="out_frames"):
-            fit(model, tiny_records(), TrainConfig(epochs=1, batch_size=2))
-
     def test_config_validation(self):
         with pytest.raises(TensorError):
             TrainConfig(batch_size=0).validate()

@@ -29,8 +29,8 @@ import scipy
 
 from . import __version__, data as dataio
 from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SynthConfig,
-                   center_crop_resize, cleansing_filter, load_dataset, save_dataset,
-                   select_modalities, synth_generate)
+                   center_crop_resize, center_crop_window, cleansing_filter, load_dataset,
+                   save_dataset, select_modalities, synth_generate)
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
                     save_checkpoint_params)
@@ -156,6 +156,9 @@ def _records(cfg: RunConfig) -> list:
 
 def cmd_preprocess(cfg: RunConfig) -> int:
     records = _records(cfg)
+    # checked before cleansing, which may leave no record to crop
+    for side in {r.input.shape[-1] for r in records}:
+        center_crop_window(side, cfg.crop_factor)
     channels = CHANNEL_SETS[cfg.channels]
     selected = [replace(r, input=select_modalities(r, channels)) for r in records]
     kept, removed = cleansing_filter(selected, cfg.cleanse_threshold)
@@ -341,6 +344,14 @@ _HELP = {"out": "output directory", "data": "input dataset directory",
          "checkpoint": "model checkpoint path"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error into main's one-line handler, instead of printing
+    the usage block and exiting 2; subparsers are of the same class."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
     """One flag per RunConfig field, ``--`` plus its name with ``-`` for
     ``_``, holding the string resolve_config parses; a flag left out parses
@@ -355,7 +366,7 @@ def _parser() -> argparse.ArgumentParser:
             common.add_argument(_flag(name), dest=name, help=_HELP.get(name),
                                 metavar="{" + ",".join(allowed) + "}" if allowed else None)
 
-    parser = argparse.ArgumentParser(prog="rainunet", description=__doc__)
+    parser = _Parser(prog="rainunet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -363,8 +374,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = resolve_config(args)
         # an overflow surfaces once, as the NonFiniteError of the op whose
         # output holds it, not as numpy warnings from every op before that

@@ -1,8 +1,10 @@
 """Sequence records, the RUNT tensor file format, the ``key = value`` config
 text, CSV tables, preprocessing stages (modality selection, cleansing,
 center crop) and a synthetic rain-movie generator used for desk-scale
-experiments. Every file the package writes goes to disk through
-:func:`write_file`.
+experiments: 1 to 4 Gaussian blobs a sequence, of radius 3 to 7 pixels,
+drifting 0 to 1.5 pixels a frame, with rain where their field reaches 0.4;
+only the sequence count, frame size and seed vary. Every file the package
+writes goes to disk through :func:`write_file`.
 
 A record pairs a 4-frame multi-channel satellite movie with a 32-frame
 binary rain mask on a 15-minute grid. Records hold plain numpy arrays;
@@ -26,7 +28,7 @@ import numpy as np
 
 
 class FormatError(ValueError):
-    """Malformed RUNT file, manifest, config text or checkpoint."""
+    """Malformed RUNT file, manifest, config text, command line or checkpoint."""
 
 
 def write_file(path, chunks) -> None:
@@ -179,10 +181,10 @@ def parse_value(typ, raw: str, key: str, where: str):
 def parse_config(text: str, cls: type, source: str) -> dict:
     """The settings of ``text``'s lines, each parsed by :func:`parse_value`
     as its field of the dataclass ``cls`` is typed. A line without ``=``, an
-    unknown key or a value its type rejects raises FormatError naming
-    ``source`` and the line."""
+    unknown key, a key given twice or a value its type rejects raises
+    FormatError naming ``source`` and the line."""
     types = get_type_hints(cls)
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -194,6 +196,9 @@ def parse_config(text: str, cls: type, source: str) -> dict:
             raise FormatError(f"{where}: expected 'key = value'")
         if key not in types:
             raise FormatError(f"{where}: unknown config key {key!r}")
+        if key in seen:
+            raise FormatError(f"{where}: {key} given again, first on line {seen[key]}")
+        seen[key] = lineno
         values[key] = parse_value(types[key], raw, key, where)
     return values
 
@@ -323,49 +328,30 @@ _CHANNEL_RENDER = {
     "WV_062": (0.70, 0.25, 2.4), "WV_073": (0.75, 0.20, 2.6),
 }
 
+# synth_generate's fixed shape: blobs a sequence (both ends included), drift
+# speed (pixels a frame), radius (pixels) and the field's rain level
+BLOB_COUNT = (1, 4)
+SPEED = (0.0, 1.5)
+RADIUS = (3.0, 7.0)
+RAIN_THRESHOLD = 0.4
+
 
 @dataclass
 class SynthConfig:
     sequences: int = 16
     size: int = 66
-    blob_min: int = 1
-    blob_max: int = 4
-    velocity_min: float = 0.0   # pixels per frame
-    velocity_max: float = 1.5
-    radius_min: float = 3.0
-    radius_max: float = 7.0
-    rain_threshold: float = 0.4
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("velocity_min", "velocity_max", "radius_min", "radius_max", "rain_threshold"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise FormatError(f"{name} must be finite, got {v}")
         if self.sequences < 1:
             raise FormatError("need at least one sequence")
         if self.size < 8:
             raise FormatError("spatial size too small")
-        if self.blob_min < 0 or self.blob_max < self.blob_min:
-            raise FormatError(f"degenerate blob count range {(self.blob_min, self.blob_max)}")
-        if self.velocity_min < 0 or self.velocity_max < self.velocity_min:
-            raise FormatError(f"degenerate velocity range {(self.velocity_min, self.velocity_max)}")
-        if self.radius_min <= 0 or self.radius_max < self.radius_min:
-            raise FormatError(f"degenerate radius range {(self.radius_min, self.radius_max)}")
-        for name in ("radius_min", "radius_max"):
-            r = getattr(self, name)
-            if not 0.0 < 2.0 * r * r < math.inf:  # _rain_field divides by 2 * radius**2
-                raise FormatError(f"{name} {r} is out of range: 2 * {name}**2 must be "
-                                  "a positive finite float")
-        if self.rain_threshold <= 0:
-            raise FormatError("rain threshold must be positive")
 
 
 def _rain_field(size, blobs, frame):
     """Sum of advected Gaussian blobs at one time step."""
     field = np.zeros((size, size), dtype=np.float64)
-    if not blobs:
-        return field
     yy, xx = np.mgrid[0:size, 0:size]
     for cy, cx, vy, vx, radius in blobs:
         py = cy + vy * frame
@@ -375,12 +361,14 @@ def _rain_field(size, blobs, frame):
 
 
 def synth_generate(cfg: SynthConfig) -> list[SequenceRecord]:
-    """Deterministic per seed. Gaussian rain blobs drift with a constant
-    per-sequence velocity across all 36 frames: the first 4 render the 11
-    satellite channels (per-channel gain/offset/blur of the rain field,
-    normalized to [0,1]), the last 32 threshold the field into the mask, so
-    rain seen in the inputs continues along its track into the targets.
-    The blur is scipy's ``gaussian_filter``, imported here alone."""
+    """Deterministic per seed. Each sequence has 1 to 4 Gaussian rain blobs
+    (BLOB_COUNT) of radius 3 to 7 pixels (RADIUS), each drifting a constant
+    0 to 1.5 pixels a frame (SPEED) across all 36 frames: the first 4
+    render the 11 satellite channels (per-channel gain/offset/blur of the
+    rain field, normalized to [0,1]), the last 32 threshold the field at
+    0.4 (RAIN_THRESHOLD) into the mask, so rain seen in the inputs continues
+    along its track into the targets. The blur is scipy's
+    ``gaussian_filter``, imported here alone."""
     # scipy.ndimage takes longer to import than numpy; no other command needs it
     from scipy.ndimage import gaussian_filter
 
@@ -388,13 +376,13 @@ def synth_generate(cfg: SynthConfig) -> list[SequenceRecord]:
     rng = np.random.default_rng(cfg.seed)
     records = []
     for i in range(cfg.sequences):
-        n_blobs = int(rng.integers(cfg.blob_min, cfg.blob_max + 1))
+        n_blobs = int(rng.integers(BLOB_COUNT[0], BLOB_COUNT[1] + 1))
         blobs = []
         for _ in range(n_blobs):
             cy, cx = rng.uniform(0, cfg.size, size=2)
-            speed = rng.uniform(cfg.velocity_min, cfg.velocity_max)
+            speed = rng.uniform(*SPEED)
             angle = rng.uniform(0, 2 * np.pi)
-            radius = rng.uniform(cfg.radius_min, cfg.radius_max)
+            radius = rng.uniform(*RADIUS)
             blobs.append((cy, cx, speed * np.sin(angle), speed * np.cos(angle), radius))
 
         fields = [_rain_field(cfg.size, blobs, f) for f in range(TOTAL_FRAMES)]
@@ -405,7 +393,7 @@ def synth_generate(cfg: SynthConfig) -> list[SequenceRecord]:
                             for f in range(IN_FRAMES)])
             span = raw.max() - raw.min()
             inputs[c] = 0.0 if span == 0 else (raw - raw.min()) / span
-        target = np.stack([fields[IN_FRAMES + f] >= cfg.rain_threshold
+        target = np.stack([fields[IN_FRAMES + f] >= RAIN_THRESHOLD
                            for f in range(OUT_FRAMES)]).astype(np.uint8)
         records.append(SequenceRecord(
             input=inputs,

@@ -43,8 +43,8 @@ def python(*args):
 # the values each choice setting takes, as its error lists them
 CHOICES = {"channels": "ir, ir+vis, ir+vis+wv, ir+wv", "precision": "standard, wide"}
 
-SYNTH_ARGS = ["--sequences", 6, "--size", 36, "--radius-min", 4, "--radius-max", 8,
-              "--velocity-min", 0, "--velocity-max", 0.5, "--seed", 5]
+# every record of seed 5 has over 1,600 rain pixels, so `prepared` keeps all 6
+SYNTH_ARGS = ["--sequences", 6, "--size", 36, "--seed", 5]
 
 
 @pytest.fixture
@@ -105,6 +105,15 @@ class TestConfigFile:
             f"error: {config} line 1: {name} must be one of {CHOICES[name]}, got 'bogus'\n"
         assert not (tmp_path / "prep").exists()
 
+    def test_setting_given_twice_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sequences = 2\n# again\nsequences = 3\n")
+        capsys.readouterr()
+        assert run_cli("synth", "--config", config, "--out", tmp_path / "raw") == 1
+        assert capsys.readouterr().err == \
+            f"error: {config} line 3: sequences given again, first on line 1\n"
+        assert not (tmp_path / "raw").exists()
+
     def test_every_field_round_trips(self):
         types = get_type_hints(RunConfig)
 
@@ -155,9 +164,7 @@ class TestConfigFile:
 
 
 # the command that reads each float setting of RunConfig
-FLOAT_READERS = {"velocity_min": "synth", "velocity_max": "synth", "radius_min": "synth",
-                 "radius_max": "synth", "rain_threshold": "synth", "lr": "train",
-                 "weight_decay": "train", "threshold": "evaluate"}
+FLOAT_READERS = {"lr": "train", "weight_decay": "train", "threshold": "evaluate"}
 
 
 class TestNonFiniteSettings:
@@ -166,11 +173,8 @@ class TestNonFiniteSettings:
                                       if typ is float])
     def test_one_line_error_names_the_setting(self, request, tmp_path, capsys, name, value):
         command = FLOAT_READERS[name]
-        argv = [command, "--out", tmp_path / "out", "--" + name.replace("_", "-"), value]
-        if command == "synth":
-            argv += ["--sequences", 2, "--size", 24]
-        else:
-            argv += ["--data", request.getfixturevalue("prepared")]
+        argv = [command, "--out", tmp_path / "out", "--" + name.replace("_", "-"), value,
+                "--data", request.getfixturevalue("prepared")]
         if command == "train":
             argv += ["--stages", 1, "--base-channels", 4, "--epochs", 1]
         if command == "evaluate":
@@ -216,22 +220,14 @@ class TestBadValues:
             f"error: --{name}: {name} must be one of {CHOICES[name]}, got 'bogus'\n"
         assert not (tmp_path / "out").exists()
 
-    # The first allocation each makes is hundreds of terabytes or more, or
-    # the square of 1e308, so each fails at once.
-    @pytest.mark.parametrize("argv, setting", [
-        (["synth", "--size", 100_000_000], None),
-        (["synth", "--sequences", 1, "--size", 8, "--radius-min", 1e308, "--radius-max", 1e308],
-         "radius_min"),
-        (["synth", "--sequences", 1, "--size", 8, "--radius-min", 1, "--radius-max", 1e200],
-         "radius_max"),
-        (["synth", "--sequences", 1, "--size", 8, "--radius-min", 1e-200, "--radius-max", 1e-200],
-         "radius_min"),
-        (["train", "--stages", 1, "--base-channels", 10_000_000_000_000], None),
-    ], ids=["synth_size", "synth_radius", "synth_radius_max", "synth_tiny_radius",
-            "train_base_channels"])
-    def test_unallocatable_or_overflowing_run(self, request, tmp_path, capsys, argv, setting):
-        # an allocation failure names the shape numpy could not allocate; a
-        # radius that 2 * radius**2 takes out of float range names its setting
+    # The first allocation each makes is hundreds of terabytes or more, so
+    # each fails at once.
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--size", 100_000_000],
+        ["train", "--stages", 1, "--base-channels", 10_000_000_000_000],
+    ], ids=["synth_size", "train_base_channels"])
+    def test_unallocatable_or_overflowing_run(self, request, tmp_path, capsys, argv):
+        # the line names the shape numpy could not allocate
         if argv[0] == "train":
             argv = [*argv, "--data", request.getfixturevalue("prepared")]
         out = tmp_path / "out"
@@ -239,8 +235,49 @@ class TestBadValues:
         assert run_cli(*argv, "--out", out) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert setting is None or setting in err[0], err
         assert not out.exists()
+
+
+# the generator settings that are now constants of rainunet.data
+DELETED_SYNTH_FLAGS = ["--blob-min", "--blob-max", "--velocity-min", "--velocity-max",
+                       "--radius-min", "--radius-max", "--rain-threshold"]
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["synth", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["synth", "--seed"], "argument --seed: expected one argument"),
+        *[(["synth", flag, "4"], f"unrecognized arguments: {flag} 4")
+          for flag in DELETED_SYNTH_FLAGS],
+    ], ids=["no_command", "unknown_command", "unknown_flag", "no_flag_value",
+            *(flag[2:] for flag in DELETED_SYNTH_FLAGS)])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out")] if argv else []) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1, \
+            captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [flag[2:].replace("-", "_") for flag in DELETED_SYNTH_FLAGS])
+    def test_deleted_setting_in_a_config_file(self, tmp_path, capsys, name):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{name} = 4\n")
+        capsys.readouterr()
+        assert run_cli("synth", "--config", config, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {config} line 1: unknown config key {name!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]], ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: rainunet")
+        assert not any(flag in out for flag in DELETED_SYNTH_FLAGS), out
 
 
 class TestSynth:
@@ -258,9 +295,10 @@ class TestSynth:
         for fa in sorted(a.glob("*.runt")):
             assert sha(fa) == sha(b / fa.name)
 
-    def test_zero_blobs_warns_about_cleansing(self, tmp_path, capsys):
-        assert run_cli("synth", "--out", tmp_path / "z", "--sequences", 2,
-                       "--size", 24, "--blob-min", 0, "--blob-max", 0) == 0
+    def test_warns_when_cleansing_would_remove_every_record(self, tmp_path, capsys):
+        # one more than the pixels of a record's 32 target frames
+        assert run_cli("synth", "--out", tmp_path / "z", "--sequences", 2, "--size", 24,
+                       "--cleanse-threshold", 32 * 24 * 24 + 1) == 0
         assert "remove 100%" in capsys.readouterr().err
 
     def test_fresh_process_writes_the_in_process_bytes(self, tmp_path):
@@ -270,9 +308,7 @@ class TestSynth:
         fresh, here = tmp_path / "fresh", tmp_path / "here"
         proc = python("-c", code, "synth", "--out", fresh, *SYNTH_ARGS)
         assert proc.returncode == 0, proc.stderr
-        save_dataset(synth_generate(SynthConfig(sequences=6, size=36, velocity_min=0.0,
-                                                velocity_max=0.5, radius_min=4.0,
-                                                radius_max=8.0, seed=5)), here)
+        save_dataset(synth_generate(SynthConfig(sequences=6, size=36, seed=5)), here)
         names = sorted(p.name for p in here.iterdir())
         assert sorted(p.name for p in fresh.iterdir()) == names
         assert [sha(fresh / n) for n in names] == [sha(here / n) for n in names]
@@ -325,6 +361,20 @@ class TestPreprocess:
         assert run_cli("preprocess", "--data", dataset, "--out", tmp_path / "x",
                        "--crop-factor", 0) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, factor, message", [
+        (24, 7, "crop factor must be in [1, 6], got 7"),
+        (26, 3, "frame side 26 not divisible by 6"),
+    ], ids=["factor", "side"])
+    def test_crop_checked_when_cleansing_removes_every_record(self, tmp_path, capsys,
+                                                              size, factor, message):
+        raw, prep = tmp_path / "raw", tmp_path / "prep"
+        assert run_cli("synth", "--out", raw, "--sequences", 2, "--size", size) == 0
+        capsys.readouterr()
+        assert run_cli("preprocess", "--data", raw, "--out", prep, "--crop-factor", factor,
+                       "--cleanse-threshold", 1_000_000) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not prep.exists()
 
 
 class TestTrainEvaluatePredict:

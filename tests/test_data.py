@@ -1,13 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_bilinear_resize
+from rainunet import data
 from rainunet.data import (CANONICAL_CHANNELS, CHANNEL_SETS, IR_CHANNELS, VIS_CHANNELS,
                            WV_CHANNELS, FormatError, SequenceRecord,
-                           SynthConfig, bilinear_resize, center_crop_resize,
-                           center_crop_window, cleansing_filter, load_dataset,
+                           TOTAL_FRAMES, SynthConfig, _rain_field, bilinear_resize,
+                           center_crop_resize, center_crop_window, cleansing_filter, load_dataset,
                            read_manifest, runt_decode, runt_encode,
                            save_dataset, select_modalities, synth_generate,
                            tensor_file_read, tensor_file_write, write_csv, write_file,
@@ -260,32 +263,38 @@ class TestSynth:
         assert rec.input.min() >= 0.0 and rec.input.max() <= 1.0
         assert set(np.unique(rec.target)) <= {0, 1}
 
-    def test_zero_blobs_all_removed_by_cleansing(self):
-        records = synth_generate(SynthConfig(sequences=3, size=24, blob_min=0, blob_max=0, seed=2))
+    def test_zero_blobs_all_removed_by_cleansing(self, monkeypatch):
+        # the blob count is a constant, read by synth_generate at each call
+        monkeypatch.setattr(data, "BLOB_COUNT", (0, 0))
+        records = synth_generate(SynthConfig(sequences=3, size=24, seed=2))
         assert all(r.positive_count == 0 for r in records)
         kept, removed = cleansing_filter(records, threshold=100)
         assert kept == [] and removed == 3
 
-    def test_static_velocity_freezes_targets(self):
-        records = synth_generate(SynthConfig(sequences=2, size=24, velocity_min=0.0, velocity_max=0.0,
-                                             radius_min=5.0, radius_max=8.0, seed=3))
-        for rec in records:
-            for k in range(1, 32):
-                assert np.array_equal(rec.target[k], rec.target[0])
+    def test_only_three_settings(self):
+        # the generator's shape is a set of constants, not settings
+        assert [f.name for f in fields(SynthConfig)] == ["sequences", "size", "seed"]
 
-    def test_degenerate_ranges_rejected(self):
-        with pytest.raises(FormatError):
-            SynthConfig(radius_min=3.0, radius_max=2.0).validate()
-        with pytest.raises(FormatError):
-            SynthConfig(blob_min=2, blob_max=1).validate()
-        with pytest.raises(FormatError):
-            SynthConfig(rain_threshold=0.0).validate()
+    def test_static_blob_gives_the_same_field_every_frame(self):
+        blobs = [(10.0, 13.5, 0.0, 0.0, 5.0), (3.0, 20.0, 0.0, 0.0, 8.0)]
+        first = _rain_field(24, blobs, 0)
+        assert first.max() > 0.5
+        for frame in range(1, TOTAL_FRAMES):
+            assert np.array_equal(_rain_field(24, blobs, frame), first)
+
+    @pytest.mark.parametrize("frame", [1, 7, TOTAL_FRAMES - 1])
+    def test_moving_blob_is_the_first_field_moved(self, frame):
+        # a blob at frame f is, bit for bit, the frame-0 blob moved by f * v
+        blobs = [(10.0, 13.5, 0.75, -1.25, 4.0), (3.0, 20.0, -0.5, 0.3, 6.5)]
+        moved = [(cy + vy * frame, cx + vx * frame, vy, vx, r) for cy, cx, vy, vx, r in blobs]
+        field = _rain_field(24, blobs, frame)
+        assert np.array_equal(field, _rain_field(24, moved, 0))
+        assert not np.array_equal(field, _rain_field(24, blobs, 0))
 
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
-        records = synth_generate(SynthConfig(sequences=3, size=24, seed=5,
-                                             radius_min=4.0, radius_max=7.0))
+        records = synth_generate(SynthConfig(sequences=3, size=24, seed=5))
         manifest = save_dataset(records, tmp_path / "ds")
         loaded = load_dataset(manifest)
         assert len(loaded) == 3
@@ -311,8 +320,7 @@ class TestDatasetIo:
         assert [r.start_time for r in load_dataset(manifest)] == [r.start_time for r in records]
 
     def test_manifest_positive_counts_verified(self, tmp_path):
-        records = synth_generate(SynthConfig(sequences=1, size=24, seed=6,
-                                             radius_min=4.0, radius_max=7.0))
+        records = synth_generate(SynthConfig(sequences=1, size=24, seed=6))
         manifest = save_dataset(records, tmp_path / "ds")
         entries = read_manifest(manifest)
         bad = [type(entries[0])(entries[0].key, entries[0].positive_count + 1,

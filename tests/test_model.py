@@ -350,6 +350,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))} config line 3: "):
             load_checkpoint(path)
 
+    def test_setting_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "model.runc"
+        save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        edit_config_block(path, "base_channels = 4\n", "base_channels = 4\nbase_channels = 8\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))} config line 3: "
+                                              "base_channels given again, first on line 2$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("old, new, message", [
         ("groupnorm_groups = 8\n", "groupnorm_groups = 4\n", "not this program's architecture"),
         ("sconv_kernel = 1,3,3\n", "sconv_kernel = 1,5,5\n", "not this program's architecture"),

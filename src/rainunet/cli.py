@@ -1,12 +1,12 @@
 """Command-line pipeline: synth, preprocess, train, evaluate, predict,
 gradcheck.
 
-Configuration resolves in three layers: built-in defaults, then a
-line-oriented ``key = value`` config file (``#`` comments allowed, unknown
-keys rejected), then command-line flags. Every command is reproducible:
-identical resolved config and seed give identical artifact bytes, at the
-same BLAS thread count for ``train``, whose weight-gradient reductions the
-BLAS splits by thread.
+A command accepts only the settings it reads (its ``--help`` lists them),
+resolved in three layers: their defaults, then a ``key = value`` config
+file (``#`` comments allowed, other keys rejected), then flags, spelled out
+in full. Every command is reproducible: identical resolved config and seed
+give identical artifact bytes, at the same BLAS thread count for ``train``,
+whose weight-gradient reductions the BLAS splits by thread.
 
 Every file a command writes reaches disk whole, through data.write_file: a
 command killed part-way leaves each of its files as it was before or as
@@ -34,7 +34,7 @@ from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SynthConfig,
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
                     save_checkpoint_params)
-from .tensor import AutodiffError, GradCheckReport, Tensor, TensorError, grad_check, tensor_sum
+from .tensor import AutodiffError, GradCheckReport, Tensor, grad_check, tensor_sum
 from .training import (TrainConfig, TrainingAbort, check_records, dice_loss, fit,
                        predict_probs, write_training_log_csv)
 from .precision import use_precision
@@ -48,9 +48,6 @@ def _settings(cls, names=None) -> list[tuple[str, type, object]]:
     return [(f.name, types[f.name], f.default) for f in fields(cls)
             if (f.name in names if names else f.name != "seed")]
 
-
-_MODEL_SETTINGS = _settings(RainUNetConfig, ("stages", "base_channels"))
-_TRAIN_SETTINGS = _settings(TrainConfig)
 
 # Every setting of a run. The settings of synthesis, the model and training
 # are the fields of the configs built from them (see _section), declared
@@ -66,32 +63,32 @@ RunConfig = make_dataclass("RunConfig", [
     ("channels", Literal[tuple(sorted(CHANNEL_SETS))], "ir+vis"),
     ("crop_factor", int, 3),
     ("cleanse_threshold", int, 100),
-    *_MODEL_SETTINGS,
-    *_TRAIN_SETTINGS,
+    *_settings(RainUNetConfig, ("stages", "base_channels")),
+    *_settings(TrainConfig),
     # evaluation
     ("threshold", float, 0.5),
 ], namespace={"__module__": __name__})
-
-# The RunConfig fields that describe a model to build and its training, which
-# evaluate and predict ignore: they run the checkpoint's model.
-_TRAINING_FIELDS = tuple(name for name, _, _ in _MODEL_SETTINGS + _TRAIN_SETTINGS)
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _types(command: str) -> dict[str, type]:
+    """The type of each setting ``command`` reads, in RunConfig's order."""
+    return {name: typ for name, typ in get_type_hints(RunConfig).items()
+            if name in _COMMANDS[command][1]}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the --config file, then the flags given, each value
-    parsed by data.parse_value."""
-    cfg = RunConfig()
-    if args.command == "gradcheck":
-        cfg = replace(cfg, precision="wide")
+    """Defaults, then the --config file, then the flags given, of the settings
+    args.command reads, each parsed by data.parse_value; the rest default."""
+    cfg, types = RunConfig(), _types(args.command)
     if args.config:
-        cfg = replace(cfg, **dataio.parse_config(Path(args.config).read_text(), RunConfig,
+        cfg = replace(cfg, **dataio.parse_config(Path(args.config).read_text(), types,
                                                  args.config))
     flags = {}
-    for name, typ in get_type_hints(RunConfig).items():
+    for name, typ in types.items():
         raw = getattr(args, name)
         if raw is not None:  # a bool flag given is True already
             flags[name] = raw if typ is bool else dataio.parse_value(typ, raw, name, _flag(name))
@@ -108,19 +105,19 @@ def _section(cfg: RunConfig, cls):
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
-def _out_dir(cfg: RunConfig, model: RainUNet | None = None) -> Path:
+def _out_dir(cfg: RunConfig, command: str, model: RainUNet | None = None) -> Path:
     """cfg.out, made if missing, holding the run's manifest ``run.txt``: the
-    resolved config and the environment (versions, BLAS and its thread
-    count, cores), as key = value lines. The environment is a record, not a
-    guarantee: trained bytes change with the BLAS thread count, which splits
-    the weight gradient's reductions. Given the ``model`` read from
-    cfg.checkpoint, the checkpoint's sha256 and stored model config stand in
-    for the model and training fields. Like every artifact, run.txt is
+    resolved settings ``command`` reads and the environment (versions, BLAS
+    and its thread count, cores), as key = value lines. The environment is a
+    record, not a guarantee: trained bytes change with the BLAS thread
+    count, which splits the weight gradient's reductions. Given the
+    ``model`` read from cfg.checkpoint, the checkpoint's sha256 and stored
+    model config follow the settings. Like every artifact, run.txt is
     whole, old or new, after a kill (see the module docstring)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    values = {k: v for k, v in asdict(cfg).items() if model is None or k not in _TRAINING_FIELDS}
+    values = {k: v for k, v in asdict(cfg).items() if k in _COMMANDS[command][1]}
     if model is not None:
         values["checkpoint_sha256"] = hashlib.sha256(Path(cfg.checkpoint).read_bytes()).hexdigest()
         values.update(model.config.block())
@@ -177,7 +174,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model_cfg = RainUNetConfig(cfg.stages, cfg.base_channels, in_channels=records[0].input.shape[0])
     check_records(records, model_cfg)
     model = RainUNet(model_cfg, seed=cfg.seed)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, "train")
     ckpt = out / "model.runc"
     save_checkpoint(ckpt, model)  # epoch-0 state; overwritten as epochs complete
 
@@ -211,13 +208,14 @@ def _load_eval_inputs(cfg: RunConfig):
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    binarize(np.zeros(0), cfg.threshold)  # a bad threshold fails before the model is read
     model, records = _load_eval_inputs(cfg)
     probs = predict_probs(model, records)
     preds = binarize(probs, cfg.threshold)
     gts = np.stack([r.target for r in records])
     report = evaluate_masks(preds, gts)
     curve = lead_time_iou(preds, gts)
-    out = _out_dir(cfg, model)
+    out = _out_dir(cfg, "evaluate", model)
     write_metrics_csv(out / "metrics.csv", report)
     write_lead_time_csv(out / "leadtime.csv", curve)
     for name in report.METRIC_NAMES:
@@ -230,7 +228,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     model, records = _load_eval_inputs(cfg)
     probs = predict_probs(model, records)
-    out = _out_dir(cfg, model)
+    out = _out_dir(cfg, "predict", model)
     entries = dataio.read_manifest(Path(cfg.data) / MANIFEST_NAME)
     for e, p in zip(entries, probs):
         dataio.tensor_file_write(p.astype(np.float32), out / f"{e.key}_pred.runt")
@@ -262,9 +260,10 @@ def param_probe(module, attr: str, forward):
     return f
 
 
+@use_precision("wide")
 def gradcheck_battery(seeds: int = 3, base_seed: int = 100) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference checks for every layer type, the dice loss, a TS
-    block and a micro model. Must run in wide precision."""
+    block and a micro model, run in wide precision whatever the caller's."""
     results = []
     for s in range(seeds):
         rng = np.random.default_rng(base_seed + s)
@@ -315,8 +314,6 @@ def gradcheck_battery(seeds: int = 3, base_seed: int = 100) -> list[tuple[str, G
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
-    if cfg.precision != "wide":
-        raise TensorError("gradcheck requires --precision wide")
     results = gradcheck_battery()
     failures = sum(not report.passed for _, report in results)
     for name, report in results:
@@ -330,13 +327,16 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Each command: its function and the RunConfig settings it reads, the only
+# ones it accepts and records.
 _COMMANDS = {
-    "synth": cmd_synth,
-    "preprocess": cmd_preprocess,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "gradcheck": cmd_gradcheck,
+    "synth": (cmd_synth, ("seed", "out", "sequences", "size", "cleanse_threshold")),
+    "preprocess": (cmd_preprocess, ("data", "out", "channels", "crop_factor", "cleanse_threshold")),
+    "train": (cmd_train, ("seed", "data", "out", "precision", "stages", "base_channels", "epochs",
+                          "batch_size", "lr", "weight_decay", "swa", "swa_start")),
+    "evaluate": (cmd_evaluate, ("data", "checkpoint", "out", "precision", "threshold")),
+    "predict": (cmd_predict, ("data", "checkpoint", "out", "precision")),
+    "gradcheck": (cmd_gradcheck, ()),
 }
 
 
@@ -353,23 +353,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser() -> argparse.ArgumentParser:
-    """One flag per RunConfig field, ``--`` plus its name with ``-`` for
-    ``_``, holding the string resolve_config parses; a flag left out parses
-    to None, so the layers below it stand."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    for name, typ in get_type_hints(RunConfig).items():
-        if typ is bool:
-            common.add_argument(_flag(name), dest=name, action="store_true", default=None)
-        else:
-            allowed = get_args(typ)  # a Literal's choices
-            common.add_argument(_flag(name), dest=name, help=_HELP.get(name),
-                                metavar="{" + ",".join(allowed) + "}" if allowed else None)
-
-    parser = _Parser(prog="rainunet", description=__doc__)
+    """Per command, ``--config`` and one flag per setting it reads, ``--``
+    plus its name with ``-`` for ``_``, holding the string resolve_config
+    parses; a flag left out parses to None, so the layers below it stand.
+    No flag is taken abbreviated."""
+    parser = _Parser(prog="rainunet", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
+    for command in _COMMANDS:
+        cmd_parser = sub.add_parser(command, allow_abbrev=False)
+        cmd_parser.add_argument("--config", help="key = value config file")
+        for name, typ in _types(command).items():
+            if typ is bool:
+                cmd_parser.add_argument(_flag(name), dest=name, action="store_true", default=None)
+            else:
+                allowed = get_args(typ)  # a Literal's choices
+                cmd_parser.add_argument(_flag(name), dest=name, help=_HELP.get(name),
+                                        metavar="{" + ",".join(allowed) + "}" if allowed else None)
     return parser
 
 
@@ -380,7 +379,7 @@ def main(argv=None) -> int:
         # an overflow surfaces once, as the NonFiniteError of the op whose
         # output holds it, not as numpy warnings from every op before that
         with use_precision(cfg.precision), np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command][0](cfg)
     # TensorError and FormatError are ValueErrors, NonFiniteError an ArithmeticError
     except (ValueError, ArithmeticError, MemoryError, OSError, AutodiffError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -178,12 +178,11 @@ def parse_value(typ, raw: str, key: str, where: str):
         raise FormatError(f"{where}: bad {typ.__name__} for {key}: {raw!r}") from None
 
 
-def parse_config(text: str, cls: type, source: str) -> dict:
+def parse_config(text: str, types: dict, source: str) -> dict:
     """The settings of ``text``'s lines, each parsed by :func:`parse_value`
-    as its field of the dataclass ``cls`` is typed. A line without ``=``, an
-    unknown key, a key given twice or a value its type rejects raises
+    as the type ``types`` maps its key to. A line without ``=``, a key not
+    in ``types``, a key given twice or a value its type rejects raises
     FormatError naming ``source`` and the line."""
-    types = get_type_hints(cls)
     values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -273,7 +272,7 @@ def center_crop_window(side: int, factor: int) -> tuple[int, int]:
     """Bounds [lo, hi) of the central crop window. The target region is a
     sixth of the frame per axis; the window is ``factor`` target regions wide."""
     if not 1 <= factor <= 6:
-        raise FormatError(f"crop factor must be in [1, 6], got {factor}")
+        raise FormatError(f"crop_factor must be in [1, 6], got {factor}")
     if side % 6 != 0:
         raise FormatError(f"frame side {side} not divisible by 6")
     window = (side // 6) * factor
@@ -343,10 +342,9 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.sequences < 1:
-            raise FormatError("need at least one sequence")
-        if self.size < 8:
-            raise FormatError("spatial size too small")
+        for name, low in (("sequences", 1), ("size", 8), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise FormatError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def _rain_field(size, blobs, frame):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -99,20 +100,21 @@ class RainUNetConfig:
                               f"each must be >= 2^{self.stages}")
 
     def validate(self) -> None:
-        if self.stages < 1:
-            raise TensorError("stages must be >= 1")
-        if min(self.base_channels, self.in_channels) < 1:
-            raise TensorError("channel counts must be positive")
+        for name in ("stages", "base_channels", "in_channels"):
+            if getattr(self, name) < 1:
+                raise TensorError(f"{name} must be >= 1, got {getattr(self, name)}")
         for k in range(1, self.stages + 1):
-            _effective_groups(self.stage_width(k))
+            width = self.stage_width(k)
+            if width % _effective_groups(width):
+                raise TensorError(f"base_channels must give stage widths divisible by "
+                                  f"{GROUPNORM_GROUPS} normalization groups, got "
+                                  f"{self.base_channels}: stage {k} is {width} wide")
 
 
 def _effective_groups(channels: int) -> int:
-    if channels % GROUPNORM_GROUPS == 0:
-        return GROUPNORM_GROUPS
-    if channels < GROUPNORM_GROUPS:
-        return 1
-    raise TensorError(f"width {channels} not divisible by {GROUPNORM_GROUPS} normalization groups")
+    """The group count of a norm over ``channels``: GROUPNORM_GROUPS, or 1
+    below that many channels. GroupNormLayer checks that it divides them."""
+    return GROUPNORM_GROUPS if channels >= GROUPNORM_GROUPS else 1
 
 
 class _Params:
@@ -360,8 +362,8 @@ def load_checkpoint(path) -> RainUNet:
     if not ("\n" + text).endswith("\n" + _FIXED_TEXT):
         raise dataio.FormatError(f"{path} config: not this program's architecture: the "
                                  "block must end with its fixed settings, in_frames to head_mode")
-    cfg = RainUNetConfig(**dataio.parse_config(text[:-len(_FIXED_TEXT)], RainUNetConfig,
-                                               f"{path} config"))
+    cfg = RainUNetConfig(**dataio.parse_config(text[:-len(_FIXED_TEXT)],
+                                               get_type_hints(RainUNetConfig), f"{path} config"))
     # the parameters are views into the file's buffer, so each is copied once,
     # by the layer that takes it; the buffer is freed when the last is taken
     try:

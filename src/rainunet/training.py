@@ -41,12 +41,13 @@ class TrainConfig:
         for name, v in (("lr", self.lr), ("weight_decay", self.weight_decay)):
             if not math.isfinite(v):
                 raise TensorError(f"{name} must be finite, got {v}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise TensorError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise TensorError("lr/weight_decay must be >= 0")
-        if self.swa and not 1 <= self.swa_start <= max(self.epochs, 1):
-            raise TensorError("swa_start must lie in [1, epochs]")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0), ("weight_decay", 0),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise TensorError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.swa and not 1 <= self.swa_start <= self.epochs:
+            raise TensorError(f"swa_start must lie in [1, epochs], got {self.swa_start} "
+                              f"with epochs = {self.epochs}")
 
 
 def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:

@@ -164,9 +164,11 @@ def inputs(tmp_path_factory):
 
 def _scenario(command: str, base: Path) -> tuple[list, list]:
     """The old run that fills --out and the new run killed over it: the new
-    run at seed 0, the old at seed 1 or, for preprocess, whose output has no
-    seed, at crop factor 3 against 2, which crops the inputs differently
-    and leaves every target and so the manifest as it was."""
+    run at seed 0, the old at seed 1 or, for evaluate and predict, which
+    read no seed, on the checkpoints trained at those seeds or, for
+    preprocess, whose output has no seed, at crop factor 3 against 2, which
+    crops the inputs differently and leaves every target and so the
+    manifest as it was."""
     if command == "synth":
         old = ["synth", *SYNTH, "--seed", 1]
         return old, old[:-1] + [0]
@@ -177,8 +179,8 @@ def _scenario(command: str, base: Path) -> tuple[list, list]:
         old = ["train", "--data", base / "prep", *MODEL, "--epochs", 2, "--swa", "--swa-start", 1,
                "--seed", 1]
         return old, old[:-1] + [0]
-    return [[command, "--data", base / "prep", "--checkpoint", base / f"train{seed}" / "model.runc",
-             "--seed", seed] for seed in (1, 0)]
+    return [[command, "--data", base / "prep", "--checkpoint", base / f"train{seed}" / "model.runc"]
+            for seed in (1, 0)]
 
 
 @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "evaluate", "predict"])

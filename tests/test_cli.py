@@ -15,8 +15,7 @@ import scipy
 
 import rainunet
 from rainunet import layers, precision
-from rainunet.cli import (_TRAINING_FIELDS, RunConfig, _parser, gradcheck_battery, main,
-                          resolve_config)
+from rainunet.cli import _COMMANDS, RunConfig, _parser, gradcheck_battery, main, resolve_config
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
@@ -38,6 +37,11 @@ def python(*args):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
                           env=env, timeout=300)
+
+
+def reader(name):
+    """The first command that reads the setting ``name``."""
+    return next(command for command, (_, names) in _COMMANDS.items() if name in names)
 
 
 # the values each choice setting takes, as its error lists them
@@ -63,7 +67,7 @@ def prepared(tmp_path, dataset):
 
 
 def parse_run_config(text):
-    return parse_config(text, RunConfig, "run.cfg")
+    return parse_config(text, get_type_hints(RunConfig), "run.cfg")
 
 
 class TestConfigFile:
@@ -89,7 +93,7 @@ class TestConfigFile:
     def test_malformed_line_rejected(self, tmp_path, capsys, line):
         config = tmp_path / "run.cfg"
         config.write_text(f"# settings\nseed = 9\n{line}\n")
-        assert run_cli("synth", "--config", config, "--out", tmp_path / "raw") == 1
+        assert run_cli("train", "--config", config, "--out", tmp_path / "raw") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {config} line 3: "), err
         assert not (tmp_path / "raw").exists()
@@ -99,7 +103,7 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text(f"{name} = bogus\n")
         capsys.readouterr()
-        assert run_cli("preprocess", "--config", config, "--data", dataset,
+        assert run_cli(reader(name), "--config", config, "--data", dataset,
                        "--out", tmp_path / "prep") == 1
         assert capsys.readouterr().err == \
             f"error: {config} line 1: {name} must be one of {CHOICES[name]}, got 'bogus'\n"
@@ -141,30 +145,62 @@ class TestConfigFile:
                 field.name, field.default + type(field.default)(1))
             argv = [flag, str(value)]
         assert value != field.default
-        cfg = resolve_config(_parser().parse_args(["train", *argv]))
+        cfg = resolve_config(_parser().parse_args([reader(field.name), *argv]))
         assert cfg == replace(RunConfig(), **{field.name: value})
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_lists_exactly_the_settings_read(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = {"--" + name.replace("_", "-") for name in _COMMANDS[command][1]}
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == \
+            {"--help", "--config", *flags}
+
+    def test_every_setting_is_read_by_a_command(self):
+        read = [name for _, names in _COMMANDS.values() for name in names]
+        assert set(read) == {f.name for f in fields(RunConfig)}
+        assert len(read) == 31  # command-setting pairs
 
     @pytest.mark.parametrize("section", [SynthConfig, TrainConfig])
     def test_every_section_field_is_a_setting(self, section):
         # the CLI builds each section from the RunConfig fields of the same
-        # names, so a direct caller gets the CLI's default for each of them
+        # names, so a direct caller gets the CLI's default for each of them,
+        # and the command that builds it reads each of them
         settings = get_type_hints(RunConfig)
+        command = {SynthConfig: "synth", TrainConfig: "train"}[section]
         for name, typ in get_type_hints(section).items():
             assert settings.get(name) == typ, name
             assert getattr(section(), name) == getattr(RunConfig(), name), name
+            assert name in _COMMANDS[command][1], name
 
-    def test_flags_override_file(self, tmp_path):
+    def test_flags_override_file(self, dataset, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("seed = 9\nepochs = 7\n")
+        cfg_file.write_text("crop_factor = 3\ncleanse_threshold = 0\n")
         out = tmp_path / "o"
         # bad crop factor comes from the flag, proving the flag wins
-        code = run_cli("preprocess", "--config", cfg_file, "--data", tmp_path,
+        code = run_cli("preprocess", "--config", cfg_file, "--data", dataset,
                        "--out", out, "--crop-factor", 0)
         assert code == 1
+        assert capsys.readouterr().err == "error: crop_factor must be in [1, 6], got 0\n"
+        assert not out.exists()
 
-
-# the command that reads each float setting of RunConfig
-FLOAT_READERS = {"lr": "train", "weight_decay": "train", "threshold": "evaluate"}
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_settings_the_command_does_not_read_are_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        foreign = [f for f in fields(RunConfig) if f.name not in _COMMANDS[command][1]]
+        argv = [arg for f in foreign for arg in
+                ["--" + f.name.replace("_", "-"), *([] if isinstance(f.default, bool) else [out])]]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: unrecognized arguments: {' '.join(map(str, argv))}\n"
+        config = tmp_path / "run.cfg"
+        for f in foreign:
+            config.write_text(f"{f.name} = 1\n")
+            assert run_cli(command, "--config", config) == 1
+            assert capsys.readouterr().err == \
+                f"error: {config} line 1: unknown config key {f.name!r}\n"
+        assert not out.exists()
 
 
 class TestNonFiniteSettings:
@@ -172,7 +208,7 @@ class TestNonFiniteSettings:
     @pytest.mark.parametrize("name", [name for name, typ in get_type_hints(RunConfig).items()
                                       if typ is float])
     def test_one_line_error_names_the_setting(self, request, tmp_path, capsys, name, value):
-        command = FLOAT_READERS[name]
+        command = reader(name)
         argv = [command, "--out", tmp_path / "out", "--" + name.replace("_", "-"), value,
                 "--data", request.getfixturevalue("prepared")]
         if command == "train":
@@ -207,7 +243,7 @@ class TestBadValues:
         argv = [flag, "bogus"] if source == "flag" else ["--config", config]
         where = flag if source == "flag" else f"{config} line 2"
         capsys.readouterr()
-        assert run_cli("synth", "--out", tmp_path / "out", *argv) == 1
+        assert run_cli(reader(name), "--out", tmp_path / "out", *argv) == 1
         assert capsys.readouterr().err == f"error: {where}: bad {typ.__name__} for {name}: 'bogus'\n"
         assert not (tmp_path / "out").exists()
 
@@ -215,10 +251,39 @@ class TestBadValues:
     def test_flag_outside_the_choices(self, tmp_path, capsys, name):
         # the line names the flag, as a config file's names its line (TestConfigFile)
         capsys.readouterr()
-        assert run_cli("synth", "--out", tmp_path / "out", "--" + name, "bogus") == 1
+        assert run_cli(reader(name), "--out", tmp_path / "out", "--" + name, "bogus") == 1
         assert capsys.readouterr().err == \
             f"error: --{name}: {name} must be one of {CHOICES[name]}, got 'bogus'\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["synth", "--sequences", 0], "sequences", "0"),
+        (["synth", "--size", 7], "size", "7"),
+        (["synth", "--seed", -1], "seed", "-1"),
+        (["train", "--seed", -3], "seed", "-3"),
+        (["train", "--base-channels", 0], "base_channels", "0"),
+        (["train", "--base-channels", 12], "base_channels", "12"),
+        (["preprocess", "--crop-factor", 9], "crop_factor", "9"),
+    ], ids=["synth_sequences", "synth_size", "synth_seed", "train_seed", "train_base_channels",
+            "train_base_channels_groups", "preprocess_crop_factor"])
+    def test_out_of_range_value_names_its_key(self, request, tmp_path, capsys, argv, key, value):
+        if argv[0] != "synth":
+            data = request.getfixturevalue("prepared" if argv[0] == "train" else "dataset")
+            argv = [*argv, "--data", data]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert re.search(rf"\b{key}\b.* got {value}\b", err[0]), err
+        assert not out.exists()
+
+    def test_bad_threshold_fails_before_the_checkpoint_is_read(self, dataset, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", dataset, "--checkpoint", tmp_path / "missing.runc",
+                       "--threshold", 1.5, "--out", tmp_path / "ev") == 1
+        assert capsys.readouterr().err == "error: threshold must be in (0, 1), got 1.5\n"
+        assert not (tmp_path / "ev").exists()
 
     # The first allocation each makes is hundreds of terabytes or more, so
     # each fails at once.
@@ -249,9 +314,10 @@ class TestUsage:
         (["bogus"], "argument command: invalid choice: 'bogus'"),
         (["synth", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         (["synth", "--seed"], "argument --seed: expected one argument"),
+        (["synth", "--seq", "2", "--si", "8"], "unrecognized arguments: --seq 2 --si 8"),
         *[(["synth", flag, "4"], f"unrecognized arguments: {flag} 4")
           for flag in DELETED_SYNTH_FLAGS],
-    ], ids=["no_command", "unknown_command", "unknown_flag", "no_flag_value",
+    ], ids=["no_command", "unknown_command", "unknown_flag", "no_flag_value", "abbreviated_flags",
             *(flag[2:] for flag in DELETED_SYNTH_FLAGS)])
     def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out", str(tmp_path / "out")] if argv else []) == 1
@@ -363,7 +429,7 @@ class TestPreprocess:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size, factor, message", [
-        (24, 7, "crop factor must be in [1, 6], got 7"),
+        (24, 7, "crop_factor must be in [1, 6], got 7"),
         (26, 3, "frame side 26 not divisible by 6"),
     ], ids=["factor", "side"])
     def test_crop_checked_when_cleansing_removes_every_record(self, tmp_path, capsys,
@@ -406,8 +472,9 @@ class TestTrainEvaluatePredict:
         assert len(preds) == len(load_dataset(prepared / MANIFEST_NAME))
 
     @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--swa", "--swa-start", 30, "--epochs", 2],
-                                      ["--stages", 6]],
-                             ids=["lr_nan", "swa_start_past_epochs", "stages_too_deep_for_the_maps"])
+                                      ["--swa", "--swa-start", 1, "--epochs", 0], ["--stages", 6]],
+                             ids=["lr_nan", "swa_start_past_epochs", "swa_without_epochs",
+                                  "stages_too_deep_for_the_maps"])
     def test_rejected_setting_leaves_no_output(self, prepared, tmp_path, capsys, argv):
         # the maps are 36x36, too small to pool 6 times
         out = tmp_path / "run"
@@ -433,19 +500,22 @@ class TestTrainEvaluatePredict:
             lines = (Path(resolved.out) / "run.txt").read_text().splitlines()
             entries = dict(line.split(" = ", 1) for line in lines)
             assert len(entries) == len(lines)
-            kept = [f.name for f in fields(RunConfig)]
-            if argv[0] != "train":
-                # the checkpoint's hash and stored model config stand in for
-                # the model and training fields these commands ignore
-                kept = [name for name in kept if name not in _TRAINING_FIELDS]
+            # the settings the command reads come first, in RunConfig's order
+            command = argv[0]
+            read = [f.name for f in fields(RunConfig) if f.name in _COMMANDS[command][1]]
+            assert list(entries)[:len(read)] == read
+            config = tmp_path / f"{command}.cfg"
+            config.write_text("".join(f"{name} = {entries.pop(name)}\n" for name in read))
+            if command != "train":
+                # the checkpoint's hash and stored model config follow them
                 assert entries.pop("checkpoint_sha256") == sha(ckpt)
                 assert entries["stages"] == "1" and entries["base_channels"] == "4"
                 block = load_checkpoint(ckpt).config.block()
                 stored = "".join(f"{name} = {entries.pop(name)}\n" for name in block)
                 assert stored == config_text(block)
-            # the config lines read back as a config file give the resolved config
-            config = "".join(f"{name} = {entries.pop(name)}\n" for name in kept)
-            assert replace(RunConfig(), **parse_run_config(config)) == resolved
+            # the setting lines, given back as the command's --config, resolve the same
+            args = _parser().parse_args([command, "--config", str(config)])
+            assert resolve_config(args) == resolved
             blas = entries.pop("blas")
             assert blas.split()[0] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
             assert entries == {
@@ -554,15 +624,13 @@ class TestTrainEvaluatePredict:
 
 
 class TestGradcheckCommand:
-    def test_requires_wide_precision(self, capsys):
-        assert run_cli("gradcheck", "--precision", "standard") == 1
-        assert "wide" in capsys.readouterr().err
-
     def test_battery_single_seed_passes(self):
-        with precision.use_precision("wide"):
-            results = gradcheck_battery(seeds=1)
+        # the battery enters wide precision itself, and leaves the caller's
+        assert precision.get_precision() == "standard"
+        results = gradcheck_battery(seeds=1)
         assert results and all(rep.passed for _, rep in results)
+        assert precision.get_precision() == "standard"
 
     def test_command_passes_all_default_seeds(self, capsys):
-        assert run_cli("gradcheck", "--precision", "wide") == 0
+        assert run_cli("gradcheck") == 0
         assert "30/30 gradient checks passed" in capsys.readouterr().out

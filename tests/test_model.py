@@ -1,6 +1,7 @@
 import re
 import struct
 from dataclasses import asdict, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -56,7 +57,8 @@ class TestConfig:
 
     def test_text_round_trip(self):
         cfg = micro_cfg(base_channels=6, in_channels=5)
-        assert RainUNetConfig(**parse_config(config_text(asdict(cfg)), RainUNetConfig, "x")) == cfg
+        values = parse_config(config_text(asdict(cfg)), get_type_hints(RainUNetConfig), "x")
+        assert RainUNetConfig(**values) == cfg
 
     def test_default_text_is_pinned(self):
         # the checkpoint's config block: changing it changes every checkpoint's bytes

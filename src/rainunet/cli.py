@@ -85,8 +85,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     args.command reads, each parsed by data.parse_value; the rest default."""
     cfg, types = RunConfig(), _types(args.command)
     if args.config:
-        cfg = replace(cfg, **dataio.parse_config(Path(args.config).read_text(), types,
-                                                 args.config))
+        cfg = replace(cfg, **dataio.parse_config(dataio.read_text(args.config, "config"),
+                                                 types, args.config))
     flags = {}
     for name, typ in types.items():
         raw = getattr(args, name)
@@ -201,10 +201,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_eval_inputs(cfg: RunConfig):
+    """The checkpoint's model and the dataset's records, checked to fit it."""
     if not cfg.checkpoint:
         raise FormatError("a --checkpoint path is required")
     records = _records(cfg)
-    return load_checkpoint(cfg.checkpoint), records
+    model = load_checkpoint(cfg.checkpoint)
+    check_records(records, model.config)
+    return model, records
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -318,8 +321,9 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     failures = sum(not report.passed for _, report in results)
     for name, report in results:
         status = "PASS" if report.passed else "FAIL"
+        worst = "" if report.passed else f" worst={report.worst_index}"
         print(f"{status} {name}: max_rel_error={report.max_rel_error:.3e} "
-              f"tol={report.tolerance:.0e} coords={report.coords_checked}")
+              f"tol={report.tolerance:.0e} coords={report.coords_checked}{worst}")
     print(f"{len(results) - failures}/{len(results)} gradient checks passed")
     return 0 if failures == 0 else 1
 

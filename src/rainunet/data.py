@@ -96,18 +96,10 @@ def runt_chunks(arr) -> list:
     return [runt_header(arr.dtype, arr.shape), runt_payload(arr)]
 
 
-def runt_encode(arr) -> bytes:
-    return b"".join(runt_chunks(arr))
-
-
-def runt_decode(blob) -> np.ndarray:
-    """Decode one whole RUNT blob (bytes or memoryview) or raise FormatError."""
-    return runt_view(blob).copy()
-
-
 def runt_view(blob) -> np.ndarray:
-    """The array of one whole RUNT blob as a read-only view into ``blob``,
-    checked as runt_decode checks it."""
+    """The array of one whole RUNT blob (bytes or memoryview) as a read-only
+    view into ``blob``, or FormatError when the blob is malformed, cut short,
+    carries trailing bytes or holds a non-finite value."""
     if blob[:4] != _MAGIC:
         raise FormatError(f"bad magic {bytes(blob[:4])!r}")
     if len(blob) < 7:
@@ -139,7 +131,12 @@ def tensor_file_write(t, path) -> None:
 
 
 def tensor_file_read(path) -> np.ndarray:
-    return runt_decode(Path(path).read_bytes())
+    """The array of the RUNT file at ``path``; FormatError naming the file
+    when it is not one."""
+    try:
+        return runt_view(Path(path).read_bytes()).copy()
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -449,39 +446,51 @@ def write_manifest(path, entries) -> None:
     write_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
-def read_manifest(path) -> list[ManifestEntry]:
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``, or FormatError naming it as
+    ``what`` and ``path``."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        raise FormatError(f"manifest {path} is not UTF-8 text: {err}") from None
+        raise FormatError(f"{what} {path} is not UTF-8 text: {err}") from None
+
+
+def read_manifest(path) -> list[ManifestEntry]:
+    """The entries of a manifest. A malformed line, or a key that would not
+    name a file in the manifest's directory (empty, ``.``, ``..`` or holding
+    ``/`` or ``\\``), raises FormatError naming the manifest and the line."""
+    lines = read_text(path, "manifest").splitlines()
     if not lines or lines[0] != _MANIFEST_HEADER:
         raise FormatError(f"bad manifest header in {path}")
     entries = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             key, count, region, start = line.split("\t")
             entries.append(ManifestEntry(key, int(count), region, int(start)))
         except ValueError:
-            raise FormatError(f"bad manifest line: {line!r}") from None
+            raise FormatError(f"{path} line {lineno}: bad manifest line: {line!r}") from None
+        if key in ("", ".", "..") or "/" in key or "\\" in key:
+            raise FormatError(f"{path} line {lineno}: key {key!r} must name a file in the "
+                              "manifest's directory")
     return entries
 
 
 def load_dataset(manifest_path) -> list[SequenceRecord]:
+    """The records a manifest lists; FormatError naming the manifest and the
+    record's key for a record that is not one or does not match its line."""
     base = Path(manifest_path).parent
     records = []
     for e in read_manifest(manifest_path):
-        rec = SequenceRecord(
-            input=tensor_file_read(base / f"{e.key}_input.runt"),
-            target=tensor_file_read(base / f"{e.key}_target.runt"),
-            region=e.region,
-            start_time=e.start_time,
-        )
+        arrays = [tensor_file_read(base / f"{e.key}_{part}.runt") for part in ("input", "target")]
+        where = f"{manifest_path} record {e.key}"
+        try:
+            rec = SequenceRecord(*arrays, region=e.region, start_time=e.start_time)
+        except FormatError as err:
+            raise FormatError(f"{where}: {err}") from None
         if rec.positive_count != e.positive_count:
-            raise FormatError(
-                f"{e.key}: manifest positive count {e.positive_count} != "
-                f"recomputed {rec.positive_count}"
-            )
+            raise FormatError(f"{where}: manifest positive count {e.positive_count} != "
+                              f"recomputed {rec.positive_count}")
         records.append(rec)
     return records

@@ -32,8 +32,6 @@ Triple = tuple[int, int, int]
 
 
 def _triple(v) -> Triple:
-    if np.isscalar(v):
-        v = (v, v, v)
     t = tuple(int(x) for x in v)
     if len(t) != 3:
         raise TensorError(f"expected 3 extents, got {v!r}")
@@ -378,9 +376,6 @@ class Conv3DLayer:
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return _conv(x, self)
-
 
 def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     """The op of every conv layer, forward or transposed. The live taps of
@@ -499,9 +494,6 @@ class GroupNormLayer:
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return group_norm(x, self)
 
 
 def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:

@@ -29,10 +29,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
-                               self.fn + other.fn, self.tn + other.tn)
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -53,8 +49,7 @@ MINUTES_PER_STEP = 15
 
 @dataclass(frozen=True)
 class LeadTimeCurve:
-    iou_per_lead: np.ndarray          # one IoU per future frame
-    degenerate: np.ndarray            # bool, True where IoU was 0/0
+    iou_per_lead: np.ndarray          # one IoU per future frame, 0 where it was 0/0
 
 
 def binarize(probs, threshold: float = 0.5) -> np.ndarray:
@@ -131,9 +126,7 @@ def lead_time_iou(pred, gt) -> LeadTimeCurve:
         raise ValueError(f"expected (S, L, H, W), got {pred.shape}")
     tp, pp, ap = _positives(pred, gt, axis=(0, 2, 3))
     union = pp + ap - tp  # tp + fp + fn
-    degenerate = union == 0
-    iou = tp / np.where(degenerate, 1, union)
-    return LeadTimeCurve(iou_per_lead=iou, degenerate=degenerate)
+    return LeadTimeCurve(iou_per_lead=tp / np.where(union == 0, 1, union))
 
 
 # ---------------------------------------------------------------------------

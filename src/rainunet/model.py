@@ -238,9 +238,6 @@ class RainUNet:
         stages (deepest first, matching forward order), then the head."""
         return [(f"{layer.name}.{n}", t) for layer in self.layers for n, t in layer.parameters()]
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Replace this model's layers by those :meth:`from_state` builds
         from ``state`` under its config, holding copies of its arrays cast
@@ -268,9 +265,6 @@ class RainUNet:
             cur = block(cur)
         logits = conv3d(cur, self.head)
         return sigmoid(mean_axis(logits, 2))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
 
 
 def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:
@@ -353,10 +347,14 @@ def load_checkpoint(path) -> RainUNet:
     """Read a checkpoint written by ``save_checkpoint``. A file that is cut
     short, carries trailing bytes, holds a non-finite value or a malformed
     config line, whose config block does not end with the architecture's
-    constants, or whose parameters do not fit its config raises
-    FormatError."""
+    constants, or whose parameters do not fit its config raises FormatError
+    naming the file."""
     with open(path, "rb") as fh:
-        cfg_text, params = _parse_checkpoint(memoryview(fh.read()))
+        raw = memoryview(fh.read())
+    try:
+        cfg_text, params = _parse_checkpoint(raw)
+    except dataio.FormatError as err:
+        raise dataio.FormatError(f"{path}: {err}") from None
     text = str(cfg_text, "utf-8", "replace")
     # the constants' text must start at a line start; any other tail is another model
     if not ("\n" + text).endswith("\n" + _FIXED_TEXT):
@@ -369,4 +367,4 @@ def load_checkpoint(path) -> RainUNet:
     try:
         return RainUNet.from_state(cfg, params)
     except (TensorError, ValueError) as err:
-        raise dataio.FormatError(f"checkpoint does not describe a model: {err}") from None
+        raise dataio.FormatError(f"{path}: checkpoint does not describe a model: {err}") from None

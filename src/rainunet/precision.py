@@ -2,13 +2,12 @@
 
 Training runs in 32-bit floats. Finite-difference gradient verification is
 unreliable at 32 bits, so a 64-bit "wide" mode is selectable at runtime.
-The setting is thread-local: each logical training/evaluation thread owns
-its own mode and tensors created on it.
+The setting is one for the whole process and applies to tensors created
+while it holds.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,17 +17,18 @@ WIDE = "wide"
 
 _DTYPES = {STANDARD: np.float32, WIDE: np.float64}
 
-_local = threading.local()
+_mode = STANDARD
 
 
 def get_precision() -> str:
-    return getattr(_local, "mode", STANDARD)
+    return _mode
 
 
 def set_precision(mode: str) -> None:
+    global _mode
     if mode not in _DTYPES:
         raise ValueError(f"unknown precision {mode!r}, expected 'standard' or 'wide'")
-    _local.mode = mode
+    _mode = mode
 
 
 def dtype() -> np.dtype:

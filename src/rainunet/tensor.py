@@ -1,6 +1,6 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A thread-local tape (:class:`Graph`) records every operation whose inputs
+The process's tape (:class:`Graph`) records every operation whose inputs
 require gradients; :func:`backward` replays the tape in reverse. The tape is
 consumed by a single backward call, so "backward twice without a new forward"
 is an error instead of silent gradient accumulation. What an op records is
@@ -21,7 +21,6 @@ dice loss, one op per batch, in rainunet.training.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,30 +43,24 @@ class AutodiffError(RuntimeError):
     """Misuse of the gradient tape (non-scalar loss, detached loss, reuse)."""
 
 
-_local = threading.local()
-
-
-def _state():
-    if not hasattr(_local, "graph"):
-        _local.graph = None
-        _local.grad_enabled = True
-    return _local
+# the tape ops record on: None until an op records, and again after its backward
+_graph: Optional[Graph] = None
+_grad_enabled = True
 
 
 def is_grad_enabled() -> bool:
-    return _state().grad_enabled
+    return _grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording (pure inference forwards)."""
-    st = _state()
-    previous = st.grad_enabled
-    st.grad_enabled = False
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        st.grad_enabled = previous
+        _grad_enabled = previous
 
 
 class GraphNode:
@@ -117,16 +110,16 @@ class Graph:
 
 
 def active_graph() -> Optional[Graph]:
-    return _state().graph
+    return _graph
 
 
 def discard_tape() -> None:
-    """Drop the thread's recording tape without a backward, as after a
-    forward that failed part-way: its nodes release what they hold, the
-    next op starts a new tape, and a backward from an output recorded on
-    the old one is an AutodiffError."""
-    st = _state()
-    graph, st.graph = st.graph, None
+    """Drop the recording tape without a backward, as after a forward that
+    failed part-way: its nodes release what they hold, the next op starts a
+    new tape, and a backward from an output recorded on the old one is an
+    AutodiffError."""
+    global _graph
+    graph, _graph = _graph, None
     if graph is not None:
         graph.consumed = True
         for node in graph.nodes:
@@ -134,10 +127,10 @@ def discard_tape() -> None:
 
 
 def _recording_graph() -> Graph:
-    st = _state()
-    if st.graph is None or st.graph.consumed:
-        st.graph = Graph()
-    return st.graph
+    global _graph
+    if _graph is None or _graph.consumed:
+        _graph = Graph()
+    return _graph
 
 
 class Tensor:
@@ -342,6 +335,7 @@ def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -
     the tape's arrays are freed by reference counting as it goes, not by a
     later cyclic collection.
     """
+    global _graph
     if loss.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node is None:
@@ -375,9 +369,8 @@ def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -
         for t in firsts.get(node, ()):
             if t.grad is not None:
                 on_grad(t)
-    st = _state()
-    if st.graph is graph:
-        st.graph = None
+    if _graph is graph:
+        _graph = None
 
 
 @dataclass
@@ -471,6 +464,6 @@ def grad_check(
             rel = abs(a - numeric) / denom if denom > 0 else 0.0
             if rel > worst:
                 worst = rel
-                worst_index = np.unravel_index(int(i), base.shape)
+                worst_index = tuple(map(int, np.unravel_index(int(i), base.shape)))
     return GradCheckReport(max_rel_error=worst, tolerance=tol, passed=worst <= tol,
                            coords_checked=len(coords), worst_index=worst_index)

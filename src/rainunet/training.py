@@ -111,13 +111,6 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 ADAMW_BLOCK = 32768
 
 
-def _memory_axes(a) -> tuple[int, ...]:
-    """The axes of ``a`` from the outermost to the innermost in memory."""
-    if is_tap_major(a):
-        return TAP_MAJOR
-    return tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
-
-
 def _runs(size: int, started) -> list[tuple[int, int, bool]]:
     """``(lo, hi, full)`` ranges covering a flat parameter of ``size``
     elements: ``full`` for the full update, else the decay only. ``started``
@@ -135,11 +128,12 @@ class AdamW:
     """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + EPS) + wd * p),
     with mhat and vhat the bias-corrected moments of decay BETA1 and BETA2.
 
-    Each parameter is updated in place, in the memory order it had when the
-    optimizer was made, in blocks of ADAMW_BLOCK elements; ``m`` and ``v``
-    are flat arrays in that order, views into one buffer per dtype. Every
-    element sees the formula's operations in order, so the result is
-    bit-identical to a whole-array pass.
+    Each parameter is updated in place, in blocks of ADAMW_BLOCK elements,
+    in its memory order when it is a tap-major conv weight or a C-order
+    array (any other layout is updated in a C-order copy and copied back);
+    ``m`` and ``v`` are flat arrays in that order, views into one buffer per
+    dtype. Every element sees the formula's operations in order, so the
+    result is bit-identical to a whole-array pass.
 
     A step's parameters may be updated one at a time: :meth:`step_param`
     updates one parameter for the pending step as soon as its gradient is
@@ -161,7 +155,8 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.axes = {name: _memory_axes(t.data) for name, t in self.named_params}
+        self.axes = {name: TAP_MAJOR if is_tap_major(t.data) else tuple(range(t.data.ndim))
+                     for name, t in self.named_params}
         # m and v of every parameter of one dtype are views into one zeroed
         # buffer: the slabs of dead taps stay untouched zero pages, and the
         # whole state goes back at once when the optimizer is dropped
@@ -213,7 +208,7 @@ class AdamW:
         bc1 = 1.0 - BETA1**k
         bc2 = 1.0 - BETA2**k
         held = t.data.transpose(self.axes[name])
-        # views, unless .data was replaced by an array laid out otherwise
+        # views, unless .data is laid out neither tap-major nor in C order
         p = held.reshape(-1)
         g = t.grad.transpose(self.axes[name]).reshape(-1)
         m, v = self.m[name], self.v[name]
@@ -296,15 +291,20 @@ class FitResult:
 
 
 def check_records(records, cfg: RainUNetConfig) -> None:
-    """Raise TensorError, naming the setting, unless every record fits a
-    model of ``cfg``: its input as RainUNetConfig.check_input takes it and
-    its target's H and W against the input's. A SequenceRecord's target
-    always has the model's out_frames."""
-    for r in records:
+    """Raise TensorError, naming the setting or the record, unless every
+    record fits a model of ``cfg``: its input as RainUNetConfig.check_input
+    takes it, its target's H and W as its input's, and its input's shape as
+    the first record's, so that the records stack into batches. A
+    SequenceRecord's target always has the model's out_frames, so the
+    targets share one shape too."""
+    for i, r in enumerate(records):
         cfg.check_input((1, *r.input.shape))
         if r.target.shape[1:] != r.input.shape[2:]:
             raise TensorError(f"target H,W {r.target.shape[1:]} differ from the input's "
                               f"{r.input.shape[2:]}")
+        if r.input.shape != records[0].input.shape:
+            raise TensorError(f"record {i} input {r.input.shape} differs from record 0's "
+                              f"{records[0].input.shape}: a dataset holds one frame size")
 
 
 def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitResult:

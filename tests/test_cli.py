@@ -14,11 +14,12 @@ import pytest
 import scipy
 
 import rainunet
-from rainunet import layers, precision
+from rainunet import cli, layers, precision
 from rainunet.cli import _COMMANDS, RunConfig, _parser, gradcheck_battery, main, resolve_config
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
+from rainunet.tensor import Tensor, grad_check, relu, tensor_sum
 from rainunet.training import TrainConfig
 
 
@@ -623,6 +624,71 @@ class TestTrainEvaluatePredict:
         assert not (tmp_path / "ev").exists()
 
 
+class TestInputFiles:
+    """A fault in an input file is one error line that names the file, or
+    the record, before the command writes anything."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        # fits the raw `dataset`: 11 channels, maps of at least 2x2
+        path = tmp_path / "m.runc"
+        save_checkpoint(path, RainUNet(RainUNetConfig(stages=1, base_channels=4, in_channels=11)))
+        return path
+
+    def test_manifest_key_cannot_leave_its_directory(self, dataset, checkpoint, tmp_path, capsys):
+        # the key leads back into the dataset, so its records load; predict
+        # would write its output to <out>/../raw/seq00000_pred.runt
+        manifest = dataset / MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        lines[1] = "../raw/" + lines[1]
+        manifest.write_text("\n".join(lines) + "\n")
+        escaped = tmp_path / "trav" / "raw"
+        escaped.mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli("predict", "--data", dataset, "--checkpoint", checkpoint,
+                       "--out", tmp_path / "trav" / "out") == 1
+        assert capsys.readouterr().err == (f"error: {manifest} line 2: key '../raw/seq00000' must "
+                                           "name a file in the manifest's directory\n")
+        assert list((tmp_path / "trav").iterdir()) == [escaped] and not any(escaped.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_mixed_frame_sizes_refused_before_anything_is_written(self, checkpoint, tmp_path,
+                                                                   capsys, command):
+        mixed = tmp_path / "mixed"
+        save_dataset([*synth_generate(SynthConfig(1, 24, 0)), *synth_generate(SynthConfig(1, 30, 0))],
+                     mixed)
+        argv = (["--stages", 1, "--base-channels", 4, "--epochs", 1] if command == "train"
+                else ["--checkpoint", checkpoint])
+        capsys.readouterr()
+        assert run_cli(command, "--data", mixed, "--out", tmp_path / "out", *argv) == 1
+        assert capsys.readouterr().err == ("error: record 1 input (11, 4, 30, 30) differs from "
+                                           "record 0's (11, 4, 24, 24): a dataset holds one "
+                                           "frame size\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("seq00000_input.runt", lambda raw: raw[:-3], "payload length"),
+        ("seq00000_input.runt", lambda raw: b"XXXX" + raw[4:], "bad magic b'XXXX'"),
+        ("m.runc", lambda raw: b"seed" + raw[4:], "bad checkpoint magic b'seed'"),
+        ("m.runc", lambda raw: raw[:12], "checkpoint truncated at byte 12 "),
+        ("run.cfg", lambda raw: raw + b"\xff\n", "is not UTF-8 text"),
+    ], ids=["record_cut_short", "record_bad_magic", "checkpoint_bad_magic",
+            "checkpoint_cut_short", "config_not_utf8"])
+    def test_error_about_a_file_names_it(self, dataset, checkpoint, tmp_path, capsys,
+                                         name, edit, message):
+        config = tmp_path / "run.cfg"
+        config.write_text("threshold = 0.5\n")
+        path = (dataset if name.endswith(".runt") else tmp_path) / name
+        path.write_bytes(edit(path.read_bytes()))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", dataset, "--checkpoint", checkpoint,
+                       "--config", config, "--out", tmp_path / "ev") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert str(path) in err[0], err
+        assert not (tmp_path / "ev").exists()
+
+
 class TestGradcheckCommand:
     def test_battery_single_seed_passes(self):
         # the battery enters wide precision itself, and leaves the caller's
@@ -634,3 +700,16 @@ class TestGradcheckCommand:
     def test_command_passes_all_default_seeds(self, capsys):
         assert run_cli("gradcheck") == 0
         assert "30/30 gradient checks passed" in capsys.readouterr().out
+
+    def test_failed_check_names_its_worst_coordinate(self, monkeypatch, capsys):
+        # at x = 0, relu's gradient is 0 and its central difference half the
+        # slope, so the check of sum(relu(x) * w) fails where w is not 0
+        w = np.zeros((2, 3))
+        w[1, 2] = 1.0
+        report = grad_check(lambda t: tensor_sum(relu(t) * Tensor(w)), Tensor(np.zeros((2, 3))))
+        monkeypatch.setattr(cli, "gradcheck_battery", lambda: [("relu/x[0]", report)])
+        assert run_cli("gradcheck") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL relu/x[0]: max_rel_error=") and lines[0].endswith(
+            " coords=6 worst=(1, 2)"), lines
+        assert lines[1] == "0/1 gradient checks passed"

@@ -11,10 +11,15 @@ from rainunet.data import (CANONICAL_CHANNELS, CHANNEL_SETS, IR_CHANNELS, VIS_CH
                            WV_CHANNELS, FormatError, SequenceRecord,
                            TOTAL_FRAMES, SynthConfig, _rain_field, bilinear_resize,
                            center_crop_resize, center_crop_window, cleansing_filter, load_dataset,
-                           read_manifest, runt_decode, runt_encode,
+                           read_manifest, runt_chunks, runt_view,
                            save_dataset, select_modalities, synth_generate,
                            tensor_file_read, tensor_file_write, write_csv, write_file,
                            write_manifest)
+
+
+def runt_bytes(arr) -> bytes:
+    """The RUNT file of ``arr`` as one bytes object."""
+    return b"".join(runt_chunks(arr))
 
 
 def _replace_byte(blob: bytes, pos: int, value: int) -> bytes:
@@ -22,7 +27,7 @@ def _replace_byte(blob: bytes, pos: int, value: int) -> bytes:
 
 
 # magic(4) + version/dtype/ndim(3) + 2 extents(8) + 6 f32(24) = 39 bytes
-_VALID_BLOB = runt_encode(np.arange(6, dtype=np.float32).reshape(2, 3))
+_VALID_BLOB = runt_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
 
 
 class TestWriteFile:
@@ -54,7 +59,7 @@ class TestRuntFormat:
             arr = rng.integers(0, 255, size=(3, 4, 5)).astype(dtype)
         else:
             arr = rng.normal(size=(3, 4, 5)).astype(dtype)
-        back = runt_decode(runt_encode(arr))
+        back = runt_view(runt_bytes(arr))
         assert back.dtype == arr.dtype
         assert np.array_equal(back.view(np.uint8), arr.view(np.uint8))
 
@@ -66,50 +71,50 @@ class TestRuntFormat:
 
     def test_header_arithmetic(self):
         # magic(4) + version(1) + dtype(1) + ndim(1) + 2 extents(8) + 6 f32(24)
-        blob = runt_encode(np.zeros((2, 3), dtype=np.float32))
+        blob = runt_bytes(np.zeros((2, 3), dtype=np.float32))
         assert len(blob) == 4 + 1 + 1 + 1 + 2 * 4 + 6 * 4 == 39
 
     def test_bad_magic(self):
-        blob = b"XXXX" + runt_encode(np.zeros(2, dtype=np.float32))[4:]
+        blob = b"XXXX" + runt_bytes(np.zeros(2, dtype=np.float32))[4:]
         with pytest.raises(FormatError, match="magic"):
-            runt_decode(blob)
+            runt_view(blob)
 
     def test_bad_version(self):
-        blob = bytearray(runt_encode(np.zeros(2, dtype=np.float32)))
+        blob = bytearray(runt_bytes(np.zeros(2, dtype=np.float32)))
         blob[4] = 9
         with pytest.raises(FormatError, match="version"):
-            runt_decode(bytes(blob))
+            runt_view(bytes(blob))
 
     def test_truncated_payload(self):
-        blob = runt_encode(np.zeros(4, dtype=np.float32))
+        blob = runt_bytes(np.zeros(4, dtype=np.float32))
         with pytest.raises(FormatError):
-            runt_decode(blob[:-2])
+            runt_view(blob[:-2])
 
     def test_unsupported_dtype(self):
         with pytest.raises(FormatError):
-            runt_encode(np.zeros(2, dtype=np.int32))
+            runt_bytes(np.zeros(2, dtype=np.int32))
 
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
-            runt_encode(np.array([np.nan], dtype=np.float32))
+            runt_bytes(np.array([np.nan], dtype=np.float32))
 
     @pytest.mark.parametrize("scalar", [np.float32(1.5), np.array(1.5, dtype=np.float64)])
     def test_zero_d_array_rejected(self, scalar):
         # stored as shape (1,) it would decode to another shape than it had
         with pytest.raises(FormatError, match="0-d"):
-            runt_encode(scalar)
+            runt_bytes(scalar)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected_on_decode(self, dtype, bad):
-        blob = runt_encode(np.zeros(3, dtype=dtype))
+        blob = runt_bytes(np.zeros(3, dtype=dtype))
         blob = blob[:-dtype().itemsize] + np.array([bad], dtype=dtype).tobytes()
         with pytest.raises(FormatError, match="non-finite"):
-            runt_decode(blob)
+            runt_view(blob)
 
     def test_zero_dims_rejected_on_decode(self):
         with pytest.raises(FormatError):
-            runt_decode(b"RUNT\x01\x00\x00\x00\x00\x00\x00")
+            runt_view(b"RUNT\x01\x00\x00\x00\x00\x00\x00")
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
@@ -124,7 +129,7 @@ class TestRuntFormat:
     ))
     def test_decode_fuzz_gives_array_or_format_error(self, blob):
         try:
-            arr = runt_decode(blob)
+            arr = runt_view(blob)
         except FormatError:
             return
         assert isinstance(arr, np.ndarray) and arr.ndim >= 1
@@ -136,7 +141,7 @@ class TestRuntFormat:
            st.lists(st.integers(1, 5), min_size=1, max_size=4))
     def test_round_trip_property(self, seed, shape):
         arr = np.random.default_rng(seed).normal(size=shape).astype(np.float64)
-        assert np.array_equal(runt_decode(runt_encode(arr)), arr)
+        assert np.array_equal(runt_view(runt_bytes(arr)), arr)
 
 
 class TestChannels:
@@ -329,11 +334,29 @@ class TestDatasetIo:
         with pytest.raises(FormatError, match="positive count"):
             load_dataset(manifest)
 
+    def test_record_that_is_not_one_names_the_manifest_and_key(self, tmp_path):
+        manifest = save_dataset(synth_generate(SynthConfig(sequences=1, size=24, seed=6)),
+                                tmp_path / "ds")
+        tensor_file_write(np.zeros((2, 3), dtype=np.float32), tmp_path / "ds" / "seq00000_input.runt")
+        with pytest.raises(FormatError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{manifest} record seq00000: input must be (C,4,H,W), got (2, 3)"
+
     def test_manifest_header_checked(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("not-a-manifest\n")
         with pytest.raises(FormatError):
             read_manifest(path)
+
+    @pytest.mark.parametrize("key", ["", ".", "..", "../ds/seq00000", "sub/seq00000",
+                                     "sub\\seq00000", "/abs/seq00000"])
+    def test_manifest_key_must_name_a_file_in_its_directory(self, tmp_path, key):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"RUNM\tv1\nseq00000\t0\tR0\t0\n{key}\t0\tR0\t0\n")
+        with pytest.raises(FormatError) as err:
+            read_manifest(path)
+        assert str(err.value) == (f"{path} line 3: key {key!r} must name a file in the "
+                                  "manifest's directory")
 
     def test_manifest_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"

@@ -20,6 +20,11 @@ def quad(y):
     return tensor_sum(y * y)
 
 
+def run_conv(x, layer):
+    """The op of ``layer``'s spec: conv3d, or conv3d_transposed."""
+    return (conv3d_transposed if layer.spec.transposed else conv3d)(x, layer)
+
+
 class TestConvSpec:
     def test_same_size_padding(self):
         spec = ConvSpec.same_size((1, 7, 7), (1, 3, 3))
@@ -137,7 +142,7 @@ class TestConvTapGeometry:
         rng = np.random.default_rng(19)
         layer = Conv3DLayer(2, 3, spec, rng, bias=rng.normal(size=3))
         x = rng.normal(size=(2, 2, *extents))
-        got = layer(Tensor(x)).data
+        got = run_conv(Tensor(x), layer).data
         oracle = naive_conv3d_transposed if spec.transposed else naive_conv3d
         want = oracle(x, layer.weight.data, layer.bias.data,
                       spec.stride, spec.dilation, spec.padding)
@@ -152,7 +157,7 @@ class TestConvTapGeometry:
         rng = np.random.default_rng(29)
         layer = Conv3DLayer(3, 2, spec, rng)
         x = Tensor(rng.normal(size=(2, 3, *extents)), requires_grad=True)
-        y = layer(x)
+        y = run_conv(x, layer)
         gy = Tensor(rng.normal(size=y.shape))
         loss = tensor_sum(y * gy)
         backward(loss)
@@ -223,7 +228,7 @@ class TestConvTapGeometry:
         rng = np.random.default_rng(36)
         layer = Conv3DLayer(2, 3, spec, rng)
         x = Tensor(rng.normal(size=(2, 2, *extents)), requires_grad=True)
-        y = layer(x)
+        y = run_conv(x, layer)
         forward = len(calls)
         backward(quad(y))
         assert forward == extents[0]
@@ -595,11 +600,11 @@ class TestTapeRelease:
         freed = weakref.ref(_owner(g.data))
         h = relu(g)
         del g
-        loss = quad(conv(h))
+        loss = quad(conv3d(h, conv))
         assert freed() is None
         backward(loss)
         leaf = Tensor(h.data, requires_grad=True)
-        backward(quad(conv(leaf)))
+        backward(quad(conv3d(leaf, conv)))
         assert h.grad.dtype == leaf.grad.dtype and h.grad.tobytes() == leaf.grad.tobytes()
 
     def test_ts_block_tape_holds_the_maps_its_backward_reads(self, traced_peak):

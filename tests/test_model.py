@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import support_box
-from rainunet.data import IN_FRAMES, OUT_FRAMES, FormatError, config_text, parse_config, runt_encode
+from rainunet.data import IN_FRAMES, OUT_FRAMES, FormatError, config_text, parse_config, runt_chunks
 from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
@@ -25,6 +25,11 @@ def edit_config_block(path, old: str, new: str) -> None:
     cfg = raw[9 : 9 + n].replace(old.encode("utf-8"), new.encode("utf-8"), 1)
     assert cfg != raw[9 : 9 + n]
     path.write_bytes(raw[:5] + struct.pack("<I", len(cfg)) + cfg + raw[9 + n :])
+
+
+def params_of(model) -> dict:
+    """A copy of each parameter of ``model`` under its name."""
+    return {name: t.data.copy() for name, t in model.named_parameters()}
 
 
 def micro_cfg(**kw):
@@ -202,7 +207,7 @@ class TestBuild:
         # are the layers the forward reaches through the encoder, decoder and head
         # (also after load_state, which swaps in the layers of another build)
         loaded = RainUNet(micro_cfg(), seed=1)
-        loaded.load_state(RainUNet(micro_cfg(), seed=0).state())
+        loaded.load_state(params_of(RainUNet(micro_cfg(), seed=0)))
         for model in (RainUNet(micro_cfg(), seed=0), loaded):
             used = [model.head]
             for block in model.encoder + [block for _, _, block in model.decoder]:
@@ -310,7 +315,7 @@ class TestCheckpoint:
         path = tmp_path / "model.runc"
         save_checkpoint(path, model)
         before = path.read_bytes()
-        state = model.state()
+        state = params_of(model)
         state["head.bias"] = np.full_like(state["head.bias"], np.nan)
         with pytest.raises(FormatError):
             save_checkpoint_params(path, model.config, state)
@@ -322,12 +327,12 @@ class TestCheckpoint:
         cfg = config_text(model.config.block()).encode("utf-8")
         odd = {"empty": np.zeros((0, 3), dtype=np.float32),
                "strided": np.arange(12.0).reshape(3, 4).T}
-        for params in (model.state(), odd):
+        for params in (params_of(model), odd):
             path = tmp_path / "model.runc"
             save_checkpoint_params(path, model.config, params)
             want = b"RUNC" + struct.pack("<BI", 1, len(cfg)) + cfg + struct.pack("<I", len(params))
             for name, arr in params.items():
-                blob = runt_encode(arr)
+                blob = b"".join(runt_chunks(arr))
                 want += struct.pack("<H", len(name)) + name.encode("utf-8")
                 want += struct.pack("<I", len(blob)) + blob
             assert path.read_bytes() == want
@@ -391,7 +396,7 @@ class TestCheckpoint:
 
     def test_parameters_not_fitting_config_rejected(self, tmp_path):
         model = RainUNet(micro_cfg(), seed=4)
-        state = model.state()
+        state = params_of(model)
         del state["head.bias"]
         path = tmp_path / "model.runc"
         save_checkpoint_params(path, model.config, state)
@@ -404,7 +409,7 @@ class TestCheckpoint:
         # that the stored ones do not fit it
         model = RainUNet(micro_cfg(stages=1, base_channels=2), seed=4)
         path = tmp_path / "model.runc"
-        save_checkpoint_params(path, replace(model.config, stages=9), model.state())
+        save_checkpoint_params(path, replace(model.config, stages=9), params_of(model))
         with traced_peak() as peak:
             with pytest.raises(FormatError, match="enc2"):
                 load_checkpoint(path)
@@ -436,7 +441,7 @@ class TestCheckpoint:
 
     def test_shape_mismatch_reports_both_shapes(self):
         model = RainUNet(micro_cfg(), seed=0)
-        state = model.state()
+        state = params_of(model)
         key = "head.weight"
         bad = {n: (v if n != key else np.zeros((1, 2, 1, 1, 1), dtype=v.dtype))
                for n, v in state.items()}
@@ -447,7 +452,7 @@ class TestCheckpoint:
 
     def test_unknown_parameter_rejected(self):
         model = RainUNet(micro_cfg(), seed=0)
-        state = model.state()
+        state = params_of(model)
         state["extra.weight"] = np.zeros(1)
         with pytest.raises(TensorError):
             model.load_state(state)
@@ -456,7 +461,7 @@ class TestCheckpoint:
     def test_failed_load_state_leaves_the_model_untouched(self, fault):
         model = RainUNet(micro_cfg(), seed=0)
         before = [(n, t, t.data.tobytes()) for n, t in model.named_parameters()]
-        state = RainUNet(micro_cfg(), seed=1).state()
+        state = params_of(RainUNet(micro_cfg(), seed=1))
         if fault == "missing":
             del state["dec1.block.spatial.bias"]
         elif fault == "extra":
@@ -504,7 +509,7 @@ class TestWeightLayout:
     @pytest.mark.parametrize("mode", ["standard", "wide"])
     def test_loaded_models_hold_tap_major_weights(self, tmp_path, mode):
         model = RainUNet(micro_cfg(), seed=4)
-        want = model.state()
+        want = params_of(model)
         path = tmp_path / "model.runc"
         save_checkpoint(path, model)
         with precision.use_precision(mode):
@@ -555,7 +560,7 @@ class TestWeightLayout:
             loaded = RainUNet.from_state(model.config, state)
             load = peak()
         assert state == {}
-        assert_tap_major_equal(loaded, model.state())
+        assert_tap_major_equal(loaded, params_of(model))
         assert load <= sum(sizes) + 1.25 * max(sizes) + 128 * 1024
 
     def test_build_peak_is_the_model_plus_one_piece(self, traced_peak):
@@ -580,7 +585,7 @@ class TestWeightLayout:
             save = peak()
         assert max(t.size for _, t in model.named_parameters()) > 2 * layers._PIECE
         assert save <= layers._PIECE * 5 + 256 * 1024
-        assert_tap_major_equal(load_checkpoint(path), model.state())
+        assert_tap_major_equal(load_checkpoint(path), params_of(model))
 
     def test_non_finite_value_in_a_later_piece_keeps_the_last_checkpoint(self, tmp_path):
         # the writer has already written the weight's first pieces when it

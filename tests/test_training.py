@@ -431,7 +431,7 @@ class TestFit:
     def test_zero_lr_leaves_parameters_bitwise(self):
         records = tiny_records()
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0)
-        before = model.state()
+        before = {name: t.data.copy() for name, t in model.named_parameters()}
         fit(model, records, TrainConfig(epochs=2, batch_size=2, lr=0.0, weight_decay=0.0, seed=0))
         for name, t in model.named_parameters():
             assert np.array_equal(t.data, before[name]), name

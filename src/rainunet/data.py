@@ -31,17 +31,27 @@ class FormatError(ValueError):
     """Malformed RUNT file, manifest, config text, command line or checkpoint."""
 
 
-def write_file(path, chunks) -> None:
+def write_file(path, chunks, size=None) -> None:
     """Write the bytes-like ``chunks``, in order, to ``<path>.tmp``, then move
     it onto ``path``. Any exception, one raised while a chunk is made
     included, removes the temp file and leaves ``path`` as it was. So a
     process killed at any point leaves ``path`` whole: its previous file or
     its new one. Nothing is fsynced: the promise covers a killed process,
-    not a power cut."""
+    not a power cut.
+
+    A ``size`` reserves that many bytes for the temp file before the first
+    chunk (``os.posix_fallocate``, where the platform has it). A file whose
+    blocks are reserved has none left to allocate when it replaces another,
+    so the move does not wait for ext4 to write it out first (its
+    ``auto_da_alloc``). The file is cut to the bytes written, so a wrong
+    ``size`` costs speed, never bytes; the kill promise is the same."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
+            if size and hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, size)
             fh.writelines(chunks)
+            fh.truncate()
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -456,13 +466,14 @@ def read_text(path, what: str) -> str:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    """The entries of a manifest. A malformed line, or a key that would not
+    """The entries of a manifest. A malformed line, a key that would not
     name a file in the manifest's directory (empty, ``.``, ``..`` or holding
-    ``/`` or ``\\``), raises FormatError naming the manifest and the line."""
+    ``/`` or ``\\``) or a key given twice raises FormatError naming the
+    manifest and the line."""
     lines = read_text(path, "manifest").splitlines()
     if not lines or lines[0] != _MANIFEST_HEADER:
         raise FormatError(f"bad manifest header in {path}")
-    entries = []
+    entries, seen = [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -474,6 +485,10 @@ def read_manifest(path) -> list[ManifestEntry]:
         if key in ("", ".", "..") or "/" in key or "\\" in key:
             raise FormatError(f"{path} line {lineno}: key {key!r} must name a file in the "
                               "manifest's directory")
+        if key in seen:
+            raise FormatError(f"{path} line {lineno}: key {key!r} given again, first on line "
+                              f"{seen[key]}")
+        seen[key] = lineno
     return entries
 
 

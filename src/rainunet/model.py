@@ -288,21 +288,35 @@ _CKPT_VERSION = 1
 def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> None:
     """Write the checkpoint through data.write_file, so a failure part-way
     (such as a parameter that cannot be encoded, found in the piece that
-    holds it) leaves the previous checkpoint at ``path`` whole."""
-    dataio.write_file(path, _checkpoint_chunks(cfg, params))
+    holds it) leaves the previous checkpoint at ``path`` whole. It passes
+    the file's exact length, its header bytes plus each payload's, for
+    write_file to reserve."""
+    heads = _checkpoint_heads(cfg, params)
+    size = sum(map(len, heads)) + sum(arr.nbytes for arr in params.values())
+    dataio.write_file(path, _checkpoint_chunks(heads, params), size)
 
 
-def _checkpoint_chunks(cfg: RainUNetConfig, params: dict[str, np.ndarray]):
+def _checkpoint_heads(cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> list[bytes]:
+    """The checkpoint's bytes other than its payloads: the file header and
+    parameter count, then each parameter's name, blob length and RUNT
+    header."""
     cfg_bytes = dataio.config_text(cfg.block()).encode("utf-8")
-    yield _CKPT_MAGIC + struct.pack("<BI", _CKPT_VERSION, len(cfg_bytes)) + cfg_bytes
-    yield struct.pack("<I", len(params))
+    heads = [_CKPT_MAGIC + struct.pack("<BI", _CKPT_VERSION, len(cfg_bytes)) + cfg_bytes
+             + struct.pack("<I", len(params))]
     for name, arr in params.items():
-        # the payload goes out in C-order pieces, views of the array or of
-        # one piece buffer, each checked before it is written
         head = dataio.runt_header(arr.dtype, arr.shape)
         name_b = name.encode("utf-8")
-        yield struct.pack("<H", len(name_b)) + name_b
-        yield struct.pack("<I", len(head) + arr.nbytes) + head
+        heads.append(struct.pack("<H", len(name_b)) + name_b
+                     + struct.pack("<I", len(head) + arr.nbytes) + head)
+    return heads
+
+
+def _checkpoint_chunks(heads: list[bytes], params: dict[str, np.ndarray]):
+    yield heads[0]
+    for head, arr in zip(heads[1:], params.values()):
+        # the payload goes out in C-order pieces, views of the array or of
+        # one piece buffer, each checked before it is written
+        yield head
         yield from map(dataio.runt_payload, c_order_pieces(arr))
 
 
@@ -337,7 +351,10 @@ def _parse_checkpoint(raw: memoryview) -> tuple[bytes, dict[str, np.ndarray]]:
         blob = take(unpack("<I"))
         if name in params:
             raise dataio.FormatError(f"parameter {name!r} stored twice")
-        params[name] = dataio.runt_view(blob)
+        try:
+            params[name] = dataio.runt_view(blob)
+        except dataio.FormatError as err:
+            raise dataio.FormatError(f"parameter {name}: {err}") from None
     if off != len(raw):
         raise dataio.FormatError(f"{len(raw) - off} trailing bytes after the last parameter")
     return cfg_text, params
@@ -348,7 +365,7 @@ def load_checkpoint(path) -> RainUNet:
     short, carries trailing bytes, holds a non-finite value or a malformed
     config line, whose config block does not end with the architecture's
     constants, or whose parameters do not fit its config raises FormatError
-    naming the file."""
+    naming the file, and the parameter when one blob is at fault."""
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
     try:

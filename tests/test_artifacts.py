@@ -20,12 +20,13 @@ WRITER = "write_file"
 
 
 def _write_call(call: ast.Call) -> str | None:
-    """The name of the call if it writes or moves a file: ``open`` in a
-    write mode (or a mode that is not a literal), ``write_text``,
-    ``write_bytes``, ``os.replace`` or ``os.rename``; else None."""
+    """The name of the call if it writes, sizes or moves a file: ``open``
+    in a write mode (or a mode that is not a literal), ``write_text``,
+    ``write_bytes``, ``posix_fallocate``, ``truncate``, ``os.replace`` or
+    ``os.rename``; else None."""
     f = call.func
     name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-    if name in ("write_text", "write_bytes"):
+    if name in ("write_text", "write_bytes", "posix_fallocate", "truncate"):
         return name
     if name in ("replace", "rename") and isinstance(f, ast.Attribute):
         return f"os.{name}" if isinstance(f.value, ast.Name) and f.value.id == "os" else None
@@ -64,20 +65,22 @@ class TestOneWriter:
         source = """
 def writes(p, mode):
     open(p, "w"); open(p, mode=mode); p.open("ab"); p.write_text("x"); p.write_bytes(b"")
-    os.replace(p, p); os.rename(p, p)
+    os.replace(p, p); os.rename(p, p); os.posix_fallocate(3, 0, 1); p.truncate()
 def reads(p):
     open(p); open(p, "rb"); p.open(); p.read_text(); "a_b".replace("_", "-"); p.replace(p)
 """
         assert _write_calls(source) == [("writes", name) for name in
                                         ("open", "open", "open", "write_text", "write_bytes",
-                                         "os.replace", "os.rename")]
+                                         "os.replace", "os.rename", "posix_fallocate",
+                                         "truncate")]
 
     def test_only_the_writer_writes_files(self):
         # a new artifact must go through data.write_file, so that it too is
         # whole after a kill
         found = {(path.name, *call) for path in Path(rainunet.__file__).parent.glob("*.py")
                  for call in _write_calls(path.read_text(encoding="utf-8"))}
-        assert found == {("data.py", WRITER, "open"), ("data.py", WRITER, "os.replace")}
+        assert found == {("data.py", WRITER, call)
+                         for call in ("open", "posix_fallocate", "truncate", "os.replace")}
 
 
 # ---------------------------------------------------------------------------

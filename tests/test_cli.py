@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import os
 import re
@@ -486,6 +487,24 @@ class TestTrainEvaluatePredict:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert argv[0].lstrip("-").replace("-", "_") in err[0], err  # names the setting
         assert not (out / "run.txt").exists() and not (out / "model.runc").exists()
+
+    def test_full_disk_keeps_the_last_checkpoint(self, prepared, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        argv = ["train", "--data", prepared, "--out", run, "--stages", 1, "--base-channels", 4,
+                "--epochs", 1]
+        assert run_cli(*argv, "--seed", 1) == 0
+        before = (run / "model.runc").read_bytes()
+
+        def full(fd, offset, size):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", 2) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert (run / "model.runc").read_bytes() == before
+        assert not (run / "model.runc.tmp").exists()
 
     def test_run_manifest_records_config_and_environment(self, prepared, tmp_path):
         ckpt = tmp_path / "run" / "model.runc"

@@ -46,6 +46,15 @@ class TestWriteFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["f.bin"])
         assert before is None or path.read_bytes() == before
 
+    @pytest.mark.parametrize("size", [1, 5, 4096], ids=["smaller", "exact", "larger"])
+    def test_reserved_size_leaves_exactly_the_chunks(self, tmp_path, size):
+        # a size past the chunks leaves no trailing zeros; one short of them
+        # still writes them all
+        path = tmp_path / "f.bin"
+        write_file(path, [b"ab", b"cde"], size)
+        assert path.read_bytes() == b"abcde"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin"]
+
     def test_csv_quoting_and_line_ends(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1, "x,y"], [2.5, 'q"']])
         assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n2.5,"q"""\r\n'
@@ -357,6 +366,16 @@ class TestDatasetIo:
             read_manifest(path)
         assert str(err.value) == (f"{path} line 3: key {key!r} must name a file in the "
                                   "manifest's directory")
+
+    def test_manifest_key_given_twice_rejected(self, tmp_path):
+        # else the record would load twice
+        manifest = save_dataset(synth_generate(SynthConfig(sequences=2, size=24, seed=5)),
+                                tmp_path / "ds")
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*lines[:2], lines[1], *lines[2:]]) + "\n")
+        with pytest.raises(FormatError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{manifest} line 3: key 'seq00000' given again, first on line 2"
 
     def test_manifest_non_integer_count_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"

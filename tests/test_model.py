@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 from dataclasses import asdict, fields, replace
@@ -391,8 +392,19 @@ class TestCheckpoint:
         save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
         raw = path.read_bytes()  # the head bias (float32) is the last blob
         path.write_bytes(raw[:-4] + np.array([np.nan], dtype=np.float32).tobytes())
-        with pytest.raises(FormatError, match="non-finite"):
+        with pytest.raises(FormatError) as err:
             load_checkpoint(path)
+        assert str(err.value) == f"{path}: parameter head.bias: tensor holds non-finite values"
+
+    @pytest.mark.parametrize("mode", ["standard", "wide"])
+    def test_reserved_size_is_the_file_length(self, tmp_path, monkeypatch, mode):
+        sizes, fallocate = [], os.posix_fallocate
+        monkeypatch.setattr(os, "posix_fallocate",
+                            lambda fd, offset, size: sizes.append(size) or fallocate(fd, offset, size))
+        path = tmp_path / "model.runc"
+        with precision.use_precision(mode):
+            save_checkpoint(path, RainUNet(micro_cfg(), seed=4))
+        assert sizes == [os.path.getsize(path)]
 
     def test_parameters_not_fitting_config_rejected(self, tmp_path):
         model = RainUNet(micro_cfg(), seed=4)

@@ -3,10 +3,11 @@ gradcheck.
 
 A command accepts only the settings it reads (its ``--help`` lists them),
 resolved in three layers: their defaults, then a ``key = value`` config
-file (``#`` comments allowed, other keys rejected), then flags, spelled out
-in full. Every command is reproducible: identical resolved config and seed
-give identical artifact bytes, at the same BLAS thread count for ``train``,
-whose weight-gradient reductions the BLAS splits by thread.
+file (``#`` at a line's start or after whitespace starts a comment, other
+keys are rejected), then flags, spelled out in full, each a value config
+text can hold. Every command is reproducible: identical resolved config
+and seed give identical artifact bytes, at the same BLAS thread count for
+``train``, whose weight-gradient reductions the BLAS splits by thread.
 
 Every file a command writes reaches disk whole, through data.write_file: a
 command killed part-way leaves each of its files as it was before or as
@@ -34,8 +35,9 @@ from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SynthConfig,
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
                     save_checkpoint_params)
-from .tensor import AutodiffError, GradCheckReport, Tensor, grad_check, tensor_sum
-from .training import (TrainConfig, TrainingAbort, check_records, dice_loss, fit,
+from .tensor import (AutodiffError, GradCheckReport, Tensor, TensorError, grad_check, mul,
+                     tensor_sum)
+from .training import (TrainConfig, TrainingAbort, batch_dice_loss, check_records, fit,
                        predict_probs, write_training_log_csv)
 from .precision import use_precision
 from .metrics import binarize, evaluate_masks, lead_time_iou, write_lead_time_csv, write_metrics_csv
@@ -92,6 +94,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raw = getattr(args, name)
         if raw is not None:  # a bool flag given is True already
             flags[name] = raw if typ is bool else dataio.parse_value(typ, raw, name, _flag(name))
+    dataio.config_text(flags)  # refuses a value run.txt could not give back
     return replace(cfg, **flags)
 
 
@@ -140,24 +143,27 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _records(cfg: RunConfig) -> list:
-    """The records of the dataset at cfg.data; FormatError without one, or
-    when it holds none."""
+def _records(cfg: RunConfig) -> tuple[list, list[str]]:
+    """The records of the dataset at cfg.data and the name an error gives
+    each, ``<manifest> record <key>`` as load_dataset's; FormatError without
+    a dataset, or when it holds no record."""
     if not cfg.data:
         raise FormatError("a --data dataset directory is required")
-    records = load_dataset(Path(cfg.data) / MANIFEST_NAME)
+    manifest = Path(cfg.data) / MANIFEST_NAME
+    records = load_dataset(manifest)
     if not records:
         raise FormatError("dataset is empty")
-    return records
+    return records, [f"{manifest} record {e.key}" for e in dataio.read_manifest(manifest)]
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
-    records = _records(cfg)
+    records, names = _records(cfg)
     # checked before cleansing, which may leave no record to crop
     for side in {r.input.shape[-1] for r in records}:
         center_crop_window(side, cfg.crop_factor)
     channels = CHANNEL_SETS[cfg.channels]
-    selected = [replace(r, input=select_modalities(r, channels)) for r in records]
+    selected = [replace(r, input=select_modalities(r, channels, name))
+                for name, r in zip(names, records)]
     kept, removed = cleansing_filter(selected, cfg.cleanse_threshold)
     cropped = [replace(r, input=center_crop_resize(r.input, cfg.crop_factor)) for r in kept]
     save_dataset(cropped, cfg.out)
@@ -167,26 +173,29 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    records = _records(cfg)
+    records, names = _records(cfg)
     train_cfg = _section(cfg, TrainConfig)
     # a rejected setting leaves nothing in cfg.out
     train_cfg.validate()
     model_cfg = RainUNetConfig(cfg.stages, cfg.base_channels, in_channels=records[0].input.shape[0])
-    check_records(records, model_cfg)
+    check_records(records, model_cfg, names)
     model = RainUNet(model_cfg, seed=cfg.seed)
     out = _out_dir(cfg, "train")
     ckpt = out / "model.runc"
     save_checkpoint(ckpt, model)  # epoch-0 state; overwritten as epochs complete
 
     def on_epoch_end(epoch, mdl, result):
-        save_checkpoint(ckpt, mdl)
+        try:
+            save_checkpoint(ckpt, mdl)
+        except FormatError as err:  # a parameter that cannot be stored: it diverged
+            raise TrainingAbort(f"epoch {epoch} not saved: {err}", result.log[:-1]) from None
         write_training_log_csv(out / "training_log.csv", result.log)
 
     try:
         result = fit(model, records, train_cfg, on_epoch_end=on_epoch_end)
-    except TrainingAbort as err:
+    except TrainingAbort as err:  # the log lists the epochs the checkpoint has seen
         write_training_log_csv(out / "training_log.csv", err.log)
-        print(f"aborted: {err} (last-good checkpoint kept at {ckpt})", file=sys.stderr)
+        print(f"error: {err} (last-good checkpoint kept at {ckpt})", file=sys.stderr)
         return 1
     if result.log:
         print(f"trained {cfg.epochs} epochs, final mean loss {result.log[-1].mean_loss:.6f}")
@@ -201,12 +210,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_eval_inputs(cfg: RunConfig):
-    """The checkpoint's model and the dataset's records, checked to fit it."""
+    """The checkpoint's model and the dataset's records, checked to fit it;
+    an error about a record names the checkpoint too."""
     if not cfg.checkpoint:
         raise FormatError("a --checkpoint path is required")
-    records = _records(cfg)
+    records, names = _records(cfg)
     model = load_checkpoint(cfg.checkpoint)
-    check_records(records, model.config)
+    try:
+        check_records(records, model.config, names)
+    except TensorError as err:
+        raise TensorError(f"{err} (checkpoint {cfg.checkpoint})") from None
     return model, records
 
 
@@ -244,7 +257,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def _quadratic(y: Tensor) -> Tensor:
-    return tensor_sum(y * y)
+    return tensor_sum(mul(y, y))
 
 
 def param_probe(module, attr: str, forward):
@@ -299,9 +312,9 @@ def gradcheck_battery(seeds: int = 3, base_seed: int = 100) -> list[tuple[str, G
             param_probe(gn, "gamma", lambda: _quadratic(group_norm(xg, gn))),
             Tensor(gn.gamma.data.copy()))))
 
-        g = Tensor((rng.random(24) < 0.4).astype(float))
-        p = Tensor(rng.uniform(0.05, 0.95, size=24))
-        results.append((f"dice_loss/p[{s}]", grad_check(lambda t: dice_loss(t, g), p)))
+        g = Tensor((rng.random((1, 24)) < 0.4).astype(float))
+        p = Tensor(rng.uniform(0.05, 0.95, size=(1, 24)))
+        results.append((f"dice_loss/p[{s}]", grad_check(lambda t: batch_dice_loss(t, g), p)))
 
         block = TSBlock(2, 4, rng)
         xb = Tensor(rng.normal(size=(1, 2, 2, 8, 8)))
@@ -311,7 +324,7 @@ def gradcheck_battery(seeds: int = 3, base_seed: int = 100) -> list[tuple[str, G
         xm = Tensor(rng.normal(size=(1, 9, 4, 16, 16)))
         target = Tensor((rng.random((1, 32, 16, 16)) < 0.3).astype(float))
         results.append((f"full_model/x[{s}]",
-                        grad_check(lambda t: dice_loss(micro.forward(t), target), xm,
+                        grad_check(lambda t: batch_dice_loss(micro.forward(t), target), xm,
                                    tol=1e-3, max_coords=24, seed=s)))
     return results
 

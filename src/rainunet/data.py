@@ -97,12 +97,10 @@ def runt_payload(arr) -> np.ndarray:
     return arr.astype(arr.dtype.newbyteorder("<"), copy=False)
 
 
-def runt_chunks(arr) -> list:
-    """The RUNT file of ``arr`` (or a Tensor's data): its header, then its
-    payload array."""
+def runt_chunks(arr: np.ndarray) -> list:
+    """The RUNT file of ``arr``: its header, then its payload array."""
     # the header is checked on the array as given: np.ascontiguousarray
     # would make a 0-d array 1-d
-    arr = np.asarray(getattr(arr, "data", arr))
     return [runt_header(arr.dtype, arr.shape), runt_payload(arr)]
 
 
@@ -136,8 +134,8 @@ def runt_view(blob) -> np.ndarray:
     return arr
 
 
-def tensor_file_write(t, path) -> None:
-    write_file(path, runt_chunks(t))
+def tensor_file_write(arr: np.ndarray, path) -> None:
+    write_file(path, runt_chunks(arr))
 
 
 def tensor_file_read(path) -> np.ndarray:
@@ -151,18 +149,24 @@ def tensor_file_read(path) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # config text, as in --config files, a checkpoint's model config and a run's
-# run.txt manifest: one ``key = value`` line per setting, ``#`` comments
+# run.txt manifest: one ``key = value`` line per setting; a ``#`` at a line's
+# start or after whitespace starts a comment
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_COMMENT = re.compile(r"(?<!\S)#")
 
 
 def config_text(values: dict) -> str:
     """One ``key = value`` line per item of ``values``: a tuple as its ints
-    joined by commas, any other value as ``str(v)``."""
+    joined by commas, any other value as ``str(v)``. A value that would not
+    read back as written (a line break, a comment's ``#``, or whitespace at
+    either end) raises FormatError naming its key."""
     lines = []
     for key, v in values.items():
-        if isinstance(v, tuple):
-            v = ",".join(str(int(x)) for x in v)
+        v = ",".join(str(int(x)) for x in v) if isinstance(v, tuple) else str(v)
+        if "".join(v.splitlines()) != v or _COMMENT.search(v) or v != v.strip():
+            raise FormatError(f"{key}: {v!r} cannot be written as config text: it holds a "
+                              "line break, a '#' that starts a comment or end whitespace")
         lines.append(f"{key} = {v}\n")
     return "".join(lines)
 
@@ -192,7 +196,7 @@ def parse_config(text: str, types: dict, source: str) -> dict:
     FormatError naming ``source`` and the line."""
     values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         key, sep, raw = stripped.partition("=")
@@ -257,12 +261,14 @@ class SequenceRecord:
         return int(self.target.sum())
 
 
-def select_modalities(rec: SequenceRecord, channels: tuple[str, ...]) -> np.ndarray:
+def select_modalities(rec: SequenceRecord, channels: tuple[str, ...],
+                      name: str = "record") -> np.ndarray:
     """Extract the named canonical channels, in the given order. Only valid
-    on records that still carry the full canonical channel stack."""
+    on records that still carry the full canonical channel stack; the
+    FormatError of another calls the record ``name``."""
     if rec.input.shape[0] != len(CANONICAL_CHANNELS):
         raise FormatError(
-            f"record has {rec.input.shape[0]} channels, expected the canonical "
+            f"{name} has {rec.input.shape[0]} channels, expected the canonical "
             f"{len(CANONICAL_CHANNELS)} before modality selection"
         )
     return rec.input[[CANONICAL_CHANNELS.index(n) for n in channels]]  # an index list copies
@@ -436,24 +442,18 @@ def save_dataset(records, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / MANIFEST_NAME
     manifest.unlink(missing_ok=True)
-    entries = []
-    for i, rec in enumerate(records):
-        key = f"seq{i:05d}"
+    keys = [f"seq{i:05d}" for i in range(len(records))]
+    lines = [_MANIFEST_HEADER]
+    for key, rec in zip(keys, records):
         tensor_file_write(rec.input.astype(np.float32), out / f"{key}_input.runt")
         tensor_file_write(rec.target, out / f"{key}_target.runt")
-        entries.append(ManifestEntry(key, rec.positive_count, rec.region, rec.start_time))
-    write_manifest(manifest, entries)
-    listed = {f"{e.key}_{part}.runt" for e in entries for part in ("input", "target")}
+        lines.append(f"{key}\t{rec.positive_count}\t{rec.region}\t{rec.start_time}")
+    write_file(manifest, [("\n".join(lines) + "\n").encode("utf-8")])
+    listed = {f"{key}_{part}.runt" for key in keys for part in ("input", "target")}
     for path in out.glob("seq*.runt"):
         if re.fullmatch(r"seq\d{5,}_(input|target)\.runt", path.name) and path.name not in listed:
             path.unlink()
     return manifest
-
-
-def write_manifest(path, entries) -> None:
-    lines = [_MANIFEST_HEADER]
-    lines += [f"{e.key}\t{e.positive_count}\t{e.region}\t{e.start_time}" for e in entries]
-    write_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_text(path, what: str) -> str:

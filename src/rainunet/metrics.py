@@ -14,10 +14,6 @@ import numpy as np
 from .data import write_csv
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(getattr(x, "data", x))
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int
@@ -56,7 +52,7 @@ def binarize(probs, threshold: float = 0.5) -> np.ndarray:
     """Threshold probabilities to a uint8 mask; p >= threshold maps to 1."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return (_as_array(probs) >= threshold).astype(np.uint8)
+    return (probs >= threshold).astype(np.uint8)
 
 
 def is_binary(arr) -> bool:
@@ -70,8 +66,6 @@ def is_binary(arr) -> bool:
 
 
 def _binary_pair(pred, gt):
-    pred = _as_array(pred)
-    gt = _as_array(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
     for arr, name in ((pred, "pred"), (gt, "gt")):

@@ -288,12 +288,16 @@ _CKPT_VERSION = 1
 def save_checkpoint_params(path, cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> None:
     """Write the checkpoint through data.write_file, so a failure part-way
     (such as a parameter that cannot be encoded, found in the piece that
-    holds it) leaves the previous checkpoint at ``path`` whole. It passes
-    the file's exact length, its header bytes plus each payload's, for
-    write_file to reserve."""
+    holds it) leaves the previous checkpoint at ``path`` whole; its
+    FormatError names ``path`` and the parameter, as load_checkpoint's do.
+    It passes the file's exact length, its header bytes plus each
+    payload's, for write_file to reserve."""
     heads = _checkpoint_heads(cfg, params)
     size = sum(map(len, heads)) + sum(arr.nbytes for arr in params.values())
-    dataio.write_file(path, _checkpoint_chunks(heads, params), size)
+    try:
+        dataio.write_file(path, _checkpoint_chunks(heads, params), size)
+    except dataio.FormatError as err:
+        raise dataio.FormatError(f"{path}: {err}") from None
 
 
 def _checkpoint_heads(cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> list[bytes]:
@@ -313,11 +317,14 @@ def _checkpoint_heads(cfg: RainUNetConfig, params: dict[str, np.ndarray]) -> lis
 
 def _checkpoint_chunks(heads: list[bytes], params: dict[str, np.ndarray]):
     yield heads[0]
-    for head, arr in zip(heads[1:], params.values()):
+    for head, (name, arr) in zip(heads[1:], params.items()):
         # the payload goes out in C-order pieces, views of the array or of
         # one piece buffer, each checked before it is written
         yield head
-        yield from map(dataio.runt_payload, c_order_pieces(arr))
+        try:
+            yield from map(dataio.runt_payload, c_order_pieces(arr))
+        except dataio.FormatError as err:
+            raise dataio.FormatError(f"parameter {name}: {err}") from None
 
 
 def save_checkpoint(path, model: RainUNet) -> None:

@@ -182,9 +182,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None) -> Tensor:
     """Create the output tensor of an op, recording it on the tape when any

@@ -2,7 +2,8 @@
 averaging, and the training loop.
 
 The dice loss of a batch is one tape op: the per-sample sums are row sums of
-the batch, and the gradient is written out in closed form (see _dice)."""
+the batch, and the gradient is written out in closed form (see
+batch_dice_loss)."""
 
 from __future__ import annotations
 
@@ -50,10 +51,10 @@ class TrainConfig:
                               f"with epochs = {self.epochs}")
 
 
-def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
-    """The dice loss of each of ``rows`` samples, the rows of ``pred`` and
-    ``target`` split along their leading axis, added in sample order and
-    times 1/rows. One tape op with a closed-form gradient.
+def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """The dice loss of a batch: each sample's loss over its full map (its
+    row of ``pred`` and ``target`` along the leading axis), added in sample
+    order and times 1/N. One tape op with a closed-form gradient.
 
     A sample's loss is 1 - 2*sum(p*g) / (sum(p^2) + sum(g^2)). Both maps all
     zero means a perfect match of empty masks: the loss is 0, with a zero
@@ -70,6 +71,7 @@ def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
         raise TensorError("predictions must lie in [0, 1]")
     if not is_binary(target.data):
         raise TensorError("target must be binary")
+    rows = pred.shape[0]
     p = pred.data.reshape(rows, -1)
     g = target.data.reshape(rows, -1)
     a = np.sum(p * g, axis=1) * 2.0
@@ -89,18 +91,6 @@ def _dice(pred: Tensor, target: Tensor, rows: int) -> Tensor:
         grad[~live] = gq * 0.0
         return (grad.reshape(shape),)
     return _op(total, (pred,), grad_fn)
-
-
-def dice_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """The dice loss of the whole of ``pred`` against the binary ``target``
-    (see :func:`_dice`): one sample, whose 1/rows step multiplies by 1."""
-    return _dice(pred, target, 1)
-
-
-def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Per-sample dice over each full probability map, averaged over the
-    leading batch axis (see :func:`_dice`)."""
-    return _dice(pred, target, pred.shape[0])
 
 
 # AdamW's moment decay rates and denominator guard: the defaults of Kingma &
@@ -131,16 +121,16 @@ class AdamW:
     Each parameter is updated in place, in blocks of ADAMW_BLOCK elements,
     in its memory order when it is a tap-major conv weight or a C-order
     array (any other layout is updated in a C-order copy and copied back);
-    ``m`` and ``v`` are flat arrays in that order, views into one buffer per
-    dtype. Every element sees the formula's operations in order, so the
-    result is bit-identical to a whole-array pass.
+    ``m`` and ``v`` are flat arrays in that order, views into one zeroed
+    buffer. Every element sees the formula's operations in order, so the
+    result is bit-identical to a whole-array pass. The parameters must share
+    one dtype, that of the buffer and of the two scratch blocks.
 
-    A step's parameters may be updated one at a time: :meth:`step_param`
-    updates one parameter for the pending step as soon as its gradient is
-    complete (``backward``'s ``on_grad``), and :meth:`step` updates the rest
-    and closes the step. Both drop each gradient they read: the optimizer
-    consumes the gradient. Parameters are independent, so each gets the
-    same bytes whenever it is updated.
+    :meth:`step_param` is the one update: it updates one parameter for the
+    pending step as soon as its gradient is complete (``backward``'s
+    ``on_grad``) and drops that gradient, which the optimizer consumes.
+    :meth:`step` closes the step once every parameter has had it.
+    Parameters are independent, so each gets the same bytes in any order.
 
     A tap-major conv weight (see layers) is walked as its kernel taps'
     slabs. A tap outside the gradient's ``grad_taps`` at every step so far
@@ -157,24 +147,26 @@ class AdamW:
         self.step_count = 0
         self.axes = {name: TAP_MAJOR if is_tap_major(t.data) else tuple(range(t.data.ndim))
                      for name, t in self.named_params}
-        # m and v of every parameter of one dtype are views into one zeroed
-        # buffer: the slabs of dead taps stay untouched zero pages, and the
-        # whole state goes back at once when the optimizer is dropped
-        sizes: dict[np.dtype, int] = {}
-        for _, t in self.named_params:
-            sizes[t.data.dtype] = sizes.get(t.data.dtype, 0) + t.size
-        state = {dtype: np.zeros((2, n), dtype) for dtype, n in sizes.items()}
+        dtypes = {t.data.dtype for _, t in self.named_params}
+        if len(dtypes) != 1:
+            raise TensorError("AdamW needs parameters of one dtype, got "
+                              f"{sorted(map(str, dtypes))}")
+        dtype = dtypes.pop()
+        # m and v of every parameter are views into one zeroed buffer: the
+        # slabs of dead taps stay untouched zero pages, and the whole state
+        # goes back at once when the optimizer is dropped
+        n = sum(t.size for _, t in self.named_params)
+        state = np.zeros((2, n), dtype)
         self.m, self.v = {}, {}
-        for name, t in self.named_params:  # each buffer handed out from its end
-            sizes[t.data.dtype] -= t.size
-            lo = sizes[t.data.dtype]
-            self.m[name], self.v[name] = state[t.data.dtype][:, lo : lo + t.size]
+        for name, t in self.named_params:  # the buffer handed out from its end
+            n -= t.size
+            self.m[name], self.v[name] = state[:, n : n + t.size]
+        self.scratch = np.empty((2, ADAMW_BLOCK), dtype)
         # per tap-major weight, the taps that have had the full update
         self.started = {name: np.zeros(t.shape[2:], dtype=bool)
                         for name, t in self.named_params if self.axes[name] == TAP_MAJOR}
         self.names = {id(t): name for name, t in self.named_params}
         self.updated: set[str] = set()  # the parameters the pending step has updated
-        self.buffers: dict[np.dtype, np.ndarray] = {}
 
     def step_param(self, t) -> None:
         """Update the parameter ``t`` for the pending step from its gradient,
@@ -187,23 +179,6 @@ class AdamW:
             raise TensorError(f"{name} was already updated in this step")
         if t.grad is None:
             raise TensorError(f"missing gradient for {name}")
-        self._update_param(name, t)
-        self.updated.add(name)
-
-    def step(self) -> None:
-        """Update every parameter :meth:`step_param` has not, then close the step."""
-        rest = [(name, t) for name, t in self.named_params if name not in self.updated]
-        for name, t in rest:
-            if t.grad is None:
-                raise TensorError(f"missing gradient for {name}")
-        for name, t in rest:
-            self._update_param(name, t)
-        self.updated.clear()
-        self.step_count += 1
-
-    def _update_param(self, name, t) -> None:
-        """The pending step's update of one parameter from its gradient,
-        which is then dropped."""
         k = self.step_count + 1
         bc1 = 1.0 - BETA1**k
         bc2 = 1.0 - BETA2**k
@@ -212,16 +187,13 @@ class AdamW:
         p = held.reshape(-1)
         g = t.grad.transpose(self.axes[name]).reshape(-1)
         m, v = self.m[name], self.v[name]
-        if p.dtype not in self.buffers:
-            self.buffers[p.dtype] = np.empty((2, ADAMW_BLOCK), dtype=p.dtype)
-        tmps = self.buffers[p.dtype]
         started = self.started.get(name)
         if started is not None:
             started[t.grad_taps or ...] = True
         for lo, hi, full in _runs(p.size, started):
             for b in range(lo, hi, ADAMW_BLOCK):
                 e = min(b + ADAMW_BLOCK, hi)
-                tmp, update = tmps[:, : e - b]
+                tmp, update = self.scratch[:, : e - b]
                 if full:
                     self._update(p[b:e], g[b:e], m[b:e], v[b:e], tmp, update, bc1, bc2)
                 elif self.weight_decay:
@@ -233,6 +205,16 @@ class AdamW:
         if not np.may_share_memory(p, held):
             held[...] = p.reshape(held.shape)
         t.grad = None
+        self.updated.add(name)
+
+    def step(self) -> None:
+        """Close the pending step; TensorError, naming the parameter, when a
+        held one has not had :meth:`step_param` in it."""
+        for name, _ in self.named_params:
+            if name not in self.updated:
+                raise TensorError(f"missing gradient for {name}: it was not updated in this step")
+        self.updated.clear()
+        self.step_count += 1
 
     def _update(self, p, g, m, v, tmp, update, bc1, bc2) -> None:
         """The docstring formula in place on one block, in two temporary blocks."""
@@ -272,9 +254,11 @@ class SWAAverager:
                 self.mean[name] += (t.data - self.mean[name]) / self.count
 
     def finalize(self) -> dict[str, np.ndarray]:
+        """The mean of the snapshots, handed over as the averager holds it:
+        its own arrays, not copies."""
         if self.count == 0:
             raise TensorError("SWA finalize with no accumulated snapshots")
-        return {name: arr.copy(order="K") for name, arr in self.mean.items()}
+        return self.mean
 
 
 @dataclass
@@ -290,20 +274,24 @@ class FitResult:
     swa: SWAAverager | None = None
 
 
-def check_records(records, cfg: RainUNetConfig) -> None:
-    """Raise TensorError, naming the setting or the record, unless every
-    record fits a model of ``cfg``: its input as RainUNetConfig.check_input
-    takes it, its target's H and W as its input's, and its input's shape as
-    the first record's, so that the records stack into batches. A
-    SequenceRecord's target always has the model's out_frames, so the
-    targets share one shape too."""
+def check_records(records, cfg: RainUNetConfig, names=None) -> None:
+    """Raise TensorError, naming the record (``names[i]``, else ``record
+    i``) and the setting, unless every record fits a model of ``cfg``: its
+    input as RainUNetConfig.check_input takes it, its target's H and W as
+    its input's, and its input's shape as the first record's, so that the
+    records stack into batches. A SequenceRecord's target always has the
+    model's out_frames, so the targets share one shape too."""
     for i, r in enumerate(records):
-        cfg.check_input((1, *r.input.shape))
+        name = names[i] if names else f"record {i}"
+        try:
+            cfg.check_input((1, *r.input.shape))
+        except TensorError as err:
+            raise TensorError(f"{name}: {err}") from None
         if r.target.shape[1:] != r.input.shape[2:]:
-            raise TensorError(f"target H,W {r.target.shape[1:]} differ from the input's "
-                              f"{r.input.shape[2:]}")
+            raise TensorError(f"{name}: target H,W {r.target.shape[1:]} differ from the "
+                              f"input's {r.input.shape[2:]}")
         if r.input.shape != records[0].input.shape:
-            raise TensorError(f"record {i} input {r.input.shape} differs from record 0's "
+            raise TensorError(f"{name}: input {r.input.shape} differs from the first record's "
                               f"{records[0].input.shape}: a dataset holds one frame size")
 
 
@@ -313,8 +301,7 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
     Each parameter is updated inside the backward, as soon as its gradient
     is complete (AdamW.step_param as ``backward``'s ``on_grad``), and its
     gradient is dropped then, so a step never holds every gradient at once;
-    AdamW.step then closes the step. The bytes are those of a backward
-    followed by one AdamW.step.
+    AdamW.step then closes the step.
 
     A non-finite loss (or activation) aborts with the epoch/step in the
     message, after dropping the step's partial tape; the log collected so

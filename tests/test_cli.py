@@ -20,7 +20,7 @@ from rainunet.cli import _COMMANDS, RunConfig, _parser, gradcheck_battery, main,
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
 from rainunet.model import RainUNet, RainUNetConfig, load_checkpoint, save_checkpoint
-from rainunet.tensor import Tensor, grad_check, relu, tensor_sum
+from rainunet.tensor import Tensor, grad_check, mul, relu, tensor_sum
 from rainunet.training import TrainConfig
 
 
@@ -119,6 +119,26 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             f"error: {config} line 3: sequences given again, first on line 1\n"
         assert not (tmp_path / "raw").exists()
+
+    @pytest.mark.parametrize("value", ["runs/#1", "a#b#c", "x=#", "r#"])
+    def test_hash_inside_a_value_round_trips(self, value):
+        # a "#" starts a comment only at a line's start or after whitespace
+        assert parse_run_config(config_text({"out": value})) == {"out": value}
+        assert parse_run_config(f"out = {value}  # comment\n") == {"out": value}
+
+    @pytest.mark.parametrize("value", ["runs #1", "#runs", "runs\n#1", "runs\r1", " runs",
+                                       "runs\t"],
+                             ids=["hash_after_space", "hash_first", "newline", "return",
+                                  "leading_space", "trailing_tab"])
+    def test_flag_value_config_text_cannot_hold_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                          value):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run_cli("synth", "--out", value, "--sequences", 1, "--size", 24) == 1
+        assert capsys.readouterr().err == (
+            f"error: out: {value!r} cannot be written as config text: it holds a line break, "
+            "a '#' that starts a comment or end whitespace\n")
+        assert not any(tmp_path.iterdir())
 
     def test_every_field_round_trips(self):
         types = get_type_hints(RunConfig)
@@ -506,6 +526,33 @@ class TestTrainEvaluatePredict:
         assert (run / "model.runc").read_bytes() == before
         assert not (run / "model.runc.tmp").exists()
 
+    @pytest.mark.parametrize("batch, message", [
+        (4, "error: non-finite value at epoch 1, step 2: op "),
+        (8, "error: epoch 1 not saved: {ckpt}: parameter enc1.proj.weight: refusing to store "
+            "non-finite values (last-good checkpoint kept at {ckpt})"),
+    ], ids=["step_after_the_divergence", "checkpoint_after_the_divergence"])
+    def test_diverging_run_keeps_the_last_good_checkpoint(self, prepared, tmp_path, batch,
+                                                          message):
+        # lr and weight decay of 1e38 send every weight to Inf in step 1: with
+        # batch 4 the 6 records' step 2 computes with them, with batch 8 the
+        # epoch ends at step 1 and its checkpoint cannot store them. The suite
+        # turns numpy's overflow warning into an error, so the CLI runs in its
+        # own process.
+        first, run = tmp_path / "first", tmp_path / "run"
+        argv = ["--data", prepared, "--stages", 1, "--base-channels", 4, "--batch-size", batch]
+        assert run_cli("train", "--out", first, *argv, "--epochs", 0) == 0
+        proc = python("-m", "rainunet.cli", "train", "--out", run, *argv, "--epochs", 2,
+                      "--lr", 1e38, "--weight-decay", 1e38)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        ckpt = run / "model.runc"
+        assert len(lines) == 1 and lines[0].startswith(message.format(ckpt=ckpt)), lines
+        assert lines[0].endswith(f" (last-good checkpoint kept at {ckpt})"), lines
+        assert ckpt.read_bytes() == (first / "model.runc").read_bytes()
+        assert not (run / "model.runc.tmp").exists()
+        # no epoch's checkpoint was written, so the log lists none
+        assert (run / "training_log.csv").read_bytes() == b"epoch,mean_loss,swa\r\n"
+
     def test_run_manifest_records_config_and_environment(self, prepared, tmp_path):
         ckpt = tmp_path / "run" / "model.runc"
         argvs = [["train", "--data", prepared, "--out", tmp_path / "run", "--stages", 1,
@@ -680,9 +727,36 @@ class TestInputFiles:
                 else ["--checkpoint", checkpoint])
         capsys.readouterr()
         assert run_cli(command, "--data", mixed, "--out", tmp_path / "out", *argv) == 1
-        assert capsys.readouterr().err == ("error: record 1 input (11, 4, 30, 30) differs from "
-                                           "record 0's (11, 4, 24, 24): a dataset holds one "
-                                           "frame size\n")
+        named = "" if command == "train" else f" (checkpoint {checkpoint})"
+        assert capsys.readouterr().err == (f"error: {mixed / MANIFEST_NAME} record seq00001: "
+                                           "input (11, 4, 30, 30) differs from the first "
+                                           "record's (11, 4, 24, 24): a dataset holds one "
+                                           f"frame size{named}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_record_of_too_few_channels_named_by_preprocess(self, tmp_path, capsys):
+        # a dataset already preprocessed holds 9 of the 11 canonical channels
+        nine = tmp_path / "nine"
+        save_dataset([replace(r, input=r.input[:9]) for r in synth_generate(SynthConfig(2, 24, 0))],
+                     nine)
+        capsys.readouterr()
+        assert run_cli("preprocess", "--data", nine, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"error: {nine / MANIFEST_NAME} record seq00000 has 9 "
+                                           "channels, expected the canonical 11 before modality "
+                                           "selection\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_record_that_does_not_fit_names_the_checkpoint(self, dataset, tmp_path, capsys,
+                                                           command):
+        ckpt = tmp_path / "nine.runc"
+        save_checkpoint(ckpt, RainUNet(RainUNetConfig(stages=1, base_channels=4, in_channels=9)))
+        capsys.readouterr()
+        assert run_cli(command, "--data", dataset, "--checkpoint", ckpt,
+                       "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"error: {dataset / MANIFEST_NAME} record seq00000: "
+                                           "input (C,T)=(11,4) but in_channels, in_frames = 9, 4 "
+                                           f"(checkpoint {ckpt})\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, edit, message", [
@@ -725,7 +799,7 @@ class TestGradcheckCommand:
         # slope, so the check of sum(relu(x) * w) fails where w is not 0
         w = np.zeros((2, 3))
         w[1, 2] = 1.0
-        report = grad_check(lambda t: tensor_sum(relu(t) * Tensor(w)), Tensor(np.zeros((2, 3))))
+        report = grad_check(lambda t: tensor_sum(mul(relu(t), Tensor(w))), Tensor(np.zeros((2, 3))))
         monkeypatch.setattr(cli, "gradcheck_battery", lambda: [("relu/x[0]", report)])
         assert run_cli("gradcheck") == 1
         lines = capsys.readouterr().out.splitlines()

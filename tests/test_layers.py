@@ -17,7 +17,7 @@ from rainunet.tensor import (Tensor, TensorError, _op, backward, concat, grad_ch
 
 
 def quad(y):
-    return tensor_sum(y * y)
+    return tensor_sum(mul(y, y))
 
 
 def run_conv(x, layer):
@@ -159,7 +159,7 @@ class TestConvTapGeometry:
         x = Tensor(rng.normal(size=(2, 3, *extents)), requires_grad=True)
         y = run_conv(x, layer)
         gy = Tensor(rng.normal(size=y.shape))
-        loss = tensor_sum(y * gy)
+        loss = tensor_sum(mul(y, gy))
         backward(loss)
         value = loss.item()
         for a, g in ((x.data, x.grad), (layer.weight.data, layer.weight.grad)):

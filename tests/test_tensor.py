@@ -91,13 +91,13 @@ class TestElementwise:
 
     def test_shape_mismatch(self):
         with pytest.raises(TensorError):
-            Tensor(np.ones(3)) * Tensor(np.ones(4))
+            mul(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
     def test_scalar_operand(self):
         # mul takes two tensors: a scalar or an array is a TensorError
         for other in (2.0, np.float32(2.0), np.ones(2)):
             with pytest.raises(TensorError, match="mul: expected a Tensor"):
-                Tensor(np.array([1.0, 2.0])) * other
+                mul(Tensor(np.array([1.0, 2.0])), other)
 
 
 class TestReduce:
@@ -113,7 +113,7 @@ class TestBackward:
 
     def test_quadratic(self, wide):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        backward(tensor_sum(x * x))
+        backward(tensor_sum(mul(x, x)))
         assert x.grad.tolist() == [2.0, 4.0]
 
     def test_fan_in_linearity(self, wide):
@@ -148,8 +148,8 @@ class TestBackward:
 
     def test_leaf_grads_accumulate_until_zeroed(self, wide):
         x = Tensor(np.array([1.0]), requires_grad=True)
-        backward(tensor_sum(x * x))
-        backward(tensor_sum(x * x))
+        backward(tensor_sum(mul(x, x)))
+        backward(tensor_sum(mul(x, x)))
         assert x.grad.tolist() == [4.0]
         x.zero_grad()
         assert x.grad is None
@@ -157,7 +157,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(AutodiffError):
-            backward(x * x)
+            backward(mul(x, x))
 
     def test_detached_loss_rejected(self):
         with pytest.raises(AutodiffError):
@@ -218,7 +218,7 @@ class TestTapeRelease:
             x = Tensor(np.arange(4.0), requires_grad=True)
             h = relu(times(x, 2.0))
             freed = weakref.ref(h.data)
-            loss = tensor_sum(h * h)
+            loss = tensor_sum(mul(h, h))
             backward(loss)
             with pytest.raises(AutodiffError):
                 backward(loss)
@@ -279,7 +279,7 @@ class TestGraph:
     def test_backward_visits_each_node_once(self):
         x = Tensor(np.ones(2), requires_grad=True)
         z = plus(times(x, 2.0), times(x, 3.0))
-        loss = tensor_sum(z * z)
+        loss = tensor_sum(mul(z, z))
         graph = active_graph()
         calls = {i: 0 for i in range(len(graph.nodes))}
         for i, node in enumerate(graph.nodes):
@@ -305,7 +305,7 @@ class TestShapeOps:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         y = zero_pad(x, [(1, 0), (0, 3)])
         assert y.shape == (3, 5)
-        backward(tensor_sum(y * y))
+        backward(tensor_sum(mul(y, y)))
         assert np.array_equal(x.grad, 2 * np.ones((2, 2)))
 
     def test_mean_axis(self, wide):
@@ -366,12 +366,12 @@ class TestGradCheck:
 
     def test_coordinate_sampling(self, wide):
         x = Tensor(np.random.default_rng(1).normal(size=50))
-        rep = grad_check(lambda t: tensor_sum(t * t), x, max_coords=10, seed=4)
+        rep = grad_check(lambda t: tensor_sum(mul(t, t)), x, max_coords=10, seed=4)
         assert rep.passed and rep.coords_checked == 10
 
     def test_report_invariant(self, wide):
         x = Tensor(np.random.default_rng(2).normal(size=5))
-        rep = grad_check(lambda t: tensor_sum(t * t), x, tol=1e-4)
+        rep = grad_check(lambda t: tensor_sum(mul(t, t)), x, tol=1e-4)
         assert rep.passed == (rep.max_rel_error <= rep.tolerance)
 
     def test_near_zero_coordinate_beside_large_f_passes(self, wide):
@@ -379,7 +379,7 @@ class TestGradCheck:
         # ~1e-5 of roundoff against a true derivative of 2e-9; a purely
         # relative error would fail a correct gradient here
         x = Tensor(np.array([1e3, 1e-9]))
-        rep = grad_check(lambda t: tensor_sum(t * t), x, tol=1e-4)
+        rep = grad_check(lambda t: tensor_sum(mul(t, t)), x, tol=1e-4)
         assert rep.passed
 
     @pytest.mark.parametrize("k", [1e-2, 1e-5])
@@ -390,7 +390,8 @@ class TestGradCheck:
         square_w = Tensor(np.array([1.0, 0.0]))
         relu_w = Tensor(np.array([0.0, k]))
         x = Tensor(np.array([1.0, 0.0]))
-        rep = grad_check(lambda t: plus(tensor_sum(t * t * square_w), tensor_sum(relu(t) * relu_w)),
+        rep = grad_check(lambda t: plus(tensor_sum(mul(mul(t, t), square_w)),
+                                        tensor_sum(mul(relu(t), relu_w))),
                          x, tol=1e-4)
         assert not rep.passed and rep.worst_index == (1,)
 

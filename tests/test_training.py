@@ -10,66 +10,73 @@ from rainunet.model import RainUNet, RainUNetConfig, save_checkpoint
 from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check,
                              mul, tensor_sum)
 from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
-                               TrainingAbort, batch_dice_loss, dice_loss, fit,
-                               write_training_log_csv)
+                               TrainingAbort, batch_dice_loss, fit, write_training_log_csv)
+
+
+def step_all(opt):
+    """One AdamW step through its one update: step_param on every held
+    parameter, in order, then step."""
+    for _, t in opt.named_params:
+        opt.step_param(t)
+    opt.step()
 
 
 class TestDiceLoss:
     def test_perfect_match_is_zero(self):
-        g = Tensor(np.array([1.0, 0.0, 1.0, 1.0]))
-        assert dice_loss(g, g).item() == 0.0
+        g = Tensor(np.array([[1.0, 0.0, 1.0, 1.0]]))
+        assert batch_dice_loss(g, g).item() == 0.0
 
     def test_zero_prediction_on_positives_is_one(self):
-        p = Tensor(np.zeros(4))
-        g = Tensor(np.array([0.0, 1.0, 0.0, 0.0]))
-        assert dice_loss(p, g).item() == 1.0
+        p = Tensor(np.zeros((1, 4)))
+        g = Tensor(np.array([[0.0, 1.0, 0.0, 0.0]]))
+        assert batch_dice_loss(p, g).item() == 1.0
 
     def test_hand_case_one_third(self, wide):
-        p = Tensor(np.array([0.5, 0.5]))
-        g = Tensor(np.array([1.0, 0.0]))
-        assert abs(dice_loss(p, g).item() - 1.0 / 3.0) < 1e-12
+        p = Tensor(np.array([[0.5, 0.5]]))
+        g = Tensor(np.array([[1.0, 0.0]]))
+        assert abs(batch_dice_loss(p, g).item() - 1.0 / 3.0) < 1e-12
 
     def test_empty_maps_convention(self):
-        z = Tensor(np.zeros(5))
-        assert dice_loss(z, z).item() == 0.0
+        z = Tensor(np.zeros((1, 5)))
+        assert batch_dice_loss(z, z).item() == 0.0
 
     def test_empty_maps_still_on_tape(self, wide):
-        p = Tensor(np.zeros(3), requires_grad=True)
-        loss = dice_loss(p, Tensor(np.zeros(3)))
+        p = Tensor(np.zeros((1, 3)), requires_grad=True)
+        loss = batch_dice_loss(p, Tensor(np.zeros((1, 3))))
         backward(loss)
-        assert np.array_equal(p.grad, np.zeros(3))
+        assert np.array_equal(p.grad, np.zeros((1, 3)))
 
     def test_validation(self):
         with pytest.raises(TensorError):
-            dice_loss(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+            batch_dice_loss(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))))
         with pytest.raises(TensorError):
-            dice_loss(Tensor(np.array([1.5])), Tensor(np.array([1.0])))
+            batch_dice_loss(Tensor(np.array([[1.5]])), Tensor(np.array([[1.0]])))
         with pytest.raises(TensorError):
-            dice_loss(Tensor(np.array([0.5])), Tensor(np.array([0.7])))
+            batch_dice_loss(Tensor(np.array([[0.5]])), Tensor(np.array([[0.7]])))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_bounded_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        p = Tensor(rng.random(12))
-        g = Tensor((rng.random(12) < 0.5).astype(float))
-        assert 0.0 <= dice_loss(p, g).item() <= 1.0
+        p = Tensor(rng.random((1, 12)))
+        g = Tensor((rng.random((1, 12)) < 0.5).astype(float))
+        assert 0.0 <= batch_dice_loss(p, g).item() <= 1.0
 
     def test_strictly_decreasing_in_true_positive_prob(self, wide):
-        g = Tensor(np.array([1.0, 0.0, 1.0]))
+        g = Tensor(np.array([[1.0, 0.0, 1.0]]))
         previous = None
         for v in np.linspace(0.05, 0.95, 7):
-            p = Tensor(np.array([v, 0.2, 0.6]))
-            loss = dice_loss(p, g).item()
+            p = Tensor(np.array([[v, 0.2, 0.6]]))
+            loss = batch_dice_loss(p, g).item()
             if previous is not None:
                 assert loss < previous
             previous = loss
 
     def test_gradient_matches_finite_differences(self, wide):
         rng = np.random.default_rng(31)
-        g = Tensor((rng.random(20) < 0.4).astype(float))
-        p = Tensor(rng.uniform(0.05, 0.95, size=20))
-        rep = grad_check(lambda t: dice_loss(t, g), p, tol=1e-4)
+        g = Tensor((rng.random((1, 20)) < 0.4).astype(float))
+        p = Tensor(rng.uniform(0.05, 0.95, size=(1, 20)))
+        rep = grad_check(lambda t: batch_dice_loss(t, g), p, tol=1e-4)
         assert rep.passed
 
     def test_batch_mean_of_per_sample_dice(self, wide):
@@ -77,7 +84,8 @@ class TestDiceLoss:
         p = rng.uniform(0.1, 0.9, size=(3, 2, 4, 4))
         g = (rng.random((3, 2, 4, 4)) < 0.5).astype(float)
         got = batch_dice_loss(Tensor(p), Tensor(g)).item()
-        want = np.mean([dice_loss(Tensor(p[i]), Tensor(g[i])).item() for i in range(3)])
+        want = np.mean([batch_dice_loss(Tensor(p[i : i + 1]), Tensor(g[i : i + 1])).item()
+                        for i in range(3)])
         assert abs(got - want) < 1e-12
 
 
@@ -135,13 +143,12 @@ class TestBatchDiceOp:
                          Tensor(p), tol=1e-4)
         assert rep.passed
 
-    @pytest.mark.parametrize("loss_fn", [batch_dice_loss, dice_loss])
-    def test_one_tape_node(self, loss_fn):
+    def test_one_tape_node(self):
         rng = np.random.default_rng(34)
         pred = Tensor(rng.random((4, 2, 6, 6)), requires_grad=True)
         graph = active_graph()
         start = 0 if graph is None or graph.consumed else len(graph.nodes)
-        loss = loss_fn(pred, Tensor((rng.random((4, 2, 6, 6)) < 0.5).astype(float)))
+        loss = batch_dice_loss(pred, Tensor((rng.random((4, 2, 6, 6)) < 0.5).astype(float)))
         assert loss.node.graph.nodes[start:] == [loss.node]
         backward(loss)
 
@@ -157,14 +164,14 @@ class TestAdamW:
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
         for _ in range(3):
             p.grad = np.zeros_like(p.data)
-            opt.step()
+            step_all(opt)
         assert np.array_equal(p.data, before)
 
     def test_hand_case_first_step(self, wide):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
         p.grad = np.array([1.0])
-        opt.step()
+        step_all(opt)
         # mhat = vhat = 1 after bias correction, so p' = 1 - 0.1/(1 + 1e-8)
         assert abs(p.data[0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-15
 
@@ -174,7 +181,7 @@ class TestAdamW:
         opt = AdamW([("p", p)], lr=lr, weight_decay=wd)
         for k in range(1, 6):
             p.grad = np.zeros(1)
-            opt.step()
+            step_all(opt)
             assert abs(p.data[0] - 2.0 * (1.0 - lr * wd) ** k) < 1e-14
 
     @pytest.mark.parametrize("mode", ["standard", "wide"])
@@ -199,7 +206,7 @@ class TestAdamW:
             for k in range(1, 6):
                 g = rng.normal(size=want.shape).astype(want.dtype)
                 p.grad = g.copy()
-                opt.step()
+                step_all(opt)
                 m = m * b1 + (1.0 - b1) * g
                 v = v * b2 + (1.0 - b2) * g * g
                 mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
@@ -240,7 +247,7 @@ class TestAdamW:
                 backward(tensor_sum(mul(conv3d(x, layer), gy)))
                 g = np.array(w.grad)
                 assert is_tap_major(w.grad) and w.grad_taps is not None
-                opt.step()
+                step_all(opt)
                 m = m * b1 + (1.0 - b1) * g
                 v = v * b2 + (1.0 - b2) * g * g
                 mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
@@ -258,16 +265,15 @@ class TestAdamW:
         layer = Conv3DLayer(2, 2, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
         opt = AdamW([("w", layer.weight)])
         backward(tensor_sum(conv3d(Tensor(rng.normal(size=(1, 2, 1, 2, 2))), layer)))
-        opt.step()
+        step_all(opt)
         # m is flat in the weight's tap-major order: the centre tap is slab 24
         slabs = opt.m["w"].reshape(49, 4)
         assert np.all(slabs[24] != 0.0)
         assert np.all(np.delete(slabs, 24, axis=0) == 0.0)
 
-    def test_moments_are_views_of_one_buffer_per_dtype(self):
-        # one zeroed allocation holds every m and v of a dtype, so the
-        # untouched slabs of dead taps cost no memory and the state is freed
-        # at once
+    def test_moments_are_views_of_one_buffer(self):
+        # one zeroed allocation holds every m and v, so the untouched slabs
+        # of dead taps cost no memory and the state is freed at once
         params = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=3).named_parameters()
         opt = AdamW(params)
         moments = [*opt.m.values(), *opt.v.values()]
@@ -290,7 +296,7 @@ class TestAdamW:
         assert w.grad_taps is None
         opt = AdamW([("w", w)], weight_decay=0.0)
         before = w.data.copy()
-        opt.step()
+        step_all(opt)
         assert np.all(w.data < before)
 
     def test_transposed_conv_gradient_is_read_as_a_view(self):
@@ -311,13 +317,16 @@ class TestAdamW:
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = AdamW([("p", p)])
+        with pytest.raises(TensorError, match="missing gradient for p"):
+            opt.step_param(p)
         with pytest.raises(TensorError):
             opt.step()
 
     @pytest.mark.parametrize("mode", ["standard", "wide"])
     def test_per_parameter_updates_then_step_equal_step_bitwise(self, mode):
         # a conv weight whose live taps change from step to step, its bias
-        # and a plain vector; each step updates a different subset early
+        # and a plain vector; each step updates a different subset early, the
+        # rest after it, and must give the bytes of updates in held order
         rng = np.random.default_rng(47)
         with precision.use_precision(mode):
             layers = [Conv3DLayer(3, 4, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
@@ -338,14 +347,37 @@ class TestAdamW:
                 for t in early:
                     opts[1].step_param(t)
                     assert t.grad is None
-                for opt in opts:
-                    opt.step()
+                for _, t in opts[1].named_params:
+                    if t.grad is not None:  # an early update dropped its gradient
+                        opts[1].step_param(t)
+                opts[1].step()
+                step_all(opts[0])
         assert opts[0].step_count == opts[1].step_count == 3
         for (name, t), (_, u) in zip(opts[0].named_params, opts[1].named_params):
             assert np.array_equal(t.data, u.data), name
             assert np.array_equal(opts[0].m[name], opts[1].m[name]), name
             assert np.array_equal(opts[0].v[name], opts[1].v[name]), name
         assert np.array_equal(opts[0].started["w"], opts[1].started["w"])
+
+    def test_parameters_of_mixed_dtypes_rejected(self):
+        p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        with precision.use_precision("wide"):
+            q = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(TensorError, match="one dtype"):
+            AdamW([("p", p), ("q", q)])
+
+    def test_step_updates_no_parameter(self):
+        # a parameter with a gradient but no step_param stops the step, and
+        # keeps its value, gradient and moments
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        opt = AdamW([("p", p), ("q", q)])
+        p.grad, q.grad = np.ones(2), np.ones(3)
+        opt.step_param(p)
+        with pytest.raises(TensorError, match="missing gradient for q"):
+            opt.step()
+        assert np.array_equal(q.data, np.ones(3)) and np.array_equal(q.grad, np.ones(3))
+        assert not opt.m["q"].any() and not opt.v["q"].any() and opt.step_count == 0
 
     def test_missing_gradient_named_after_per_parameter_updates(self):
         p = Tensor(np.ones(2), requires_grad=True)
@@ -477,8 +509,8 @@ class TestFit:
 
     def test_equals_a_loop_of_backward_then_step(self, tmp_path):
         # fit updates each parameter inside the backward; a plain backward,
-        # then AdamW.step, which consumes every gradient, must give the same
-        # bytes
+        # then step_param on every parameter, which consumes its gradient,
+        # and AdamW.step must give the same bytes
         cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=6, swa=True, swa_start=2)
         records = tiny_records(n=5)
         fitted = RainUNet(RainUNetConfig(stages=2, base_channels=4), seed=8)
@@ -496,7 +528,7 @@ class TestFit:
             for start in range(0, len(records), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 backward(batch_dice_loss(by_hand.forward(Tensor(x_all[idx])), Tensor(y_all[idx])))
-                opt.step()
+                step_all(opt)
                 assert all(t.grad is None for _, t in params)
             if epoch >= cfg.swa_start:
                 swa.accumulate(params)

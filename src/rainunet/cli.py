@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import sys
 from dataclasses import asdict, fields, make_dataclass, replace
@@ -108,6 +109,16 @@ def _section(cfg: RunConfig, cls):
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
+def _sha256_of(path) -> str:
+    """The sha256 of the file at ``path``, read in buffer-sized chunks, so
+    that no second copy of a checkpoint is held beside its loaded model."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(io.DEFAULT_BUFFER_SIZE):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _out_dir(cfg: RunConfig, command: str, model: RainUNet | None = None) -> Path:
     """cfg.out, made if missing, holding the run's manifest ``run.txt``: the
     resolved settings ``command`` reads and the environment (versions, BLAS
@@ -122,7 +133,7 @@ def _out_dir(cfg: RunConfig, command: str, model: RainUNet | None = None) -> Pat
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     values = {k: v for k, v in asdict(cfg).items() if k in _COMMANDS[command][1]}
     if model is not None:
-        values["checkpoint_sha256"] = hashlib.sha256(Path(cfg.checkpoint).read_bytes()).hexdigest()
+        values["checkpoint_sha256"] = _sha256_of(cfg.checkpoint)
         values.update(model.config.block())
     values.update(rainunet=__version__, numpy=np.__version__, scipy=scipy.__version__,
                   blas=f"{blas['name']} {blas['version']}",

@@ -186,8 +186,20 @@ class TSBlock:
         self.out_norm = params.norm("out_norm", out_channels, g)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = relu(group_norm(conv3d(x, self.proj), self.proj_norm))
-        h = conv3d(conv3d(conv3d(h, self.spatial), self.dilated), self.temporal)
+        return self.convolve(self.project(x))
+
+    def project(self, x: Tensor) -> Tensor:
+        """The 1x1x1 projection to the block's width, then norm + relu."""
+        return relu(group_norm(conv3d(x, self.proj), self.proj_norm))
+
+    def convolve(self, h: Tensor) -> Tensor:
+        """The factorized conv of a projected map ``h``: spatial, dilated,
+        then temporal, then norm + relu. Each map is dropped once the next
+        conv has read it, and so is ``h`` when the caller passed it without
+        a name, as ``__call__`` does."""
+        h = conv3d(h, self.spatial)
+        h = conv3d(h, self.dilated)
+        h = conv3d(h, self.temporal)
         return relu(group_norm(h, self.out_norm))
 
 
@@ -249,22 +261,38 @@ class RainUNet:
         self.layers = built.layers
 
     def forward(self, x: Tensor) -> Tensor:
+        """The rain probabilities (N, out_frames, H, W) of an input (N, C, T, H, W).
+
+        Each map is held only while something reads it. An encoder stage's
+        output waits in ``skips`` until its decoder stage concatenates it,
+        and is dropped then; the concatenation lives through its block's
+        projection only (TSBlock.project); the head's input and logits die
+        at their last reader. ``x`` is dropped after the first stage, which
+        frees it when the caller passed it without a name (predict_probs,
+        fit). Under no_grad nothing else holds these maps, so the peak is a
+        few stage-1 maps, not the model's depth; with a tape, the tape keeps
+        what the backward reads, as it would anyway."""
         cfg = self.config
         cfg.check_input(x.shape)
         t_kernels = cfg.temporal_pool_kernels()
         skips: list[Tensor] = []
         cur = x
+        del x  # a caller that passed x without a name no longer holds it after stage 1
         for k in range(1, cfg.stages + 1):
             cur = self.encoder[k - 1](cur)
             skips.append(cur)
             cur = maxpool3d(cur, (t_kernels[k - 1], 2, 2))
-        for k, up, block in self.decoder:
+        for _, up, block in self.decoder:  # deepest first: each pops its own skip
+            skip = skips.pop()
             cur = conv3d_transposed(cur, up)
-            cur = _match_extents(cur, skips[k - 1].shape[2:])
-            cur = concat([cur, skips[k - 1]], axis=1)
-            cur = block(cur)
-        logits = conv3d(cur, self.head)
-        return sigmoid(mean_axis(logits, 2))
+            cur = _match_extents(cur, skip.shape[2:])
+            cur = concat([cur, skip], axis=1)
+            del skip
+            cur = block.project(cur)
+            cur = block.convolve(cur)
+        cur = conv3d(cur, self.head)
+        cur = mean_axis(cur, 2)
+        return sigmoid(cur)
 
 
 def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import precision
 from .data import write_csv
 from .layers import TAP_MAJOR, is_tap_major
 from .metrics import is_binary
@@ -246,12 +247,25 @@ class SWAAverager:
         self.count = 0
 
     def accumulate(self, named_params) -> None:
+        """Add a snapshot: each mean moves by (p - mean) / count, in blocks
+        of ADAMW_BLOCK elements in the mean's memory order through one
+        scratch block, so no parameter-sized temporary is made. Each element
+        sees the formula's operations, so the bytes are a whole-array pass's."""
         self.count += 1
         for name, t in named_params:
             if name not in self.mean:
                 self.mean[name] = t.data.copy(order="K")
-            else:
-                self.mean[name] += (t.data - self.mean[name]) / self.count
+                continue
+            mean = self.mean[name]
+            axes = sorted(range(mean.ndim), key=lambda i: -mean.strides[i])
+            m = mean.transpose(axes).reshape(-1)  # a view: the mean is a K-order copy
+            p = t.data.transpose(axes).reshape(-1)
+            scratch = np.empty(min(ADAMW_BLOCK, m.size), mean.dtype)
+            for b in range(0, m.size, ADAMW_BLOCK):
+                step = scratch[: min(ADAMW_BLOCK, m.size - b)]
+                np.subtract(p[b : b + ADAMW_BLOCK], m[b : b + ADAMW_BLOCK], out=step)
+                step /= self.count
+                m[b : b + ADAMW_BLOCK] += step
 
     def finalize(self) -> dict[str, np.ndarray]:
         """The mean of the snapshots, handed over as the averager holds it:
@@ -295,6 +309,17 @@ def check_records(records, cfg: RainUNetConfig, names=None) -> None:
                               f"{records[0].input.shape}: a dataset holds one frame size")
 
 
+def _diverged(params, epoch: int, step: int) -> str | None:
+    """The first of ``params`` holding NaN or Inf, named with the last
+    update made (``epoch``, ``step``), or None; only a failed step scans.
+    A weight the previous forward read was finite then, so that update
+    wrote the value."""
+    for name, t in params:
+        if not np.isfinite(t.data).all():
+            return f"parameter {name} holds NaN or Inf after the update of epoch {epoch}, step {step}"
+    return None
+
+
 def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitResult:
     """Seeded-shuffle minibatch training with dice loss and AdamW.
 
@@ -303,16 +328,20 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
     gradient is dropped then, so a step never holds every gradient at once;
     AdamW.step then closes the step.
 
+    Each batch is stacked from its records when it is drawn, its targets
+    as float32, so the loop holds one batch beside the records, not a
+    stacked copy of the dataset.
+
     A non-finite loss (or activation) aborts with the epoch/step in the
     message, after dropping the step's partial tape; the log collected so
-    far rides along on the exception.
+    far rides along on the exception. When an update has diverged, the
+    message names the first parameter holding NaN or Inf and the update
+    after which it does, rather than the op that read it.
     """
     cfg.validate()
     if not records:
         raise TensorError("empty dataset")
     check_records(records, model.config)
-    x_all = np.stack([r.input for r in records])
-    y_all = np.stack([r.target for r in records]).astype(np.float32)
     params = model.named_parameters()
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
@@ -323,16 +352,19 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = Tensor(x_all[idx])
-            yb = Tensor(y_all[idx])
             try:
-                probs = model.forward(xb)
-                loss = batch_dice_loss(probs, yb)
+                # no name holds the batch or the probabilities: the tape
+                # holds them until the backward has read them
+                loss = batch_dice_loss(
+                    model.forward(Tensor(np.stack([records[i].input for i in idx]))),
+                    Tensor(np.stack([records[i].target for i in idx], dtype=np.float32)))
                 backward(loss, on_grad=opt.step_param)
             except NonFiniteError as err:
                 discard_tape()
+                last = (epoch, len(losses)) if losses else (epoch - 1, -(-n // cfg.batch_size))
                 raise TrainingAbort(
-                    f"non-finite value at epoch {epoch}, step {len(losses) + 1}: {err}",
+                    f"non-finite value at epoch {epoch}, step {len(losses) + 1}: "
+                    f"{_diverged(params, *last) or err}",
                     result.log,
                 ) from err
             opt.step()
@@ -347,13 +379,21 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
 
 
 def predict_probs(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
-    """Forward a dataset under no_grad; returns (S, out_frames, H, W)."""
-    x_all = np.stack([r.input for r in records])
-    chunks = []
+    """Forward a dataset under no_grad; returns (S, out_frames, H, W).
+
+    Each batch is stacked from its records when it runs and its
+    probabilities are written into the output, made before the first
+    batch, so no more than one batch of inputs is held beside it."""
+    if not records:
+        raise TensorError("empty dataset")
+    out = np.empty((len(records), model.config.out_frames, *records[0].input.shape[2:]),
+                   precision.dtype())
     with no_grad():
         for start in range(0, len(records), batch_size):
-            chunks.append(model.forward(Tensor(x_all[start : start + batch_size])).data)
-    return np.concatenate(chunks, axis=0)
+            batch = records[start : start + batch_size]
+            out[start : start + len(batch)] = model.forward(
+                Tensor(np.stack([r.input for r in batch]))).data
+    return out
 
 
 def write_training_log_csv(path, log: list[EpochLog]) -> None:

@@ -527,17 +527,19 @@ class TestTrainEvaluatePredict:
         assert not (run / "model.runc.tmp").exists()
 
     @pytest.mark.parametrize("batch, message", [
-        (4, "error: non-finite value at epoch 1, step 2: op "),
+        (4, "error: non-finite value at epoch 1, step 2: parameter enc1.proj.weight holds NaN or "
+            "Inf after the update of epoch 1, step 1 (last-good checkpoint kept at {ckpt})"),
         (8, "error: epoch 1 not saved: {ckpt}: parameter enc1.proj.weight: refusing to store "
             "non-finite values (last-good checkpoint kept at {ckpt})"),
     ], ids=["step_after_the_divergence", "checkpoint_after_the_divergence"])
     def test_diverging_run_keeps_the_last_good_checkpoint(self, prepared, tmp_path, batch,
                                                           message):
         # lr and weight decay of 1e38 send every weight to Inf in step 1: with
-        # batch 4 the 6 records' step 2 computes with them, with batch 8 the
-        # epoch ends at step 1 and its checkpoint cannot store them. The suite
-        # turns numpy's overflow warning into an error, so the CLI runs in its
-        # own process.
+        # batch 4 the 6 records' step 2 computes with them and the error names
+        # the first weight and the update that wrote it, not the op that read
+        # it; with batch 8 the epoch ends at step 1 and its checkpoint cannot
+        # store them. The suite turns numpy's overflow warning into an error,
+        # so the CLI runs in its own process.
         first, run = tmp_path / "first", tmp_path / "run"
         argv = ["--data", prepared, "--stages", 1, "--base-channels", 4, "--batch-size", batch]
         assert run_cli("train", "--out", first, *argv, "--epochs", 0) == 0
@@ -552,6 +554,22 @@ class TestTrainEvaluatePredict:
         assert not (run / "model.runc.tmp").exists()
         # no epoch's checkpoint was written, so the log lists none
         assert (run / "training_log.csv").read_bytes() == b"epoch,mean_loss,swa\r\n"
+
+    def test_checkpoint_is_hashed_without_a_second_copy(self, tmp_path, traced_peak):
+        # run.txt's checkpoint_sha256 reads the file in chunks: the hash
+        # holds a small buffer, not the checkpoint's bytes beside its model
+        ckpt = tmp_path / "model.runc"
+        save_checkpoint(ckpt, RainUNet(RainUNetConfig(stages=3, base_channels=16), seed=0))
+        argv = ["evaluate", "--data", tmp_path, "--checkpoint", ckpt, "--out", tmp_path / "ev"]
+        cfg = resolve_config(_parser().parse_args([str(a) for a in argv]))
+        model = load_checkpoint(ckpt)
+        with traced_peak() as peak:
+            cli._out_dir(cfg, "evaluate", model)
+            held = peak()
+        assert held < ckpt.stat().st_size / 16
+        entries = dict(line.split(" = ", 1)
+                       for line in (tmp_path / "ev" / "run.txt").read_text().splitlines())
+        assert entries["checkpoint_sha256"] == sha(ckpt)
 
     def test_run_manifest_records_config_and_environment(self, prepared, tmp_path):
         ckpt = tmp_path / "run" / "model.runc"

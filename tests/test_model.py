@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import sys
 from dataclasses import asdict, fields, replace
 from typing import get_type_hints
 
@@ -10,13 +11,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import support_box
-from rainunet.data import IN_FRAMES, OUT_FRAMES, FormatError, config_text, parse_config, runt_chunks
+from rainunet.data import (IN_FRAMES, OUT_FRAMES, FormatError, SequenceRecord, config_text,
+                           parse_config, runt_chunks)
 from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             load_checkpoint, save_checkpoint, save_checkpoint_params)
 from rainunet.tensor import (Tensor, TensorError, backward, grad_check, mul, no_grad, relu,
                              tensor_sum)
+from rainunet.training import predict_probs
 
 
 def edit_config_block(path, old: str, new: str) -> None:
@@ -286,6 +289,39 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(2, 9, 4, 16, 16))
         backward(tensor_sum(model.forward(Tensor(x))))
         assert layout_copies.count(x.shape) == 1
+
+    # one (4, 16, 4, 66, 66) float32 map: stage 1 of the default model at N=4
+    STAGE1 = 4 * 16 * 4 * 66 * 66 * 4
+
+    @pytest.fixture(scope="class")
+    def default_model(self):
+        return RainUNet(RainUNetConfig(), seed=0)
+
+    def test_no_grad_forward_peaks_at_a_few_stage1_maps(self, default_model, traced_peak):
+        # each map is freed at its last reader: the peak is the decoder's
+        # last dilated conv (its input, its output and the conv's own
+        # buffers beside the projected map and the input), about 5 stage-1
+        # maps
+        x = Tensor(np.random.default_rng(5).random((4, 9, 4, 66, 66), dtype=np.float32))
+        with no_grad(), traced_peak() as peak:
+            default_model.forward(x)
+            assert peak() < 5.5 * self.STAGE1
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 a caller "
+                        "holds the arguments it passes until the call returns")
+    def test_batch_passed_without_a_name_is_freed_after_stage_one(self, default_model,
+                                                                  traced_peak):
+        # predict_probs hands forward its batch without a name, and __call__
+        # hands convolve its projected map so: forward drops the input after
+        # stage 1, and convolve the projected map after the spatial conv
+        rng = np.random.default_rng(6)
+        records = [SequenceRecord(rng.random((9, 4, 66, 66), dtype=np.float32),
+                                  np.zeros((OUT_FRAMES, 66, 66), np.uint8), "R0", 0)
+                   for _ in range(4)]
+        with traced_peak() as peak:
+            out = predict_probs(default_model, records)
+            held = peak() - out.nbytes
+        assert held < 5.25 * self.STAGE1
 
     def test_wrong_channels_rejected(self):
         model = RainUNet(micro_cfg(), seed=0)

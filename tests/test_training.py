@@ -8,9 +8,10 @@ from rainunet.data import SequenceRecord
 from rainunet.layers import Conv3DLayer, ConvSpec, conv3d, is_tap_major
 from rainunet.model import RainUNet, RainUNetConfig, save_checkpoint
 from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check,
-                             mul, tensor_sum)
+                             mul, no_grad, tensor_sum)
 from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
-                               TrainingAbort, batch_dice_loss, fit, write_training_log_csv)
+                               TrainingAbort, batch_dice_loss, fit, predict_probs,
+                               write_training_log_csv)
 
 
 def step_all(opt):
@@ -445,6 +446,29 @@ class TestSWA:
             assert np.array_equal(swa.mean["w"], want)
         assert np.array_equal(swa.finalize()["w"], want)
 
+    def test_accumulates_in_place_block_by_block(self, traced_peak):
+        # a weight of several blocks: each snapshot after the first holds one
+        # scratch block, not the parameter-sized (p - mean) and its quotient,
+        # and the mean's bytes are the whole-array formula's
+        rng = np.random.default_rng(44)
+        layer = Conv3DLayer(64, 128, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
+        w = layer.weight
+        assert w.size > 4 * ADAMW_BLOCK
+        swa = SWAAverager()
+        want = None
+        for count in range(1, 4):
+            w.data[...] = rng.normal(size=w.shape)
+            snap = w.data.copy(order="K")
+            with traced_peak() as peak:
+                swa.accumulate([("w", w)])
+                held = peak()
+            if want is None:
+                want = snap
+            else:
+                want += (snap - want) / count
+                assert held < w.data.nbytes / 8
+            assert np.array_equal(swa.mean["w"], want)
+
 
 def tiny_records(n=4, size=12, seed=0):
     rng = np.random.default_rng(seed)
@@ -551,6 +575,44 @@ class TestFit:
             fit(model, records, TrainConfig(epochs=1, batch_size=1, seed=0))
             assert peak() < 2.5 * param_bytes
 
+    def test_epoch_peak_does_not_grow_with_the_dataset(self, traced_peak):
+        # each batch is stacked from its records: an epoch over 12 records
+        # holds what one over 4 does, where a stacked copy of the dataset
+        # adds every record's input and float32 target
+        records = tiny_records(n=12, size=24)
+        cfg, train = RainUNetConfig(stages=2, base_channels=8), TrainConfig(epochs=1, batch_size=4)
+        fit(RainUNet(cfg, seed=0), records[:4], train)
+        peaks = {}
+        for n in (4, 12):
+            model = RainUNet(cfg, seed=0)
+            with traced_peak() as peak:
+                fit(model, records[:n], train)
+                peaks[n] = peak()
+        assert peaks[12] <= peaks[4] + records[0].input.nbytes
+
+    @pytest.mark.parametrize("batch, epoch, step", [(4, 1, 2), (8, 2, 1)])
+    def test_diverged_update_names_the_parameter(self, batch, epoch, step):
+        # lr and weight decay of 1e38 send every weight to Inf in the first
+        # update; the next forward fails, in the same epoch with batch 4 and
+        # in the next with batch 8, and the message names the weight
+        model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0)
+        train = TrainConfig(epochs=2, batch_size=batch, lr=1e38, weight_decay=1e38)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAbort) as err:
+            fit(model, tiny_records(n=8), train)
+        assert str(err.value) == (f"non-finite value at epoch {epoch}, step {step}: parameter "
+                                  "enc1.proj.weight holds NaN or Inf after the update of epoch 1, "
+                                  "step 1")
+
+    def test_non_finite_forward_without_an_update_names_the_op(self):
+        # finite weights that overflow a conv: no update has run, no
+        # parameter holds NaN or Inf, and the error names the op's layer
+        model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0)
+        model.encoder[0].proj.weight.data[...] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAbort) as err:
+            fit(model, tiny_records(), TrainConfig(epochs=1))
+        assert str(err.value).startswith("non-finite value at epoch 1, step 1: op _conv: ")
+        assert str(err.value).endswith("(layer enc1.proj)")
+
     def test_empty_dataset_rejected(self):
         model = RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0)
         with pytest.raises(TensorError):
@@ -568,3 +630,33 @@ class TestFit:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,mean_loss,swa"
         assert lines[1] == "1,0.5,0" and lines[2] == "2,0.25,1"
+
+
+class TestPredict:
+    def test_peak_does_not_grow_with_the_dataset(self, traced_peak):
+        # batches are stacked one at a time into the output: over 12 records
+        # the pass holds what it holds over 4, apart from the larger output
+        records = tiny_records(n=12, size=24)
+        model = RainUNet(RainUNetConfig(stages=2, base_channels=8), seed=0)
+        predict_probs(model, records[:4])
+        held = {}
+        for n in (4, 12):
+            with traced_peak() as peak:
+                out = predict_probs(model, records[:n])
+                held[n] = peak() - out.nbytes
+            del out
+        assert held[12] <= held[4] + records[0].input.nbytes
+
+    def test_batches_match_one_forward_each(self):
+        records = tiny_records(n=5, size=16)
+        model = RainUNet(RainUNetConfig(stages=2, base_channels=8), seed=1)
+        probs = predict_probs(model, records, batch_size=2)
+        with no_grad():
+            want = [model.forward(Tensor(np.stack([r.input for r in records[lo:lo + 2]]))).data
+                    for lo in range(0, 5, 2)]
+        assert probs.dtype == want[0].dtype
+        assert probs.tobytes() == np.concatenate(want).tobytes()
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(TensorError):
+            predict_probs(RainUNet(RainUNetConfig(stages=1, base_channels=4), seed=0), [])

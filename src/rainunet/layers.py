@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import precision
-from .tensor import Tensor, TensorError, _op
+from .tensor import Tensor, TensorError, _op, _saved
 
 Triple = tuple[int, int, int]
 
@@ -164,6 +164,16 @@ def _from_layout(a):
     keeps the memory the core wrote, and _to_layout of the view is that
     memory again."""
     return a.transpose(2, 4, 0, 1, 3)
+
+
+def stack_in_layout(arrays):
+    """Stack (C, T, H, W) arrays, cast to the working precision, into a
+    batch (N, C, T, H, W) whose memory is the layout (T, H, N, W, C), so
+    the first conv reads it without a copy."""
+    c, t, h, w = arrays[0].shape
+    out = np.empty((t, h, len(arrays), w, c), precision.dtype())
+    np.stack([a.transpose(1, 2, 3, 0) for a in arrays], axis=2, out=out)
+    return _from_layout(out)
 
 
 def _mat(a):
@@ -384,7 +394,13 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     extents to its input's: its forward is the adjoint core and its backward
     the forward core, both on w with C_out and C_in swapped. Either way the
     backward is one traversal of gy's blocks, which gives the input gradient
-    and the weight gradient's (C_out, C_in) slabs, tap-major."""
+    and the weight gradient's (C_out, C_in) slabs, tap-major.
+
+    The weight gradient reads the input again, in the layout. The op keeps
+    it as :func:`_saved` gives it: the recompute of the input's op when it
+    has one (a relu of a group norm), so the tape holds no copy of that map,
+    and otherwise the layout array the forward read, which is the input's
+    own memory or the one layout copy the forward made of it."""
     if x.data.ndim != 5:
         raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {x.shape}")
     if x.shape[1] != layer.in_channels:
@@ -405,11 +421,13 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     y += b.data
     dx_weight = corr_weight if x.requires_grad else None
     dw_shape = (*spec.kernel, *w.shape[:2]) if w.requires_grad else None
+    x_again = _saved(x, _from_layout(xl)) if w.requires_grad else None
 
     def grad_fn(gy):
         gy = _to_layout(gy)
         dw = None if dw_shape is None else np.zeros(dw_shape, dtype=gy.dtype)
-        dx = _corr3d(gy, dx_weight, taps, in_ext, not transposed, None if dw is None else xl, dw)
+        xl = None if dw is None else _to_layout(x_again())
+        dx = _corr3d(gy, dx_weight, taps, in_ext, not transposed, xl, dw)
         if dw is not None:  # with its box of live taps, see backward
             dw = dw.transpose(3, 4, 0, 1, 2), tuple(
                 slice(a[0][0], a[-1][0] + 1) if a else slice(0, 0) for a in taps)
@@ -438,7 +456,9 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     the output is a running maximum over them in scan order, and output and
     input gradient are layout views. The backward finds each window's first
     maximum again by walking the views in the same order, so the tape keeps
-    no copy of the input and no index."""
+    no index, and of the input only what :func:`_saved` gives: the recompute
+    of its op when it has one (a relu of a group norm), else its layout
+    array."""
     kt, kh, kw = _triple(kernel)
     if x.data.ndim != 5:
         raise TensorError(f"maxpool input must be 5-d, got {x.shape}")
@@ -452,16 +472,18 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
         a = a[: to * kt, : ho * kh, :, : wo * kw].reshape(to, kt, ho, kh, n, wo, kw, c)
         return [a[:, i, :, j, :, :, k] for i, j, k in offsets]
 
-    xw = windows(_to_layout(x.data))
+    xl = _to_layout(x.data)
+    xw = windows(xl)
     y = xw[0].copy()
     for v in xw[1:]:
         np.maximum(y, v, out=y)  # on a tie y, the earlier value, is kept
+    x_again = _saved(x, _from_layout(xl))
 
     def grad_fn(gy):
         gy = _to_layout(gy)
         gx = np.zeros((t, h, n, w, c), dtype=gy.dtype)
         free = np.ones(y.shape, dtype=bool)  # windows whose maximum is still to be found
-        for v, g in zip(xw, windows(gx)):
+        for v, g in zip(windows(_to_layout(x_again())), windows(gx)):
             first = v == y
             first &= free
             free ^= first
@@ -501,9 +523,15 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     a long contiguous row against a row of per-(n, c) terms, and a sum over
     the rows then over W gives the per-(n, c) sums. Output and input gradient
     are layout views, as a conv's are. The tape keeps the input, the mean row
-    and the per-(n, c) inverse deviation; the backward recomputes the centred
-    input x - mean from them, the forward's subtraction on the same arrays,
-    instead of keeping a second map."""
+    and the per-(n, c) inverse deviation, and the per-(n, c) scale and shift
+    rows the forward made from gamma and beta; the backward recomputes the
+    centred input x - mean from them, the forward's subtraction on the same
+    arrays, instead of keeping a second map, and holds two maps beside its
+    gy. The output is not kept: the op's recompute (see tensor._op) rebuilds
+    it from the same arrays by the forward's operations, so a relu over it
+    keeps no map either. The recompute reads the scale and shift rows, not
+    gamma and beta, so it does not depend on when AdamW updates those within
+    the backward."""
     if x.data.ndim != 5:
         raise TensorError(f"group_norm input must be 5-d, got {x.shape}")
     n, c, t, h, w = x.shape
@@ -527,10 +555,17 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     y = np.square(d)
     inv = 1.0 / np.sqrt(grouped(sums(y)) / m + GROUP_NORM_EPS)
     gamma = layer.gamma.data
-    np.multiply(d, row(inv * gamma), out=y)
-    y += row(layer.beta.data)
+    scale, shift = row(inv * gamma), row(layer.beta.data)  # copies, not views of gamma, beta
+    np.multiply(d, scale, out=y)
+    y += shift
     del d  # the backward recomputes it; free it before _op's finite check
     need_dx = x.requires_grad
+
+    def recompute():  # the forward's y, by its operations on the same arrays
+        y = xl - mean
+        y *= scale
+        y += shift
+        return _from_layout(y.reshape(t, h, n, w, c))
 
     def grad_fn(gy):
         gy = _to_layout(gy).reshape(t * h, -1)
@@ -540,11 +575,13 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
         dx = None
         if need_dx:
             # dx = inv * (gy*gamma - mean(gy*gamma) - x̂ * mean(gy*gamma*x̂)),
-            # the means over each (n, group)
-            dx = gy * row(gamma * inv)
-            dx += np.multiply(d, row(-inv * inv * grouped(gamma * s_gyx) / m), out=gyd)
+            # the means over each (n, group); built in gyd's buffer, and the
+            # x̂ term in d's, so two maps are held beside gy
+            d *= row(-inv * inv * grouped(gamma * s_gyx) / m)
+            dx = np.multiply(gy, scale, out=gyd)
+            dx += d
             dx += row(-inv * grouped(gamma * s_gy) / m)
             dx = _from_layout(dx.reshape(t, h, n, w, c))
         return dx, s_gyx.sum(axis=0), s_gy.sum(axis=0)
     return _op(_from_layout(y.reshape(t, h, n, w, c)), (x, layer.gamma, layer.beta), grad_fn,
-               layer.name)
+               layer.name, recompute)

@@ -7,6 +7,18 @@ is an error instead of silent gradient accumulation. What an op records is
 set out at :func:`_op`, what the tape holds at :class:`GraphNode`, and how
 gradients are stored and handed on at :func:`backward`.
 
+The tape holds what the backward reads and no more: each op's ``grad_fn``
+keeps the arrays its gradient reads (a conv's input for its weight
+gradient, group norm's input), never a tensor. A map that can be rebuilt
+from what the tape holds anyway is not held a second time: group norm's
+output comes with a recompute from its kept input (see :func:`_op`), a relu
+of it keeps no output, and its mask and each reader that would keep that
+output for its backward (:func:`_saved`) read it rebuilt once, on the first
+demand in the backward, and dropped after relu's own backward. Per RainUNet
+TS block the tape thus holds the block's input in the layout (a copy only
+when it came in another order) and the four conv outputs, not the two relu
+outputs.
+
 No broadcasting: ``mul`` takes two tensors of one shape. The logical shape
 of a 5-d value is (N, C, T, H, W); its memory may be in another order: a
 conv, group norm or max pool output is a view whose memory is the
@@ -75,22 +87,28 @@ class GraphNode:
     The output is held only weakly: its gradient is gathered here and handed
     to it if the caller still holds it. With each ``grad_fn`` capturing
     arrays, not tensors, an activation that no backward reads, such as a
-    relu's input or a mean's, is freed as soon as the forward moves past it."""
+    relu's input or a mean's, is freed as soon as the forward moves past it.
+    ``recompute``, when the op has one, rebuilds the output's values from
+    what the node's ``grad_fn`` keeps anyway (see :func:`_op`): a reader
+    keeps it instead of the output (:func:`_saved`), so a group norm's or
+    its relu's output is freed with the forward's last name for it, too."""
 
-    __slots__ = ("inputs", "out", "apply", "graph", "shape", "dtype", "grad", "grad_taps")
+    __slots__ = ("inputs", "out", "apply", "recompute", "graph", "shape", "dtype", "grad",
+                 "grad_taps")
     requires_grad = True  # a recorded op's output always takes part
 
-    def __init__(self, inputs, out, apply, graph):
+    def __init__(self, inputs, out, apply, recompute, graph):
         self.inputs = inputs
         self.out = weakref.ref(out)
         self.apply = apply
+        self.recompute = recompute
         self.graph = graph
         self.shape, self.dtype = out.shape, out.dtype
         self.grad = self.grad_taps = None
 
     def release(self) -> None:
         """Drop what the node holds for a backward."""
-        self.inputs = self.out = self.apply = self.grad = self.grad_taps = None
+        self.inputs = self.out = self.apply = self.recompute = self.grad = self.grad_taps = None
 
 
 class Graph:
@@ -101,10 +119,10 @@ class Graph:
         self.nodes: list[GraphNode] = []
         self.consumed = False
 
-    def record(self, inputs, out, apply) -> GraphNode:
+    def record(self, inputs, out, apply, recompute) -> GraphNode:
         """Record ``out``'s op, its inputs made on this graph held as their nodes."""
         held = tuple(t if t.node is None or t.node.graph is not self else t.node for t in inputs)
-        node = GraphNode(held, out, apply, self)
+        node = GraphNode(held, out, apply, recompute, self)
         self.nodes.append(node)
         return node
 
@@ -183,7 +201,8 @@ class Tensor:
         self.grad = None
 
 
-def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None) -> Tensor:
+def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None,
+        recompute: Optional[Callable[[], np.ndarray]] = None) -> Tensor:
     """Create the output tensor of an op, recording it on the tape when any
     input takes part in differentiation.
 
@@ -199,6 +218,13 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     holds only as nodes (see :class:`GraphNode`). A non-finite output's
     NonFiniteError names the op (grad_fn's enclosing function), its shape and
     the ``layer`` the op ran, when the op names one.
+
+    ``recompute()``, when given, returns the values of ``data`` again, bit
+    for bit, as a new array of its shape and memory order, from arrays
+    ``grad_fn`` keeps and rows no larger than a parameter's per-sample
+    terms: the forward's own operations on the same arrays. The node holds it, so that a reader of the output keeps
+    it instead of the output (:func:`_saved`). Like ``grad_fn`` it must keep
+    its arrays in its closure cells, not in default arguments or containers.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     try:
@@ -208,8 +234,20 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
         where = "" if layer is None else f" (layer {layer})"
         raise NonFiniteError(f"op {op}: output of shape {data.shape} holds NaN or Inf{where}") from None
     if track:
-        out.node = _recording_graph().record(inputs, out, grad_fn)
+        out.node = _recording_graph().record(inputs, out, grad_fn, recompute)
     return out
+
+
+def _saved(t: Tensor, data: np.ndarray) -> Callable[[], np.ndarray]:
+    """What an op keeps of its input ``t`` to read in its backward: a
+    function returning ``t``'s values. That is the recompute of ``t``'s op
+    when its node has one, so the op keeps no map of its own, and otherwise
+    ``data``, an array holding ``t``'s values (``t.data``, or the op's copy
+    of it in another memory order), which the function returns as it is."""
+    recompute = None if t.node is None else t.node.recompute
+    if recompute is not None:
+        return recompute
+    return lambda: data
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -222,8 +260,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0)  # y > 0 exactly where a > 0: the gradient masks with y
-    return _op(y, (a,), lambda gy: (gy * (y > 0),))
+    """max(a, 0). The gradient masks with y > 0, which holds exactly where
+    a > 0. The tape keeps y, unless ``a``'s op has a recompute (group norm):
+    then it keeps none. Its mask, and each reader that keeps y for its
+    backward (:func:`_saved`), read ``max(recompute(), 0)``, built in place
+    on the first demand, held by this op until its own backward has read
+    it, and dropped then; a backward that never reaches it drops it with
+    the tape."""
+    y = np.maximum(a.data, 0)
+    rebuild = None if a.node is None else a.node.recompute
+    if rebuild is None:
+        return _op(y, (a,), lambda gy: (gy * (y > 0),))
+    kept = None
+
+    def recompute():
+        nonlocal kept
+        if kept is None:
+            kept = rebuild()
+            np.maximum(kept, 0, out=kept)
+        return kept
+
+    def grad_fn(gy):
+        nonlocal kept
+        mask = recompute() > 0
+        kept = None
+        return (gy * mask,)
+    return _op(y, (a,), grad_fn, None, recompute)
 
 
 def sigmoid(a: Tensor) -> Tensor:

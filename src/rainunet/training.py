@@ -14,7 +14,7 @@ import numpy as np
 
 from . import precision
 from .data import write_csv
-from .layers import TAP_MAJOR, is_tap_major
+from .layers import TAP_MAJOR, is_tap_major, stack_in_layout
 from .metrics import is_binary
 from .model import RainUNet, RainUNetConfig
 from .tensor import (NonFiniteError, Tensor, TensorError, _op, backward, discard_tape,
@@ -328,9 +328,10 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
     gradient is dropped then, so a step never holds every gradient at once;
     AdamW.step then closes the step.
 
-    Each batch is stacked from its records when it is drawn, its targets
+    Each batch is stacked from its records when it is drawn, its inputs
+    straight into the conv layout (layers.stack_in_layout) and its targets
     as float32, so the loop holds one batch beside the records, not a
-    stacked copy of the dataset.
+    stacked copy of the dataset, and the first conv copies nothing.
 
     A non-finite loss (or activation) aborts with the epoch/step in the
     message, after dropping the step's partial tape; the log collected so
@@ -356,7 +357,7 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
                 # no name holds the batch or the probabilities: the tape
                 # holds them until the backward has read them
                 loss = batch_dice_loss(
-                    model.forward(Tensor(np.stack([records[i].input for i in idx]))),
+                    model.forward(Tensor(stack_in_layout([records[i].input for i in idx]))),
                     Tensor(np.stack([records[i].target for i in idx], dtype=np.float32)))
                 backward(loss, on_grad=opt.step_param)
             except NonFiniteError as err:
@@ -381,9 +382,10 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
 def predict_probs(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
     """Forward a dataset under no_grad; returns (S, out_frames, H, W).
 
-    Each batch is stacked from its records when it runs and its
-    probabilities are written into the output, made before the first
-    batch, so no more than one batch of inputs is held beside it."""
+    Each batch is stacked from its records when it runs, straight into
+    the conv layout as in fit, and its probabilities are written into the
+    output, made before the first batch, so no more than one batch of
+    inputs is held beside it."""
     if not records:
         raise TensorError("empty dataset")
     out = np.empty((len(records), model.config.out_frames, *records[0].input.shape[2:]),
@@ -392,7 +394,7 @@ def predict_probs(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
         for start in range(0, len(records), batch_size):
             batch = records[start : start + batch_size]
             out[start : start + len(batch)] = model.forward(
-                Tensor(np.stack([r.input for r in batch]))).data
+                Tensor(stack_in_layout([r.input for r in batch]))).data
     return out
 
 

@@ -12,8 +12,8 @@ from rainunet.layers import (GROUP_NORM_EPS, Conv3DLayer, ConvSpec, GroupNormLay
                              _from_layout, _stacked_weights, _to_layout, c_order_pieces, conv3d,
                              conv3d_transposed, group_norm, is_tap_major, maxpool3d)
 from rainunet.model import TSBlock
-from rainunet.tensor import (Tensor, TensorError, _op, backward, concat, grad_check, mean_axis,
-                             mul, relu, tensor_sum)
+from rainunet.tensor import (Tensor, TensorError, _op, backward, concat, discard_tape, grad_check,
+                             mean_axis, mul, relu, tensor_sum)
 
 
 def quad(y):
@@ -414,6 +414,19 @@ class TestGroupNorm:
         with pytest.raises(TensorError):
             GroupNormLayer(6, 4)
 
+    def test_backward_holds_two_maps_beside_gy(self, traced_peak):
+        # a stage-1 map of the default model at N=4: the backward builds the
+        # x̂ term in the centred input's buffer and dx in gy * d's, so it
+        # holds two maps beside gy, where a third buffer for dx made three
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((4, 16, 4, 66, 66), dtype=np.float32), requires_grad=True)
+        y = group_norm(x, GroupNormLayer(16, 8))
+        gy = _from_layout(rng.standard_normal((4, 66, 4, 66, 16), dtype=np.float32))
+        with traced_peak() as peak:
+            dx = y.node.apply(gy)[0]
+            assert peak() <= 2 * x.data.nbytes + (1 << 16)
+        assert dx.shape == x.shape
+
     @pytest.mark.parametrize("shape,groups", [
         ((2, 16, 2, 3, 5), 8),    # two channels per group, odd W
         ((4, 256, 1, 4, 4), 8),   # a single-frame deep stage
@@ -606,6 +619,69 @@ class TestTapeRelease:
         leaf = Tensor(h.data, requires_grad=True)
         backward(quad(conv3d(leaf, conv)))
         assert h.grad.dtype == leaf.grad.dtype and h.grad.tobytes() == leaf.grad.tobytes()
+
+    @pytest.mark.parametrize("mode", [precision.STANDARD, precision.WIDE])
+    @pytest.mark.parametrize("reader", ["conv", "maxpool"])
+    def test_reader_of_a_relu_output_reads_its_rebuilt_map(self, mode, reader):
+        # the relu output of a group norm is rebuilt in the backward from
+        # what the norm keeps: with the forward's array zeroed, a conv's
+        # weight and input gradients and a max pool's input gradient still
+        # have the bytes a leaf holding the forward's values gets
+        with precision.use_precision(mode):
+            rng = np.random.default_rng(47)
+            conv = Conv3DLayer(8, 8, ConvSpec.same_size((1, 3, 3)), rng)
+            read = {"conv": lambda t: conv3d(t, conv),
+                    "maxpool": lambda t: maxpool3d(t, (2, 2, 2))}[reader]
+            x = Tensor(rng.standard_normal((2, 8, 2, 6, 6)), requires_grad=True)
+            h = relu(group_norm(x, GroupNormLayer(8, 4)))
+            values = h.data.copy(order="K")
+            loss = quad(read(h))
+            h.data[...] = 0
+            backward(loss)
+            got = [h.grad] + [conv.weight.grad] * (reader == "conv")
+            conv.weight.zero_grad()
+            leaf = Tensor(values, requires_grad=True)
+            backward(quad(read(leaf)))
+            want = [leaf.grad] + [conv.weight.grad] * (reader == "conv")
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_discard_tape_frees_a_rebuilt_map_whose_relu_never_ran_backward(self):
+        # the conv's backward rebuilds the relu output; a backward stopped
+        # right after it (an on_grad that raises) leaves that map on the
+        # relu's node, and dropping the tape frees it
+        rng = np.random.default_rng(48)
+        conv = Conv3DLayer(8, 8, ConvSpec.same_size((1, 3, 3)), rng)
+        x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        h = relu(group_norm(x, GroupNormLayer(8, 4)))
+        loss = quad(conv3d(h, conv))
+        rebuilt = []
+
+        def stop(t):
+            if t is conv.weight:
+                rebuilt.append(weakref.ref(_owner(h.node.recompute())))
+                raise RuntimeError("stopped")
+        with pytest.raises(RuntimeError, match="stopped"):
+            backward(loss, on_grad=stop)
+        assert rebuilt[0]() is not None
+        discard_tape()
+        assert rebuilt[0]() is None
+
+    def test_ts_block_holding_its_output_keeps_six_maps(self, traced_peak):
+        # the two relu outputs are not kept: the spatial conv keeps group
+        # norm's recompute for the first, and the second is the output the
+        # caller holds. The block leaves the layout copy of its input and
+        # the four conv outputs, beside that output: 6 maps
+        rng = np.random.default_rng(46)
+        block = TSBlock(16, 16, rng)
+        x = Tensor(rng.standard_normal((2, 16, 4, 22, 22), dtype=np.float32), requires_grad=True)
+        with traced_peak():
+            before = tracemalloc.get_traced_memory()[0]
+            y = block(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        assert held <= 6 * x.data.nbytes + (1 << 16)
+        backward(quad(y))
+        assert x.grad is not None
 
     def test_ts_block_tape_holds_the_maps_its_backward_reads(self, traced_peak):
         # after the forward, the block holds what its backward reads: the

@@ -73,7 +73,7 @@ def write_csv(path, header, rows) -> None:
 _MAGIC = b"RUNT"
 _VERSION = 1
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
-_DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
+_DTYPE_TO_CODE = {dtype: code for code, dtype in _CODE_TO_DTYPE.items()}
 
 
 def runt_header(dtype, shape) -> bytes:

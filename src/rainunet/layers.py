@@ -121,8 +121,7 @@ class ConvSpec:
 # memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
 # (C_out, C_in) slab, and the stacked W taps of a (t, h) tap are a reshape of
 # it. The weight gradient is made in the same layout: only live slabs are
-# written, and it comes with the box of taps outside which it is zero, so
-# AdamW can skip the dead slabs (see training.AdamW). Checkpoints and the
+# written, and a dead slab stays zero (see training.AdamW). Checkpoints and the
 # layer API keep (C_out, C_in, kt, kh, kw) in C order. Between the two
 # orders a weight is its (C_out*C_in, taps) C-order matrix transposed, and
 # it moves in pieces of about _PIECE elements, whole rows of that matrix
@@ -394,13 +393,9 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     extents to its input's: its forward is the adjoint core and its backward
     the forward core, both on w with C_out and C_in swapped. Either way the
     backward is one traversal of gy's blocks, which gives the input gradient
-    and the weight gradient's (C_out, C_in) slabs, tap-major.
-
-    The weight gradient reads the input again, in the layout. The op keeps
-    it as :func:`_saved` gives it: the recompute of the input's op when it
-    has one (a relu of a group norm), so the tape holds no copy of that map,
-    and otherwise the layout array the forward read, which is the input's
-    own memory or the one layout copy the forward made of it."""
+    and the weight gradient's (C_out, C_in) slabs, tap-major. For the weight
+    gradient the op keeps its input as :func:`_saved` gives it, with the
+    layout array the forward read (its own memory or one layout copy)."""
     if x.data.ndim != 5:
         raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {x.shape}")
     if x.shape[1] != layer.in_channels:
@@ -428,9 +423,8 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
         dw = None if dw_shape is None else np.zeros(dw_shape, dtype=gy.dtype)
         xl = None if dw is None else _to_layout(x_again())
         dx = _corr3d(gy, dx_weight, taps, in_ext, not transposed, xl, dw)
-        if dw is not None:  # with its box of live taps, see backward
-            dw = dw.transpose(3, 4, 0, 1, 2), tuple(
-                slice(a[0][0], a[-1][0] + 1) if a else slice(0, 0) for a in taps)
+        if dw is not None:
+            dw = dw.transpose(3, 4, 0, 1, 2)
         return None if dx is None else _from_layout(dx), dw, _mat(gy).sum(axis=0)
     return _op(_from_layout(y), (x, w, b), grad_fn, layer.name)
 
@@ -456,9 +450,7 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     the output is a running maximum over them in scan order, and output and
     input gradient are layout views. The backward finds each window's first
     maximum again by walking the views in the same order, so the tape keeps
-    no index, and of the input only what :func:`_saved` gives: the recompute
-    of its op when it has one (a relu of a group norm), else its layout
-    array."""
+    no index, only the input as :func:`_saved` gives it."""
     kt, kh, kw = _triple(kernel)
     if x.data.ndim != 5:
         raise TensorError(f"maxpool input must be 5-d, got {x.shape}")
@@ -527,11 +519,9 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     rows the forward made from gamma and beta; the backward recomputes the
     centred input x - mean from them, the forward's subtraction on the same
     arrays, instead of keeping a second map, and holds two maps beside its
-    gy. The output is not kept: the op's recompute (see tensor._op) rebuilds
-    it from the same arrays by the forward's operations, so a relu over it
-    keeps no map either. The recompute reads the scale and shift rows, not
-    gamma and beta, so it does not depend on when AdamW updates those within
-    the backward."""
+    gy. The output is not kept: the op's recompute rebuilds it from the same
+    rows, not from gamma and beta, which AdamW may update within the
+    backward."""
     if x.data.ndim != 5:
         raise TensorError(f"group_norm input must be 5-d, got {x.shape}")
     n, c, t, h, w = x.shape

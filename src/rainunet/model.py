@@ -200,11 +200,9 @@ class TSBlock:
 
         With a tape, the block leaves on it the layout copy of its input
         (when the input is not in the layout already) and its four conv
-        outputs, which the norms and the next convs' weight gradients read.
-        The two relu outputs, ``h`` here and the block's output, are not
-        kept: their readers keep group norm's recompute (tensor._saved), and
-        each is rebuilt once in the backward, just before its relu's own
-        backward."""
+        outputs, which the norms and the next convs' weight gradients read,
+        but not its two relu outputs, ``h`` here and the block's output,
+        which the backward rebuilds (see rainunet.tensor)."""
         h = conv3d(h, self.spatial)
         h = conv3d(h, self.dilated)
         h = conv3d(h, self.temporal)
@@ -279,10 +277,7 @@ class RainUNet:
         frees it when the caller passed it without a name (predict_probs,
         fit). Under no_grad nothing else holds these maps, so the peak is a
         few stage-1 maps, not the model's depth; with a tape, the tape keeps
-        what the backward reads, as it would anyway: per TS block its
-        input in the layout and the four conv outputs (TSBlock.convolve),
-        with each relu output rebuilt in the backward by whichever reader
-        (a conv, the max pool) asks for it first."""
+        what the backward reads (TSBlock.convolve)."""
         cfg = self.config
         cfg.check_input(x.shape)
         t_kernels = cfg.temporal_pool_kernels()

@@ -9,15 +9,12 @@ gradients are stored and handed on at :func:`backward`.
 
 The tape holds what the backward reads and no more: each op's ``grad_fn``
 keeps the arrays its gradient reads (a conv's input for its weight
-gradient, group norm's input), never a tensor. A map that can be rebuilt
-from what the tape holds anyway is not held a second time: group norm's
-output comes with a recompute from its kept input (see :func:`_op`), a relu
-of it keeps no output, and its mask and each reader that would keep that
-output for its backward (:func:`_saved`) read it rebuilt once, on the first
-demand in the backward, and dropped after relu's own backward. Per RainUNet
-TS block the tape thus holds the block's input in the layout (a copy only
-when it came in another order) and the four conv outputs, not the two relu
-outputs.
+gradient, group norm's input), never a tensor, and a map that can be
+rebuilt from what the tape holds anyway is not held a second time. Group
+norm's output comes with a recompute from its kept input (see :func:`_op`);
+a relu of it keeps no output, and its mask and each reader that would keep
+that output for its backward (:func:`_saved`) read it rebuilt once, on the
+first demand in the backward, and dropped after relu's own backward.
 
 No broadcasting: ``mul`` takes two tensors of one shape. The logical shape
 of a 5-d value is (N, C, T, H, W); its memory may be in another order: a
@@ -78,23 +75,15 @@ def no_grad():
 class GraphNode:
     """One recorded op: its inputs, a weak reference to its output tensor,
     that output's shape and dtype, the gradient gathered for it during
-    :func:`backward` (``grad``, ``grad_taps``) and, in ``apply``, the op's
-    ``grad_fn`` (see :func:`_op`).
+    :func:`backward` and, in ``apply`` and ``recompute``, the op's
+    ``grad_fn`` and recompute (see :func:`_op`).
 
-    The tape keeps only what a backward reads. An input is held as its
-    producer's node when an op on the same graph made it, and as the tensor
-    otherwise (a leaf, or the output of an op on a tape already consumed).
-    The output is held only weakly: its gradient is gathered here and handed
-    to it if the caller still holds it. With each ``grad_fn`` capturing
-    arrays, not tensors, an activation that no backward reads, such as a
-    relu's input or a mean's, is freed as soon as the forward moves past it.
-    ``recompute``, when the op has one, rebuilds the output's values from
-    what the node's ``grad_fn`` keeps anyway (see :func:`_op`): a reader
-    keeps it instead of the output (:func:`_saved`), so a group norm's or
-    its relu's output is freed with the forward's last name for it, too."""
+    An input is held as its producer's node when an op on the same graph
+    made it, and as the tensor otherwise (a leaf, or the output of an op on
+    a tape already consumed). The output is held only weakly: its gradient
+    is gathered here and handed to it if the caller still holds it."""
 
-    __slots__ = ("inputs", "out", "apply", "recompute", "graph", "shape", "dtype", "grad",
-                 "grad_taps")
+    __slots__ = ("inputs", "out", "apply", "recompute", "graph", "shape", "dtype", "grad")
     requires_grad = True  # a recorded op's output always takes part
 
     def __init__(self, inputs, out, apply, recompute, graph):
@@ -104,11 +93,11 @@ class GraphNode:
         self.recompute = recompute
         self.graph = graph
         self.shape, self.dtype = out.shape, out.dtype
-        self.grad = self.grad_taps = None
+        self.grad = None
 
     def release(self) -> None:
         """Drop what the node holds for a backward."""
-        self.inputs = self.out = self.apply = self.recompute = self.grad = self.grad_taps = None
+        self.inputs = self.out = self.apply = self.recompute = self.grad = None
 
 
 class Graph:
@@ -154,7 +143,7 @@ def _recording_graph() -> Graph:
 class Tensor:
     """N-dimensional float array that can participate in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "grad_taps", "node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=precision.dtype())
@@ -162,19 +151,8 @@ class Tensor:
             raise NonFiniteError("tensor holds NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.grad: Optional[np.ndarray] = None
         self.node: Optional[GraphNode] = None
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self._grad
-
-    @grad.setter
-    def grad(self, g) -> None:
-        # ``grad_taps``: None, or for a conv weight's gradient the three slices
-        # of kernel taps (axes 2-4) outside which it is zero, which only
-        # backward sets; a gradient set here may be nonzero anywhere
-        self._grad, self.grad_taps = g, None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -210,21 +188,19 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     the order of ``inputs``, each with its input's shape and dtype, or
     ``None`` for an input that needs none. It may return a gradient for an
     input whose ``requires_grad`` is false, or one past the last input:
-    :func:`backward` drops both. A conv weight's gradient may come as the
-    pair ``(gradient, taps)``, ``taps`` being the slices of kernel taps
-    outside which it is zero; :func:`backward` keeps them in ``grad_taps``.
-    It stores nothing itself; :func:`backward` does. It should capture the
-    arrays and flags it reads, not the tensors of ``inputs``, which the tape
-    holds only as nodes (see :class:`GraphNode`). A non-finite output's
-    NonFiniteError names the op (grad_fn's enclosing function), its shape and
-    the ``layer`` the op ran, when the op names one.
+    :func:`backward` drops both. It stores nothing itself; :func:`backward`
+    does. It should capture the arrays and flags it reads, not the tensors
+    of ``inputs``, which the tape holds only as nodes (see
+    :class:`GraphNode`). A non-finite output's NonFiniteError names the op
+    (grad_fn's enclosing function), its shape and the ``layer`` the op ran,
+    when the op names one.
 
     ``recompute()``, when given, returns the values of ``data`` again, bit
-    for bit, as a new array of its shape and memory order, from arrays
-    ``grad_fn`` keeps and rows no larger than a parameter's per-sample
-    terms: the forward's own operations on the same arrays. The node holds it, so that a reader of the output keeps
-    it instead of the output (:func:`_saved`). Like ``grad_fn`` it must keep
-    its arrays in its closure cells, not in default arguments or containers.
+    for bit, as a new array of its shape and memory order, by the forward's
+    own operations on arrays ``grad_fn`` keeps and rows no larger than a
+    parameter's per-sample terms. A reader of the output keeps it instead
+    of the output (:func:`_saved`). Like ``grad_fn`` it must keep its arrays
+    in its closure cells, not in default arguments or containers.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     try:
@@ -261,12 +237,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0). The gradient masks with y > 0, which holds exactly where
-    a > 0. The tape keeps y, unless ``a``'s op has a recompute (group norm):
-    then it keeps none. Its mask, and each reader that keeps y for its
-    backward (:func:`_saved`), read ``max(recompute(), 0)``, built in place
-    on the first demand, held by this op until its own backward has read
-    it, and dropped then; a backward that never reaches it drops it with
-    the tape."""
+    a > 0. The tape keeps y, unless ``a``'s op has a recompute: then y is
+    ``max(recompute(), 0)``, rebuilt on the first demand and held until
+    this op's own backward has read it."""
     y = np.maximum(a.data, 0)
     rebuild = None if a.node is None else a.node.recompute
     if rebuild is None:
@@ -299,12 +272,18 @@ def sigmoid(a: Tensor) -> Tensor:
     return _op(s, (a,), lambda gy: (gy * s * (1.0 - s),))
 
 
+def memory_order(a: np.ndarray) -> list[int]:
+    """The axes of ``a`` by decreasing stride, as ``np.empty_like`` orders
+    them: ``a.transpose(memory_order(a))`` is C-contiguous when ``a`` is
+    dense with positive strides."""
+    return sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+
+
 def _filler(a: np.ndarray):
     """A function ``fill(v)`` giving a new array of ``a``'s shape, dtype and
-    memory order (its axes by decreasing stride, as ``np.empty_like``) set
-    to ``v``; it keeps nothing of ``a`` alive."""
+    memory order set to ``v``; it keeps nothing of ``a`` alive."""
     shape, dtype = a.shape, a.dtype
-    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    order = memory_order(a)
 
     def fill(v):
         g = np.empty([shape[i] for i in order], dtype).transpose(np.argsort(order))
@@ -376,10 +355,9 @@ def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -
     out of place, so an array that two tensors share is never changed
     through either. So gradients accumulate across fan-out within one
     backward, and on a leaf across backward calls until it is dropped
-    (``Tensor.zero_grad``, or the AdamW step that consumes it). The box of
-    taps that comes with a conv weight's first gradient is kept in
-    ``grad_taps``; a sum of gradients has none. A gradient whose shape or dtype differs from its
-    input's is an :class:`AutodiffError`.
+    (``Tensor.zero_grad``, or the AdamW step that consumes it). A gradient
+    whose shape or dtype differs from its input's is an
+    :class:`AutodiffError`.
 
     ``on_grad(t)``, when given, is called for each tensor the tape holds as
     a tensor whose ``grad`` is set, right after the first node recorded that
@@ -410,20 +388,19 @@ def backward(loss: Tensor, on_grad: Optional[Callable[[Tensor], None]] = None) -
         if node.grad is not None:
             out = node.out()
             if out is not None:
-                out.grad, out.grad_taps = node.grad, node.grad_taps
+                out.grad = node.grad
             for t, g in zip(node.inputs, node.apply(node.grad)):
                 if g is None or not t.requires_grad:
                     continue
-                g, taps = g if isinstance(g, tuple) else (g, None)
                 if g.shape != t.shape or g.dtype != t.dtype:
                     raise AutodiffError(f"gradient of shape {g.shape} and dtype {g.dtype} for a "
                                         f"tensor of shape {t.shape} and dtype {t.dtype}")
                 if t.grad is None:
-                    t.grad, t.grad_taps = g, taps
+                    t.grad = g
                 else:
                     # out of place: the first gradient may be shared (an op may
-                    # give one gy to two inputs); the sum carries no box of taps
-                    t.grad, t.grad_taps = t.grad + g, None
+                    # give one gy to two inputs)
+                    t.grad = t.grad + g
         node.release()
         for t in firsts.get(node, ()):
             if t.grad is not None:

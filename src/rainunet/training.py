@@ -14,11 +14,11 @@ import numpy as np
 
 from . import precision
 from .data import write_csv
-from .layers import TAP_MAJOR, is_tap_major, stack_in_layout
+from .layers import stack_in_layout
 from .metrics import is_binary
 from .model import RainUNet, RainUNetConfig
 from .tensor import (NonFiniteError, Tensor, TensorError, _op, backward, discard_tape,
-                     no_grad)
+                     memory_order, no_grad)
 
 
 class TrainingAbort(RuntimeError):
@@ -102,30 +102,18 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 ADAMW_BLOCK = 32768
 
 
-def _runs(size: int, started) -> list[tuple[int, int, bool]]:
-    """``(lo, hi, full)`` ranges covering a flat parameter of ``size``
-    elements: ``full`` for the full update, else the decay only. ``started``
-    marks the taps of a tap-major weight that have had the full update, or
-    is None when every element has."""
-    if started is None:
-        return [(0, size, True)]
-    flat = started.reshape(-1)
-    slab = size // flat.size
-    cuts = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1), flat.size]
-    return [(lo * slab, hi * slab, flat[lo]) for lo, hi in zip(cuts, cuts[1:])]
-
-
 class AdamW:
     """Decoupled weight decay: p -= lr * (mhat / (sqrt(vhat) + EPS) + wd * p),
     with mhat and vhat the bias-corrected moments of decay BETA1 and BETA2.
 
     Each parameter is updated in place, in blocks of ADAMW_BLOCK elements,
-    in its memory order when it is a tap-major conv weight or a C-order
-    array (any other layout is updated in a C-order copy and copied back);
-    ``m`` and ``v`` are flat arrays in that order, views into one zeroed
-    buffer. Every element sees the formula's operations in order, so the
-    result is bit-identical to a whole-array pass. The parameters must share
-    one dtype, that of the buffer and of the two scratch blocks.
+    in its memory order, read off its strides at each step (a ``.data`` that
+    is not dense is updated in a copy and copied back); ``m`` and ``v`` are
+    flat arrays in that order, views into one zeroed buffer, so a parameter
+    must keep its memory order from step to step. Every element sees the
+    formula's operations in order, so the result is bit-identical to a
+    whole-array pass. The parameters must share one dtype, that of the
+    buffer and of the two scratch blocks.
 
     :meth:`step_param` is the one update: it updates one parameter for the
     pending step as soon as its gradient is complete (``backward``'s
@@ -133,12 +121,14 @@ class AdamW:
     :meth:`step` closes the step once every parameter has had it.
     Parameters are independent, so each gets the same bytes in any order.
 
-    A tap-major conv weight (see layers) is walked as its kernel taps'
-    slabs. A tap outside the gradient's ``grad_taps`` at every step so far
-    has had g = 0 throughout, so its m and v are 0 and the formula reduces,
-    operation for operation, to p -= (0 + wd*p) * lr: such a slab gets only
-    that decay, and its m, v and gradient are never read or written. It
-    gets the full update from the first step its tap is live.
+    A block whose gradient has been +-0 at every step so far has m and v
+    +0.0, and the formula reduces, operation for operation and bit for bit
+    (a -0.0 weight and wd = 0 included), to p -= (wd*p + 0) * lr: such a
+    block gets only that decay, and its m and v are never read or written.
+    ``started[name]`` marks the blocks that have had a nonzero gradient;
+    each gets the full update from then on. So a block of a conv weight's
+    dead-tap slabs (see layers), which its gradient leaves zero, costs a
+    scan of the gradient and keeps its moment pages untouched.
     """
 
     def __init__(self, named_params, lr=1e-3, weight_decay=1e-2):
@@ -146,15 +136,13 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.axes = {name: TAP_MAJOR if is_tap_major(t.data) else tuple(range(t.data.ndim))
-                     for name, t in self.named_params}
         dtypes = {t.data.dtype for _, t in self.named_params}
         if len(dtypes) != 1:
             raise TensorError("AdamW needs parameters of one dtype, got "
                               f"{sorted(map(str, dtypes))}")
         dtype = dtypes.pop()
         # m and v of every parameter are views into one zeroed buffer: the
-        # slabs of dead taps stay untouched zero pages, and the whole state
+        # blocks never started stay untouched zero pages, and the whole state
         # goes back at once when the optimizer is dropped
         n = sum(t.size for _, t in self.named_params)
         state = np.zeros((2, n), dtype)
@@ -163,9 +151,8 @@ class AdamW:
             n -= t.size
             self.m[name], self.v[name] = state[:, n : n + t.size]
         self.scratch = np.empty((2, ADAMW_BLOCK), dtype)
-        # per tap-major weight, the taps that have had the full update
-        self.started = {name: np.zeros(t.shape[2:], dtype=bool)
-                        for name, t in self.named_params if self.axes[name] == TAP_MAJOR}
+        self.started = {name: np.zeros(-(-t.size // ADAMW_BLOCK), dtype=bool)
+                        for name, t in self.named_params}
         self.names = {id(t): name for name, t in self.named_params}
         self.updated: set[str] = set()  # the parameters the pending step has updated
 
@@ -183,26 +170,24 @@ class AdamW:
         k = self.step_count + 1
         bc1 = 1.0 - BETA1**k
         bc2 = 1.0 - BETA2**k
-        held = t.data.transpose(self.axes[name])
-        # views, unless .data is laid out neither tap-major nor in C order
-        p = held.reshape(-1)
-        g = t.grad.transpose(self.axes[name]).reshape(-1)
-        m, v = self.m[name], self.v[name]
-        started = self.started.get(name)
-        if started is not None:
-            started[t.grad_taps or ...] = True
-        for lo, hi, full in _runs(p.size, started):
-            for b in range(lo, hi, ADAMW_BLOCK):
-                e = min(b + ADAMW_BLOCK, hi)
-                tmp, update = self.scratch[:, : e - b]
-                if full:
-                    self._update(p[b:e], g[b:e], m[b:e], v[b:e], tmp, update, bc1, bc2)
-                elif self.weight_decay:
-                    # the formula's "+ 0" keeps a -0.0 weight at -0.0
-                    np.multiply(p[b:e], self.weight_decay, out=update)
-                    update += 0.0
-                    update *= self.lr
-                    p[b:e] -= update
+        order = memory_order(t.data)
+        held = t.data.transpose(order)
+        p = held.reshape(-1)  # a view, unless .data is not dense
+        g = t.grad.transpose(order).reshape(-1)
+        m, v, started = self.m[name], self.v[name], self.started[name]
+        for i, b in enumerate(range(0, p.size, ADAMW_BLOCK)):
+            e = min(b + ADAMW_BLOCK, p.size)
+            tmp, update = self.scratch[:, : e - b]
+            if not started[i]:
+                started[i] = g[b:e].any()
+            if started[i]:
+                self._update(p[b:e], g[b:e], m[b:e], v[b:e], tmp, update, bc1, bc2)
+            elif self.weight_decay:
+                # the formula's "+ 0" keeps a -0.0 weight at -0.0
+                np.multiply(p[b:e], self.weight_decay, out=update)
+                update += 0.0
+                update *= self.lr
+                p[b:e] -= update
         if not np.may_share_memory(p, held):
             held[...] = p.reshape(held.shape)
         t.grad = None
@@ -257,7 +242,7 @@ class SWAAverager:
                 self.mean[name] = t.data.copy(order="K")
                 continue
             mean = self.mean[name]
-            axes = sorted(range(mean.ndim), key=lambda i: -mean.strides[i])
+            axes = memory_order(mean)
             m = mean.transpose(axes).reshape(-1)  # a view: the mean is a K-order copy
             p = t.data.transpose(axes).reshape(-1)
             scratch = np.empty(min(ADAMW_BLOCK, m.size), mean.dtype)

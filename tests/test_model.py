@@ -1,7 +1,6 @@
 import os
 import re
 import struct
-import sys
 import weakref
 from dataclasses import asdict, fields, replace
 from typing import get_type_hints
@@ -347,8 +346,6 @@ class TestForward:
             default_model.forward(x)
             assert peak() < 5.5 * self.STAGE1
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 a caller "
-                        "holds the arguments it passes until the call returns")
     def test_batch_passed_without_a_name_is_freed_after_stage_one(self, default_model,
                                                                   traced_peak):
         # predict_probs hands forward its batch without a name, and __call__

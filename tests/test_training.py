@@ -7,8 +7,8 @@ from rainunet import precision
 from rainunet.data import SequenceRecord
 from rainunet.layers import Conv3DLayer, ConvSpec, conv3d, is_tap_major
 from rainunet.model import RainUNet, RainUNetConfig, save_checkpoint
-from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check,
-                             mul, no_grad, tensor_sum)
+from rainunet.tensor import (Tensor, TensorError, _op, active_graph, backward, concat,
+                             grad_check, memory_order, mul, no_grad, tensor_sum)
 from rainunet.training import (ADAMW_BLOCK, AdamW, EpochLog, SWAAverager, TrainConfig,
                                TrainingAbort, batch_dice_loss, fit, predict_probs,
                                write_training_log_csv)
@@ -190,10 +190,15 @@ class TestAdamW:
     def test_steps_equal_docstring_formula_bitwise(self, mode, wd):
         # Shapes: one block; several blocks of ADAMW_BLOCK elements with a
         # ragged last block (rows sized from the constant); one row larger
-        # than a block; and a transposed (not C-contiguous) parameter.
+        # than a block; a transposed (not C-contiguous) parameter; and a
+        # vector of three blocks whose middle block's gradient is +-0 for two
+        # steps, so it has the decay only, and then nonzero but at a -0.0
+        # weight, which must stay -0.0.
         rows = ADAMW_BLOCK // 1000
         cases = [((3, 5), False), ((2 * rows + 3, 1000), False),
-                 ((3, ADAMW_BLOCK + 7), False), ((2 * rows + 3, 1000), True)]
+                 ((3, ADAMW_BLOCK + 7), False), ((2 * rows + 3, 1000), True),
+                 ((3 * ADAMW_BLOCK,), False)]
+        quiet, signed = slice(ADAMW_BLOCK, 2 * ADAMW_BLOCK), ADAMW_BLOCK + 5
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(23)
         for shape, transposed in cases:
@@ -201,13 +206,21 @@ class TestAdamW:
                 init = rng.normal(size=shape[::-1]).T if transposed else rng.normal(size=shape)
                 p = Tensor(init, requires_grad=True)
             assert p.shape == shape and p.data.flags.c_contiguous != transposed
+            if len(shape) == 1:
+                p.data[signed] = -0.0
             want = p.data.copy()
             m, v = np.zeros_like(want), np.zeros_like(want)
             opt = AdamW([("p", p)], lr=lr, weight_decay=wd)
             for k in range(1, 6):
                 g = rng.normal(size=want.shape).astype(want.dtype)
+                if len(shape) == 1:
+                    if k <= 2:
+                        g[quiet] = np.copysign(0.0, g[quiet])  # +-0, signs kept
+                    g[signed] = 0.0
                 p.grad = g.copy()
                 step_all(opt)
+                if len(shape) == 1:
+                    assert opt.started["p"].tolist() == [True, k > 2, True], k
                 m = m * b1 + (1.0 - b1) * g
                 v = v * b2 + (1.0 - b2) * g * g
                 mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
@@ -217,6 +230,9 @@ class TestAdamW:
                 want = want - lr * update
                 assert p.data.dtype == want.dtype
                 assert np.array_equal(p.data, want), (shape, transposed, k)
+                assert np.array_equal(np.signbit(p.data), np.signbit(want)), (shape, k)
+            if len(shape) == 1:
+                assert np.signbit(p.data[signed])
 
     @pytest.mark.parametrize("mode", ["standard", "wide"])
     @pytest.mark.parametrize("wd", [0.0, 0.05])
@@ -247,7 +263,7 @@ class TestAdamW:
                 gy = Tensor(rng.normal(size=(2, 4, 1, size, size)))
                 backward(tensor_sum(mul(conv3d(x, layer), gy)))
                 g = np.array(w.grad)
-                assert is_tap_major(w.grad) and w.grad_taps is not None
+                assert is_tap_major(w.grad)
                 step_all(opt)
                 m = m * b1 + (1.0 - b1) * g
                 v = v * b2 + (1.0 - b2) * g * g
@@ -272,6 +288,43 @@ class TestAdamW:
         assert np.all(slabs[24] != 0.0)
         assert np.all(np.delete(slabs, 24, axis=0) == 0.0)
 
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    def test_weight_read_twice_keeps_dead_slab_moments_zero(self, wd):
+        # the weight is read on a 2x2 and a 5x5 map; the sum of the two
+        # gradients is live at taps 2-4 of each spatial axis. Each tap's
+        # (C_out, C_in) slab is one block, so only the 9 live slabs start,
+        # the 40 dead ones keep zero moments, and every slab's bytes are
+        # the docstring formula's.
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(34)
+        layer = Conv3DLayer(256, ADAMW_BLOCK // 256, ConvSpec.same_size((1, 7, 7), (1, 3, 3)),
+                            rng)
+        w = layer.weight
+        opt = AdamW([("w", w)], lr=lr, weight_decay=wd)
+        want = w.data.copy()
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        for k in range(1, 4):
+            small = tensor_sum(conv3d(Tensor(rng.normal(size=(1, 256, 1, 2, 2))), layer))
+            large = tensor_sum(conv3d(Tensor(rng.normal(size=(1, 256, 1, 5, 5))), layer))
+            backward(_op(small.data + large.data, (small, large), lambda gy: (gy, gy)))
+            g = np.array(w.grad)
+            step_all(opt)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * g * g
+            mhat, vhat = m / (1.0 - b1**k), v / (1.0 - b2**k)
+            update = mhat / (np.sqrt(vhat) + eps)
+            if wd:
+                update = update + wd * want
+            want = want - lr * update
+            assert np.array_equal(w.data, want), k
+        live = np.zeros((7, 7), dtype=bool)
+        live[2:5, 2:5] = True
+        assert np.array_equal(opt.started["w"], live.reshape(-1))
+        for moment in (opt.m["w"], opt.v["w"]):
+            slabs = moment.reshape(49, -1)
+            assert slabs[live.reshape(-1)].any(axis=1).all()
+            assert not slabs[~live.reshape(-1)].any()
+
     def test_moments_are_views_of_one_buffer(self):
         # one zeroed allocation holds every m and v, so the untouched slabs
         # of dead taps cost no memory and the state is freed at once
@@ -286,15 +339,13 @@ class TestAdamW:
             assert not any(np.shares_memory(a, b) for b in moments[i + 1:])
 
     def test_gradient_set_by_hand_is_dense(self):
-        # a gradient assigned directly carries no box of live taps, so every
-        # slab gets the full update
+        # a gradient assigned directly replaces the backward's, whose dead
+        # slabs were zero, so every slab gets the full update
         rng = np.random.default_rng(32)
         layer = Conv3DLayer(2, 2, ConvSpec.same_size((1, 7, 7), (1, 3, 3)), rng)
         w = layer.weight
         backward(tensor_sum(conv3d(Tensor(rng.normal(size=(1, 2, 1, 2, 2))), layer)))
-        assert w.grad_taps is not None
         w.grad = np.ones(w.shape, dtype=w.data.dtype)
-        assert w.grad_taps is None
         opt = AdamW([("w", w)], weight_decay=0.0)
         before = w.data.copy()
         step_all(opt)
@@ -308,12 +359,12 @@ class TestAdamW:
         x = Tensor(rng.normal(size=(1, 9, 4, 8, 8)))
         target = Tensor((rng.random((1, 32, 8, 8)) < 0.3).astype(float))
         backward(batch_dice_loss(model.forward(x), target))
-        opt = AdamW(model.named_parameters())
         ups = [(n, t) for n, t in model.named_parameters() if n.endswith(".up.weight")]
         assert [n for n, _ in ups] == ["dec2.up.weight", "dec1.up.weight"]
         for name, t in ups:
             assert is_tap_major(t.grad), name
-            assert np.shares_memory(t.grad.transpose(opt.axes[name]).reshape(-1), t.grad), name
+            order = memory_order(t.data)
+            assert np.shares_memory(t.grad.transpose(order).reshape(-1), t.grad), name
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)

@@ -4,18 +4,23 @@ group normalization, each a single tape node with an explicit backward rule.
 Convolution uses cross-correlation semantics (no kernel flip) and zero
 padding, which is never read: a kernel tap that reads only padding is
 skipped, and a read that falls in the padding contributes a zero. The
-kernels work in the (T, H, N, W, C) layout, one frame at a time: the frame's
-live W taps are laid side by side along the channel axis, so each live
-(t, h) tap is one matrix product with inner dimension live_w*C. The
-backward mirrors this, placing gy at the input columns each W tap read; one
-walk over those blocks gives the input and the weight gradient. The
-transposed convolution is the same op with the two directions exchanged.
+kernels work one frame at a time: the frame's live W taps are laid side by
+side along the channel axis, so each live (t, h) tap is one matrix product
+with inner dimension live_w*C. The backward mirrors this, placing gy at the
+input columns each W tap read; one walk over those blocks gives the input
+and the weight gradient. The transposed convolution is the same op with the
+two directions exchanged.
 
-Activations keep that layout between ops: a conv's, group norm's or max
-pool's output and input gradient have the logical shape (N, C, T, H, W) but
-are views of (T, H, N, W, C) memory, and group norm and max pool work on that
-memory directly, so a conv fed by any of them copies nothing into or out of
-the layout.
+The layout. Every op here works in (T, H, N, W, C) memory, where the batch
+sits inside H, so a frame's H, N and W merge into one axis of rows and an H
+range of a frame is one run of rows. An activation has the logical shape
+(N, C, T, H, W) and is a view of that memory, as each op's output and input
+gradient is. ``_to_layout`` gives an op its operand in the layout as a view
+when the kernels can read it as it is: the channel stride is one element,
+and each frame's rows have one stride, at least a row's width; the T stride
+can be anything, 0 included. So the C slices of concat's gradient and
+mean_axis's gradient, one frame repeated over T, are read in place. Any
+other operand is copied, once: a conv's backward reuses its input's copy.
 """
 
 from __future__ import annotations
@@ -94,41 +99,17 @@ class ConvSpec:
 
 # ---------------------------------------------------------------------------
 # numpy core, the kernels of the module docstring: the correlation, run
-# forward or as its adjoint (the gradient w.r.t. its input), and in the
-# backward's pass the gradient w.r.t. its weight, all three from one
-# traversal, _tap_blocks.
-#
-# In the layout (T, H, N, W, C) the batch sits inside H, so an H-range of one
-# frame is one contiguous run of rows. An input in another memory order is
-# copied into the layout once, in the forward; the backward reuses that copy
-# for the weight gradient.
-#
-# Per axis, output i reads input i*s + a*d - p for tap a; _axis_taps keeps the
-# taps that read some data, with the output range they write and the strided
-# input range they read.
-#
-# In a frame's block (_w_block), for the forward, column i holds in tap j's
-# slot the input column output i reads through tap j, or zeros; the adjoint
-# uses the mirror, a block of gy. Each live (t, h) tap multiplies an H-range
-# of the block by its live W weights, stacked to match (_stacked_weights); in
-# the backward, m.T @ x's rows is also the tap's weight gradient, so one
-# block build serves both gradients. Blocks are made one frame at a time,
-# each released before the next is built, which bounds the stage-1
-# backward's peak. One geometry serves every stride, dilation and padding;
-# there is no size rule and no second path.
-#
-# A conv weight is held tap-major: a (C_out, C_in, kt, kh, kw) array whose
-# memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
-# (C_out, C_in) slab, and the stacked W taps of a (t, h) tap are a reshape of
-# it. The weight gradient is made in the same layout: only live slabs are
-# written, and a dead slab stays zero (see training.AdamW). Checkpoints and the
-# layer API keep (C_out, C_in, kt, kh, kw) in C order. Between the two
-# orders a weight is its (C_out*C_in, taps) C-order matrix transposed, and
-# it moves in pieces of about _PIECE elements, whole rows of that matrix
-# (_row_pieces): a drawn weight is drawn piece by piece in C order and each
-# piece transposed into the tap-major array, and a checkpoint is written
-# from one reused piece buffer (c_order_pieces), so neither holds a second
-# whole-layer copy.
+# forward or as its adjoint (the gradient w.r.t. its input), and its weight
+# gradient, all from one traversal, _tap_blocks. Per axis, output i reads
+# input i*s + a*d - p for tap a; _axis_taps keeps the taps that read some
+# data, with the output range they write and the strided input range they
+# read. In a frame's block (_w_block), column i holds in tap j's slot the
+# input column output i reads through tap j, or zeros; the adjoint uses the
+# mirror, a block of gy. In the backward, m.T @ x's rows is also the tap's
+# weight gradient, so one block build serves both gradients. Blocks are made
+# one frame at a time, each released before the next is built, which bounds
+# the stage-1 backward's peak. One geometry serves every stride, dilation
+# and padding; there is no size rule and no second path.
 
 
 def _axis_taps(n, o, k, s, d, p):
@@ -154,21 +135,22 @@ def _frame_reads(t_taps, by_out):
 
 
 def _to_layout(a):
-    """(N, C, T, H, W) -> (T, H, N, W, C)."""
-    return np.ascontiguousarray(a.transpose(2, 3, 0, 4, 1))
+    """(N, C, T, H, W) -> (T, H, N, W, C), a view or a copy (module docstring)."""
+    v = a.transpose(2, 3, 0, 4, 1)
+    _, _, n, w, c = v.shape
+    _, sh, sn, sw, sc = v.strides
+    rows = sc == v.itemsize and sw >= c * sc and sn == w * sw and sh == n * sn
+    return v if rows else np.ascontiguousarray(v)
 
 
 def _from_layout(a):
-    """(T, H, N, W, C) -> (N, C, T, H, W) as a view, no copy: the activation
-    keeps the memory the core wrote, and _to_layout of the view is that
-    memory again."""
+    """(T, H, N, W, C) -> (N, C, T, H, W), a view."""
     return a.transpose(2, 4, 0, 1, 3)
 
 
 def stack_in_layout(arrays):
     """Stack (C, T, H, W) arrays, cast to the working precision, into a
-    batch (N, C, T, H, W) whose memory is the layout (T, H, N, W, C), so
-    the first conv reads it without a copy."""
+    batch (N, C, T, H, W) in the layout, so the first conv copies nothing."""
     c, t, h, w = arrays[0].shape
     out = np.empty((t, h, len(arrays), w, c), precision.dtype())
     np.stack([a.transpose(1, 2, 3, 0) for a in arrays], axis=2, out=out)
@@ -270,8 +252,19 @@ def _corr3d(src, w, taps, extents, adjoint, xl=None, dw=None):
 
 # ---------------------------------------------------------------------------
 # weight layout
+#
+# A conv weight is held tap-major: a (C_out, C_in, kt, kh, kw) array whose
+# memory is (kt, kh, kw, C_out, C_in), so each kernel tap is one contiguous
+# (C_out, C_in) slab, and the stacked W taps of a (t, h) tap are a reshape of
+# it. The weight gradient is made in the same layout: only live slabs are
+# written, and a dead slab stays zero (see training.AdamW). Checkpoints and the
+# layer API keep (C_out, C_in, kt, kh, kw) in C order. Between the two
+# orders a weight is its (C_out*C_in, taps) C-order matrix transposed, and
+# it moves in pieces of about _PIECE elements (_row_pieces), so neither a
+# drawn weight (_tap_major) nor a checkpoint (c_order_pieces) holds a second
+# whole-layer copy.
 
-# The memory axis order of a tap-major (C_out, C_in, kt, kh, kw) weight.
+# The memory axis order of a tap-major weight.
 TAP_MAJOR = (2, 3, 4, 0, 1)
 # Tile of a transposing copy: 16 elements across the weight matrix's short
 # axis (a float32 cache line) by 4096 along its long one.
@@ -287,9 +280,8 @@ def is_tap_major(w) -> bool:
 
 def _transpose_into(dst, src):
     """dst[...] = src.T for a 2-d src, tile by tile, each stretch of the long
-    axis finished before the next. Between C order and tap-major a weight is
-    a (C_out*C_in, taps) matrix transposed, and a whole-weight transposing
-    copy, which strides through more than the cache holds, took 2x as long."""
+    axis finished before the next: a whole-weight transposing copy, which
+    strides through more than the cache holds, took 2x as long."""
     r, c = src.shape
     if r < c:
         return _transpose_into(dst.T, src.T)
@@ -391,11 +383,8 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
     the correlation are found once and serve the forward and both gradients.
     A transposed spec runs the correlation reversed, from the op's output
     extents to its input's: its forward is the adjoint core and its backward
-    the forward core, both on w with C_out and C_in swapped. Either way the
-    backward is one traversal of gy's blocks, which gives the input gradient
-    and the weight gradient's (C_out, C_in) slabs, tap-major. For the weight
-    gradient the op keeps its input as :func:`_saved` gives it, with the
-    layout array the forward read (its own memory or one layout copy)."""
+    the forward core, both on w with C_out and C_in swapped. For the weight
+    gradient the op keeps its input as :func:`_saved` gives it."""
     if x.data.ndim != 5:
         raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {x.shape}")
     if x.shape[1] != layer.in_channels:
@@ -425,7 +414,7 @@ def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
         dx = _corr3d(gy, dx_weight, taps, in_ext, not transposed, xl, dw)
         if dw is not None:
             dw = dw.transpose(3, 4, 0, 1, 2)
-        return None if dx is None else _from_layout(dx), dw, _mat(gy).sum(axis=0)
+        return None if dx is None else _from_layout(dx), dw, gy.sum(axis=(0, 1, 2, 3))
     return _op(_from_layout(y), (x, w, b), grad_fn, layer.name)
 
 
@@ -446,11 +435,10 @@ def maxpool3d(x: Tensor, kernel) -> Tensor:
     do not fill a window are dropped; the gradient goes to the first maximum
     in row-major scan order within each window.
 
-    Works in the conv layout: the windows are kt*kh*kw strided views of it,
-    the output is a running maximum over them in scan order, and output and
-    input gradient are layout views. The backward finds each window's first
-    maximum again by walking the views in the same order, so the tape keeps
-    no index, only the input as :func:`_saved` gives it."""
+    The windows are kt*kh*kw strided views of the layout, and the output is
+    a running maximum over them in scan order. The backward finds each
+    window's first maximum again by walking the views in the same order, so
+    the tape keeps no index, only the input as :func:`_saved` gives it."""
     kt, kh, kw = _triple(kernel)
     if x.data.ndim != 5:
         raise TensorError(f"maxpool input must be 5-d, got {x.shape}")
@@ -511,10 +499,9 @@ class GroupNormLayer:
 
 
 def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
-    """Group norm in the conv layout: x as rows (T*H, N*W*C), so every pass is
-    a long contiguous row against a row of per-(n, c) terms, and a sum over
-    the rows then over W gives the per-(n, c) sums. Output and input gradient
-    are layout views, as a conv's are. The tape keeps the input, the mean row
+    """Group norm on the layout as rows (T*H, N*W*C), so every pass is a long
+    contiguous row against a row of per-(n, c) terms, and a sum over the rows
+    then over W gives the per-(n, c) sums. The tape keeps the input, the mean row
     and the per-(n, c) inverse deviation, and the per-(n, c) scale and shift
     rows the forward made from gamma and beta; the backward recomputes the
     centred input x - mean from them, the forward's subtraction on the same
@@ -551,7 +538,7 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     del d  # the backward recomputes it; free it before _op's finite check
     need_dx = x.requires_grad
 
-    def recompute():  # the forward's y, by its operations on the same arrays
+    def recompute(hold=True):  # the forward's y, by its operations on the same arrays
         y = xl - mean
         y *= scale
         y += shift

@@ -196,13 +196,10 @@ class TSBlock:
         """The factorized conv of a projected map ``h``: spatial, dilated,
         then temporal, then norm + relu. Each map is dropped once the next
         conv has read it, and so is ``h`` when the caller passed it without
-        a name, as ``__call__`` does.
-
-        With a tape, the block leaves on it the layout copy of its input
-        (when the input is not in the layout already) and its four conv
-        outputs, which the norms and the next convs' weight gradients read,
-        but not its two relu outputs, ``h`` here and the block's output,
-        which the backward rebuilds (see rainunet.tensor)."""
+        a name, as ``__call__`` does. With a tape, the block leaves on it its
+        four conv outputs and its input as the projection keeps it (see
+        rainunet.tensor), but not its two relu outputs, which the backward
+        rebuilds."""
         h = conv3d(h, self.spatial)
         h = conv3d(h, self.dilated)
         h = conv3d(h, self.temporal)
@@ -270,14 +267,13 @@ class RainUNet:
         """The rain probabilities (N, out_frames, H, W) of an input (N, C, T, H, W).
 
         Each map is held only while something reads it. An encoder stage's
-        output waits in ``skips`` until its decoder stage concatenates it,
-        and is dropped then; the concatenation lives through its block's
-        projection only (TSBlock.project); the head's input and logits die
-        at their last reader. ``x`` is dropped after the first stage, which
-        frees it when the caller passed it without a name (predict_probs,
-        fit). Under no_grad nothing else holds these maps, so the peak is a
-        few stage-1 maps, not the model's depth; with a tape, the tape keeps
-        what the backward reads (TSBlock.convolve)."""
+        output waits in ``skips`` until its decoder stage concatenates it;
+        the concatenation lives through its block's projection only
+        (TSBlock.project), with a tape too (TSBlock.convolve); the head's
+        input and logits die at their last reader. ``x`` is dropped after
+        the first stage, which frees it when the caller passed it without a
+        name (predict_probs, fit). So under no_grad the peak is a few
+        stage-1 maps, not the model's depth."""
         cfg = self.config
         cfg.check_input(x.shape)
         t_kernels = cfg.temporal_pool_kernels()

@@ -8,19 +8,20 @@ set out at :func:`_op`, what the tape holds at :class:`GraphNode`, and how
 gradients are stored and handed on at :func:`backward`.
 
 The tape holds what the backward reads and no more: each op's ``grad_fn``
-keeps the arrays its gradient reads (a conv's input for its weight
-gradient, group norm's input), never a tensor, and a map that can be
-rebuilt from what the tape holds anyway is not held a second time. Group
-norm's output comes with a recompute from its kept input (see :func:`_op`);
-a relu of it keeps no output, and its mask and each reader that would keep
-that output for its backward (:func:`_saved`) read it rebuilt once, on the
-first demand in the backward, and dropped after relu's own backward.
+keeps the arrays its gradient reads, never a tensor, and a map that can be
+rebuilt from what the tape holds anyway is not held a second time (see
+:func:`_op`). Group norm's output is rebuilt from its kept input; a relu of
+it keeps no output, and its mask and each reader that would keep it
+(:func:`_saved`) read it rebuilt once, on the first demand in the backward,
+and dropped after relu's own backward. concat keeps its inputs as
+:func:`_saved` gives them, so a decoder's join is rebuilt from its
+upsampled half and its skip's rebuild, which is dropped after the join's
+reader's backward. A mean's gradient is one frame repeated over the mean's
+axis, a read-only view: no op writes into a gradient.
 
-No broadcasting: ``mul`` takes two tensors of one shape. The logical shape
-of a 5-d value is (N, C, T, H, W); its memory may be in another order: a
-conv, group norm or max pool output is a view whose memory is the
-(T, H, N, W, C) layout of the conv kernels (see rainunet.layers), and the
-elementwise ops, concat and zero_pad keep that order.
+No broadcasting: ``mul`` takes two tensors of one shape. A 5-d value's
+memory may be in the layout of rainunet.layers; the elementwise ops, concat
+and zero_pad keep its memory order.
 
 The ops here are the generic ones the model is built from. An op with a
 closed-form gradient of its own records itself through :func:`_op` where it
@@ -180,7 +181,7 @@ class Tensor:
 
 
 def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None,
-        recompute: Optional[Callable[[], np.ndarray]] = None) -> Tensor:
+        recompute: Optional[Callable[..., np.ndarray]] = None) -> Tensor:
     """Create the output tensor of an op, recording it on the tape when any
     input takes part in differentiation.
 
@@ -195,12 +196,14 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     (grad_fn's enclosing function), its shape and the ``layer`` the op ran,
     when the op names one.
 
-    ``recompute()``, when given, returns the values of ``data`` again, bit
-    for bit, as a new array of its shape and memory order, by the forward's
-    own operations on arrays ``grad_fn`` keeps and rows no larger than a
-    parameter's per-sample terms. A reader of the output keeps it instead
-    of the output (:func:`_saved`). Like ``grad_fn`` it must keep its arrays
-    in its closure cells, not in default arguments or containers.
+    ``recompute(hold=True)``, when given, returns the values of ``data``
+    again, bit for bit, as a new array of its shape and memory order, by the
+    forward's own operations on arrays that hold less than ``data``: those
+    ``grad_fn`` keeps, rows no larger than a parameter's per-sample terms,
+    or concat's inputs as :func:`_saved` gives them (relu's keeps what a
+    call with ``hold`` rebuilt until its own backward). A reader of the
+    output keeps it instead of the output (:func:`_saved`). Like ``grad_fn``
+    it keeps its arrays in closure cells, not default arguments or containers.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     try:
@@ -214,16 +217,16 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     return out
 
 
-def _saved(t: Tensor, data: np.ndarray) -> Callable[[], np.ndarray]:
+def _saved(t: Tensor, data: np.ndarray, hold: bool = True) -> Callable[[], np.ndarray]:
     """What an op keeps of its input ``t`` to read in its backward: a
-    function returning ``t``'s values. That is the recompute of ``t``'s op
-    when its node has one, so the op keeps no map of its own, and otherwise
-    ``data``, an array holding ``t``'s values (``t.data``, or the op's copy
-    of it in another memory order), which the function returns as it is."""
+    function returning ``t``'s values, the recompute of ``t``'s op when its
+    node has one, called with ``hold`` (false for concat, whose reader's
+    backward runs far from that op's), else ``data`` (``t.data``, or the
+    op's copy of it in another memory order) as it is."""
     recompute = None if t.node is None else t.node.recompute
-    if recompute is not None:
-        return recompute
-    return lambda: data
+    if recompute is None:
+        return lambda: data
+    return recompute if hold else lambda: recompute(hold=False)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,20 +241,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(a, 0). The gradient masks with y > 0, which holds exactly where
     a > 0. The tape keeps y, unless ``a``'s op has a recompute: then y is
-    ``max(recompute(), 0)``, rebuilt on the first demand and held until
-    this op's own backward has read it."""
+    ``max(recompute(), 0)``, rebuilt on each demand that does not ``hold``
+    and, on the first that does, held until this op's own backward."""
     y = np.maximum(a.data, 0)
     rebuild = None if a.node is None else a.node.recompute
     if rebuild is None:
         return _op(y, (a,), lambda gy: (gy * (y > 0),))
     kept = None
 
-    def recompute():
+    def recompute(hold=True):
         nonlocal kept
-        if kept is None:
-            kept = rebuild()
-            np.maximum(kept, 0, out=kept)
-        return kept
+        if kept is not None:
+            return kept
+        y = rebuild()
+        np.maximum(y, 0, out=y)
+        kept = y if hold else None
+        return y
 
     def grad_fn(gy):
         nonlocal kept
@@ -298,20 +303,34 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
-    """The mean over ``axis``, in C order; its gradient in the memory order of ``a``."""
-    n = a.shape[axis]
-    fill = _filler(a.data)
+    """The mean over ``axis``, in C order; its gradient is one frame of
+    ``gy / n`` in the memory order of ``a``, broadcast over ``axis``."""
+    n, shape = a.shape[axis], a.shape
+    fill = _filler(a.data[(slice(None),) * axis + (slice(0, 1),)])
     return _op(np.ascontiguousarray(np.mean(a.data, axis=axis)), (a,),
-               lambda gy: (fill(np.expand_dims(gy / n, axis)),))
+               lambda gy: (np.broadcast_to(fill(np.expand_dims(gy / n, axis)), shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """The tensors joined along ``axis``, in their memory order. When an
+    input's op has a recompute, its own recompute joins the inputs again as
+    :func:`_saved` gives them, holding nothing it rebuilds; else it keeps none."""
     tensors = tuple(tensors)
     if not tensors:
         raise TensorError("concat of no tensors")
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    recompute = None
+    if any(t.node is not None and t.node.recompute is not None for t in tensors):
+        for t in reversed(tensors):
+            recompute = _joined(_saved(t, t.data, hold=False), recompute, axis)
     return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors,
-               lambda gy: np.split(gy, splits, axis=axis))
+               lambda gy: np.split(gy, splits, axis=axis), None, recompute)
+
+
+def _joined(part, rest, axis):
+    """concat's recompute: ``part()`` joined along ``axis`` to what ``rest``
+    joins, each function kept in a closure cell of its own."""
+    return lambda hold=True: part() if rest is None else np.concatenate([part(), rest()], axis=axis)
 
 
 def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:

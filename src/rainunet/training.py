@@ -313,10 +313,9 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
     gradient is dropped then, so a step never holds every gradient at once;
     AdamW.step then closes the step.
 
-    Each batch is stacked from its records when it is drawn, its inputs
-    straight into the conv layout (layers.stack_in_layout) and its targets
-    as float32, so the loop holds one batch beside the records, not a
-    stacked copy of the dataset, and the first conv copies nothing.
+    Each batch is stacked from its records when it is drawn, its inputs in
+    the layout (layers.stack_in_layout) and its targets as float32, so the
+    loop holds one batch beside the records, not a copy of the dataset.
 
     A non-finite loss (or activation) aborts with the epoch/step in the
     message, after dropping the step's partial tape; the log collected so
@@ -367,10 +366,9 @@ def fit(model: RainUNet, records, cfg: TrainConfig, on_epoch_end=None) -> FitRes
 def predict_probs(model: RainUNet, records, batch_size: int = 4) -> np.ndarray:
     """Forward a dataset under no_grad; returns (S, out_frames, H, W).
 
-    Each batch is stacked from its records when it runs, straight into
-    the conv layout as in fit, and its probabilities are written into the
-    output, made before the first batch, so no more than one batch of
-    inputs is held beside it."""
+    Each batch is stacked from its records when it runs, as in fit, and its
+    probabilities are written into the output, made before the first batch,
+    so no more than one batch of inputs is held beside it."""
     if not records:
         raise TensorError("empty dataset")
     out = np.empty((len(records), model.config.out_frames, *records[0].input.shape[2:]),

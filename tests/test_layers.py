@@ -13,7 +13,7 @@ from rainunet.layers import (GROUP_NORM_EPS, Conv3DLayer, ConvSpec, GroupNormLay
                              conv3d_transposed, group_norm, is_tap_major, maxpool3d)
 from rainunet.model import TSBlock
 from rainunet.tensor import (Tensor, TensorError, backward, concat, discard_tape, grad_check,
-                             mean_axis, mul, relu, tensor_sum)
+                             mean_axis, mul, relu, tensor_sum, zero_pad)
 
 
 def quad(y):
@@ -549,6 +549,64 @@ class TestLayoutResidency:
             assert self.is_layout(out.data) and self.is_layout(inp.grad)
 
 
+def _layout_input(rng, shape):
+    """A (N, C, T, H, W) leaf whose memory is the layout."""
+    return Tensor(_from_layout(np.ascontiguousarray(
+        rng.standard_normal(shape).transpose(2, 3, 0, 4, 1))), requires_grad=True)
+
+
+# Each op mean_axis may be given, as a function of a (2, 8, 4, 6, 6) input
+_UNDER_MEAN = {
+    "group_norm": lambda x, rng: group_norm(x, GroupNormLayer(8, 4)),
+    "relu": lambda x, rng: relu(x),
+    "maxpool3d": lambda x, rng: maxpool3d(x, (1, 2, 2)),
+    "mul": lambda x, rng: mul(x, Tensor(rng.standard_normal(x.shape))),
+    "zero_pad": lambda x, rng: zero_pad(x, [(0, 0), (0, 0), (0, 1), (1, 0), (0, 2)]),
+}
+
+
+class TestMeanGradient:
+    """mean_axis's gradient is one frame repeated over the mean's axis, a
+    read-only broadcast view: what reads it gets the bytes it would get
+    from the same values filled into memory, and writes nothing into it."""
+
+    @staticmethod
+    def gradients(y, rng):
+        """The gradient mean_axis hands ``y`` for a random gradient of its
+        output, and the same values filled into ``y``'s memory order."""
+        mean = mean_axis(y, 2)
+        view = mean.node.apply(rng.standard_normal(mean.shape).astype(y.dtype))[0]
+        filled = np.empty_like(y.data)
+        filled[...] = view
+        return view, filled
+
+    @pytest.mark.parametrize("mode", [precision.STANDARD, precision.WIDE])
+    def test_head_conv_reads_the_view_as_it_is(self, mode):
+        # the head: a 1x1x1 conv from 16 to 32 channels under the mean over T.
+        # Its frames are read in place, and dx, dw and the bias gradient
+        # have the bytes the filled gradient gives
+        with precision.use_precision(mode):
+            rng = np.random.default_rng(50)
+            conv = Conv3DLayer(16, 32, ConvSpec.same_size((1, 1, 1)), rng)
+            y = conv3d(_layout_input(rng, (2, 16, 4, 10, 10)), conv)
+            view, filled = self.gradients(y, rng)
+            assert view.strides[2] == 0 and np.shares_memory(_to_layout(view), view)
+            got, want = y.node.apply(view), y.node.apply(filled)
+            discard_tape()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(_UNDER_MEAN))
+    def test_ops_give_the_filled_gradients_bytes(self, op):
+        rng = np.random.default_rng(51)
+        y = _UNDER_MEAN[op](_layout_input(rng, (2, 8, 4, 6, 6)), rng)
+        view, filled = self.gradients(y, rng)
+        assert view.strides[2] == 0 and not view.flags.writeable
+        got, want = y.node.apply(view)[0], y.node.apply(filled)[0]
+        discard_tape()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _owner(a):
     """The array that owns ``a``'s memory."""
     while a.base is not None:
@@ -653,6 +711,35 @@ class TestTapeRelease:
         assert rebuilt[0]() is not None
         discard_tape()
         assert rebuilt[0]() is None
+
+    def test_concat_rebuilds_a_relu_input_without_holding_it(self):
+        # a decoder stage: the skip, a relu output, joins the upsampled map
+        # and a conv reads the join. The join is not kept; the conv's
+        # backward rebuilds it, and once that backward has run the relu
+        # holds no rebuilt skip, which would wait for the relu's own backward
+        rng = np.random.default_rng(49)
+        conv = Conv3DLayer(12, 8, ConvSpec.same_size((1, 1, 1)), rng)
+        x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        skip = relu(group_norm(x, GroupNormLayer(8, 4)))
+        up = Tensor(rng.standard_normal((2, 4, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        joined = concat([up, skip], axis=1)
+        freed = weakref.ref(_owner(joined.data))
+        values = joined.data.copy()
+        loss = quad(conv3d(joined, conv))
+        del joined
+        assert freed() is None
+        rebuilt = []
+
+        def after_conv(t):
+            if t is conv.weight:
+                again = [skip.node.recompute(hold=False) for _ in range(2)]
+                rebuilt.append(again[0] is again[1])
+        backward(loss, on_grad=after_conv)
+        assert rebuilt == [False]
+        dw = conv.weight.grad
+        conv.weight.zero_grad()
+        backward(quad(conv3d(Tensor(values), conv)))
+        assert dw.tobytes() == conv.weight.grad.tobytes()
 
     def test_ts_block_holding_its_output_keeps_six_maps(self, traced_peak):
         # the two relu outputs are not kept: the spatial conv keeps group

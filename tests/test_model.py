@@ -17,8 +17,8 @@ from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             load_checkpoint, save_checkpoint, save_checkpoint_params)
-from rainunet.tensor import (Tensor, TensorError, active_graph, backward, grad_check, mul, no_grad,
-                             relu, tensor_sum)
+from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check, mul,
+                             no_grad, relu, tensor_sum)
 from rainunet.training import TrainConfig, fit, predict_probs
 
 
@@ -292,16 +292,16 @@ class TestForward:
 
     def test_batches_are_stacked_into_the_layout(self, layout_copies):
         # fit and predict_probs stack each batch straight into the layout,
-        # so no conv copies it: a training step's copies are each decoder
-        # stage's upsampling conv copying the C-sliced gradient concat
-        # hands it, and a no-grad pass makes none
+        # so no conv copies it, and the C-sliced gradient concat hands each
+        # decoder stage's upsampling conv is read as a view: neither a
+        # training step nor a no-grad pass makes a copy
         rng = np.random.default_rng(8)
         records = [SequenceRecord(rng.random((9, 4, 16, 16), dtype=np.float32),
                                   (rng.random((OUT_FRAMES, 16, 16)) < 0.4).astype(np.uint8), "R0", 0)
                    for _ in range(2)]
         model = RainUNet(micro_cfg(), seed=8)
         fit(model, records, TrainConfig(epochs=1, batch_size=2))
-        assert len(layout_copies) == 2 and (2, 9, 4, 16, 16) not in layout_copies
+        assert layout_copies == []
         layout_copies.clear()
         predict_probs(model, records)
         assert layout_copies == []
@@ -326,6 +326,29 @@ class TestForward:
         loss = tensor_sum(model.forward(x))
         assert len(outputs) == 8 and active_graph().nodes
         assert [r() is None for r in outputs] == [True] * 8
+        backward(loss)
+        assert all(t.grad is not None for _, t in model.named_parameters())
+
+    @pytest.mark.usefixtures("no_cyclic_gc")
+    def test_the_tape_keeps_no_concatenation(self, monkeypatch):
+        # each decoder stage's concatenation is rebuilt in its projection's
+        # backward from the upsampled map and the skip's rebuild, so once a
+        # training forward has moved past it no buffer of it is alive
+        outputs = []
+
+        def recorded(tensors, axis):
+            out = concat(tensors, axis)
+            owner = out.data
+            while owner.base is not None:
+                owner = owner.base
+            outputs.append(weakref.ref(owner))
+            return out
+        monkeypatch.setattr(model_module, "concat", recorded)
+        model = RainUNet(micro_cfg(stages=3), seed=7)
+        x = Tensor(np.random.default_rng(7).random((2, 9, 4, 16, 16), dtype=np.float32))
+        loss = tensor_sum(model.forward(x))
+        assert len(outputs) == 3 and active_graph().nodes
+        assert [r() is None for r in outputs] == [True] * 3
         backward(loss)
         assert all(t.grad is not None for _, t in model.named_parameters())
 

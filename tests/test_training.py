@@ -626,6 +626,23 @@ class TestFit:
             fit(model, records, TrainConfig(epochs=1, batch_size=1, seed=0))
             assert peak() < 2.5 * param_bytes
 
+    def test_step_peak_in_stage1_maps(self, traced_peak):
+        # one step of the default topology at 3 stages, width 16 and 18x18,
+        # where stage 2's 9x9 skip makes the decoder pad: above the
+        # parameters and AdamW's m and v (its zeroed buffer, made inside
+        # fit), the step peaks in the head conv's forward. Keeping the
+        # concatenations on the tape, or filling mean_axis's gradient over
+        # T, each passes the bound
+        model = RainUNet(RainUNetConfig(stages=3, base_channels=16), seed=10)
+        moments = 2 * sum(t.data.nbytes for _, t in model.named_parameters())
+        stage1 = 2 * 16 * 4 * 18 * 18 * 4  # one (2, 16, 4, 18, 18) float32 map
+        records, cfg = tiny_records(n=2, size=18), TrainConfig(epochs=1, batch_size=2, seed=0)
+        fit(model, records, cfg)  # a first step, so that one-time allocations are not counted
+        with traced_peak() as peak:
+            fit(model, records, cfg)
+            held = (peak() - moments) / stage1
+        assert held < 19.4
+
     def test_epoch_peak_does_not_grow_with_the_dataset(self, traced_peak):
         # each batch is stacked from its records: an epoch over 12 records
         # holds what one over 4 does, where a stacked copy of the dataset

@@ -4,12 +4,8 @@ group normalization, each a single tape node with an explicit backward rule.
 Convolution uses cross-correlation semantics (no kernel flip) and zero
 padding, which is never read: a kernel tap that reads only padding is
 skipped, and a read that falls in the padding contributes a zero. The
-kernels work one frame at a time: the frame's live W taps are laid side by
-side along the channel axis, so each live (t, h) tap is one matrix product
-with inner dimension live_w*C. The backward mirrors this, placing gy at the
-input columns each W tap read; one walk over those blocks gives the input
-and the weight gradient. The transposed convolution is the same op with the
-two directions exchanged.
+transposed convolution is the same op with the two directions exchanged.
+The kernels are set out where they are defined, at the numpy core.
 
 The layout. Every op here works in (T, H, N, W, C) memory, where the batch
 sits inside H, so a frame's H, N and W merge into one axis of rows and an H
@@ -98,18 +94,20 @@ class ConvSpec:
 
 
 # ---------------------------------------------------------------------------
-# numpy core, the kernels of the module docstring: the correlation, run
-# forward or as its adjoint (the gradient w.r.t. its input), and its weight
-# gradient, all from one traversal, _tap_blocks. Per axis, output i reads
-# input i*s + a*d - p for tap a; _axis_taps keeps the taps that read some
-# data, with the output range they write and the strided input range they
-# read. In a frame's block (_w_block), column i holds in tap j's slot the
-# input column output i reads through tap j, or zeros; the adjoint uses the
-# mirror, a block of gy. In the backward, m.T @ x's rows is also the tap's
-# weight gradient, so one block build serves both gradients. Blocks are made
-# one frame at a time, each released before the next is built, which bounds
-# the stage-1 backward's peak. One geometry serves every stride, dilation
-# and padding; there is no size rule and no second path.
+# numpy core: the correlation, run forward or as its adjoint (the gradient
+# w.r.t. its input), and its weight gradient, all from one traversal,
+# _tap_blocks, one frame at a time. Per axis, output i reads input
+# i*s + a*d - p for tap a; _axis_taps keeps the taps that read some data,
+# with the output range they write and the strided input range they read.
+# A frame's block (_w_block) lays its live W taps side by side along the
+# channel axis: column i holds in tap j's slot the input column output i
+# reads through tap j, or zeros, so each live (t, h) tap is one matrix
+# product with inner dimension live_w*C. The adjoint uses the mirror, a
+# block of gy. In the backward, m.T @ x's rows is also the tap's weight
+# gradient, so one block build serves both gradients. Each frame's block is
+# released before the next is built, which bounds the stage-1 backward's
+# peak. One geometry serves every stride, dilation and padding; there is no
+# size rule and no second path.
 
 
 def _axis_taps(n, o, k, s, d, p):
@@ -538,7 +536,7 @@ def group_norm(x: Tensor, layer: GroupNormLayer) -> Tensor:
     del d  # the backward recomputes it; free it before _op's finite check
     need_dx = x.requires_grad
 
-    def recompute(hold=True):  # the forward's y, by its operations on the same arrays
+    def recompute():  # the forward's y, by its operations on the same arrays
         y = xl - mean
         y *= scale
         y += shift

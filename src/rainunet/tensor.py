@@ -10,14 +10,15 @@ gradients are stored and handed on at :func:`backward`.
 The tape holds what the backward reads and no more: each op's ``grad_fn``
 keeps the arrays its gradient reads, never a tensor, and a map that can be
 rebuilt from what the tape holds anyway is not held a second time (see
-:func:`_op`). Group norm's output is rebuilt from its kept input; a relu of
-it keeps no output, and its mask and each reader that would keep it
-(:func:`_saved`) read it rebuilt once, on the first demand in the backward,
-and dropped after relu's own backward. concat keeps its inputs as
-:func:`_saved` gives them, so a decoder's join is rebuilt from its
-upsampled half and its skip's rebuild, which is dropped after the join's
-reader's backward. A mean's gradient is one frame repeated over the mean's
-axis, a read-only view: no op writes into a gradient.
+:func:`_op`). A recompute is a function of no argument that returns a new
+array on every call and holds no array it built, so a rebuilt map lives
+only as long as the backward that asked for it. Group norm's output is
+rebuilt from its kept input; a relu of it keeps no output, and its mask and
+each reader that would keep it (:func:`_saved`) read it rebuilt. concat
+keeps its inputs as :func:`_saved` gives them, so a decoder's join is
+rebuilt from its upsampled half and its skip's rebuild. A mean's gradient
+is one frame repeated over the mean's axis, a read-only view: no op writes
+into a gradient.
 
 No broadcasting: ``mul`` takes two tensors of one shape. A 5-d value's
 memory may be in the layout of rainunet.layers; the elementwise ops, concat
@@ -181,7 +182,7 @@ class Tensor:
 
 
 def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None = None,
-        recompute: Optional[Callable[..., np.ndarray]] = None) -> Tensor:
+        recompute: Optional[Callable[[], np.ndarray]] = None) -> Tensor:
     """Create the output tensor of an op, recording it on the tape when any
     input takes part in differentiation.
 
@@ -196,14 +197,14 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     (grad_fn's enclosing function), its shape and the ``layer`` the op ran,
     when the op names one.
 
-    ``recompute(hold=True)``, when given, returns the values of ``data``
-    again, bit for bit, as a new array of its shape and memory order, by the
-    forward's own operations on arrays that hold less than ``data``: those
-    ``grad_fn`` keeps, rows no larger than a parameter's per-sample terms,
-    or concat's inputs as :func:`_saved` gives them (relu's keeps what a
-    call with ``hold`` rebuilt until its own backward). A reader of the
-    output keeps it instead of the output (:func:`_saved`). Like ``grad_fn``
-    it keeps its arrays in closure cells, not default arguments or containers.
+    ``recompute()``, when given, is a recompute as the module docstring
+    defines it, giving the values of ``data`` bit for bit, in its shape and
+    memory order, by the forward's own operations on arrays that hold less
+    than ``data``: those ``grad_fn`` keeps, rows no larger than a
+    parameter's per-sample terms, or its inputs as :func:`_saved` gives
+    them. A reader of the output keeps it instead of the output
+    (:func:`_saved`). Like ``grad_fn`` it keeps its arrays in closure cells,
+    not default arguments or containers.
     """
     track = is_grad_enabled() and any(t.requires_grad for t in inputs)
     try:
@@ -217,16 +218,13 @@ def _op(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn, layer: str | None
     return out
 
 
-def _saved(t: Tensor, data: np.ndarray, hold: bool = True) -> Callable[[], np.ndarray]:
+def _saved(t: Tensor, data: np.ndarray) -> Callable[[], np.ndarray]:
     """What an op keeps of its input ``t`` to read in its backward: a
     function returning ``t``'s values, the recompute of ``t``'s op when its
-    node has one, called with ``hold`` (false for concat, whose reader's
-    backward runs far from that op's), else ``data`` (``t.data``, or the
-    op's copy of it in another memory order) as it is."""
+    node has one, else ``data`` (``t.data``, or the op's copy of it in
+    another memory order) as it is."""
     recompute = None if t.node is None else t.node.recompute
-    if recompute is None:
-        return lambda: data
-    return recompute if hold else lambda: recompute(hold=False)
+    return (lambda: data) if recompute is None else recompute
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -240,30 +238,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0). The gradient masks with y > 0, which holds exactly where
-    a > 0. The tape keeps y, unless ``a``'s op has a recompute: then y is
-    ``max(recompute(), 0)``, rebuilt on each demand that does not ``hold``
-    and, on the first that does, held until this op's own backward."""
+    a > 0. The tape keeps y, unless ``a``'s op has a recompute: then the
+    mask is ``rebuild() > 0`` and y is ``max(rebuild(), 0)``, each from a
+    fresh rebuild of a."""
     y = np.maximum(a.data, 0)
     rebuild = None if a.node is None else a.node.recompute
     if rebuild is None:
         return _op(y, (a,), lambda gy: (gy * (y > 0),))
-    kept = None
 
-    def recompute(hold=True):
-        nonlocal kept
-        if kept is not None:
-            return kept
+    def recompute():
         y = rebuild()
-        np.maximum(y, 0, out=y)
-        kept = y if hold else None
-        return y
-
-    def grad_fn(gy):
-        nonlocal kept
-        mask = recompute() > 0
-        kept = None
-        return (gy * mask,)
-    return _op(y, (a,), grad_fn, None, recompute)
+        return np.maximum(y, 0, out=y)
+    return _op(y, (a,), lambda gy: (gy * (rebuild() > 0),), None, recompute)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -314,7 +300,7 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """The tensors joined along ``axis``, in their memory order. When an
     input's op has a recompute, its own recompute joins the inputs again as
-    :func:`_saved` gives them, holding nothing it rebuilds; else it keeps none."""
+    :func:`_saved` gives them; else it keeps none."""
     tensors = tuple(tensors)
     if not tensors:
         raise TensorError("concat of no tensors")
@@ -322,7 +308,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     recompute = None
     if any(t.node is not None and t.node.recompute is not None for t in tensors):
         for t in reversed(tensors):
-            recompute = _joined(_saved(t, t.data, hold=False), recompute, axis)
+            recompute = _joined(_saved(t, t.data), recompute, axis)
     return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors,
                lambda gy: np.split(gy, splits, axis=axis), None, recompute)
 
@@ -330,7 +316,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def _joined(part, rest, axis):
     """concat's recompute: ``part()`` joined along ``axis`` to what ``rest``
     joins, each function kept in a closure cell of its own."""
-    return lambda hold=True: part() if rest is None else np.concatenate([part(), rest()], axis=axis)
+    return lambda: part() if rest is None else np.concatenate([part(), rest()], axis=axis)
 
 
 def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:

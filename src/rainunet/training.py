@@ -97,8 +97,9 @@ def batch_dice_loss(pred: Tensor, target: Tensor) -> Tensor:
 # AdamW's moment decay rates and denominator guard: the defaults of Kingma &
 # Ba (arXiv:1412.6980)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-# Elements per block of AdamW.step: a block's six arrays stay in L2 cache
-# across the update's 16 passes instead of streaming through memory each pass.
+# Elements per block that AdamW.step_param and SWAAverager.accumulate walk: a
+# block's arrays stay in L2 cache across an update's passes (16 in AdamW's)
+# instead of streaming through memory each pass.
 ADAMW_BLOCK = 32768
 
 

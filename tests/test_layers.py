@@ -526,8 +526,8 @@ class TestLayoutResidency:
         # weight gradient reuses it), never of what an op of the block produced
         ops = []
         op = layers._op
-        monkeypatch.setattr(layers, "_op", lambda data, inputs, *a: ops.append(
-            (inputs[0], op(data, inputs, *a))) or ops[-1][1])
+        monkeypatch.setattr(layers, "_op", lambda data, inputs, *a, **k: ops.append(
+            (inputs[0], op(data, inputs, *a, **k))) or ops[-1][1])
         copied = []
 
         def counting(a):
@@ -691,26 +691,36 @@ class TestTapeRelease:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_discard_tape_frees_a_rebuilt_map_whose_relu_never_ran_backward(self):
+    def test_discard_tape_frees_a_rebuilt_map_whose_relu_never_ran_backward(self, monkeypatch):
         # the conv's backward rebuilds the relu output; a backward stopped
-        # right after it (an on_grad that raises) leaves that map on the
-        # relu's node, and dropping the tape frees it
+        # right after it (an on_grad that raises) has freed that map already,
+        # before the tape is dropped: no recompute keeps what it rebuilt
+        rebuilt = []
+        saved = layers._saved
+
+        def tracked(t, data):
+            read = saved(t, data)
+
+            def again():
+                a = read()
+                rebuilt.append(weakref.ref(_owner(a)))
+                return a
+            return again
+        monkeypatch.setattr(layers, "_saved", tracked)
         rng = np.random.default_rng(48)
         conv = Conv3DLayer(8, 8, ConvSpec.same_size((1, 3, 3)), rng)
         x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
         h = relu(group_norm(x, GroupNormLayer(8, 4)))
         loss = quad(conv3d(h, conv))
-        rebuilt = []
 
         def stop(t):
             if t is conv.weight:
-                rebuilt.append(weakref.ref(_owner(h.node.recompute())))
                 raise RuntimeError("stopped")
         with pytest.raises(RuntimeError, match="stopped"):
             backward(loss, on_grad=stop)
-        assert rebuilt[0]() is not None
+        assert len(rebuilt) == 1 and rebuilt[0]() is None
         discard_tape()
-        assert rebuilt[0]() is None
+        assert h.node is not None and h.node.recompute is None
 
     def test_concat_rebuilds_a_relu_input_without_holding_it(self):
         # a decoder stage: the skip, a relu output, joins the upsampled map
@@ -732,7 +742,7 @@ class TestTapeRelease:
 
         def after_conv(t):
             if t is conv.weight:
-                again = [skip.node.recompute(hold=False) for _ in range(2)]
+                again = [skip.node.recompute() for _ in range(2)]
                 rebuilt.append(again[0] is again[1])
         backward(loss, on_grad=after_conv)
         assert rebuilt == [False]

@@ -1,6 +1,6 @@
 """Golden artifact bytes: the sha256 of every file a small CLI pipeline
-writes, and of a model's parameters after two AdamW steps at each
-precision, all under one BLAS thread.
+writes, of a model's parameters after two AdamW steps at each precision,
+and of ``rainunet gradcheck``'s output, all under one BLAS thread.
 
     python tests/golden.py            print the digests as tests/golden.txt holds them
     python tests/golden.py --write    rewrite tests/golden.txt
@@ -49,11 +49,13 @@ def environment() -> dict[str, str]:
             "blas": f"{blas['name']} {blas['version']}"}
 
 
-def _run(*args) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(*args) -> str:
+    """Run ``rainunet *args``; its stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main([str(a) for a in args])
     if code != 0:
         raise SystemExit(f"rainunet {args[0]} exited {code}")
+    return out.getvalue()
 
 
 def pipeline_digests(root: Path) -> dict[str, str]:
@@ -99,6 +101,9 @@ def golden_text() -> str:
         digests = pipeline_digests(Path(tmp))
     for mode in (precision.STANDARD, precision.WIDE):
         digests[f"parameters/{mode}"] = parameter_digest(mode)
+    # each check's error as the command prints it, so a gradient or a
+    # recompute that changes shows here
+    digests["gradcheck/stdout"] = hashlib.sha256(_run("gradcheck").encode("utf-8")).hexdigest()
     lines = ["# sha256 of each artifact of tests/golden.py, made with:"]
     lines += [f"{key} = {value}" for key, value in environment().items()]
     lines += [f"{digest}  {name}" for name, digest in digests.items()]

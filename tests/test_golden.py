@@ -1,6 +1,7 @@
-"""Every artifact of a small CLI pipeline, and a model's parameters after
-two AdamW steps at each precision, keep the bytes recorded in
-tests/golden.txt (see tests/golden.py, which makes and regenerates them)."""
+"""Every artifact of a small CLI pipeline, a model's parameters after two
+AdamW steps at each precision and ``rainunet gradcheck``'s output keep the
+bytes recorded in tests/golden.txt (see tests/golden.py, which makes and
+regenerates them)."""
 
 import os
 import subprocess

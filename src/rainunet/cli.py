@@ -30,9 +30,9 @@ import numpy as np
 import scipy
 
 from . import __version__, data as dataio
-from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SynthConfig,
-                   center_crop_resize, center_crop_window, cleansing_filter, load_dataset,
-                   save_dataset, select_modalities, synth_generate)
+from .data import (CHANNEL_SETS, MANIFEST_NAME, FormatError, SynthConfig, center_crop_resize,
+                   center_crop_window, cleansing_filter, save_dataset, select_modalities,
+                   synth_generate)
 from .layers import Conv3DLayer, ConvSpec, GroupNormLayer, conv3d, conv3d_transposed, group_norm, maxpool3d
 from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_checkpoint,
                     save_checkpoint_params)
@@ -154,21 +154,24 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _records(cfg: RunConfig) -> tuple[list, list[str]]:
-    """The records of the dataset at cfg.data and the name an error gives
-    each, ``<manifest> record <key>`` as load_dataset's; FormatError without
-    a dataset, or when it holds no record."""
+def _records(cfg: RunConfig) -> tuple[list, list[str], list[str]]:
+    """The records of the dataset at cfg.data, their manifest keys and the
+    name an error gives each, ``<manifest> record <key>`` as load_entries',
+    all from one read of the manifest; FormatError without a dataset, or
+    when it holds no record."""
     if not cfg.data:
         raise FormatError("a --data dataset directory is required")
     manifest = Path(cfg.data) / MANIFEST_NAME
-    records = load_dataset(manifest)
+    entries = dataio.read_manifest(manifest)
+    records = dataio.load_entries(manifest, entries)
     if not records:
         raise FormatError("dataset is empty")
-    return records, [f"{manifest} record {e.key}" for e in dataio.read_manifest(manifest)]
+    keys = [e.key for e in entries]
+    return records, keys, [f"{manifest} record {key}" for key in keys]
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
-    records, names = _records(cfg)
+    records, _, names = _records(cfg)
     # checked before cleansing, which may leave no record to crop
     for side in {r.input.shape[-1] for r in records}:
         center_crop_window(side, cfg.crop_factor)
@@ -184,7 +187,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    records, names = _records(cfg)
+    records, _, names = _records(cfg)
     train_cfg = _section(cfg, TrainConfig)
     # a rejected setting leaves nothing in cfg.out
     train_cfg.validate()
@@ -221,22 +224,23 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_eval_inputs(cfg: RunConfig):
-    """The checkpoint's model and the dataset's records, checked to fit it;
-    an error about a record names the checkpoint too."""
+    """The checkpoint's model, and the dataset's records, checked to fit it,
+    and their manifest keys; an error about a record names the checkpoint
+    too."""
     if not cfg.checkpoint:
         raise FormatError("a --checkpoint path is required")
-    records, names = _records(cfg)
+    records, keys, names = _records(cfg)
     model = load_checkpoint(cfg.checkpoint)
     try:
         check_records(records, model.config, names)
     except TensorError as err:
         raise TensorError(f"{err} (checkpoint {cfg.checkpoint})") from None
-    return model, records
+    return model, records, keys
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     binarize(np.zeros(0), cfg.threshold)  # a bad threshold fails before the model is read
-    model, records = _load_eval_inputs(cfg)
+    model, records, _ = _load_eval_inputs(cfg)
     probs = predict_probs(model, records)
     preds = binarize(probs, cfg.threshold)
     gts = np.stack([r.target for r in records])
@@ -253,12 +257,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    model, records = _load_eval_inputs(cfg)
+    model, records, keys = _load_eval_inputs(cfg)
     probs = predict_probs(model, records)
     out = _out_dir(cfg, "predict", model)
-    entries = dataio.read_manifest(Path(cfg.data) / MANIFEST_NAME)
-    for e, p in zip(entries, probs):
-        dataio.tensor_file_write(p.astype(np.float32), out / f"{e.key}_pred.runt")
+    for key, p in zip(keys, probs):
+        dataio.tensor_file_write(p.astype(np.float32), out / f"{key}_pred.runt")
     print(f"wrote {len(records)} probability movies to {out}")
     return 0
 

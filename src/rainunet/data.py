@@ -493,11 +493,17 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def load_dataset(manifest_path) -> list[SequenceRecord]:
-    """The records a manifest lists; FormatError naming the manifest and the
-    record's key for a record that is not one or does not match its line."""
+    """The records a manifest lists (see :func:`load_entries`)."""
+    return load_entries(manifest_path, read_manifest(manifest_path))
+
+
+def load_entries(manifest_path, entries: list[ManifestEntry]) -> list[SequenceRecord]:
+    """The records of ``entries``, as read from the manifest at
+    ``manifest_path``; FormatError naming the manifest and the record's key
+    for a record that is not one or does not match its line."""
     base = Path(manifest_path).parent
     records = []
-    for e in read_manifest(manifest_path):
+    for e in entries:
         arrays = [tensor_file_read(base / f"{e.key}_{part}.runt") for part in ("input", "target")]
         where = f"{manifest_path} record {e.key}"
         try:

@@ -14,8 +14,8 @@ range of a frame is one run of rows. An activation has the logical shape
 gradient is. ``_to_layout`` gives an op its operand in the layout as a view
 when the kernels can read it as it is: the channel stride is one element,
 and each frame's rows have one stride, at least a row's width; the T stride
-can be anything, 0 included. So the C slices of concat's gradient and
-mean_axis's gradient, one frame repeated over T, are read in place. Any
+can be anything, 0 included. So the skip's C slice of a join's gradient
+and mean_axis's gradient, one frame repeated over T, are read in place. Any
 other operand is copied, once: a conv's backward reuses its input's copy.
 """
 

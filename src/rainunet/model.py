@@ -2,10 +2,10 @@
 
 Encoder: ``stages`` repetitions of a temporal-wise separable block (TS block)
 followed by 3D max pooling. Decoder: mirrored stages of transposed-conv
-upsampling (halve channels, double the pooled axes), concatenation with the
-matching encoder feature, and another TS block. A 1x1x1 head maps to one
-output channel per lead time, averages over the residual temporal axis and
-applies a sigmoid.
+upsampling (halve channels, double the pooled axes), a join with the
+matching encoder feature (rainunet.tensor), and another TS block. A 1x1x1
+head maps to one output channel per lead time, averages over the residual
+temporal axis and applies a sigmoid.
 
 A TS block is a 1x1x1 projection (norm + relu) followed by factorized 3D
 convolution: spatial 1x3x3, spatially dilated 1x7x7 (dilation 3), temporal
@@ -39,7 +39,7 @@ import numpy as np
 from . import data as dataio
 from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order_pieces, conv3d,
                      conv3d_transposed, group_norm, maxpool3d)
-from .tensor import Tensor, TensorError, concat, mean_axis, relu, sigmoid, zero_pad
+from .tensor import Tensor, TensorError, join, mean_axis, relu, sigmoid
 
 # The paper's one architecture: the TS block's factorized conv kernels, the
 # dilation of its middle conv and the normalization group count.
@@ -189,8 +189,11 @@ class TSBlock:
         return self.convolve(self.project(x))
 
     def project(self, x: Tensor) -> Tensor:
-        """The 1x1x1 projection to the block's width, then norm + relu."""
-        return relu(group_norm(conv3d(x, self.proj), self.proj_norm))
+        """The 1x1x1 projection to the block's width, then norm + relu.
+        ``x`` is dropped once the conv has read it, which frees it when the
+        caller passed it without a name, as forward does a join."""
+        x = conv3d(x, self.proj)
+        return relu(group_norm(x, self.proj_norm))
 
     def convolve(self, h: Tensor) -> Tensor:
         """The factorized conv of a projected map ``h``: spatial, dilated,
@@ -267,13 +270,13 @@ class RainUNet:
         """The rain probabilities (N, out_frames, H, W) of an input (N, C, T, H, W).
 
         Each map is held only while something reads it. An encoder stage's
-        output waits in ``skips`` until its decoder stage concatenates it;
-        the concatenation lives through its block's projection only
-        (TSBlock.project), with a tape too (TSBlock.convolve); the head's
-        input and logits die at their last reader. ``x`` is dropped after
-        the first stage, which frees it when the caller passed it without a
-        name (predict_probs, fit). So under no_grad the peak is a few
-        stage-1 maps, not the model's depth."""
+        output waits in ``skips`` until its decoder stage joins it to the
+        upsampled map; the join dies at the projection's conv, its one
+        reader, with a tape too (TSBlock.project); the head's input and
+        logits die at their last reader. ``x`` is dropped after the first
+        stage, which frees it when the caller passed it without a name
+        (predict_probs, fit). So under no_grad the peak is a few stage-1
+        maps, not the model's depth."""
         cfg = self.config
         cfg.check_input(x.shape)
         t_kernels = cfg.temporal_pool_kernels()
@@ -285,25 +288,12 @@ class RainUNet:
             skips.append(cur)
             cur = maxpool3d(cur, (t_kernels[k - 1], 2, 2))
         for _, up, block in self.decoder:  # deepest first: each pops its own skip
-            skip = skips.pop()
             cur = conv3d_transposed(cur, up)
-            cur = _match_extents(cur, skip.shape[2:])
-            cur = concat([cur, skip], axis=1)
-            del skip
-            cur = block.project(cur)
+            cur = block.project(join(cur, skips.pop()))
             cur = block.convolve(cur)
         cur = conv3d(cur, self.head)
         cur = mean_axis(cur, 2)
         return sigmoid(cur)
-
-
-def _match_extents(t: Tensor, target: tuple[int, int, int]) -> Tensor:
-    """Zero-pad the decoder side up to the stored skip extents, at the high
-    index. It never needs a crop: floor pooling by k and doubling back give
-    k * (n // k) <= n on every axis."""
-    if t.shape[2:] == tuple(target):
-        return t
-    return zero_pad(t, [(0, 0), (0, 0)] + [(0, tgt - cur) for cur, tgt in zip(t.shape[2:], target)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,21 @@ rebuilt from what the tape holds anyway is not held a second time (see
 array on every call and holds no array it built, so a rebuilt map lives
 only as long as the backward that asked for it. Group norm's output is
 rebuilt from its kept input; a relu of it keeps no output, and its mask and
-each reader that would keep it (:func:`_saved`) read it rebuilt. concat
-keeps its inputs as :func:`_saved` gives them, so a decoder's join is
-rebuilt from its upsampled half and its skip's rebuild. A mean's gradient
-is one frame repeated over the mean's axis, a read-only view: no op writes
-into a gradient.
+each reader that would keep it (:func:`_saved`) read it rebuilt. A mean's
+gradient is one frame repeated over the mean's axis, a read-only view: no
+op writes into a gradient.
+
+A decoder's join (:func:`join`) is the upsampled map, zero-padded at the
+high end of T, H and W to its skip's extents, then the skip after it along
+channels, made with one copy in the skip's memory order. It never needs a
+crop: floor pooling by k and doubling back give k * (n // k) <= n. Its
+gradient is one view per input, and its recompute joins the inputs again
+as :func:`_saved` gives them: the upsampled map as it is, the skip (a relu
+output) rebuilt.
 
 No broadcasting: ``mul`` takes two tensors of one shape. A 5-d value's
-memory may be in the layout of rainunet.layers; the elementwise ops, concat
-and zero_pad keep its memory order.
+memory may be in the layout of rainunet.layers; the elementwise ops keep
+its memory order.
 
 The ops here are the generic ones the model is built from. An op with a
 closed-form gradient of its own records itself through :func:`_op` where it
@@ -35,7 +41,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -297,40 +303,23 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
                lambda gy: (np.broadcast_to(fill(np.expand_dims(gy / n, axis)), shape),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """The tensors joined along ``axis``, in their memory order. When an
-    input's op has a recompute, its own recompute joins the inputs again as
-    :func:`_saved` gives them; else it keeps none."""
-    tensors = tuple(tensors)
-    if not tensors:
-        raise TensorError("concat of no tensors")
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    recompute = None
-    if any(t.node is not None and t.node.recompute is not None for t in tensors):
-        for t in reversed(tensors):
-            recompute = _joined(_saved(t, t.data), recompute, axis)
-    return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors,
-               lambda gy: np.split(gy, splits, axis=axis), None, recompute)
+def join(up: Tensor, skip: Tensor) -> Tensor:
+    """The decoder's join (module docstring) of ``up`` and ``skip``, both
+    (N, C, T, H, W), ``up`` no larger than ``skip`` on T, H and W."""
+    if up.shape[0] != skip.shape[0] or any(u > s for u, s in zip(up.shape[2:], skip.shape[2:])):
+        raise TensorError(f"join: {up.shape} does not fit beside {skip.shape}")
+    cu = up.shape[1]
+    shape = (skip.shape[0], cu + skip.shape[1], *skip.shape[2:])
+    crop = (slice(None), slice(cu), *map(slice, up.shape[2:]))
 
-
-def _joined(part, rest, axis):
-    """concat's recompute: ``part()`` joined along ``axis`` to what ``rest``
-    joins, each function kept in a closure cell of its own."""
-    return lambda: part() if rest is None else np.concatenate([part(), rest()], axis=axis)
-
-
-def zero_pad(a: Tensor, widths: Sequence[tuple[int, int]]) -> Tensor:
-    """Zero-pad per axis by (before, after), in the memory order of ``a``;
-    the gradient crops back."""
-    widths = tuple((int(lo), int(hi)) for lo, hi in widths)
-    if len(widths) != a.data.ndim:
-        raise TensorError("zero_pad: one (before, after) pair per axis required")
-    if any(lo < 0 or hi < 0 for lo, hi in widths):
-        raise TensorError(f"zero_pad: negative widths {widths}")
-    sl = tuple(slice(lo, lo + extent) for (lo, _), extent in zip(widths, a.shape))
-    out = np.zeros_like(a.data, shape=tuple(lo + n + hi for (lo, hi), n in zip(widths, a.shape)))
-    out[sl] = a.data
-    return _op(out, (a,), lambda gy: (gy[sl],))
+    def joined(u, s):
+        out = np.zeros_like(s, shape=shape)  # in the memory order of s
+        out[crop] = u
+        out[:, cu:] = s
+        return out
+    rebuild_up, rebuild_skip = _saved(up, up.data), _saved(skip, skip.data)
+    return _op(joined(up.data, skip.data), (up, skip), lambda gy: (gy[crop], gy[:, cu:]), None,
+               lambda: joined(rebuild_up(), rebuild_skip()))
 
 
 def _first_readers(graph: Graph) -> dict:

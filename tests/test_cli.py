@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import rainunet
-from rainunet import cli, layers, precision
+from rainunet import cli, data, layers, precision
 from rainunet.cli import _COMMANDS, RunConfig, _parser, gradcheck_battery, main, resolve_config
 from rainunet.data import (MANIFEST_NAME, FormatError, SynthConfig, config_text, load_dataset,
                            parse_config, save_dataset, synth_generate)
@@ -734,6 +734,17 @@ class TestInputFiles:
         assert capsys.readouterr().err == (f"error: {manifest} line 2: key '../raw/seq00000' must "
                                            "name a file in the manifest's directory\n")
         assert list((tmp_path / "trav").iterdir()) == [escaped] and not any(escaped.iterdir())
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_the_manifest_is_read_once(self, dataset, checkpoint, tmp_path, monkeypatch,
+                                       command):
+        # the records, the names their errors give and the keys predict
+        # writes under all come from one read
+        reads, read = [], data.read_manifest
+        monkeypatch.setattr(data, "read_manifest", lambda path: reads.append(path) or read(path))
+        assert run_cli(command, "--data", dataset, "--checkpoint", checkpoint,
+                       "--out", tmp_path / "out") == 0
+        assert reads == [dataset / MANIFEST_NAME]
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_mixed_frame_sizes_refused_before_anything_is_written(self, checkpoint, tmp_path,

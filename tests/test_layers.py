@@ -12,8 +12,8 @@ from rainunet.layers import (GROUP_NORM_EPS, Conv3DLayer, ConvSpec, GroupNormLay
                              _from_layout, _stacked_weights, _to_layout, c_order_pieces, conv3d,
                              conv3d_transposed, group_norm, is_tap_major, maxpool3d)
 from rainunet.model import TSBlock
-from rainunet.tensor import (Tensor, TensorError, backward, concat, discard_tape, grad_check,
-                             mean_axis, mul, relu, tensor_sum, zero_pad)
+from rainunet.tensor import (Tensor, TensorError, backward, discard_tape, grad_check, join,
+                             mean_axis, mul, relu, tensor_sum)
 
 
 def quad(y):
@@ -561,7 +561,7 @@ _UNDER_MEAN = {
     "relu": lambda x, rng: relu(x),
     "maxpool3d": lambda x, rng: maxpool3d(x, (1, 2, 2)),
     "mul": lambda x, rng: mul(x, Tensor(rng.standard_normal(x.shape))),
-    "zero_pad": lambda x, rng: zero_pad(x, [(0, 0), (0, 0), (0, 1), (1, 0), (0, 2)]),
+    "join": lambda x, rng: join(x, Tensor(rng.standard_normal((2, 3, 4, 7, 8)))),
 }
 
 
@@ -621,10 +621,10 @@ _UNREAD = {
     "conv under mean_axis": (
         lambda x, rng: conv3d(x, Conv3DLayer(8, 32, ConvSpec.same_size((1, 1, 1)), rng)),
         lambda y: mean_axis(y, 2)),
-    "up-conv under concat": (
-        lambda x, rng: conv3d_transposed(
-            x, Conv3DLayer(8, 4, ConvSpec.upsample((False, True, True)), rng)),
-        lambda y: concat([y, Tensor(np.ones(y.shape, dtype=np.float32), requires_grad=True)], axis=1)),
+    "join under conv": (
+        lambda x, rng: join(Tensor(rng.standard_normal((2, 4, 2, 5, 6), dtype=np.float32)), x),
+        lambda y: conv3d(y, Conv3DLayer(12, 8, ConvSpec.same_size((1, 1, 1)),
+                                        np.random.default_rng(0)))),
 }
 
 
@@ -722,7 +722,7 @@ class TestTapeRelease:
         discard_tape()
         assert h.node is not None and h.node.recompute is None
 
-    def test_concat_rebuilds_a_relu_input_without_holding_it(self):
+    def test_join_rebuilds_a_relu_skip_without_holding_it(self):
         # a decoder stage: the skip, a relu output, joins the upsampled map
         # and a conv reads the join. The join is not kept; the conv's
         # backward rebuilds it, and once that backward has run the relu
@@ -732,7 +732,7 @@ class TestTapeRelease:
         x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
         skip = relu(group_norm(x, GroupNormLayer(8, 4)))
         up = Tensor(rng.standard_normal((2, 4, 2, 6, 6), dtype=np.float32), requires_grad=True)
-        joined = concat([up, skip], axis=1)
+        joined = join(up, skip)
         freed = weakref.ref(_owner(joined.data))
         values = joined.data.copy()
         loss = quad(conv3d(joined, conv))

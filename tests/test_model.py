@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import struct
@@ -17,7 +18,7 @@ from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             load_checkpoint, save_checkpoint, save_checkpoint_params)
-from rainunet.tensor import (Tensor, TensorError, active_graph, backward, concat, grad_check, mul,
+from rainunet.tensor import (Tensor, TensorError, active_graph, backward, grad_check, join, mul,
                              no_grad, relu, tensor_sum)
 from rainunet.training import TrainConfig, fit, predict_probs
 
@@ -251,8 +252,8 @@ class TestForward:
 
     def test_odd_extents_reconcile(self):
         # odd sides lose a row or column to each floor pooling, which the
-        # decoder pads back; a decoder larger than its skip would need a
-        # crop, and zero_pad refuses its negative width
+        # decoder's join pads back; an upsampled map larger than its skip
+        # would need a crop, and join refuses it
         rng = np.random.default_rng(3)
         for stages, h, w in [(2, 15, 15), (2, 13, 17), (2, 17, 15), (3, 19, 21), (3, 23, 17)]:
             model = RainUNet(micro_cfg(stages=stages), seed=3)
@@ -292,9 +293,9 @@ class TestForward:
 
     def test_batches_are_stacked_into_the_layout(self, layout_copies):
         # fit and predict_probs stack each batch straight into the layout,
-        # so no conv copies it, and the C-sliced gradient concat hands each
-        # decoder stage's upsampling conv is read as a view: neither a
-        # training step nor a no-grad pass makes a copy
+        # so no conv copies it, and the C-sliced gradient a join hands each
+        # decoder stage's skip is read as a view: neither a training step
+        # nor a no-grad pass makes a copy
         rng = np.random.default_rng(8)
         records = [SequenceRecord(rng.random((9, 4, 16, 16), dtype=np.float32),
                                   (rng.random((OUT_FRAMES, 16, 16)) < 0.4).astype(np.uint8), "R0", 0)
@@ -330,27 +331,37 @@ class TestForward:
         assert all(t.grad is not None for _, t in model.named_parameters())
 
     @pytest.mark.usefixtures("no_cyclic_gc")
-    def test_the_tape_keeps_no_concatenation(self, monkeypatch):
-        # each decoder stage's concatenation is rebuilt in its projection's
-        # backward from the upsampled map and the skip's rebuild, so once a
-        # training forward has moved past it no buffer of it is alive
-        outputs = []
+    @pytest.mark.parametrize("tape", [False, True], ids=["no_grad", "tape"])
+    def test_the_join_dies_at_its_projection_conv(self, monkeypatch, tape):
+        # only the projection's conv reads a decoder stage's join, and with
+        # a tape its backward rebuilds it: no buffer of the join is alive
+        # while the projection's norm runs, nor once the forward is done
+        joins, alive = [], {}
 
-        def recorded(tensors, axis):
-            out = concat(tensors, axis)
+        def recorded(up, skip):
+            out = join(up, skip)
             owner = out.data
             while owner.base is not None:
                 owner = owner.base
-            outputs.append(weakref.ref(owner))
+            joins.append(weakref.ref(owner))
             return out
-        monkeypatch.setattr(model_module, "concat", recorded)
+
+        def norm(x, layer):
+            if layer.name.startswith("dec") and layer.name.endswith(".proj_norm"):
+                alive[layer.name] = joins[-1]() is not None
+            return group_norm(x, layer)
+        monkeypatch.setattr(model_module, "join", recorded)
+        monkeypatch.setattr(model_module, "group_norm", norm)
+        # at 18x18 the stage-2 skip is 9x9, so the decoder's 8x8 is padded
         model = RainUNet(micro_cfg(stages=3), seed=7)
-        x = Tensor(np.random.default_rng(7).random((2, 9, 4, 16, 16), dtype=np.float32))
-        loss = tensor_sum(model.forward(x))
-        assert len(outputs) == 3 and active_graph().nodes
-        assert [r() is None for r in outputs] == [True] * 3
-        backward(loss)
-        assert all(t.grad is not None for _, t in model.named_parameters())
+        x = Tensor(np.random.default_rng(7).random((2, 9, 4, 18, 18), dtype=np.float32))
+        with contextlib.nullcontext() if tape else no_grad():
+            out = model.forward(x)
+        assert alive == {f"dec{k}.block.proj_norm": False for k in (3, 2, 1)}
+        assert [r() is None for r in joins] == [True] * 3
+        if tape:
+            backward(tensor_sum(out))
+            assert all(t.grad is not None for _, t in model.named_parameters())
 
     # one (4, 16, 4, 66, 66) float32 map: stage 1 of the default model at N=4
     STAGE1 = 4 * 16 * 4 * 66 * 66 * 4

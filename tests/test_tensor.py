@@ -4,10 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
+from rainunet import precision
+from rainunet.layers import _from_layout, _to_layout
 from rainunet.tensor import (AutodiffError, NonFiniteError, Tensor,
-                             TensorError, _op, active_graph, backward, concat,
-                             grad_check, mean_axis, mul, no_grad, relu,
-                             sigmoid, tensor_sum, zero_pad)
+                             TensorError, _op, active_graph, backward,
+                             grad_check, join, mean_axis, mul, no_grad, relu,
+                             sigmoid, tensor_sum)
 
 
 def plus(a, b):
@@ -289,24 +291,80 @@ class TestGraph:
         assert all(c == 1 for c in calls.values())
 
 
-class TestShapeOps:
-    def test_concat_split_gradient(self, wide):
-        a = Tensor(np.ones((1, 2, 2)), requires_grad=True)
-        b = Tensor(np.full((1, 3, 2), 2.0), requires_grad=True)
-        joined = concat([a, b], axis=1)
-        assert joined.shape == (1, 5, 2)
-        assert np.array_equal(joined.data[:, 2:], b.data)
-        w = np.arange(10.0).reshape(1, 5, 2)
-        backward(tensor_sum(mul(joined, Tensor(w))))
-        assert np.array_equal(a.grad, w[:, :2])
-        assert np.array_equal(b.grad, w[:, 2:])
+# the (N, C, T, H, W) skip of the join tests, and the up half's extents
+# beside it: its own, or one short on each of T, H and W
+SKIP = (3, 4, 2, 5, 6)
+UP_EXTENTS = {"unpadded": (2, 5, 6), "padded": (1, 4, 5)}
 
-    def test_zero_pad_backward(self, wide):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        y = zero_pad(x, [(1, 0), (0, 3)])
-        assert y.shape == (3, 5)
-        backward(tensor_sum(mul(y, y)))
-        assert np.array_equal(x.grad, 2 * np.ones((2, 2)))
+
+def _join_inputs(rng, extents, layout=False):
+    """An up half of 2 channels and a skip, both leaves that require
+    gradients, the skip's memory in the layout of rainunet.layers when
+    ``layout``."""
+    up = Tensor(rng.normal(size=(SKIP[0], 2, *extents)), requires_grad=True)
+    skip = rng.normal(size=SKIP)
+    if layout:
+        skip = _from_layout(np.ascontiguousarray(skip.transpose(2, 3, 0, 4, 1)))
+    return up, Tensor(skip, requires_grad=True)
+
+
+class TestShapeOps:
+    @pytest.mark.parametrize("mode", [precision.STANDARD, precision.WIDE])
+    @pytest.mark.parametrize("case", sorted(UP_EXTENTS))
+    def test_join_is_the_padded_up_then_the_skip(self, mode, case):
+        with precision.use_precision(mode):
+            up, skip = _join_inputs(np.random.default_rng(20), UP_EXTENTS[case])
+            joined, dtype = join(up, skip), precision.dtype()
+        widths = [(0, 0), (0, 0)] + [(0, s - u) for u, s in zip(up.shape[2:], SKIP[2:])]
+        want = np.concatenate([np.pad(up.data, widths), skip.data], axis=1)
+        assert joined.dtype == want.dtype == dtype
+        assert joined.shape == want.shape and joined.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(UP_EXTENTS))
+    def test_join_gradient_is_one_view_per_input(self, wide, case):
+        up, skip = _join_inputs(np.random.default_rng(21), UP_EXTENTS[case])
+        joined = join(up, skip)
+        gy = np.random.default_rng(22).normal(size=joined.shape)
+        t, h, w = up.shape[2:]
+        grads = joined.node.apply(gy)
+        assert all(np.shares_memory(g, gy) for g in grads)
+        assert np.array_equal(grads[0], gy[:, :2, :t, :h, :w])
+        assert np.array_equal(grads[1], gy[:, 2:])
+        backward(tensor_sum(mul(joined, Tensor(gy))))
+        assert np.array_equal(up.grad, gy[:, :2, :t, :h, :w])
+        assert np.array_equal(skip.grad, gy[:, 2:])
+
+    @pytest.mark.parametrize("layout", [False, True], ids=["c_order", "layout"])
+    def test_join_keeps_the_skips_memory_order(self, layout):
+        up, skip = _join_inputs(np.random.default_rng(23), UP_EXTENTS["padded"], layout)
+        joined = join(up, skip)
+        dense = joined.data.transpose(2, 3, 0, 4, 1) if layout else joined.data
+        assert dense.flags.c_contiguous
+
+    def test_layout_reads_the_skips_gradient_in_place(self):
+        # the C slice of a gradient in the layout is read as a view
+        up, skip = _join_inputs(np.random.default_rng(24), UP_EXTENTS["padded"], layout=True)
+        joined = join(up, skip)
+        gy = _from_layout(np.ones(joined.data.transpose(2, 3, 0, 4, 1).shape, np.float32))
+        skip_grad = joined.node.apply(gy)[1]
+        assert np.shares_memory(_to_layout(skip_grad), gy)
+
+    @pytest.mark.parametrize("up_shape", [(3, 2, 3, 5, 6), (3, 2, 2, 5, 7), (2, 2, 2, 5, 6)],
+                             ids=["longer_t", "wider", "fewer_samples"])
+    def test_join_refuses_an_up_half_that_does_not_fit(self, up_shape):
+        with pytest.raises(TensorError) as err:
+            join(Tensor(np.ones(up_shape)), Tensor(np.ones(SKIP)))
+        assert str(err.value) == f"join: {up_shape} does not fit beside {SKIP}"
+
+    @pytest.mark.parametrize("case", sorted(UP_EXTENTS))
+    def test_join_recompute_gives_the_forward_bytes_anew(self, case):
+        up, skip = _join_inputs(np.random.default_rng(25), UP_EXTENTS[case], layout=True)
+        joined = join(up, skip)
+        again = [joined.node.recompute() for _ in range(2)]
+        for a in again:
+            assert a.strides == joined.data.strides and a.tobytes() == joined.data.tobytes()
+            assert not np.shares_memory(a, joined.data)
+        assert not np.shares_memory(*again)
 
     def test_mean_axis(self, wide):
         x = Tensor(np.arange(12.0).reshape(2, 3, 2), requires_grad=True)
@@ -315,20 +373,6 @@ class TestShapeOps:
         assert np.allclose(y.data, x.data.mean(axis=1))
         backward(tensor_sum(y))
         assert np.allclose(x.grad, np.full((2, 3, 2), 1 / 3))
-
-    def test_zero_pad_negative_widths_rejected(self):
-        with pytest.raises(TensorError):
-            zero_pad(Tensor(np.ones((2, 3))), [(0, 0), (0, -1)])
-        with pytest.raises(TensorError):
-            zero_pad(Tensor(np.ones((2, 3))), [(-1, 1), (0, 0)])
-
-    def test_zero_pad_keeps_a_layout_input_in_the_layout(self):
-        from rainunet.layers import _from_layout
-
-        x = Tensor(_from_layout(np.random.default_rng(5).normal(size=(3, 5, 2, 4, 6))))
-        y = zero_pad(x, [(0, 0), (0, 0), (0, 1), (0, 1), (0, 1)])
-        assert y.data.transpose(2, 3, 0, 4, 1).flags.c_contiguous
-        assert np.array_equal(y.data, np.pad(x.data, [(0, 0), (0, 0), (0, 1), (0, 1), (0, 1)]))
 
 
 class TestGradCheck:

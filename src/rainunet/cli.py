@@ -6,8 +6,7 @@ resolved in three layers: their defaults, then a ``key = value`` config
 file (``#`` at a line's start or after whitespace starts a comment, other
 keys are rejected), then flags, spelled out in full, each a value config
 text can hold. Every command is reproducible: identical resolved config
-and seed give identical artifact bytes, at the same BLAS thread count for
-``train``, whose weight-gradient reductions the BLAS splits by thread.
+and seed give identical artifact bytes, at any BLAS thread count.
 
 Every file a command writes reaches disk whole, through data.write_file: a
 command killed part-way leaves each of its files as it was before or as
@@ -38,8 +37,8 @@ from .model import (RainUNet, RainUNetConfig, TSBlock, load_checkpoint, save_che
                     save_checkpoint_params)
 from .tensor import (AutodiffError, GradCheckReport, Tensor, TensorError, grad_check, mul,
                      tensor_sum)
-from .training import (TrainConfig, TrainingAbort, batch_dice_loss, check_records, fit,
-                       predict_probs, write_training_log_csv)
+from .training import (TrainConfig, TrainingAbort, batch_dice_loss, check_records,
+                       check_same_size, fit, predict_probs, write_training_log_csv)
 from .precision import use_precision
 from .metrics import binarize, evaluate_masks, lead_time_iou, write_lead_time_csv, write_metrics_csv
 
@@ -122,9 +121,7 @@ def _sha256_of(path) -> str:
 def _out_dir(cfg: RunConfig, command: str, model: RainUNet | None = None) -> Path:
     """cfg.out, made if missing, holding the run's manifest ``run.txt``: the
     resolved settings ``command`` reads and the environment (versions, BLAS
-    and its thread count, cores), as key = value lines. The environment is a
-    record, not a guarantee: trained bytes change with the BLAS thread
-    count, which splits the weight gradient's reductions. Given the
+    and its thread count, cores), as key = value lines. Given the
     ``model`` read from cfg.checkpoint, the checkpoint's sha256 and stored
     model config follow the settings. Like every artifact, run.txt is
     whole, old or new, after a kill (see the module docstring)."""
@@ -176,6 +173,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     for name, r in zip(names, records):
         if r.input.shape[-2] != r.input.shape[-1]:
             raise FormatError(f"{name}: expected square frames, got {r.input.shape[-2:]}")
+        check_same_size(r, records[0], name)
         center_crop_window(r.input.shape[-1], cfg.crop_factor)
     channels = CHANNEL_SETS[cfg.channels]
     selected = [replace(r, input=select_modalities(r, channels, name))

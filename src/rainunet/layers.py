@@ -14,9 +14,9 @@ range of a frame is one run of rows. An activation has the logical shape
 gradient is. ``_to_layout`` gives an op its operand in the layout as a view
 when the kernels can read it as it is: the channel stride is one element,
 and each frame's rows have one stride, at least a row's width; the T stride
-can be anything, 0 included. So the skip's C slice of a join's gradient
-and mean_axis's gradient, one frame repeated over T, are read in place. Any
-other operand is copied, once: a conv's backward reuses its input's copy.
+can be anything, 0 included. So mean_axis's gradient, one frame repeated
+over T, is read in place. Any other operand is copied, once: a conv's
+backward reuses its input's copy.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ class ConvSpec:
     transposed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", _triple(self.kernel))
-        object.__setattr__(self, "dilation", _triple(self.dilation))
-        object.__setattr__(self, "stride", _triple(self.stride))
-        object.__setattr__(self, "padding", _triple(self.padding))
+        for name in ("kernel", "dilation", "stride", "padding"):
+            object.__setattr__(self, name, _triple(getattr(self, name)))
         if min(self.kernel) < 1 or min(self.dilation) < 1 or min(self.stride) < 1:
             raise TensorError(f"kernel/dilation/stride must be positive: {self}")
         if min(self.padding) < 0:
@@ -79,18 +77,12 @@ class ConvSpec:
         return ConvSpec(k, (1, 1, 1), k, (0, 0, 0), transposed=True)
 
     def out_extents(self, in_extents: Triple) -> Triple:
-        outs = []
-        for n, eff, s, p in zip(in_extents, self.effective(), self.stride, self.padding):
-            if self.transposed:
-                o = (n - 1) * s - 2 * p + eff
-            else:
-                o = (n + 2 * p - eff) // s + 1
-            outs.append(o)
+        outs = tuple((n - 1) * s - 2 * p + eff if self.transposed else (n + 2 * p - eff) // s + 1
+                     for n, eff, s, p in zip(in_extents, self.effective(), self.stride, self.padding))
         if min(outs) < 1:
-            raise TensorError(
-                f"non-positive output extent {tuple(outs)} for input {tuple(in_extents)} with {self}"
-            )
-        return tuple(outs)
+            raise TensorError(f"non-positive output extent {outs} for input {tuple(in_extents)} "
+                              f"with {self}")
+        return outs
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +211,9 @@ def _tap_blocks(src, taps, n_cols, adjoint):
         del block
 
 
-def _corr3d(src, w, taps, extents, adjoint, xl=None, dw=None):
-    """Cross-correlate src (T,H,N,W,C) over the live taps into (T', H', N, W',
-    C'), with ``extents`` (T', H', W'), or None when w is None. Forward, w
+def _corr3d(src, w, taps, acc, adjoint, xl=None, dw=None):
+    """Cross-correlate src (T,H,N,W,C) over the live taps, adding into acc
+    (T', H', N, W', C'), or into nothing when acc is None. Forward, w
     carries (C', C, kt, kh, kw) and src is the input. Adjoint, the input
     gradient of the forward: w carries (C, C', kt, kh, kw) and src is an
     output gradient, scattered back through w; within one (t, h) tap the
@@ -229,23 +221,37 @@ def _corr3d(src, w, taps, extents, adjoint, xl=None, dw=None):
     Given xl (T', H', N, W', C''), each block's rows, transposed, times xl's
     at their dst add into the tap-major dw (kt, kh, kw, C, C'') the weight
     gradient: each (live_w*C, C'') product is its live W taps' slabs."""
-    t, h, wd = extents
-    acc = None
-    if w is not None:
-        acc = np.zeros((t, h, src.shape[2], wd, w.shape[1 if adjoint else 0]), dtype=src.dtype)
-    if all(taps):
-        wst = None if w is None else _stacked_weights(w, *taps, 0 if adjoint else 1)
-        t_taps, h_taps, w_taps = taps
-        for j, k, dst, rows in _tap_blocks(src, taps, wd, adjoint):
-            m = _mat(rows)
-            if acc is not None:
-                out = acc[dst]
-                out += (m @ wst[j, k]).reshape(out.shape)
-            if dw is not None:
-                slabs = (t_taps[j][0], h_taps[k][0], _tap_index(w_taps))
-                dw[slabs] += (m.T @ _mat(xl[dst])).reshape(-1, *dw.shape[3:])
-            del rows, m
-    return acc
+    if not all(taps) or acc is None and dw is None:
+        return
+    t_taps, h_taps, w_taps = taps
+    wst = None if acc is None else _stacked_weights(w, *taps, 0 if adjoint else 1)
+    for j, k, dst, rows in _tap_blocks(src, taps, (xl if acc is None else acc).shape[3], adjoint):
+        m = _mat(rows)
+        if acc is not None:
+            out = acc[dst]
+            out += (m @ wst[j, k]).reshape(out.shape)
+        if dw is not None:
+            slabs = (t_taps[j][0], h_taps[k][0], _tap_index(w_taps))
+            dw[slabs] += _gram(m, _mat(xl[dst])).reshape(-1, *dw.shape[3:])
+        del rows, m
+
+
+# Rows per block of a weight gradient's reduction (_gram). OpenBLAS sums a
+# longer reduction in an order that depends on its thread count: with
+# blocks of 512 rows the default model trained to other bytes at 2 threads
+# than at 1.
+_GRAM_ROWS = 256
+
+
+def _gram(a, b):
+    """a.T @ b, summed over blocks of _GRAM_ROWS rows in a fixed order, so
+    its bytes do not depend on the BLAS thread count."""
+    n = len(a) - len(a) % _GRAM_ROWS
+    out = a[n:].T @ b[n:]
+    if n:
+        blocks = a[:n].reshape(-1, _GRAM_ROWS, a.shape[1]).transpose(0, 2, 1)
+        out += np.matmul(blocks, b[:n].reshape(-1, _GRAM_ROWS, b.shape[1])).sum(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,47 +382,62 @@ class Conv3DLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-def _conv(x: Tensor, layer: Conv3DLayer) -> Tensor:
-    """The op of every conv layer, forward or transposed. The live taps of
-    the correlation are found once and serve the forward and both gradients.
-    A transposed spec runs the correlation reversed, from the op's output
-    extents to its input's: its forward is the adjoint core and its backward
-    the forward core, both on w with C_out and C_in swapped. For the weight
-    gradient the op keeps its input as :func:`_saved` gives it."""
-    if x.data.ndim != 5:
-        raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {x.shape}")
-    if x.shape[1] != layer.in_channels:
-        raise TensorError(
-            f"channel mismatch: input has {x.shape[1]}, layer expects {layer.in_channels}"
-        )
-    spec = layer.spec
+def _conv(x, layer: Conv3DLayer) -> Tensor:
+    """The op of every conv layer, forward or transposed, on the sources of
+    :func:`conv3d`. Each source reads its channel range of the weight through
+    live taps found once from its own extents, which serve the forward and
+    both gradients. A transposed spec runs the correlation reversed, from
+    the op's output extents to its input's: its forward is the adjoint core
+    and its backward the forward core, both on w with C_out and C_in
+    swapped. The weight gradient reads each source as :func:`_saved` gives it."""
+    sources = x if isinstance(x, tuple) else (x,)
+    last = sources[-1]
+    for s in sources:
+        if s.data.ndim != 5:
+            raise TensorError(f"conv input must be 5-d (N,C,T,H,W), got {s.shape}")
+        if s.shape[0] != last.shape[0] or any(a > e for a, e in zip(s.shape[2:], last.shape[2:])):
+            raise TensorError(f"join: {s.shape} does not fit beside {last.shape}")
+    if (c := sum(s.shape[1] for s in sources)) != layer.in_channels:
+        raise TensorError(f"channel mismatch: input has {c}, layer expects {layer.in_channels}")
+    spec, w, b = layer.spec, layer.weight, layer.bias
     transposed = spec.transposed
-    in_ext = x.shape[2:]
-    out_ext = spec.out_extents(in_ext)
-    corr_in, corr_out = (out_ext, in_ext) if transposed else (in_ext, out_ext)
-    taps = [_axis_taps(*g) for g in zip(corr_in, corr_out, spec.kernel, spec.stride,
-                                        spec.dilation, spec.padding)]
-    w, b = layer.weight, layer.bias
-    corr_weight = w.data.swapaxes(0, 1) if transposed else w.data
-    xl = _to_layout(x.data)
-    y = _corr3d(xl, corr_weight, taps, out_ext, transposed)
+    out_ext = spec.out_extents(last.shape[2:])
+    y = np.zeros((*out_ext[:2], last.shape[0], out_ext[2], w.shape[0]), dtype=last.dtype)
+    reads, lo = [], 0  # per source: what its backward reads
+    for s in sources:
+        cols = slice(lo, lo := lo + s.shape[1])
+        corr = (out_ext, s.shape[2:]) if transposed else (s.shape[2:], out_ext)
+        taps = [_axis_taps(*g) for g in zip(*corr, spec.kernel, spec.stride, spec.dilation,
+                                            spec.padding)]
+        corr_weight = w.data[:, cols].swapaxes(0, 1) if transposed else w.data[:, cols]
+        xl = _to_layout(s.data)
+        _corr3d(xl, corr_weight, taps, y, transposed)
+        reads.append((cols, xl.shape if s.requires_grad else None, taps, corr_weight,
+                      _saved(s, _from_layout(xl)) if w.requires_grad else None))
     y += b.data
-    dx_weight = corr_weight if x.requires_grad else None
     dw_shape = (*spec.kernel, *w.shape[:2]) if w.requires_grad else None
-    x_again = _saved(x, _from_layout(xl)) if w.requires_grad else None
 
     def grad_fn(gy):
         gy = _to_layout(gy)
         dw = None if dw_shape is None else np.zeros(dw_shape, dtype=gy.dtype)
-        xl = None if dw is None else _to_layout(x_again())
-        dx = _corr3d(gy, dx_weight, taps, in_ext, not transposed, xl, dw)
+        dxs = []
+        for cols, dx_shape, taps, corr_weight, x_again in reads:
+            dx = None if dx_shape is None else np.zeros(dx_shape, dtype=gy.dtype)
+            xl, dw_cols = (None, None) if dw is None else (_to_layout(x_again()), dw[..., cols])
+            _corr3d(gy, corr_weight, taps, dx, not transposed, xl, dw_cols)
+            dxs.append(None if dx is None else _from_layout(dx))
         if dw is not None:
             dw = dw.transpose(3, 4, 0, 1, 2)
-        return None if dx is None else _from_layout(dx), dw, gy.sum(axis=(0, 1, 2, 3))
-    return _op(_from_layout(y), (x, w, b), grad_fn, layer.name)
+        return *dxs, dw, gy.sum(axis=(0, 1, 2, 3))
+    return _op(_from_layout(y), (*sources, w, b), grad_fn, layer.name)
 
 
-def conv3d(x: Tensor, layer: Conv3DLayer) -> Tensor:
+def conv3d(x, layer: Conv3DLayer) -> Tensor:
+    """The conv of ``layer`` on ``x``, a tensor, or a tuple of sources read
+    as one input: the sources side by side along channels, each zero-extended
+    at the high end of T, H and W to the last source's extents, as a U-Net
+    decoder joins its upsampled map and its skip. A source that does not fit
+    beside the last, on the batch or on an extent, is a TensorError."""
     if layer.spec.transposed:
         raise TensorError("conv3d called with a transposed spec")
     return _conv(x, layer)

@@ -2,8 +2,10 @@
 
 Encoder: ``stages`` repetitions of a temporal-wise separable block (TS block)
 followed by 3D max pooling. Decoder: mirrored stages of transposed-conv
-upsampling (halve channels, double the pooled axes), a join with the
-matching encoder feature (rainunet.tensor), and another TS block. A 1x1x1
+upsampling (halve channels, double the pooled axes), then a TS block whose
+projection conv reads the upsampled map and the matching encoder feature as
+its two sources (layers.conv3d): U-Net's crop-and-concatenate, with no crop,
+as floor pooling by k and doubling back give k * (n // k) <= n. A 1x1x1
 head maps to one output channel per lead time, averages over the residual
 temporal axis and applies a sigmoid.
 
@@ -39,7 +41,7 @@ import numpy as np
 from . import data as dataio
 from .layers import (Conv3DLayer, ConvSpec, GroupNormLayer, c_order_pieces, conv3d,
                      conv3d_transposed, group_norm, maxpool3d)
-from .tensor import Tensor, TensorError, join, mean_axis, relu, sigmoid
+from .tensor import Tensor, TensorError, mean_axis, relu, sigmoid
 
 # The paper's one architecture: the TS block's factorized conv kernels, the
 # dilation of its middle conv and the normalization group count.
@@ -188,10 +190,11 @@ class TSBlock:
     def __call__(self, x: Tensor) -> Tensor:
         return self.convolve(self.project(x))
 
-    def project(self, x: Tensor) -> Tensor:
-        """The 1x1x1 projection to the block's width, then norm + relu.
-        ``x`` is dropped once the conv has read it, which frees it when the
-        caller passed it without a name, as forward does a join."""
+    def project(self, x) -> Tensor:
+        """The 1x1x1 projection to the block's width, then norm + relu, of
+        ``x``, a tensor or a tuple of sources (layers.conv3d). ``x`` is
+        dropped once the conv has read it, which frees it when the caller
+        passed it without a name, as forward does a decoder stage's sources."""
         x = conv3d(x, self.proj)
         return relu(group_norm(x, self.proj_norm))
 
@@ -270,13 +273,13 @@ class RainUNet:
         """The rain probabilities (N, out_frames, H, W) of an input (N, C, T, H, W).
 
         Each map is held only while something reads it. An encoder stage's
-        output waits in ``skips`` until its decoder stage joins it to the
-        upsampled map; the join dies at the projection's conv, its one
-        reader, with a tape too (TSBlock.project); the head's input and
-        logits die at their last reader. ``x`` is dropped after the first
-        stage, which frees it when the caller passed it without a name
-        (predict_probs, fit). So under no_grad the peak is a few stage-1
-        maps, not the model's depth."""
+        output waits in ``skips`` until its decoder stage's projection conv,
+        its last reader with a tape too (TSBlock.project), reads it beside
+        the upsampled map in place: no map of their joined width is built.
+        The head's input and logits die at their last reader. ``x`` is
+        dropped after the first stage, which frees it when the caller passed
+        it without a name (predict_probs, fit). So under no_grad the peak is
+        a few stage-1 maps, not the model's depth."""
         cfg = self.config
         cfg.check_input(x.shape)
         t_kernels = cfg.temporal_pool_kernels()
@@ -288,8 +291,7 @@ class RainUNet:
             skips.append(cur)
             cur = maxpool3d(cur, (t_kernels[k - 1], 2, 2))
         for _, up, block in self.decoder:  # deepest first: each pops its own skip
-            cur = conv3d_transposed(cur, up)
-            cur = block.project(join(cur, skips.pop()))
+            cur = block.project((conv3d_transposed(cur, up), skips.pop()))
             cur = block.convolve(cur)
         cur = conv3d(cur, self.head)
         cur = mean_axis(cur, 2)

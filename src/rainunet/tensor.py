@@ -18,14 +18,6 @@ each reader that would keep it (:func:`_saved`) read it rebuilt. A mean's
 gradient is one frame repeated over the mean's axis, a read-only view: no
 op writes into a gradient.
 
-A decoder's join (:func:`join`) is the upsampled map, zero-padded at the
-high end of T, H and W to its skip's extents, then the skip after it along
-channels, made with one copy in the skip's memory order. It never needs a
-crop: floor pooling by k and doubling back give k * (n // k) <= n. Its
-gradient is one view per input, and its recompute joins the inputs again
-as :func:`_saved` gives them: the upsampled map as it is, the skip (a relu
-output) rebuilt.
-
 No broadcasting: ``mul`` takes two tensors of one shape. A 5-d value's
 memory may be in the layout of rainunet.layers; the elementwise ops keep
 its memory order.
@@ -301,25 +293,6 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     fill = _filler(a.data[(slice(None),) * axis + (slice(0, 1),)])
     return _op(np.ascontiguousarray(np.mean(a.data, axis=axis)), (a,),
                lambda gy: (np.broadcast_to(fill(np.expand_dims(gy / n, axis)), shape),))
-
-
-def join(up: Tensor, skip: Tensor) -> Tensor:
-    """The decoder's join (module docstring) of ``up`` and ``skip``, both
-    (N, C, T, H, W), ``up`` no larger than ``skip`` on T, H and W."""
-    if up.shape[0] != skip.shape[0] or any(u > s for u, s in zip(up.shape[2:], skip.shape[2:])):
-        raise TensorError(f"join: {up.shape} does not fit beside {skip.shape}")
-    cu = up.shape[1]
-    shape = (skip.shape[0], cu + skip.shape[1], *skip.shape[2:])
-    crop = (slice(None), slice(cu), *map(slice, up.shape[2:]))
-
-    def joined(u, s):
-        out = np.zeros_like(s, shape=shape)  # in the memory order of s
-        out[crop] = u
-        out[:, cu:] = s
-        return out
-    rebuild_up, rebuild_skip = _saved(up, up.data), _saved(skip, skip.data)
-    return _op(joined(up.data, skip.data), (up, skip), lambda gy: (gy[crop], gy[:, cu:]), None,
-               lambda: joined(rebuild_up(), rebuild_skip()))
 
 
 def _first_readers(graph: Graph) -> dict:

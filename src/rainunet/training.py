@@ -290,9 +290,14 @@ def check_records(records, cfg: RainUNetConfig, names=None) -> None:
         if r.target.shape[1:] != r.input.shape[2:]:
             raise TensorError(f"{name}: target H,W {r.target.shape[1:]} differ from the "
                               f"input's {r.input.shape[2:]}")
-        if r.input.shape != records[0].input.shape:
-            raise TensorError(f"{name}: input {r.input.shape} differs from the first record's "
-                              f"{records[0].input.shape}: a dataset holds one frame size")
+        check_same_size(r, records[0], name)
+
+
+def check_same_size(record, first, name: str) -> None:
+    """Raise TensorError, naming ``record``, unless its input's shape is ``first``'s."""
+    if record.input.shape != first.input.shape:
+        raise TensorError(f"{name}: input {record.input.shape} differs from the first record's "
+                          f"{first.input.shape}: a dataset holds one frame size")
 
 
 def _diverged(params, epoch: int, step: int) -> str | None:

@@ -17,8 +17,8 @@ with any of them. Regenerate it only in a change meant to alter bytes.
 import os
 
 if __name__ == "__main__":
-    # trained bytes depend on the BLAS thread count (see rainunet.cli), which
-    # OpenBLAS reads when numpy loads
+    # one BLAS thread, set before numpy loads, where OpenBLAS reads it; the
+    # bytes are the same at any count (tests/test_threads.py)
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["OMP_NUM_THREADS"] = "1"
 

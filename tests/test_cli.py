@@ -470,6 +470,18 @@ class TestPreprocess:
                                            "expected square frames, got (12, 18)\n")
         assert not prep.exists()
 
+    def test_mixed_frame_sizes_named_before_cleansing(self, tmp_path, capsys):
+        # train refuses a dataset of two frame sizes, so preprocess does not write one
+        raw, prep = tmp_path / "raw", tmp_path / "prep"
+        records = [synth_generate(SynthConfig(1, size, seed=0))[0] for size in (24, 30)]
+        save_dataset(records, raw)
+        capsys.readouterr()
+        assert run_cli("preprocess", "--data", raw, "--out", prep) == 1
+        assert capsys.readouterr().err == (
+            f"error: {raw / MANIFEST_NAME} record seq00001: input (11, 4, 30, 30) differs from "
+            "the first record's (11, 4, 24, 24): a dataset holds one frame size\n")
+        assert not prep.exists()
+
     @pytest.mark.parametrize("size, factor, message", [
         (24, 7, "crop_factor must be in [1, 6], got 7"),
         (26, 3, "frame side 26 not divisible by 6"),

@@ -12,8 +12,8 @@ from rainunet.layers import (GROUP_NORM_EPS, Conv3DLayer, ConvSpec, GroupNormLay
                              _from_layout, _stacked_weights, _to_layout, c_order_pieces, conv3d,
                              conv3d_transposed, group_norm, is_tap_major, maxpool3d)
 from rainunet.model import TSBlock
-from rainunet.tensor import (Tensor, TensorError, backward, discard_tape, grad_check, join,
-                             mean_axis, mul, relu, tensor_sum)
+from rainunet.tensor import (Tensor, TensorError, backward, discard_tape, grad_check, mean_axis,
+                             mul, relu, tensor_sum)
 
 
 def quad(y):
@@ -63,13 +63,17 @@ class TestConv3D:
 
     @pytest.mark.parametrize("op", [conv3d, conv3d_transposed], ids=lambda op: op.__name__)
     @pytest.mark.parametrize("shape,message", [((1, 3, 1, 2, 2), "channel mismatch"),
-                                               ((1, 2, 2, 2), "5-d")],
-                             ids=["channels", "4d"])
+                                               ((1, 2, 2, 2), "5-d"),
+                                               (((1, 1, 1, 2, 2), (1, 2, 1, 2, 2)),
+                                                "channel mismatch: input has 3")],
+                             ids=["channels", "4d", "sources_channels"])
     def test_input_checks(self, op, shape, message):
         spec = ConvSpec((1, 1, 1), transposed=op is conv3d_transposed)
         layer = Conv3DLayer(2, 1, spec, np.random.default_rng(0))
+        x = (tuple(Tensor(np.zeros(s)) for s in shape) if isinstance(shape[0], tuple)
+             else Tensor(np.zeros(shape)))
         with pytest.raises(TensorError, match=message):
-            op(Tensor(np.zeros(shape)), layer)
+            op(x, layer)
 
     def test_matches_loop_oracle(self, wide):
         rng = np.random.default_rng(42)
@@ -292,6 +296,67 @@ class TestConv3DTransposed:
         layer = Conv3DLayer(3, 2, spec, rng)
         x = Tensor(rng.normal(size=(1, 3, 2, 3, 3)))
         assert grad_check(lambda t: quad(conv3d_transposed(t, layer)), x).passed
+
+
+# The second source of the two-source conv tests, and the first's extents
+# beside it: its own, or one short on each of T, H and W
+SECOND = (2, 1, 2, 3, 4)
+FIRST_EXTENTS = {"equal": (2, 3, 4), "smaller": (1, 2, 3)}
+
+
+def _oracle_with_gradients(x, w, b, spec, gy):
+    """naive_conv3d of x (N, C, T, H, W), and its gradients for the output
+    gradient gy, from the oracle alone: bias aside, it is linear in x and in
+    w, so dx and dw are sums over the oracle of each unit input and of each
+    one-tap weight."""
+    args = (spec.stride, spec.dilation, spec.padding)
+    units = np.eye(x[0].size).reshape(-1, *x.shape[1:])
+    dx = np.einsum("kotuv,notuv->nk", naive_conv3d(units, w, np.zeros(len(w)), *args), gy)
+    taps = np.eye(w[0].size).reshape(-1, *w.shape[1:])
+    dw = np.einsum("nktuv,notuv->ok", naive_conv3d(x, taps, np.zeros(len(taps)), *args), gy)
+    return (naive_conv3d(x, w, b, *args), dx.reshape(x.shape), dw.reshape(w.shape),
+            gy.sum(axis=(0, 2, 3, 4)))
+
+
+class TestConvSources:
+    """conv3d of a tuple of sources reads them as one input: side by side
+    along channels, each zero-extended at the high end of T, H and W to the
+    last source's extents."""
+
+    @pytest.mark.parametrize("mode", [precision.STANDARD, precision.WIDE])
+    @pytest.mark.parametrize("first", sorted(FIRST_EXTENTS))
+    @pytest.mark.parametrize("spec", [ConvSpec.same_size((1, 1, 1)), ConvSpec.same_size((1, 3, 3))],
+                             ids=["1x1x1", "1x3x3"])
+    def test_two_sources_are_the_padded_concatenation(self, spec, first, mode):
+        with precision.use_precision(mode):
+            rng = np.random.default_rng(60)
+            a = Tensor(rng.normal(size=(2, 2, *FIRST_EXTENTS[first])), requires_grad=True)
+            b = Tensor(rng.normal(size=SECOND), requires_grad=True)
+            layer = Conv3DLayer(3, 2, spec, rng, bias=rng.normal(size=2))
+            y = conv3d((a, b), layer)
+            gy = Tensor(rng.normal(size=y.shape))
+            backward(tensor_sum(mul(y, gy)))
+        pad = [(0, 0), (0, 0)] + [(0, e - s) for s, e in zip(a.shape[2:], SECOND[2:])]
+        joined = np.concatenate([np.pad(a.data, pad), b.data], axis=1)
+        want_y, dx, dw, db = _oracle_with_gradients(
+            *(v.astype(np.float64) for v in (joined, layer.weight.data, layer.bias.data)), spec,
+            gy.data.astype(np.float64))
+        t, h, w = a.shape[2:]
+        pairs = [(y.data, want_y), (a.grad, dx[:, :2, :t, :h, :w]), (b.grad, dx[:, 2:]),
+                 (layer.weight.grad, dw), (layer.bias.grad, db)]
+        tol = 1e-12 if mode == precision.WIDE else 1e-5
+        for got, want in pairs:
+            assert got.dtype == y.dtype and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("first", [(3, 2, 3, 5, 6), (3, 2, 2, 5, 7), (2, 2, 2, 5, 6)],
+                             ids=["longer_t", "wider", "fewer_samples"])
+    def test_a_source_that_does_not_fit_is_refused(self, first):
+        last = (3, 4, 2, 5, 6)
+        layer = Conv3DLayer(6, 2, ConvSpec((1, 1, 1)), np.random.default_rng(0))
+        with pytest.raises(TensorError) as err:
+            conv3d((Tensor(np.ones(first)), Tensor(np.ones(last))), layer)
+        assert str(err.value) == f"join: {first} does not fit beside {last}"
 
 
 class TestMaxPool:
@@ -561,7 +626,6 @@ _UNDER_MEAN = {
     "relu": lambda x, rng: relu(x),
     "maxpool3d": lambda x, rng: maxpool3d(x, (1, 2, 2)),
     "mul": lambda x, rng: mul(x, Tensor(rng.standard_normal(x.shape))),
-    "join": lambda x, rng: join(x, Tensor(rng.standard_normal((2, 3, 4, 7, 8)))),
 }
 
 
@@ -621,10 +685,6 @@ _UNREAD = {
     "conv under mean_axis": (
         lambda x, rng: conv3d(x, Conv3DLayer(8, 32, ConvSpec.same_size((1, 1, 1)), rng)),
         lambda y: mean_axis(y, 2)),
-    "join under conv": (
-        lambda x, rng: join(Tensor(rng.standard_normal((2, 4, 2, 5, 6), dtype=np.float32)), x),
-        lambda y: conv3d(y, Conv3DLayer(12, 8, ConvSpec.same_size((1, 1, 1)),
-                                        np.random.default_rng(0)))),
 }
 
 
@@ -666,28 +726,35 @@ class TestTapeRelease:
         assert h.grad.dtype == leaf.grad.dtype and h.grad.tobytes() == leaf.grad.tobytes()
 
     @pytest.mark.parametrize("mode", [precision.STANDARD, precision.WIDE])
-    @pytest.mark.parametrize("reader", ["conv", "maxpool"])
+    @pytest.mark.parametrize("reader", ["conv", "maxpool", "second conv source"])
     def test_reader_of_a_relu_output_reads_its_rebuilt_map(self, mode, reader):
         # the relu output of a group norm is rebuilt in the backward from
         # what the norm keeps: with the forward's array zeroed, a conv's
         # weight and input gradients and a max pool's input gradient still
-        # have the bytes a leaf holding the forward's values gets
+        # have the bytes a leaf holding the forward's values gets. As a
+        # conv's second source it is a decoder stage's skip, read beside a
+        # smaller upsampled map
         with precision.use_precision(mode):
             rng = np.random.default_rng(47)
             conv = Conv3DLayer(8, 8, ConvSpec.same_size((1, 3, 3)), rng)
-            read = {"conv": lambda t: conv3d(t, conv),
-                    "maxpool": lambda t: maxpool3d(t, (2, 2, 2))}[reader]
+            other = np.random.default_rng(48)
+            proj = Conv3DLayer(12, 8, ConvSpec.same_size((1, 1, 1)), other)
+            up = Tensor(other.standard_normal((2, 4, 1, 5, 5)), requires_grad=True)
+            read, layer = {"conv": (lambda t: conv3d(t, conv), conv),
+                           "maxpool": (lambda t: maxpool3d(t, (2, 2, 2)), None),
+                           "second conv source": (lambda t: conv3d((up, t), proj), proj)}[reader]
             x = Tensor(rng.standard_normal((2, 8, 2, 6, 6)), requires_grad=True)
             h = relu(group_norm(x, GroupNormLayer(8, 4)))
             values = h.data.copy(order="K")
             loss = quad(read(h))
             h.data[...] = 0
             backward(loss)
-            got = [h.grad] + [conv.weight.grad] * (reader == "conv")
-            conv.weight.zero_grad()
+            got = [h.grad] + ([] if layer is None else [layer.weight.grad])
+            if layer is not None:
+                layer.weight.zero_grad()
             leaf = Tensor(values, requires_grad=True)
             backward(quad(read(leaf)))
-            want = [leaf.grad] + [conv.weight.grad] * (reader == "conv")
+            want = [leaf.grad] + ([] if layer is None else [layer.weight.grad])
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -721,35 +788,6 @@ class TestTapeRelease:
         assert len(rebuilt) == 1 and rebuilt[0]() is None
         discard_tape()
         assert h.node is not None and h.node.recompute is None
-
-    def test_join_rebuilds_a_relu_skip_without_holding_it(self):
-        # a decoder stage: the skip, a relu output, joins the upsampled map
-        # and a conv reads the join. The join is not kept; the conv's
-        # backward rebuilds it, and once that backward has run the relu
-        # holds no rebuilt skip, which would wait for the relu's own backward
-        rng = np.random.default_rng(49)
-        conv = Conv3DLayer(12, 8, ConvSpec.same_size((1, 1, 1)), rng)
-        x = Tensor(rng.standard_normal((2, 8, 2, 6, 6), dtype=np.float32), requires_grad=True)
-        skip = relu(group_norm(x, GroupNormLayer(8, 4)))
-        up = Tensor(rng.standard_normal((2, 4, 2, 6, 6), dtype=np.float32), requires_grad=True)
-        joined = join(up, skip)
-        freed = weakref.ref(_owner(joined.data))
-        values = joined.data.copy()
-        loss = quad(conv3d(joined, conv))
-        del joined
-        assert freed() is None
-        rebuilt = []
-
-        def after_conv(t):
-            if t is conv.weight:
-                again = [skip.node.recompute() for _ in range(2)]
-                rebuilt.append(again[0] is again[1])
-        backward(loss, on_grad=after_conv)
-        assert rebuilt == [False]
-        dw = conv.weight.grad
-        conv.weight.zero_grad()
-        backward(quad(conv3d(Tensor(values), conv)))
-        assert dw.tobytes() == conv.weight.grad.tobytes()
 
     def test_ts_block_holding_its_output_keeps_six_maps(self, traced_peak):
         # the two relu outputs are not kept: the spatial conv keeps group

@@ -18,8 +18,8 @@ from rainunet import layers, model as model_module, precision
 from rainunet.layers import conv3d, group_norm, is_tap_major, maxpool3d
 from rainunet.model import (RainUNet, RainUNetConfig, TSBlock, _parse_checkpoint,
                             load_checkpoint, save_checkpoint, save_checkpoint_params)
-from rainunet.tensor import (Tensor, TensorError, active_graph, backward, grad_check, join, mul,
-                             no_grad, relu, tensor_sum)
+from rainunet.tensor import (Tensor, TensorError, active_graph, backward, grad_check, mul, no_grad,
+                             relu, tensor_sum)
 from rainunet.training import TrainConfig, fit, predict_probs
 
 
@@ -270,8 +270,8 @@ class TestForward:
 
     def test_odd_extents_reconcile(self):
         # odd sides lose a row or column to each floor pooling, which the
-        # decoder's join pads back; an upsampled map larger than its skip
-        # would need a crop, and join refuses it
+        # projection conv reads back as padding; an upsampled map larger
+        # than its skip would need a crop, and the conv refuses it
         rng = np.random.default_rng(3)
         for stages, h, w in [(2, 15, 15), (2, 13, 17), (2, 17, 15), (3, 19, 21), (3, 23, 17)]:
             model = RainUNet(micro_cfg(stages=stages), seed=3)
@@ -311,9 +311,9 @@ class TestForward:
 
     def test_batches_are_stacked_into_the_layout(self, layout_copies):
         # fit and predict_probs stack each batch straight into the layout,
-        # so no conv copies it, and the C-sliced gradient a join hands each
-        # decoder stage's skip is read as a view: neither a training step
-        # nor a no-grad pass makes a copy
+        # so no conv copies it, and each op hands its sources' gradients
+        # back in the layout: neither a training step nor a no-grad pass
+        # makes a copy
         rng = np.random.default_rng(8)
         records = [SequenceRecord(rng.random((9, 4, 16, 16), dtype=np.float32),
                                   (rng.random((OUT_FRAMES, 16, 16)) < 0.4).astype(np.uint8), "R0", 0)
@@ -348,38 +348,38 @@ class TestForward:
         backward(loss)
         assert all(t.grad is not None for _, t in model.named_parameters())
 
-    @pytest.mark.usefixtures("no_cyclic_gc")
     @pytest.mark.parametrize("tape", [False, True], ids=["no_grad", "tape"])
-    def test_the_join_dies_at_its_projection_conv(self, monkeypatch, tape):
-        # only the projection's conv reads a decoder stage's join, and with
-        # a tape its backward rebuilds it: no buffer of the join is alive
-        # while the projection's norm runs, nor once the forward is done
-        joins, alive = [], {}
+    def test_no_decoder_stage_builds_the_joined_map(self, monkeypatch, tape):
+        # each decoder stage's projection conv reads the upsampled map and
+        # the skip in place: no op reads, makes or hands back a map of their
+        # joined width, in the forward or in the backward
+        shapes = set()  # of every map an op of rainunet.layers reads or makes
+        to_layout, from_layout = layers._to_layout, layers._from_layout
 
-        def recorded(up, skip):
-            out = join(up, skip)
-            owner = out.data
-            while owner.base is not None:
-                owner = owner.base
-            joins.append(weakref.ref(owner))
-            return out
+        def read(a):
+            shapes.add(a.shape)
+            return to_layout(a)
 
-        def norm(x, layer):
-            if layer.name.startswith("dec") and layer.name.endswith(".proj_norm"):
-                alive[layer.name] = joins[-1]() is not None
-            return group_norm(x, layer)
-        monkeypatch.setattr(model_module, "join", recorded)
-        monkeypatch.setattr(model_module, "group_norm", norm)
+        def made(a):
+            shapes.add(from_layout(a).shape)
+            return from_layout(a)
+        monkeypatch.setattr(layers, "_to_layout", read)
+        monkeypatch.setattr(layers, "_from_layout", made)
         # at 18x18 the stage-2 skip is 9x9, so the decoder's 8x8 is padded
-        model = RainUNet(micro_cfg(stages=3), seed=7)
+        cfg = micro_cfg(stages=3)
+        model = RainUNet(cfg, seed=7)
         x = Tensor(np.random.default_rng(7).random((2, 9, 4, 18, 18), dtype=np.float32))
         with contextlib.nullcontext() if tape else no_grad():
             out = model.forward(x)
-        assert alive == {f"dec{k}.block.proj_norm": False for k in (3, 2, 1)}
-        assert [r() is None for r in joins] == [True] * 3
         if tape:
             backward(tensor_sum(out))
-            assert all(t.grad is not None for _, t in model.named_parameters())
+        extents, t, side = {}, 4, 18
+        for k, pool in enumerate(cfg.temporal_pool_kernels(), 1):
+            extents[k] = (t, side, side)
+            t, side = t // pool, side // 2
+        skips = {(2, cfg.stage_width(k), *extents[k]) for k in extents}
+        joined = {(2, block.proj.in_channels, *extents[k]) for k, _, block in model.decoder}
+        assert skips <= shapes and not joined & shapes
 
     # one (4, 16, 4, 66, 66) float32 map: stage 1 of the default model at N=4
     STAGE1 = 4 * 16 * 4 * 66 * 66 * 4

@@ -8,7 +8,7 @@ from rainunet import precision
 from rainunet.layers import _from_layout, _to_layout
 from rainunet.tensor import (AutodiffError, NonFiniteError, Tensor,
                              TensorError, _op, active_graph, backward,
-                             grad_check, join, mean_axis, mul, no_grad, relu,
+                             grad_check, mean_axis, mul, no_grad, relu,
                              sigmoid, tensor_sum)
 
 
@@ -291,80 +291,12 @@ class TestGraph:
         assert all(c == 1 for c in calls.values())
 
 
-# the (N, C, T, H, W) skip of the join tests, and the up half's extents
-# beside it: its own, or one short on each of T, H and W
-SKIP = (3, 4, 2, 5, 6)
-UP_EXTENTS = {"unpadded": (2, 5, 6), "padded": (1, 4, 5)}
-
-
-def _join_inputs(rng, extents, layout=False):
-    """An up half of 2 channels and a skip, both leaves that require
-    gradients, the skip's memory in the layout of rainunet.layers when
-    ``layout``."""
-    up = Tensor(rng.normal(size=(SKIP[0], 2, *extents)), requires_grad=True)
-    skip = rng.normal(size=SKIP)
-    if layout:
-        skip = _from_layout(np.ascontiguousarray(skip.transpose(2, 3, 0, 4, 1)))
-    return up, Tensor(skip, requires_grad=True)
-
-
 class TestShapeOps:
-    @pytest.mark.parametrize("mode", [precision.STANDARD, precision.WIDE])
-    @pytest.mark.parametrize("case", sorted(UP_EXTENTS))
-    def test_join_is_the_padded_up_then_the_skip(self, mode, case):
-        with precision.use_precision(mode):
-            up, skip = _join_inputs(np.random.default_rng(20), UP_EXTENTS[case])
-            joined, dtype = join(up, skip), precision.dtype()
-        widths = [(0, 0), (0, 0)] + [(0, s - u) for u, s in zip(up.shape[2:], SKIP[2:])]
-        want = np.concatenate([np.pad(up.data, widths), skip.data], axis=1)
-        assert joined.dtype == want.dtype == dtype
-        assert joined.shape == want.shape and joined.data.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("case", sorted(UP_EXTENTS))
-    def test_join_gradient_is_one_view_per_input(self, wide, case):
-        up, skip = _join_inputs(np.random.default_rng(21), UP_EXTENTS[case])
-        joined = join(up, skip)
-        gy = np.random.default_rng(22).normal(size=joined.shape)
-        t, h, w = up.shape[2:]
-        grads = joined.node.apply(gy)
-        assert all(np.shares_memory(g, gy) for g in grads)
-        assert np.array_equal(grads[0], gy[:, :2, :t, :h, :w])
-        assert np.array_equal(grads[1], gy[:, 2:])
-        backward(tensor_sum(mul(joined, Tensor(gy))))
-        assert np.array_equal(up.grad, gy[:, :2, :t, :h, :w])
-        assert np.array_equal(skip.grad, gy[:, 2:])
-
-    @pytest.mark.parametrize("layout", [False, True], ids=["c_order", "layout"])
-    def test_join_keeps_the_skips_memory_order(self, layout):
-        up, skip = _join_inputs(np.random.default_rng(23), UP_EXTENTS["padded"], layout)
-        joined = join(up, skip)
-        dense = joined.data.transpose(2, 3, 0, 4, 1) if layout else joined.data
-        assert dense.flags.c_contiguous
-
     def test_layout_reads_the_skips_gradient_in_place(self):
-        # the C slice of a gradient in the layout is read as a view
-        up, skip = _join_inputs(np.random.default_rng(24), UP_EXTENTS["padded"], layout=True)
-        joined = join(up, skip)
-        gy = _from_layout(np.ones(joined.data.transpose(2, 3, 0, 4, 1).shape, np.float32))
-        skip_grad = joined.node.apply(gy)[1]
-        assert np.shares_memory(_to_layout(skip_grad), gy)
-
-    @pytest.mark.parametrize("up_shape", [(3, 2, 3, 5, 6), (3, 2, 2, 5, 7), (2, 2, 2, 5, 6)],
-                             ids=["longer_t", "wider", "fewer_samples"])
-    def test_join_refuses_an_up_half_that_does_not_fit(self, up_shape):
-        with pytest.raises(TensorError) as err:
-            join(Tensor(np.ones(up_shape)), Tensor(np.ones(SKIP)))
-        assert str(err.value) == f"join: {up_shape} does not fit beside {SKIP}"
-
-    @pytest.mark.parametrize("case", sorted(UP_EXTENTS))
-    def test_join_recompute_gives_the_forward_bytes_anew(self, case):
-        up, skip = _join_inputs(np.random.default_rng(25), UP_EXTENTS[case], layout=True)
-        joined = join(up, skip)
-        again = [joined.node.recompute() for _ in range(2)]
-        for a in again:
-            assert a.strides == joined.data.strides and a.tobytes() == joined.data.tobytes()
-            assert not np.shares_memory(a, joined.data)
-        assert not np.shares_memory(*again)
+        # a C slice of a map in the layout, as the skip's channels of a
+        # gradient over two sources would be, is read as a view
+        gy = _from_layout(np.ones((2, 5, 3, 6, 6), np.float32))
+        assert np.shares_memory(_to_layout(gy[:, 2:]), gy)
 
     def test_mean_axis(self, wide):
         x = Tensor(np.arange(12.0).reshape(2, 3, 2), requires_grad=True)

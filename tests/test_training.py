@@ -633,8 +633,8 @@ class TestFit:
         # where stage 2's 9x9 skip makes the decoder pad: above the
         # parameters and AdamW's m and v (its zeroed buffer, made inside
         # fit), the step peaks in the head conv's forward. Keeping the
-        # joins on the tape, or filling mean_axis's gradient over T, each
-        # passes the bound
+        # decoder's joined maps on the tape, or filling mean_axis's
+        # gradient over T, each passes the bound
         model = RainUNet(RainUNetConfig(stages=3, base_channels=16), seed=10)
         moments = 2 * sum(t.data.nbytes for _, t in model.named_parameters())
         stage1 = 2 * 16 * 4 * 18 * 18 * 4  # one (2, 16, 4, 18, 18) float32 map
